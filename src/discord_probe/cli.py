@@ -318,19 +318,24 @@ def execute(cfg: dict, out_dir: str) -> dict:
     return summary
 
 
+# (witness, bound, discord threshold) per result schema; the first pair
+# present in a run's results gives its verdict
+_WITNESS_BOUND = (
+    ("d_max", "D", 1e-9),
+    ("d_min", "D_min", 1e-6),
+    ("d_max", "negativity", 1e-9),
+    ("max_tau_d", "D", 1e-9),
+)
+
+
 def _verdict(results: dict) -> str:
-    if "d_max" in results and results.get("D") is not None:
-        if results["d_max"] > 1e-9:
+    for witness, bound, threshold in _WITNESS_BOUND:
+        if results.get(witness) is None or results.get(bound) is None:
+            continue
+        if results[witness] > threshold:
             return (
-                f"discord witnessed: d_max = {results['d_max']:.6g} <= "
-                f"D = {results['D']:.6g}"
-            )
-        return "no discord witnessed"
-    if "d_min" in results:
-        if results["d_min"] > 1e-6:
-            return (
-                f"discord witnessed: d_min = {results['d_min']:.6g} <= "
-                f"D_min = {results['D_min']:.6g}"
+                f"discord witnessed: {witness} = {results[witness]:.6g} <= "
+                f"{bound} = {results[bound]:.6g}"
             )
         return "no discord witnessed"
     return "run complete"
@@ -344,8 +349,6 @@ def main(argv=None) -> int:
         sp.add_argument("config")
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out-dir", default="results")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="advisory; numerical kernels manage threading")
     sub.choices["sweep"].add_argument("--axis", required=True)
     sub.choices["sweep"].add_argument("--values", required=True,
                                       help="comma-separated numbers")

@@ -15,19 +15,11 @@ from .states import (
     qubit_basis,
 )
 from .tensor import (
-    kron,
     partial_transpose_a,
     require_hermitian,
     require_square,
     trace_norm_hermitian,
 )
-
-_SIGMA = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
 
 @dataclass(frozen=True)
 class BasisGrid:
@@ -53,9 +45,10 @@ class BasisGrid:
 
 
 def bloch_vectors(angles: np.ndarray) -> np.ndarray:
-    t, p = angles[:, 0], angles[:, 1]
-    return np.column_stack(
-        [np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)]
+    """Unit axes (..., 3) for Bloch angles (..., 2)."""
+    t, p = angles[..., 0], angles[..., 1]
+    return np.stack(
+        [np.sin(t) * np.cos(p), np.sin(t) * np.sin(p), np.cos(t)], axis=-1
     )
 
 
@@ -95,48 +88,55 @@ def negativity(state: BipartiteState) -> float:
     return max(val, 0.0)
 
 
-def _sigma_conjugations(state: BipartiteState) -> np.ndarray:
-    """A[a, b] = (sigma_a (x) I) rho (sigma_b (x) I) for a qubit probe."""
-    eye_b = np.eye(state.dims.d_b)
-    s_big = [kron(s, eye_b) for s in _SIGMA]
-    d = state.dims.total
-    out = np.empty((3, 3, d, d), dtype=complex)
-    for a in range(3):
-        left = s_big[a] @ state.rho
-        for b in range(3):
-            out[a, b] = left @ s_big[b]
-    return out
-
-
-def _disturbance_batch(rho: np.ndarray, conj: np.ndarray,
-                       ns: np.ndarray, chunk: int = 256) -> np.ndarray:
-    """D(n) = (1/4) || rho - N rho N ||_1 for a batch of Bloch axes n."""
-    vals = np.empty(len(ns))
-    for lo in range(0, len(ns), chunk):
-        nn = ns[lo : lo + chunk]
-        pinched = np.einsum("ga,gb,abij->gij", nn, nn, conj, optimize=True)
-        diff = rho[None, :, :] - pinched
-        w = np.linalg.eigvalsh(diff)
-        vals[lo : lo + chunk] = 0.25 * np.sum(np.abs(w), axis=1)
+def _block_disturbance(rho: np.ndarray, d_b: int, angles: np.ndarray) -> np.ndarray:
+    """D(n) for a qubit probe and Bloch angles (G, 2): rho minus its pinching
+    along n is P0 rho P1 + P1 rho P0, which is block off-diagonal, so D(n) is
+    the singular-value sum of the d_B x d_B block <0_n| rho |1_n>."""
+    c, s = np.cos(angles[:, 0] / 2), np.sin(angles[:, 0] / 2)
+    e = np.exp(1j * angles[:, 1])
+    bra0 = np.stack([c, s * e], axis=1).conj()  # kets as in qubit_basis
+    ket1 = np.stack([-s * e.conj(), c], axis=1)
+    weights = (bra0[:, :, None] * ket1[:, None, :]).reshape(-1, 4)
+    blocks = rho.reshape(2, d_b, 2, d_b).transpose(0, 2, 1, 3).reshape(4, -1)
+    chunk = max(1, 2**20 // (d_b * d_b))  # about 16 MB of blocks per batch
+    vals = np.empty(len(angles))
+    for lo in range(0, len(angles), chunk):
+        blk = (weights[lo : lo + chunk] @ blocks).reshape(-1, d_b, d_b)
+        vals[lo : lo + chunk] = np.linalg.svd(blk, compute_uv=False).sum(axis=1)
     return vals
 
 
-def _marginal_eigen_angles(state: BipartiteState) -> np.ndarray:
-    """Bloch angles of the A-marginal eigenbasis, folded into theta<=pi/2."""
-    basis, _ = local_eigenbasis(state)
-    v = basis.vectors[:, 0]
-    n = np.array(
-        [
-            2 * (v[0].conjugate() * v[1]).real,
-            2 * (v[0].conjugate() * v[1]).imag,
-            (abs(v[0]) ** 2 - abs(v[1]) ** 2),
-        ]
-    )
-    if n[2] < 0:
-        n = -n
-    theta = np.arccos(np.clip(n[2], -1.0, 1.0))
-    phi = np.arctan2(n[1], n[0]) % (2 * np.pi)
-    return np.array([[theta, phi]])
+def _basis_angles(basis: ProjectiveBasis) -> np.ndarray:
+    """Bloch angles (1, 2) of a qubit basis, folded into theta <= pi/2."""
+    v0, v1 = basis.vectors[:, 0]
+    xy, z = 2 * v0.conjugate() * v1, abs(v0) ** 2 - abs(v1) ** 2
+    sign = -1.0 if z < 0 else 1.0  # n and -n give the same basis
+    theta = np.arccos(np.clip(sign * z, -1.0, 1.0))
+    return np.array([[theta, np.angle(sign * xy) % (2 * np.pi)]])
+
+
+_STENCIL = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])
+
+
+def _minimize_over_bloch(f, grid: BasisGrid, start: np.ndarray):
+    """Minimize K objectives over Bloch angles at once: evaluate all on the
+    grid plus the `start` angles (S, 2), then refine every incumbent on a 3x3
+    stencil whose spacing halves each round. `f` maps angles (K, G, 2), or
+    (1, G, 2) shared by all K, to values (K, G). Returns the minima (K,) and
+    their angles (K, 2)."""
+    angles = np.vstack([grid.angles(), start])
+    vals = f(angles[None])
+    best_val, best_ang = vals.min(axis=1), angles[np.argmin(vals, axis=1)]
+    rows, step = np.arange(len(vals)), np.array(grid.spacing)
+    for _ in range(grid.refine_rounds):
+        step = step / 2
+        cand = best_ang[:, None, :] + _STENCIL * step
+        cvals = f(cand)
+        j = np.argmin(cvals, axis=1)
+        better = cvals[rows, j] < best_val
+        best_val[better] = cvals[rows, j][better]
+        best_ang[better] = cand[rows, j][better]
+    return best_val, best_ang
 
 
 def minimal_dephasing_disturbance(
@@ -152,19 +152,7 @@ def minimal_dephasing_disturbance(
     if state.dims.d_a != 2:
         raise ValueError("basis-grid minimization is defined for d_A = 2 only")
     grid = grid or BasisGrid()
-    conj = _sigma_conjugations(state)
-    angles = np.vstack([grid.angles(), _marginal_eigen_angles(state)])
-    vals = _disturbance_batch(state.rho, conj, bloch_vectors(angles))
-    best = int(np.argmin(vals))
-    best_val, best_ang = vals[best], angles[best]
-
-    dt, dp = grid.spacing
-    for _ in range(grid.refine_rounds):
-        dt, dp = dt / 2, dp / 2
-        offs = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])
-        cand = best_ang[None, :] + offs * np.array([dt, dp])
-        cvals = _disturbance_batch(state.rho, conj, bloch_vectors(cand))
-        k = int(np.argmin(cvals))
-        if cvals[k] < best_val:
-            best_val, best_ang = cvals[k], cand[k]
-    return float(best_val), qubit_basis(best_ang[0], best_ang[1])
+    val, ang = _minimize_over_bloch(
+        lambda a: _block_disturbance(state.rho, state.dims.d_b, a[0])[None],
+        grid, _basis_angles(local_eigenbasis(state)[0]))
+    return float(val[0]), qubit_basis(ang[0, 0], ang[0, 1])

@@ -187,6 +187,13 @@ def run_local_detection(
     return WitnessSeries(grid.samples, d_t, bound_ref=bound)
 
 
+_SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# N rho N = sum_p w_p n_a n_b S_p over the pairs p = (a, b), a <= b, with
+# S_p = (sigma_a rho sigma_b + sigma_b rho sigma_a)/2 and N = n.sigma (x) I
+_PAIRS = np.array([(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)])
+_PAIR_WEIGHTS = np.array([1.0, 1.0, 1.0, 2.0, 2.0, 2.0])
+
+
 def run_minimized_detection(
     state: BipartiteState,
     evo: EvolutionSpec,
@@ -195,44 +202,44 @@ def run_minimized_detection(
 ) -> WitnessSeries:
     """max over t of the basis-minimized local distance, qubit probe only.
 
-    Exploits that dephasing along Bloch axis n maps the evolved marginal to
-    (R(t) + sum_ab n_a n_b M_ab(t))/2, so the basis sweep costs only 2x2
-    algebra once the nine sigma-conjugated marginal series are known.
+    Dephasing along Bloch axis n maps the evolved marginal to
+    (R(t) + sum_p w_p n_a n_b S_p(t))/2, so once the marginal series of the
+    six S_p are known, the local distance at every (n, t) is half the length
+    of the Pauli vector of the traceless R(t) - sum_p w_p n_a n_b S_p(t).
+    The argmin axis n* of the bound is evaluated at every time and caps the
+    refined minimum, so d_min(t) <= d_{n*}(t) <= D(n*) = D_min holds whatever
+    the grid. It does not seed the refinement, which therefore never ends
+    above the grid search's own result.
     """
     if state.dims.d_a != 2:
         raise ValueError("basis-grid minimization is defined for d_A = 2 only")
     bases = bases or BasisGrid()
-    conj = measures._sigma_conjugations(state)
-    stack = np.concatenate([state.rho[None], conj.reshape(9, *state.rho.shape)])
-    margs = evo.marginal_series(stack, state.dims, grid.samples)
-    r_t = margs[0]  # (T, 2, 2)
-    m_t = margs[1:].reshape(3, 3, len(grid.samples), 2, 2)
-
-    angles = np.vstack(
-        [bases.angles(), measures._marginal_eigen_angles(state)]
+    bound, bound_basis = measures.minimal_dephasing_disturbance(state, bases)
+    d, r = state.dims.total, state.rho.reshape(2, state.dims.d_b, 2, state.dims.d_b)
+    conj = [np.einsum("ik,kxly,lj->ixjy", _SIGMA[a], r, _SIGMA[b]).reshape(d, d)
+            for a, b in _PAIRS]
+    margs = evo.marginal_series(
+        [state.rho] + [(m + m.conj().T) / 2 for m in conj], state.dims, grid.samples
     )
-    d_min_t = np.empty(len(grid.samples))
-    dt0, dp0 = bases.spacing
-    for ti in range(len(grid.samples)):
-        def batch(ang):
-            n = bloch_vectors(ang)
-            pin = np.einsum("ga,gb,abij->gij", n, n, m_t[:, :, ti], optimize=True)
-            return _distances_2x2_quarter(r_t[ti][None] - pin)
+    paulis = np.einsum("aji,stij->sta", _SIGMA, margs).real / 2  # tr(sigma_a X)/2
+    r_t, s_t = paulis[0], paulis[1:].transpose(1, 0, 2)  # (T, 3), (T, 6, 3)
 
-        vals = batch(angles)
-        k = int(np.argmin(vals))
-        best, best_ang = vals[k], angles[k]
-        dt, dp = dt0, dp0
-        for _ in range(bases.refine_rounds):
-            dt, dp = dt / 2, dp / 2
-            offs = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])
-            cand = best_ang[None, :] + offs * np.array([dt, dp])
-            cvals = batch(cand)
-            j = int(np.argmin(cvals))
-            if cvals[j] < best:
-                best, best_ang = cvals[j], cand[j]
-        d_min_t[ti] = best
-    bound, _ = measures.minimal_dephasing_disturbance(state, bases)
+    start = measures._basis_angles(local_eigenbasis(state)[0])
+    n_star = measures._basis_angles(bound_basis)
+    # time chunks of at most about 2**17 (axis, time) pairs bound the memory
+    chunk = max(1, 2**17 // (len(bases.angles()) + len(start)))
+    d_min_t = np.empty(len(grid.samples))
+    for lo in range(0, len(d_min_t), chunk):
+        r_c, s_c = r_t[lo : lo + chunk], s_t[lo : lo + chunk]
+
+        def local_distance(ang):
+            n = bloch_vectors(ang)
+            q = n[..., _PAIRS[:, 0]] * n[..., _PAIRS[:, 1]] * _PAIR_WEIGHTS
+            return 0.5 * np.linalg.norm(r_c[:, None] - q @ s_c, axis=-1)
+
+        vals, _ = measures._minimize_over_bloch(local_distance, bases, start)
+        along_n_star = local_distance(n_star[None])[:, 0]
+        d_min_t[lo : lo + chunk] = np.minimum(vals, along_n_star)
     return WitnessSeries(grid.samples, d_min_t, bound_ref=bound)
 
 

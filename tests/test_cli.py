@@ -94,6 +94,42 @@ class TestRun:
         assert res["classical_correlation_detected"]
         assert (out / "classical_series.csv").exists()
 
+    def test_spinchain_ground_state_verdict(self, tmp_path, capsys):
+        p = write_config(
+            tmp_path / "c.yaml",
+            {"model": "spinchain", "params": {"n_spins": 4},
+             "time_grid": {"t_max": 12.0, "points": 80}},
+        )
+        out = tmp_path / "out"
+        assert main(["run", p, "--out-dir", str(out)]) == 0
+        res = json.loads((out / "summary.json").read_text())["results"]
+        assert capsys.readouterr().out.strip() == (
+            f"discord witnessed: d_max = {res['d_max']:.6g} <= "
+            f"negativity = {res['negativity']:.6g}"
+        )
+
+    def test_photon_cv_verdict(self, tmp_path, capsys):
+        p = write_config(
+            tmp_path / "c.yaml",
+            {"model": "photon-cv", "time_grid": {"t_max": 6.0, "points": 100}},
+        )
+        out = tmp_path / "out"
+        assert main(["run", p, "--out-dir", str(out)]) == 0
+        res = json.loads((out / "summary.json").read_text())["results"]
+        assert capsys.readouterr().out.strip() == (
+            f"discord witnessed: max_tau_d = {res['max_tau_d']:.6g} <= "
+            f"D = {res['D']:.6g}"
+        )
+
+    def test_photon_cv_product_state_verdict(self, tmp_path, capsys):
+        p = write_config(
+            tmp_path / "c.yaml",
+            {"model": "photon-cv", "params": {"t": 0.0},
+             "time_grid": {"t_max": 6.0, "points": 100}},
+        )
+        assert main(["run", p, "--out-dir", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.strip() == "no discord witnessed"
+
     def test_determinism(self, tmp_path):
         cfg = {"model": "generic", "seed": 3,
                "time_grid": {"t_max": 5.0, "points": 40}}

@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_hermitian, random_pure_state, random_state
+from oracles import disturbance_batch, sigma_conjugations
 from discord_probe.measures import (
     BasisGrid,
+    _block_disturbance,
+    bloch_vectors,
     dephasing_disturbance,
     hs_distance_sq,
     minimal_dephasing_disturbance,
@@ -165,6 +168,19 @@ class TestMinimalDisturbance:
     def test_rejects_large_probe(self, rng):
         with pytest.raises(ValueError):
             minimal_dephasing_disturbance(random_state(3, 2, rng))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.booleans())
+    def test_block_kernel_matches_dense_oracle(self, seed, d_b, pure):
+        rng = np.random.default_rng(seed)
+        s = (random_pure_state if pure else random_state)(2, d_b, rng)
+        angles = np.column_stack(
+            [rng.uniform(-np.pi, np.pi, 50), rng.uniform(0, 2 * np.pi, 50)]
+        )
+        dense = disturbance_batch(
+            s.rho, sigma_conjugations(s), bloch_vectors(angles)
+        )
+        assert np.max(np.abs(_block_disturbance(s.rho, d_b, angles) - dense)) <= 1e-12
 
 
 class TestBasisGrid:

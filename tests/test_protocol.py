@@ -6,8 +6,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SX, random_density, random_hermitian, random_state
-from discord_probe.measures import dephasing_disturbance, hs_distance_sq, trace_distance
+from conftest import (
+    SX,
+    random_density,
+    random_hermitian,
+    random_pure_state,
+    random_state,
+)
+from oracles import minimized_series
+from discord_probe.measures import (
+    BasisGrid,
+    dephasing_disturbance,
+    hs_distance_sq,
+    minimal_dephasing_disturbance,
+    trace_distance,
+)
 from discord_probe.protocol import (
     EvolutionSpec,
     TimeGrid,
@@ -200,6 +213,34 @@ class TestRunMinimizedDetection:
         evo = EvolutionSpec(hamiltonian=random_hermitian(6, rng))
         with pytest.raises(ValueError):
             run_minimized_detection(s, evo, GRID)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 6))
+    def test_bound_holds_on_coarsest_grid(self, seed, d_b):
+        # d_min(t) <= d_{n*}(t) <= D(n*) = D_min whatever the grid
+        rng = np.random.default_rng(seed)
+        s = random_state(2, d_b, rng)
+        evo = EvolutionSpec(hamiltonian=random_hermitian(2 * d_b, rng))
+        grid = TimeGrid.linear(4.0, 12)
+        for rounds in (0, 3):
+            bases = BasisGrid(n_theta=3, n_phi=4, refine_rounds=rounds)
+            series = run_minimized_detection(s, evo, grid, bases)
+            assert series.d_max <= series.bound_ref + 1e-12
+            _, n_star = minimal_dephasing_disturbance(s, bases)
+            along_n_star = run_local_detection(s, evo, grid, basis=n_star)
+            assert np.all(series.d_t <= along_n_star.d_t + 1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.booleans())
+    def test_never_above_per_time_oracle(self, seed, d_b, pure):
+        rng = np.random.default_rng(seed)
+        s = (random_pure_state if pure else random_state)(2, d_b, rng)
+        evo = EvolutionSpec(hamiltonian=random_hermitian(2 * d_b, rng))
+        grid = TimeGrid.linear(4.0, 12)
+        bases = BasisGrid(n_theta=6, n_phi=12, refine_rounds=3)
+        series = run_minimized_detection(s, evo, grid, bases)
+        oracle = minimized_series(s, evo, grid.samples, bases)
+        assert np.all(series.d_t <= oracle + 1e-12)
 
 
 class TestClassicalCorrelationWitness:
