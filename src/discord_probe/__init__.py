@@ -39,7 +39,6 @@ from .tensor import (
     partial_trace_a,
     partial_trace_b,
     partial_transpose_a,
-    trace_norm,
 )
 
 __version__ = "0.1.0"

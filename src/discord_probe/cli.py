@@ -14,7 +14,7 @@ import numpy as np
 import yaml
 
 from . import __version__, model_emission, model_ion, model_photon, model_spinchain
-from .measures import BasisGrid, hs_distance_sq
+from .measures import BasisGrid
 from .protocol import (
     EvolutionSpec,
     TimeGrid,
@@ -24,10 +24,23 @@ from .protocol import (
     run_local_detection,
     run_minimized_detection,
 )
-from .states import BipartiteState, computational_basis, haar_unitary, zero_discord_state
+from .states import BipartiteState, computational_basis, zero_discord_state
 from .tensor import BipartitionDims, kron
 
-MODELS = ("ion", "photon-cv", "photon-dv", "spinchain", "emission", "haar", "generic")
+# model -> {params field: converter}. A runner passes on only the fields a
+# config sets, so each default lives in the parameter class that takes it.
+PARAMS = {
+    "ion": {"omega": float, "eta": float, "nbar": float, "t0": float,
+            "lamb_dicke_limit": bool},
+    "photon-cv": {"beta": float, "delta_omega": float, "omega0": float, "t": float,
+                  "grid_span": float, "grid_points": int},
+    "photon-dv": {"lam": float, "theta": float, "phase_rate": float},
+    "spinchain": {"n_spins": int, "alpha": float, "j0": float, "b_field": float,
+                  "kT": float},
+    "emission": {"n_modes": int, "half_bandwidth": float, "structured": bool},
+    "haar": {"d_a": int, "d_b": int, "n_samples": int},
+    "generic": {"d_a": int, "d_b": int, "state": str, "generator": str},
+}
 
 
 class ConfigError(ValueError):
@@ -41,6 +54,12 @@ def _known(section: dict, allowed: set, where: str) -> dict:
     return section
 
 
+def _fields(section: dict | None, converters: dict, where: str) -> dict:
+    """The fields a config section sets, each passed through its converter."""
+    section = _known(section or {}, converters.keys(), where)
+    return {k: converters[k](v) for k, v in section.items()}
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
@@ -51,28 +70,26 @@ def load_config(path: str) -> dict:
         raise ConfigError("config must be a mapping")
     _known(cfg, {"model", "seed", "out_dir", "params", "time_grid", "basis_grid"},
            "top level")
-    if cfg.get("model") not in MODELS:
-        raise ConfigError(f"model must be one of {MODELS}")
+    if cfg.get("model") not in PARAMS:
+        raise ConfigError(f"model must be one of {tuple(PARAMS)}")
     cfg.setdefault("seed", 0)
     cfg.setdefault("params", {})
     return cfg
 
 
+def _params(cfg: dict) -> dict:
+    return _fields(cfg["params"], PARAMS[cfg["model"]], f"{cfg['model']} params")
+
+
 def _time_grid(cfg: dict, default_t_max: float, default_n: int = 200) -> TimeGrid:
-    tg = _known(cfg.get("time_grid") or {}, {"t_max", "points"}, "time_grid")
-    return TimeGrid.linear(
-        float(tg.get("t_max", default_t_max)), int(tg.get("points", default_n))
-    )
+    tg = _fields(cfg.get("time_grid"), {"t_max": float, "points": int}, "time_grid")
+    return TimeGrid.linear(tg.get("t_max", default_t_max), tg.get("points", default_n))
 
 
 def _basis_grid(cfg: dict) -> BasisGrid:
-    bg = _known(cfg.get("basis_grid") or {},
-                {"n_theta", "n_phi", "refine_rounds"}, "basis_grid")
-    return BasisGrid(
-        n_theta=int(bg.get("n_theta", 60)),
-        n_phi=int(bg.get("n_phi", 120)),
-        refine_rounds=int(bg.get("refine_rounds", 6)),
-    )
+    return BasisGrid(**_fields(
+        cfg.get("basis_grid"),
+        {"n_theta": int, "n_phi": int, "refine_rounds": int}, "basis_grid"))
 
 
 def _atomic_write(path: str, text: str):
@@ -101,15 +118,11 @@ def _series_csv(path: str, series, extra: dict | None = None):
 
 
 def _run_ion(cfg: dict, out_dir: str) -> dict:
-    pr = _known(cfg["params"], {"omega", "eta", "nbar", "t0", "lamb_dicke_limit"},
-                "ion params")
-    p = model_ion.IonParams(
-        omega=float(pr.get("omega", 1.0)),
-        eta=float(pr.get("eta", 0.05)),
-        nbar=float(pr.get("nbar", 0.0)),
-        lamb_dicke_limit=bool(pr.get("lamb_dicke_limit", True)),
-    )
-    t0 = float(pr.get("t0", np.pi / (2 * p.omega0)))
+    kw = _params(cfg)
+    t0 = kw.pop("t0", None)
+    p = model_ion.IonParams(**kw)
+    if t0 is None:
+        t0 = float(np.pi / (2 * p.omega0))
     grid = _time_grid(cfg, 4 * np.pi / p.omega0)
     series = model_ion.simulated_local_distance(p, t0, grid)
     analytic = [model_ion.analytic_local_distance(p, t0, t) for t in grid.samples]
@@ -125,17 +138,10 @@ def _run_ion(cfg: dict, out_dir: str) -> dict:
 
 
 def _run_photon_cv(cfg: dict, out_dir: str) -> dict:
-    pr = _known(cfg["params"],
-                {"beta", "delta_omega", "omega0", "t", "grid_span", "grid_points"},
-                "photon-cv params")
-    p = model_photon.PhotonParams(
-        beta=float(pr.get("beta", 0.4)),
-        delta_omega=float(pr.get("delta_omega", 1.0)),
-        omega0=float(pr.get("omega0", 0.0)),
-        t_prep=float(pr.get("t", 1.0)),
-        grid_span=float(pr.get("grid_span", 640.0)),
-        grid_points=int(pr.get("grid_points", 3201)),
-    )
+    kw = _params(cfg)
+    if "t" in kw:
+        kw["t_prep"] = kw.pop("t")
+    p = model_photon.PhotonParams(**kw)
     grid = _time_grid(cfg, 6.0 / p.delta_omega, 400)
     d = model_photon.simulated_local_distance_photon(p, grid.samples)
     closed = np.array(
@@ -155,12 +161,10 @@ def _run_photon_cv(cfg: dict, out_dir: str) -> dict:
 
 
 def _run_photon_dv(cfg: dict, out_dir: str) -> dict:
-    pr = _known(cfg["params"], {"lam", "theta", "phase_rate"}, "photon-dv params")
-    p = model_photon.DiscreteAncillaParams(
-        lam=float(pr.get("lam", 0.5)), theta=float(pr.get("theta", np.pi / 4))
-    )
-    state = model_photon.build_discrete_state(p)
-    evo = model_photon.channel_phase_evolution(float(pr.get("phase_rate", 1.0)))
+    kw = _params(cfg)
+    rate = {"rate": kw.pop("phase_rate")} if "phase_rate" in kw else {}
+    state = model_photon.build_discrete_state(model_photon.DiscreteAncillaParams(**kw))
+    evo = model_photon.channel_phase_evolution(**rate)
     grid = _time_grid(cfg, 2 * np.pi, 100)
     series = run_minimized_detection(state, evo, grid, _basis_grid(cfg))
     hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
@@ -176,15 +180,7 @@ def _run_photon_dv(cfg: dict, out_dir: str) -> dict:
 
 
 def _run_spinchain(cfg: dict, out_dir: str) -> dict:
-    pr = _known(cfg["params"], {"n_spins", "alpha", "j0", "b_field", "kT"},
-                "spinchain params")
-    p = model_spinchain.ChainParams(
-        n_spins=int(pr.get("n_spins", 8)),
-        alpha=float(pr.get("alpha", 1.0)),
-        j0=float(pr.get("j0", 1.0)),
-        b_field=float(pr.get("b_field", 1.0)),
-        kT=float(pr.get("kT", 0.0)),
-    )
+    p = model_spinchain.ChainParams(**_params(cfg))
     grid = _time_grid(cfg, 20.0 / p.j0, 400)
     spec = model_spinchain.spectral(p)
     if p.kT > 0:
@@ -202,17 +198,15 @@ def _run_spinchain(cfg: dict, out_dir: str) -> dict:
         "argmax_time": res.series.argmax_time,
         "negativity": res.negativity,
         "gap": res.gap,
+        "top3_excitation_support": res.top3_support,
     }
 
 
 def _run_emission(cfg: dict, out_dir: str) -> dict:
-    pr = _known(cfg["params"], {"n_modes", "half_bandwidth", "structured"},
-                "emission params")
-    p = model_emission.EmissionParams(
-        n_modes=int(pr.get("n_modes", 401)),
-        half_bandwidth=float(pr.get("half_bandwidth", 20.0)),
-    )
-    if bool(pr.get("structured", False)):
+    kw = _params(cfg)
+    structured = kw.pop("structured", False)
+    p = model_emission.EmissionParams(**kw)
+    if structured:
         p = model_emission.structured_params(p)
     grid = _time_grid(cfg, 3.0 / 1.0, 31)
     t0s = grid.samples[1:]
@@ -239,19 +233,18 @@ def _random_discordant_state(d_a: int, d_b: int, seed: int) -> BipartiteState:
 
 
 def _run_haar(cfg: dict, out_dir: str) -> dict:
-    pr = _known(cfg["params"], {"d_a", "d_b", "n_samples"}, "haar params")
-    d_a, d_b = int(pr.get("d_a", 2)), int(pr.get("d_b", 2))
-    state = _random_discordant_state(d_a, d_b, int(cfg["seed"]))
+    pr = _params(cfg)
+    state = _random_discordant_state(pr.get("d_a", 2), pr.get("d_b", 2),
+                                     int(cfg["seed"]))
     mean, std_error, predicted = haar_average_estimate(
-        state, int(pr.get("n_samples", 10000)), int(cfg["seed"]) + 1
+        state, pr.get("n_samples", 10000), int(cfg["seed"]) + 1
     )
     return {"mean": mean, "std_error": std_error, "predicted": predicted}
 
 
 def _run_generic(cfg: dict, out_dir: str) -> dict:
-    pr = _known(cfg["params"], {"d_a", "d_b", "state", "generator"},
-                "generic params")
-    d_a, d_b = int(pr.get("d_a", 2)), int(pr.get("d_b", 2))
+    pr = _params(cfg)
+    d_a, d_b = pr.get("d_a", 2), pr.get("d_b", 2)
     seed = int(cfg["seed"])
     kind = pr.get("state", "random")
     rng = np.random.default_rng(seed)
@@ -341,6 +334,10 @@ def _verdict(results: dict) -> str:
     return "run complete"
 
 
+def _numbers(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="discord-probe")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -350,7 +347,7 @@ def main(argv=None) -> int:
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--out-dir", default="results")
     sub.choices["sweep"].add_argument("--axis", required=True)
-    sub.choices["sweep"].add_argument("--values", required=True,
+    sub.choices["sweep"].add_argument("--values", required=True, type=_numbers,
                                       help="comma-separated numbers")
     args = parser.parse_args(argv)
 
@@ -367,27 +364,37 @@ def main(argv=None) -> int:
             summary = execute(cfg, args.out_dir)
             print(_verdict(summary["results"]))
             return 0
-        values = [float(v) for v in args.values.split(",")]
-        rows = []
-        for i, val in enumerate(values):
+        rows, failed = [], 0
+        for i, val in enumerate(args.values):
             sub_cfg = json.loads(json.dumps(cfg))
             sub_cfg["params"][args.axis] = val
-            summary = execute(sub_cfg, os.path.join(args.out_dir, f"point-{i:03d}"))
-            rows.append((val, summary["results"]))
+            point_dir = os.path.join(args.out_dir, f"point-{i:03d}")
+            try:
+                results = execute(sub_cfg, point_dir)["results"]
+            except ConfigError:
+                raise
+            except ValueError as exc:  # a NaN row; the other points still run
+                print(f"model error at {args.axis} = {val:g}: {exc}", file=sys.stderr)
+                results, failed = {}, failed + 1
+            rows.append((val, results))
         keys = sorted({k for _, r in rows for k, v in r.items()
                        if isinstance(v, (int, float)) and not isinstance(v, bool)})
         cols = {args.axis: [v for v, _ in rows]}
         for k in keys:
             cols[k] = [float(r.get(k, float("nan"))) for _, r in rows]
         _write_csv(os.path.join(args.out_dir, "sweep.csv"), cols)
-        print(f"sweep complete: {len(values)} points over {args.axis}")
-        return 0
+        print(f"sweep complete: {len(rows)} points over {args.axis}"
+              + (f", {failed} failed" if failed else ""))
+        return 4 if failed else 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except WitnessBoundError as exc:
         print(f"numerical contract violation: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"model error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -115,15 +115,16 @@ def _basis_angles(basis: ProjectiveBasis) -> np.ndarray:
     return np.array([[theta, np.angle(sign * xy) % (2 * np.pi)]])
 
 
-_STENCIL = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)])
+# the 3x3 stencil without its centre, the incumbent itself
+_STENCIL = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j])
 
 
 def _minimize_over_bloch(f, grid: BasisGrid, start: np.ndarray):
     """Minimize K objectives over Bloch angles at once: evaluate all on the
-    grid plus the `start` angles (S, 2), then refine every incumbent on a 3x3
-    stencil whose spacing halves each round. `f` maps angles (K, G, 2), or
-    (1, G, 2) shared by all K, to values (K, G). Returns the minima (K,) and
-    their angles (K, 2)."""
+    grid plus the `start` angles (S, 2), then refine every incumbent on the 8
+    neighbours of a 3x3 stencil whose spacing halves each round. `f` maps
+    angles (K, G, 2), or (1, G, 2) shared by all K, to values (K, G). Returns
+    the minima (K,) and their angles (K, 2)."""
     angles = np.vstack([grid.angles(), start])
     vals = f(angles[None])
     best_val, best_ang = vals.min(axis=1), angles[np.argmin(vals, axis=1)]

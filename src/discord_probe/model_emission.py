@@ -11,7 +11,7 @@ import numpy as np
 
 from . import measures
 from .states import BipartiteState
-from .tensor import BipartitionDims, kron
+from .tensor import BipartitionDims
 
 
 @dataclass(frozen=True)
@@ -135,30 +135,6 @@ def emission_local_signal(p: EmissionParams, t0: float, t1: float) -> float:
     chi_tau0 = complex(prop(chi)[0])
     delta_pe = 2 * (amp.u00 * u00_tau * np.conj(chi_tau0)).real
     return abs(delta_pe)
-
-
-def full_space_hamiltonian(p: EmissionParams) -> np.ndarray:
-    """Full atom (x) hard-core-boson-modes Hamiltonian for tiny instances,
-    used to validate the sector restriction."""
-    if p.n_modes > 10:
-        raise ValueError("full-space construction is limited to <= 10 modes")
-    nm = p.n_modes
-    dim_f = 2**nm
-    sp = np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0| per mode
-    eye_atom = np.eye(2, dtype=complex)
-    atom_e = np.diag([0.0, 1.0]).astype(complex)
-    h = kron(p.atomic_gap * atom_e, np.eye(dim_f))
-    freqs = p.mode_frequencies()
-    g = p.couplings()
-    for k in range(nm):
-        a_dag = np.array([[1.0 + 0j]])
-        for j in range(nm):
-            a_dag = kron(a_dag, sp if j == k else np.eye(2))
-        num = a_dag @ a_dag.conj().T
-        h += kron(eye_atom, freqs[k] * num)
-        sigma_minus = np.array([[0, 1], [0, 0]], dtype=complex)  # |g><e|
-        h += g[k] * (kron(sigma_minus, a_dag) + kron(sigma_minus.conj().T, a_dag.conj().T))
-    return h
 
 
 def structured_params(p: EmissionParams) -> EmissionParams:

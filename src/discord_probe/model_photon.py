@@ -116,35 +116,6 @@ def analytic_disturbance_photon(p: PhotonParams) -> float:
     return float(p.beta * (2.0 / np.pi) * (body + tail))
 
 
-def michelson_propagator(p: PhotonParams, tau: float, eta_angle: float = 0.0) -> np.ndarray:
-    """Closed-form Michelson unitary: phase exp(-i w tau) on the polarization
-    axis rotated by eta_angle from V."""
-    m = p.grid_points
-    ph = np.exp(-1j * p.frequencies() * tau)
-    u = np.zeros((2 * m, 2 * m), dtype=complex)
-    idx = np.arange(m)
-    u[idx, idx] = 1.0
-    u[m + idx, m + idx] = ph
-    if eta_angle != 0.0:
-        c, s = np.cos(eta_angle), np.sin(eta_angle)
-        w_rot = kron(np.array([[c, -s], [s, c]]), np.eye(m))
-        u = w_rot @ u @ w_rot.conj().T
-    return u
-
-
-def michelson_evolution(p: PhotonParams, eta_angle: float = 0.0) -> EvolutionSpec:
-    """Hermitian-generator form of the Michelson imprint (H has eigenvalue w
-    on the rotated-V branch), equivalent to michelson_propagator."""
-    m = p.grid_points
-    h_pol = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
-    if eta_angle != 0.0:
-        c, s = np.cos(eta_angle), np.sin(eta_angle)
-        w_rot = np.array([[c, -s], [s, c]], dtype=complex)
-        h_pol = w_rot @ h_pol @ w_rot.conj().T
-    h = kron(h_pol, np.diag(p.frequencies()).astype(complex))
-    return EvolutionSpec(hamiltonian=h)
-
-
 @dataclass(frozen=True)
 class DiscreteAncillaParams:
     lam: float = 0.5

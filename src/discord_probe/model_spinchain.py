@@ -11,10 +11,9 @@ from . import measures
 from .measures import BasisGrid
 from .protocol import EvolutionSpec, TimeGrid, WitnessSeries, run_minimized_detection
 from .states import BipartiteState
-from .tensor import BipartitionDims, kron
+from .tensor import PAULI, BipartitionDims, kron
 
-_SX = np.array([[0, 1], [1, 0]], dtype=complex)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_SX, _SY = PAULI[:2]
 _EYE2 = np.eye(2, dtype=complex)
 
 
@@ -128,12 +127,15 @@ class GroundStateResult:
     d_mag: np.ndarray        # magnetization form (1/2)|m_y(t) - m_y(0)|
     negativity: float
     gap: float
+    top3_support: float      # population of the 3 most occupied energy levels
 
 
 def ground_state_detection(p: ChainParams, grid: TimeGrid | None = None,
                            spec: SpectralData | None = None) -> GroundStateResult:
     """Dephase spin 1 along y, evolve, and record the single-spin distance
-    both as a trace distance and through the y-magnetization."""
+    both as a trace distance and through the y-magnetization. Also returns
+    how much of the dephased state's energy distribution the three most
+    populated levels hold (see excitation_overlaps)."""
     spec = spec or spectral(p)
     grid = grid or p.default_time_grid()
     gap = float(spec.energies[1] - spec.energies[0])
@@ -158,7 +160,11 @@ def ground_state_detection(p: ChainParams, grid: TimeGrid | None = None,
         my_t = 0.5 * (my0 + float(np.trace(mc @ _SY).real))
         d_mag[ti] = 0.5 * abs(my_t - my0)
     series = WitnessSeries(grid.samples, d_t, bound_ref=neg)
-    return GroundStateResult(series, d_mag, neg, gap)
+    # populations (|<j|psi0>|^2 + |<j|chi>|^2)/2, where <j|psi0> = delta_j0
+    pops = 0.5 * np.abs(chi_t) ** 2
+    pops[0] += 0.5
+    top3 = float(np.sort(pops)[::-1][:3].sum())
+    return GroundStateResult(series, d_mag, neg, gap, top3)
 
 
 def excitation_overlaps(p: ChainParams, spec: SpectralData | None = None):
@@ -193,17 +199,6 @@ def autocorrelation(p: ChainParams, grid: TimeGrid | None = None,
             raise RuntimeError("autocorrelation picked up an imaginary part")
         c_t[ti] = val.real / purity
     return list(zip(grid.samples, c_t))
-
-
-def autocorrelation_direct(p: ChainParams, t: float,
-                           spec: SpectralData | None = None) -> float:
-    """Direct-definition evaluation Tr{rho U rho U^dag} / purity."""
-    spec = spec or spectral(p)
-    psi0, chi = _dephased_components(spec, p.n_spins)
-    rho = 0.5 * (np.outer(psi0, psi0.conj()) + np.outer(chi, chi.conj()))
-    u = (spec.states * np.exp(-1j * spec.energies * t)) @ spec.states.conj().T
-    purity = float(np.trace(rho @ rho).real)
-    return float(np.trace(rho @ u @ rho @ u.conj().T).real / purity)
 
 
 def gibbs_state(p: ChainParams, spec: SpectralData | None = None) -> BipartiteState:

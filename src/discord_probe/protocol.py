@@ -5,7 +5,7 @@ signal estimate."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -20,11 +20,11 @@ from .states import (
     local_eigenbasis,
 )
 from .tensor import (
+    PAULI,
     BipartitionDims,
     eig_hermitian,
     partial_trace_b,
     require_hermitian,
-    require_unitary,
 )
 
 
@@ -49,19 +49,13 @@ class TimeGrid:
 
 @dataclass
 class EvolutionSpec:
-    """Time-independent Hermitian generator (hbar = 1) with a spectral cache,
-    or an explicit closed-form propagator t -> U(t)."""
+    """Time-independent Hermitian generator (hbar = 1) with a spectral cache."""
 
-    hamiltonian: Optional[np.ndarray] = None
-    propagator: Optional[Callable[[float], np.ndarray]] = None
+    hamiltonian: np.ndarray
     _spectral: tuple = field(default=None, repr=False, compare=False)
-    _prop_checks: int = field(default=0, repr=False, compare=False)
 
     def __post_init__(self):
-        if (self.hamiltonian is None) == (self.propagator is None):
-            raise ValueError("provide exactly one of hamiltonian / propagator")
-        if self.hamiltonian is not None:
-            self.hamiltonian = require_hermitian(self.hamiltonian)
+        self.hamiltonian = require_hermitian(self.hamiltonian)
 
     def spectral(self):
         if self._spectral is None:
@@ -69,16 +63,8 @@ class EvolutionSpec:
         return self._spectral
 
     def propagator_at(self, t: float) -> np.ndarray:
-        if self.hamiltonian is not None:
-            w, v = self.spectral()
-            return (v * np.exp(-1j * w * t)) @ v.conj().T
-        u = np.asarray(self.propagator(t), dtype=complex)
-        if self._prop_checks < 5:
-            require_unitary(u)
-            if t == 0.0 and np.max(np.abs(u - np.eye(u.shape[0]))) > 1e-10:
-                raise ValueError("closed-form propagator violates U(0) = I")
-            self._prop_checks += 1
-        return u
+        w, v = self.spectral()
+        return (v * np.exp(-1j * w * t)) @ v.conj().T
 
     def evolve_state(self, rho: np.ndarray, t: float) -> np.ndarray:
         u = self.propagator_at(t)
@@ -88,21 +74,11 @@ class EvolutionSpec:
                         times: np.ndarray) -> np.ndarray:
         """A-marginals of U(t) X U(t)^dag for a stack of operators X.
 
-        Returns shape (n_states, n_times, d_A, d_A). The Hermitian-generator
-        path works in the energy eigenbasis and never forms the full evolved
-        matrices.
+        Returns shape (n_states, n_times, d_A, d_A). Works in the energy
+        eigenbasis and never forms the full evolved matrices.
         """
         mats = np.asarray(mats, dtype=complex)
         times = np.asarray(times, dtype=float)
-        if self.hamiltonian is None:
-            out = np.empty(
-                (len(mats), len(times), dims.d_a, dims.d_a), dtype=complex
-            )
-            for ti, t in enumerate(times):
-                u = self.propagator_at(t)
-                for xi, x in enumerate(mats):
-                    out[xi, ti] = partial_trace_b(u @ x @ u.conj().T, dims)
-            return out
         w, v = self.spectral()
         d = v.shape[0]
         dims.check(v)
@@ -187,7 +163,6 @@ def run_local_detection(
     return WitnessSeries(grid.samples, d_t, bound_ref=bound)
 
 
-_SIGMA = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 # N rho N = sum_p w_p n_a n_b S_p over the pairs p = (a, b), a <= b, with
 # S_p = (sigma_a rho sigma_b + sigma_b rho sigma_a)/2 and N = n.sigma (x) I
 _PAIRS = np.array([(0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)])
@@ -216,12 +191,12 @@ def run_minimized_detection(
     bases = bases or BasisGrid()
     bound, bound_basis = measures.minimal_dephasing_disturbance(state, bases)
     d, r = state.dims.total, state.rho.reshape(2, state.dims.d_b, 2, state.dims.d_b)
-    conj = [np.einsum("ik,kxly,lj->ixjy", _SIGMA[a], r, _SIGMA[b]).reshape(d, d)
+    conj = [np.einsum("ik,kxly,lj->ixjy", PAULI[a], r, PAULI[b]).reshape(d, d)
             for a, b in _PAIRS]
     margs = evo.marginal_series(
         [state.rho] + [(m + m.conj().T) / 2 for m in conj], state.dims, grid.samples
     )
-    paulis = np.einsum("aji,stij->sta", _SIGMA, margs).real / 2  # tr(sigma_a X)/2
+    paulis = np.einsum("aji,stij->sta", PAULI, margs).real / 2  # tr(sigma_a X)/2
     r_t, s_t = paulis[0], paulis[1:].transpose(1, 0, 2)  # (T, 3), (T, 6, 3)
 
     start = measures._basis_angles(local_eigenbasis(state)[0])

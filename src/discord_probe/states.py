@@ -3,7 +3,7 @@ Haar-random unitaries, thermal oscillator states."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,18 +105,6 @@ def dephase(state: BipartiteState, basis: ProjectiveBasis) -> BipartiteState:
         p = kron(proj, eye_b)
         out += p @ state.rho @ p
     return BipartiteState(out, state.dims)
-
-
-def dephase_qubit_bloch(state: BipartiteState, n: np.ndarray) -> np.ndarray:
-    """Pinching along Bloch axis n for a qubit probe, returned as a raw matrix.
-
-    Uses sum_i Pi_i rho Pi_i = (rho + N rho N)/2 with N = (n.sigma) (x) I.
-    """
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sy = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    sz = np.array([[1, 0], [0, -1]], dtype=complex)
-    big_n = kron(n[0] * sx + n[1] * sy + n[2] * sz, np.eye(state.dims.d_b))
-    return 0.5 * (state.rho + big_n @ state.rho @ big_n)
 
 
 def local_eigenbasis(state: BipartiteState):

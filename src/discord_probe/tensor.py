@@ -13,6 +13,10 @@ import numpy as np
 HERMITIAN_TOL = 1e-10
 UNITARY_TOL = 1e-10
 
+# sigma_x, sigma_y, sigma_z; read-only, because every module shares it
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+PAULI.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class BipartitionDims:
@@ -91,12 +95,6 @@ def eig_hermitian(h: np.ndarray):
     h = require_hermitian(h)
     w, v = np.linalg.eigh(h)
     return w, v
-
-
-def trace_norm(x: np.ndarray) -> float:
-    """Full trace norm Tr sqrt(X^dag X) (sum of singular values)."""
-    x = require_square(x)
-    return float(np.sum(np.linalg.svd(x, compute_uv=False)))
 
 
 def trace_norm_hermitian(x: np.ndarray) -> float:

@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 
 from discord_probe import BipartitionDims, BipartiteState
+from discord_probe.tensor import PAULI
 
-SX = np.array([[0, 1], [1, 0]], dtype=complex)
-SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SZ = np.array([[1, 0], [0, -1]], dtype=complex)
+SX, SY, SZ = PAULI
 
 
 def random_density(dim: int, rng) -> np.ndarray:

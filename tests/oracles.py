@@ -1,18 +1,102 @@
 """Dense reference implementations that the fast kernels are checked against.
 
-These are the full-dimension forms of the qubit-probe quantities: the
-dephasing disturbance D(n) from an `eigvalsh` of the 2d_B x 2d_B operator
-rho - N rho N, and the basis-minimized local distance d_min(t) from a
-separate grid-and-refine search at every time sample.
+These are the full-dimension forms of quantities the package computes in a
+reduced form: the qubit-probe dephasing disturbance D(n) from an `eigvalsh`
+of the 2d_B x 2d_B operator rho - N rho N, the basis-minimized local
+distance d_min(t) from a separate grid-and-refine search at every time
+sample, the full trace norm, the Bloch-axis pinching, the emission model on
+the full atom (x) modes space, the spin-chain autocorrelation from its
+definition and the closed-form Michelson propagator.
 """
 
 import numpy as np
 
 from conftest import SX, SY, SZ
 from discord_probe.measures import BasisGrid, _basis_angles, bloch_vectors
-from discord_probe.protocol import _distances_2x2_quarter
+from discord_probe.protocol import EvolutionSpec, _distances_2x2_quarter
 from discord_probe.states import BipartiteState, local_eigenbasis
-from discord_probe.tensor import kron
+from discord_probe.tensor import kron, require_square
+
+
+def trace_norm(x: np.ndarray) -> float:
+    """Full trace norm Tr sqrt(X^dag X) (sum of singular values)."""
+    x = require_square(x)
+    return float(np.sum(np.linalg.svd(x, compute_uv=False)))
+
+
+def dephase_qubit_bloch(state: BipartiteState, n: np.ndarray) -> np.ndarray:
+    """Pinching along Bloch axis n for a qubit probe, returned as a raw matrix.
+
+    Uses sum_i Pi_i rho Pi_i = (rho + N rho N)/2 with N = (n.sigma) (x) I.
+    """
+    big_n = kron(n[0] * SX + n[1] * SY + n[2] * SZ, np.eye(state.dims.d_b))
+    return 0.5 * (state.rho + big_n @ state.rho @ big_n)
+
+
+def full_space_hamiltonian(p) -> np.ndarray:
+    """Atom (x) hard-core-boson-modes Hamiltonian of an `EmissionParams`
+    instance with at most 10 modes, to validate the single-excitation
+    sector restriction."""
+    if p.n_modes > 10:
+        raise ValueError("full-space construction is limited to <= 10 modes")
+    nm = p.n_modes
+    dim_f = 2**nm
+    sp = np.array([[0, 0], [1, 0]], dtype=complex)  # |1><0| per mode
+    sigma_minus = np.array([[0, 1], [0, 0]], dtype=complex)  # |g><e|
+    atom_e = np.diag([0.0, 1.0]).astype(complex)
+    h = kron(p.atomic_gap * atom_e, np.eye(dim_f))
+    freqs = p.mode_frequencies()
+    g = p.couplings()
+    for k in range(nm):
+        a_dag = np.array([[1.0 + 0j]])
+        for j in range(nm):
+            a_dag = kron(a_dag, sp if j == k else np.eye(2))
+        h += kron(np.eye(2), freqs[k] * (a_dag @ a_dag.conj().T))
+        h += g[k] * (kron(sigma_minus, a_dag)
+                     + kron(sigma_minus.conj().T, a_dag.conj().T))
+    return h
+
+
+def autocorrelation_direct(p, t: float, spec) -> float:
+    """Tr{rho U rho U^dag} / purity for the y-dephased ground state of a
+    spin chain, from the definition."""
+    psi0 = spec.states[:, 0]
+    chi = kron(SY, np.eye(2 ** (p.n_spins - 1))) @ psi0
+    rho = 0.5 * (np.outer(psi0, psi0.conj()) + np.outer(chi, chi.conj()))
+    u = (spec.states * np.exp(-1j * spec.energies * t)) @ spec.states.conj().T
+    purity = float(np.trace(rho @ rho).real)
+    return float(np.trace(rho @ u @ rho @ u.conj().T).real / purity)
+
+
+def _rotated_v(eta_angle: float) -> np.ndarray:
+    c, s = np.cos(eta_angle), np.sin(eta_angle)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def michelson_propagator(p, tau: float, eta_angle: float = 0.0) -> np.ndarray:
+    """Closed-form Michelson unitary for `PhotonParams` p: phase
+    exp(-i w tau) on the polarization axis rotated by eta_angle from V."""
+    m = p.grid_points
+    ph = np.exp(-1j * p.frequencies() * tau)
+    u = np.zeros((2 * m, 2 * m), dtype=complex)
+    idx = np.arange(m)
+    u[idx, idx] = 1.0
+    u[m + idx, m + idx] = ph
+    if eta_angle != 0.0:
+        w_rot = kron(_rotated_v(eta_angle), np.eye(m))
+        u = w_rot @ u @ w_rot.conj().T
+    return u
+
+
+def michelson_evolution(p, eta_angle: float = 0.0) -> EvolutionSpec:
+    """Hermitian-generator form of the Michelson imprint (H has eigenvalue w
+    on the rotated-V branch), equivalent to michelson_propagator."""
+    h_pol = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex)
+    if eta_angle != 0.0:
+        w_rot = _rotated_v(eta_angle)
+        h_pol = w_rot @ h_pol @ w_rot.conj().T
+    h = kron(h_pol, np.diag(p.frequencies()).astype(complex))
+    return EvolutionSpec(hamiltonian=h)
 
 
 def sigma_conjugations(state: BipartiteState) -> np.ndarray:

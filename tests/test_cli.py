@@ -2,17 +2,43 @@
 
 import json
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from discord_probe.cli import ConfigError, load_config, main
+from discord_probe.cli import PARAMS, ConfigError, _params, execute, load_config, main
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
+# (config, axis) of every sweep command in the README
+README_SWEEPS = re.findall(r"discord-probe sweep (configs/\S+\.yaml) --axis (\w+)",
+                           (ROOT / "README.md").read_text())
+# ground doublet split by 4.7e-13 < 1e-10: ground_state_detection refuses it
+DEGENERATE_CHAIN = {"model": "spinchain", "params": {"n_spins": 4, "b_field": 0.001},
+                    "time_grid": {"t_max": 12.0, "points": 40}}
 
 
 def write_config(path, cfg):
     path.write_text(yaml.safe_dump(cfg))
     return str(path)
+
+
+class TestCanonicalConfigs:
+    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    def test_loads_with_known_params(self, path):
+        _params(load_config(str(path)))
+
+    def test_each_has_a_readme_sweep(self):
+        assert len(CONFIGS) == 4
+        assert sorted({c for c, _ in README_SWEEPS}) == [
+            f"configs/{p.name}" for p in CONFIGS]
+
+    @pytest.mark.parametrize("config,axis", README_SWEEPS)
+    def test_readme_sweep_axis_is_a_param(self, config, axis):
+        assert axis in PARAMS[load_config(str(ROOT / config))["model"]]
 
 
 class TestConfigValidation:
@@ -150,6 +176,49 @@ class TestRun:
         b = json.loads((tmp_path / "b" / "summary.json").read_text())
         assert a["config_hash"] != b["config_hash"]
         assert b["seed"] == 9
+
+
+class TestModelErrors:
+    def test_run_exit_4(self, tmp_path, capsys):
+        p = write_config(tmp_path / "c.yaml", DEGENERATE_CHAIN)
+        assert main(["run", p, "--out-dir", str(tmp_path / "out")]) == 4
+        err = capsys.readouterr().err
+        assert err == "model error: ground state is (numerically) degenerate\n"
+
+    def test_execute_still_raises(self, tmp_path):
+        p = write_config(tmp_path / "c.yaml", DEGENERATE_CHAIN)
+        with pytest.raises(ValueError, match="degenerate"):
+            execute(load_config(p), str(tmp_path / "out"))
+
+    def test_sweep_writes_nan_row_and_goes_on(self, tmp_path, capsys):
+        p = write_config(tmp_path / "c.yaml", DEGENERATE_CHAIN)
+        out = tmp_path / "out"
+        assert main(["sweep", p, "--axis", "b_field", "--values", "0.001,1.0,0.0005",
+                     "--out-dir", str(out)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.count("model error at b_field = ") == 2
+        assert "3 points over b_field, 2 failed" in captured.out
+        lines = (out / "sweep.csv").read_text().strip().splitlines()
+        header = lines[0].split(",")
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert [r[0] for r in rows] == [0.001, 1.0, 0.0005]
+        assert all(np.isnan(rows[0][1:])) and all(np.isnan(rows[2][1:]))
+        assert np.all(np.isfinite(rows[1]))
+        res = json.loads((out / "point-001" / "summary.json").read_text())["results"]
+        assert rows[1][header.index("d_max")] == res["d_max"]
+
+    def test_config_error_in_sweep_keeps_exit_2(self, tmp_path, capsys):
+        p = write_config(tmp_path / "c.yaml", DEGENERATE_CHAIN)
+        assert main(["sweep", p, "--axis", "bogus", "--values", "1",
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_malformed_values_are_a_usage_error(self, tmp_path):
+        p = write_config(tmp_path / "c.yaml", DEGENERATE_CHAIN)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", p, "--axis", "b_field", "--values", "1,x",
+                  "--out-dir", str(tmp_path / "out")])
+        assert exc.value.code == 2
 
 
 class TestSweep:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import full_space_hamiltonian
 from discord_probe import model_emission
 from discord_probe.states import BipartiteState, computational_basis, dephase
 from discord_probe.tensor import (
@@ -63,7 +64,7 @@ class TestSectorEvolution:
         # the tiny instance is intentionally outside the flat-band regime
         p = model_emission.EmissionParams(n_modes=5, half_bandwidth=4.0,
                                           coupling=0.3)
-        h_full = model_emission.full_space_hamiltonian(p)
+        h_full = full_space_hamiltonian(p)
         nm = p.n_modes
         # embed |e, vacuum>: atom index 1 = |e>, field index 0 = no photons
         psi = np.zeros(2 * 2**nm, dtype=complex)

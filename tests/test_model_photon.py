@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import michelson_evolution, michelson_propagator
 from discord_probe import model_photon
 from discord_probe.measures import minimal_dephasing_disturbance, trace_distance
 from discord_probe.protocol import (
@@ -136,7 +137,7 @@ class TestSimulation:
         s = model_photon.build_correlated_state(p)
         grid = TimeGrid.linear(4.0, 9)
         series = run_local_detection(
-            s, model_photon.michelson_evolution(p), grid
+            s, michelson_evolution(p), grid
         )
         fast = model_photon.simulated_local_distance_photon(p, grid.samples)
         assert np.max(np.abs(series.d_t - fast)) <= 1e-10
@@ -145,12 +146,12 @@ class TestSimulation:
 class TestMichelson:
     def test_identity_at_zero(self):
         p = model_photon.PhotonParams(**SMALL)
-        u = model_photon.michelson_propagator(p, 0.0)
+        u = michelson_propagator(p, 0.0)
         assert np.max(np.abs(u - np.eye(2 * p.grid_points))) <= 1e-12
 
     def test_unitarity(self):
         p = model_photon.PhotonParams(**SMALL)
-        u = model_photon.michelson_propagator(p, 1.3, eta_angle=0.4)
+        u = michelson_propagator(p, 1.3, eta_angle=0.4)
         assert np.max(np.abs(u.conj().T @ u - np.eye(2 * p.grid_points))) <= 1e-12
 
     def test_populations_frozen(self):
@@ -158,7 +159,7 @@ class TestMichelson:
         p = model_photon.PhotonParams(**SMALL)
         s = model_photon.build_correlated_state(p)
         for tau in (0.7, 2.1):
-            u = model_photon.michelson_propagator(p, tau)
+            u = michelson_propagator(p, tau)
             evolved = u @ s.rho @ u.conj().T
             m = p.grid_points
             assert abs(np.trace(evolved[:m, :m]) - np.trace(s.rho[:m, :m])) <= 1e-12
@@ -167,18 +168,18 @@ class TestMichelson:
         p = model_photon.PhotonParams(**SMALL)
         s = model_photon.build_correlated_state(p)
         grid = TimeGrid.linear(3.0, 7)
-        base = run_local_detection(s, model_photon.michelson_evolution(p), grid)
+        base = run_local_detection(s, michelson_evolution(p), grid)
         for eta in (0.3, 0.9, 1.4):
             rotated = run_local_detection(
-                s, model_photon.michelson_evolution(p, eta_angle=eta), grid
+                s, michelson_evolution(p, eta_angle=eta), grid
             )
             assert np.max(np.abs(rotated.d_t - base.d_t)) <= 1e-9
 
     def test_propagator_matches_generator(self):
         p = model_photon.PhotonParams(**SMALL)
-        evo = model_photon.michelson_evolution(p)
+        evo = michelson_evolution(p)
         for tau in (0.0, 0.8):
-            u1 = model_photon.michelson_propagator(p, tau)
+            u1 = michelson_propagator(p, tau)
             u2 = evo.propagator_at(tau)
             assert np.max(np.abs(u1 - u2)) <= 1e-9
 

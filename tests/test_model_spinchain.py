@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import SY
+from oracles import autocorrelation_direct
 from discord_probe import model_spinchain
 from discord_probe.measures import dephasing_disturbance, negativity, trace_distance
 from discord_probe.protocol import TimeGrid
@@ -60,6 +61,17 @@ class TestSpectral:
     def test_energies_ascending(self):
         spec = model_spinchain.spectral(params())
         assert np.all(np.diff(spec.energies) >= -1e-12)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the degenerate-block rotation reorders the ground doublet's vectors "
+        "but keeps the sorted energies: states[:, 0] has parity -1, the "
+        "exact parity-sector ground state +1 (residual 1.6e-9)"))
+    def test_ground_state_is_eigenvector_of_ground_energy(self):
+        p = model_spinchain.ChainParams(n_spins=7, b_field=0.1)
+        spec = model_spinchain.spectral(p)
+        h = model_spinchain.build_chain_hamiltonian(p)
+        psi0 = spec.states[:, 0]
+        assert np.linalg.norm(h @ psi0 - spec.energies[0] * psi0) <= 1e-12
 
 
 class TestGroundStateDetection:
@@ -132,6 +144,15 @@ class TestExcitations:
         auto = model_spinchain.autocorrelation(p)
         assert min(x[1] for x in auto) >= 0.99
 
+    @pytest.mark.parametrize("b_field", [0.05, 1.0, 20.0])
+    def test_ground_state_top3_support(self, b_field):
+        p = params(b_field=b_field)
+        spec = model_spinchain.spectral(p)
+        c = sorted((x[1] for x in model_spinchain.excitation_overlaps(p, spec)),
+                   reverse=True)
+        res = model_spinchain.ground_state_detection(p, TimeGrid.linear(1.0, 3), spec)
+        assert abs(res.top3_support - sum(c[:3])) <= 1e-12
+
     def test_critical_field_broad_support(self):
         out = model_spinchain.excitation_overlaps(params(b_field=1.0))
         c = np.array(sorted((x[1] for x in out), reverse=True))
@@ -159,7 +180,7 @@ class TestAutocorrelation:
         spec = model_spinchain.spectral(p)
         out = model_spinchain.autocorrelation(p, TimeGrid.linear(6.0, 7), spec)
         for t, c in out[::2]:
-            direct = model_spinchain.autocorrelation_direct(p, t, spec)
+            direct = autocorrelation_direct(p, t, spec)
             assert abs(c - direct) <= 1e-10
 
     def test_flat_in_extreme_fields(self):

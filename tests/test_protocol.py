@@ -63,22 +63,6 @@ class TestTimeGrid:
 
 
 class TestEvolutionSpec:
-    def test_exactly_one_source(self, rng):
-        with pytest.raises(ValueError):
-            EvolutionSpec()
-        with pytest.raises(ValueError):
-            EvolutionSpec(hamiltonian=np.eye(2), propagator=lambda t: np.eye(2))
-
-    def test_propagator_checks(self):
-        evo = EvolutionSpec(propagator=lambda t: 2 * np.eye(2, dtype=complex))
-        with pytest.raises(ValueError):
-            evo.propagator_at(1.0)
-        evo2 = EvolutionSpec(
-            propagator=lambda t: np.diag([1.0, np.exp(-1j * t) + (0.1 if t == 0 else 0)])
-        )
-        with pytest.raises(ValueError):
-            evo2.propagator_at(0.0)
-
     def test_marginal_series_matches_direct(self, rng):
         dims = BipartitionDims(2, 3)
         h = random_hermitian(6, rng)
@@ -89,17 +73,6 @@ class TestEvolutionSpec:
         for ti, t in enumerate(times):
             direct = partial_trace_b(evolve(rho, h, t), dims)
             assert np.max(np.abs(out[0, ti] - direct)) <= 1e-10
-
-    def test_propagator_path_matches_hamiltonian_path(self, rng):
-        dims = BipartitionDims(2, 2)
-        h = random_hermitian(4, rng)
-        rho = random_density(4, rng)
-        evo_h = EvolutionSpec(hamiltonian=h)
-        evo_p = EvolutionSpec(propagator=lambda t: evo_h.propagator_at(t))
-        times = np.array([0.0, 0.5, 1.1])
-        a = evo_h.marginal_series([rho], dims, times)
-        b = evo_p.marginal_series([rho], dims, times)
-        assert np.max(np.abs(a - b)) <= 1e-10
 
 
 class TestWitnessSeries:

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SX, random_density, random_state
+from oracles import dephase_qubit_bloch
 from discord_probe.states import (
     BipartiteState,
     ProjectiveBasis,
     apply_local_unitary,
     computational_basis,
     dephase,
-    dephase_qubit_bloch,
     fock_cutoff,
     haar_unitary,
     local_eigenbasis,

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SX, SY, SZ, random_density, random_hermitian
+from oracles import trace_norm
 from discord_probe.tensor import (
     BipartitionDims,
     eig_hermitian,
@@ -16,7 +17,6 @@ from discord_probe.tensor import (
     partial_transpose_a,
     require_hermitian,
     require_unitary,
-    trace_norm,
     trace_norm_hermitian,
 )
 
