@@ -191,6 +191,8 @@ def _run_spinchain(cfg: dict, out_dir: str) -> dict:
         return {"d_min": series.d_max, "D_min": d_min_bound,
                 "gap": float(spec.energies[1] - spec.energies[0])}
     res = model_spinchain.ground_state_detection(p, grid, spec)
+    pops = sorted((c for _, c, _ in model_spinchain.excitation_overlaps(p, spec)),
+                  reverse=True)
     _series_csv(os.path.join(out_dir, "series.csv"), res.series,
                 {"d_magnetization": res.d_mag})
     return {
@@ -198,7 +200,7 @@ def _run_spinchain(cfg: dict, out_dir: str) -> dict:
         "argmax_time": res.series.argmax_time,
         "negativity": res.negativity,
         "gap": res.gap,
-        "top3_excitation_support": res.top3_support,
+        "top3_excitation_support": sum(pops[:3]),
     }
 
 

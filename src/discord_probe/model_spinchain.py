@@ -127,15 +127,12 @@ class GroundStateResult:
     d_mag: np.ndarray        # magnetization form (1/2)|m_y(t) - m_y(0)|
     negativity: float
     gap: float
-    top3_support: float      # population of the 3 most occupied energy levels
 
 
 def ground_state_detection(p: ChainParams, grid: TimeGrid | None = None,
                            spec: SpectralData | None = None) -> GroundStateResult:
     """Dephase spin 1 along y, evolve, and record the single-spin distance
-    both as a trace distance and through the y-magnetization. Also returns
-    how much of the dephased state's energy distribution the three most
-    populated levels hold (see excitation_overlaps)."""
+    both as a trace distance and through the y-magnetization."""
     spec = spec or spectral(p)
     grid = grid or p.default_time_grid()
     gap = float(spec.energies[1] - spec.energies[0])
@@ -160,11 +157,7 @@ def ground_state_detection(p: ChainParams, grid: TimeGrid | None = None,
         my_t = 0.5 * (my0 + float(np.trace(mc @ _SY).real))
         d_mag[ti] = 0.5 * abs(my_t - my0)
     series = WitnessSeries(grid.samples, d_t, bound_ref=neg)
-    # populations (|<j|psi0>|^2 + |<j|chi>|^2)/2, where <j|psi0> = delta_j0
-    pops = 0.5 * np.abs(chi_t) ** 2
-    pops[0] += 0.5
-    top3 = float(np.sort(pops)[::-1][:3].sum())
-    return GroundStateResult(series, d_mag, neg, gap, top3)
+    return GroundStateResult(series, d_mag, neg, gap)
 
 
 def excitation_overlaps(p: ChainParams, spec: SpectralData | None = None):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+from discord_probe import model_spinchain
 from discord_probe.cli import PARAMS, ConfigError, _params, execute, load_config, main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -133,6 +134,9 @@ class TestRun:
             f"discord witnessed: d_max = {res['d_max']:.6g} <= "
             f"negativity = {res['negativity']:.6g}"
         )
+        pops = sorted((c for _, c, _ in model_spinchain.excitation_overlaps(
+            model_spinchain.ChainParams(n_spins=4))), reverse=True)
+        assert res["top3_excitation_support"] == sum(pops[:3])
 
     def test_photon_cv_verdict(self, tmp_path, capsys):
         p = write_config(
@@ -184,6 +188,13 @@ class TestModelErrors:
         assert main(["run", p, "--out-dir", str(tmp_path / "out")]) == 4
         err = capsys.readouterr().err
         assert err == "model error: ground state is (numerically) degenerate\n"
+
+    def test_out_of_range_param_exit_4(self, tmp_path, capsys):
+        # parameter classes check their own ranges; their ValueError is a model error
+        p = write_config(tmp_path / "c.yaml",
+                         {"model": "spinchain", "params": {"n_spins": 13}})
+        assert main(["run", p, "--out-dir", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == "model error: chain length must lie in [2, 12]\n"
 
     def test_execute_still_raises(self, tmp_path):
         p = write_config(tmp_path / "c.yaml", DEGENERATE_CHAIN)

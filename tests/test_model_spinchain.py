@@ -144,15 +144,6 @@ class TestExcitations:
         auto = model_spinchain.autocorrelation(p)
         assert min(x[1] for x in auto) >= 0.99
 
-    @pytest.mark.parametrize("b_field", [0.05, 1.0, 20.0])
-    def test_ground_state_top3_support(self, b_field):
-        p = params(b_field=b_field)
-        spec = model_spinchain.spectral(p)
-        c = sorted((x[1] for x in model_spinchain.excitation_overlaps(p, spec)),
-                   reverse=True)
-        res = model_spinchain.ground_state_detection(p, TimeGrid.linear(1.0, 3), spec)
-        assert abs(res.top3_support - sum(c[:3])) <= 1e-12
-
     def test_critical_field_broad_support(self):
         out = model_spinchain.excitation_overlaps(params(b_field=1.0))
         c = np.array(sorted((x[1] for x in out), reverse=True))
