@@ -27,19 +27,34 @@ from .protocol import (
 from .states import BipartiteState, computational_basis, zero_discord_state
 from .tensor import BipartitionDims, kron
 
+
+def _int(value) -> int:
+    """Integral numbers only: 7.0 (a `--values` entry) passes; 7.9, "7", true do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _bool(value) -> bool:
+    """true/false, or 0/1 (a `--values` entry); not the string "false"."""
+    if not isinstance(value, (bool, int, float)) or value not in (0, 1):
+        raise ValueError(f"expected true/false or 0/1, got {value!r}")
+    return bool(value)
+
+
 # model -> {params field: converter}. A runner passes on only the fields a
 # config sets, so each default lives in the parameter class that takes it.
 PARAMS = {
     "ion": {"omega": float, "eta": float, "nbar": float, "t0": float,
-            "lamb_dicke_limit": bool},
+            "lamb_dicke_limit": _bool},
     "photon-cv": {"beta": float, "delta_omega": float, "omega0": float, "t": float,
-                  "grid_span": float, "grid_points": int},
+                  "grid_span": float, "grid_points": _int},
     "photon-dv": {"lam": float, "theta": float, "phase_rate": float},
-    "spinchain": {"n_spins": int, "alpha": float, "j0": float, "b_field": float,
+    "spinchain": {"n_spins": _int, "alpha": float, "j0": float, "b_field": float,
                   "kT": float},
-    "emission": {"n_modes": int, "half_bandwidth": float, "structured": bool},
-    "haar": {"d_a": int, "d_b": int, "n_samples": int},
-    "generic": {"d_a": int, "d_b": int, "state": str, "generator": str},
+    "emission": {"n_modes": _int, "half_bandwidth": float, "structured": _bool},
+    "haar": {"d_a": _int, "d_b": _int, "n_samples": _int},
+    "generic": {"d_a": _int, "d_b": _int, "state": str, "generator": str},
 }
 
 
@@ -57,7 +72,10 @@ def _known(section: dict, allowed: set, where: str) -> dict:
 def _fields(section: dict | None, converters: dict, where: str) -> dict:
     """The fields a config section sets, each passed through its converter."""
     section = _known(section or {}, converters.keys(), where)
-    return {k: converters[k](v) for k, v in section.items()}
+    try:
+        return {k: converters[k](v) for k, v in section.items()}
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def load_config(path: str) -> dict:
@@ -82,14 +100,14 @@ def _params(cfg: dict) -> dict:
 
 
 def _time_grid(cfg: dict, default_t_max: float, default_n: int = 200) -> TimeGrid:
-    tg = _fields(cfg.get("time_grid"), {"t_max": float, "points": int}, "time_grid")
+    tg = _fields(cfg.get("time_grid"), {"t_max": float, "points": _int}, "time_grid")
     return TimeGrid.linear(tg.get("t_max", default_t_max), tg.get("points", default_n))
 
 
 def _basis_grid(cfg: dict) -> BasisGrid:
     return BasisGrid(**_fields(
         cfg.get("basis_grid"),
-        {"n_theta": int, "n_phi": int, "refine_rounds": int}, "basis_grid"))
+        {"n_theta": _int, "n_phi": _int, "refine_rounds": _int}, "basis_grid"))
 
 
 def _atomic_write(path: str, text: str):
@@ -181,7 +199,8 @@ def _run_photon_dv(cfg: dict, out_dir: str) -> dict:
 
 def _run_spinchain(cfg: dict, out_dir: str) -> dict:
     p = model_spinchain.ChainParams(**_params(cfg))
-    grid = _time_grid(cfg, 20.0 / p.j0, 400)
+    default = p.default_time_grid()
+    grid = _time_grid(cfg, default.samples[-1], len(default.samples))
     spec = model_spinchain.spectral(p)
     if p.kT > 0:
         series, d_min_bound = model_spinchain.thermal_detection(

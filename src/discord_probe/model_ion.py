@@ -70,12 +70,13 @@ def build_hamiltonian(p: IonParams) -> np.ndarray:
     return h
 
 
-def prepare_state(p: IonParams, t0: float) -> BipartiteState:
+def prepare_state(p: IonParams, t0: float,
+                  evo: EvolutionSpec | None = None) -> BipartiteState:
     """Blue-sideband pulse of duration t0 on |g><g| (x) thermal motion."""
     if t0 < 0:
         raise ValueError("preparation time must be nonnegative")
     rho0 = kron(np.diag([1.0, 0.0]), thermal_fock_state(p.nbar, p.n_max))
-    evo = evolution(p)
+    evo = evo or evolution(p)
     return BipartiteState(evo.evolve_state(rho0, t0), p.dims)
 
 
@@ -100,9 +101,9 @@ def analytic_disturbance(p: IonParams, t0: float) -> float:
 def simulated_local_distance(p: IonParams, t0: float, t1_grid: TimeGrid) -> WitnessSeries:
     """Full-matrix protocol: prepare at t0, dephase the qubit in {|g>,|e>},
     evolve and compare marginals over the detection grid."""
-    state = prepare_state(p, t0)
+    evo = evolution(p)
     return run_local_detection(
-        state, evolution(p), t1_grid, basis=computational_basis(2)
+        prepare_state(p, t0, evo), evo, t1_grid, basis=computational_basis(2)
     )
 
 

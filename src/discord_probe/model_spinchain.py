@@ -7,9 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import measures
-from .measures import BasisGrid
-from .protocol import EvolutionSpec, TimeGrid, WitnessSeries, run_minimized_detection
+from .protocol import (BasisGrid, EvolutionSpec, TimeGrid, WitnessSeries,
+                       _distances_2x2_quarter, run_minimized_detection)
 from .states import BipartiteState
 from .tensor import PAULI, BipartitionDims, kron
 
@@ -35,8 +34,8 @@ class ChainParams:
     def dims(self) -> BipartitionDims:
         return BipartitionDims(2, 2 ** (self.n_spins - 1))
 
-    def default_time_grid(self, n: int = 400) -> TimeGrid:
-        return TimeGrid.linear(20.0 / self.j0, n)
+    def default_time_grid(self) -> TimeGrid:
+        return TimeGrid.linear(20.0 / self.j0, 400)
 
 
 def _site_op(op: np.ndarray, site: int, n: int) -> np.ndarray:
@@ -108,17 +107,11 @@ def evolution(p: ChainParams, spec: SpectralData | None = None) -> EvolutionSpec
     return evo
 
 
-def _dephased_components(spec: SpectralData, n: int):
-    """Ground state and its sigma_y^(1)-flipped partner: the y-dephased
-    ground state is the even mixture of the two (rank 2)."""
+def _dephased_components(spec: SpectralData) -> np.ndarray:
+    """Ground state and its sigma_y^(1)-flipped partner as columns: the
+    y-dephased ground state is the even mixture of the two (rank 2)."""
     psi0 = spec.states[:, 0]
-    chi = _site_op(_SY, 0, n) @ psi0
-    return psi0, chi
-
-
-def _qubit_marginal(vec: np.ndarray) -> np.ndarray:
-    r = vec.reshape(2, -1)
-    return r @ r.conj().T
+    return np.column_stack([psi0, (_SY @ psi0.reshape(2, -1)).ravel()])
 
 
 @dataclass(frozen=True)
@@ -138,24 +131,23 @@ def ground_state_detection(p: ChainParams, grid: TimeGrid | None = None,
     gap = float(spec.energies[1] - spec.energies[0])
     if gap <= 1e-10:
         raise ValueError("ground state is (numerically) degenerate")
-    psi0, chi = _dephased_components(spec, p.n_spins)
-    neg = measures.negativity(
-        BipartiteState(np.outer(psi0, psi0.conj()), p.dims)
-    )
-    m0 = _qubit_marginal(psi0)
+    psi0, chi = _dephased_components(spec).T
+    r0 = psi0.reshape(2, -1)
+    m0 = r0 @ r0.conj().T
+    if abs(np.trace(m0).real - 1.0) > 1e-10:
+        raise ValueError(f"ground-state norm {np.trace(m0).real} deviates from 1")
+    # pure state: the negativity is the product of the Schmidt coefficients,
+    # the square roots of the two eigenvalues of the qubit marginal
+    neg = float(np.sqrt(max(np.linalg.det(m0).real, 0.0)))
     chi_t = spec.states.conj().T @ chi
     phases = np.exp(-1j * np.outer(spec.energies, grid.samples))
-    evolved = spec.states @ (phases * chi_t[:, None])  # (dim, T)
-    d_t = np.empty(len(grid.samples))
-    d_mag = np.empty(len(grid.samples))
-    my0 = float(np.trace(m0 @ _SY).real)
-    for ti in range(len(grid.samples)):
-        mc = _qubit_marginal(evolved[:, ti])
-        # rho'_A(t) = (m0 + mc)/2; undephased marginal stays m0
-        diff = 0.5 * (m0 - mc)
-        d_t[ti] = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)))
-        my_t = 0.5 * (my0 + float(np.trace(mc @ _SY).real))
-        d_mag[ti] = 0.5 * abs(my_t - my0)
+    evolved = (spec.states @ (phases * chi_t[:, None])).reshape(2, -1, len(grid.samples))
+    mc = np.einsum("iat,jat->tij", evolved, evolved.conj())
+    # rho'_A(t) = (m0 + mc)/2 and the undephased marginal stays m0, so
+    # d(t) = ||m0 - mc||_1 / 4 and m_y(t) - m_y(0) = tr((mc - m0) sigma_y) / 2
+    diff = m0 - mc
+    d_t = _distances_2x2_quarter(diff)
+    d_mag = np.abs(np.einsum("tij,ji->t", diff, _SY).real) / 4
     series = WitnessSeries(grid.samples, d_t, bound_ref=neg)
     return GroundStateResult(series, d_mag, neg, gap)
 
@@ -164,34 +156,23 @@ def excitation_overlaps(p: ChainParams, spec: SpectralData | None = None):
     """Populations c_j of the y-dephased ground state in the energy
     eigenbasis, with parities."""
     spec = spec or spectral(p)
-    psi0, chi = _dephased_components(spec, p.n_spins)
-    a = spec.states.conj().T @ psi0
-    b = spec.states.conj().T @ chi
-    c = 0.5 * (np.abs(a) ** 2 + np.abs(b) ** 2)
+    ab = spec.states.conj().T @ _dephased_components(spec)
+    c = 0.5 * np.sum(np.abs(ab) ** 2, axis=1)
     return list(zip(spec.energies, c, spec.parities))
 
 
 def autocorrelation(p: ChainParams, grid: TimeGrid | None = None,
                     spec: SpectralData | None = None):
-    """Global autocorrelation of the dephased ground state, from the
-    coherence sums in the energy eigenbasis."""
+    """Global autocorrelation Tr{rho U rho U^dag} / Tr{rho^2} of the dephased
+    ground state rho = (|psi0><psi0| + |chi><chi|)/2: the sum of |<x|U(t)|y>|^2
+    over x, y in {psi0, chi}, over the same sum at t = 0."""
     spec = spec or spectral(p)
     grid = grid or p.default_time_grid()
-    psi0, chi = _dephased_components(spec, p.n_spins)
-    a = spec.states.conj().T @ psi0
-    b = spec.states.conj().T @ chi
-    rho_t = 0.5 * (np.outer(a, a.conj()) + np.outer(b, b.conj()))
-    purity = float(np.sum(np.abs(rho_t) ** 2))
-    coh = np.abs(rho_t) ** 2
-    c_t = np.empty(len(grid.samples))
+    ab = spec.states.conj().T @ _dephased_components(spec)
     phases = np.exp(-1j * np.outer(spec.energies, grid.samples))
-    for ti in range(len(grid.samples)):
-        ph = phases[:, ti]
-        val = np.einsum("ji,i,j->", coh, ph, ph.conj(), optimize=True)
-        if abs(val.imag) > 1e-10:
-            raise RuntimeError("autocorrelation picked up an imaginary part")
-        c_t[ti] = val.real / purity
-    return list(zip(grid.samples, c_t))
+    overlaps = np.einsum("ix,it,iy->txy", ab.conj(), phases, ab, optimize=True)
+    purity = np.sum(np.abs(ab.conj().T @ ab) ** 2)
+    return list(zip(grid.samples, np.sum(np.abs(overlaps) ** 2, axis=(1, 2)) / purity))
 
 
 def gibbs_state(p: ChainParams, spec: SpectralData | None = None) -> BipartiteState:

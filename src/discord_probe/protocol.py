@@ -255,10 +255,9 @@ def haar_average_estimate(state: BipartiteState, n_samples: int, seed: int):
     basis, degenerate = local_eigenbasis(state)
     if degenerate:
         raise ValueError("degenerate A-marginal: reference state undefined")
-    delta = state.rho - dephase(state, basis).rho
-    predicted = haar_coefficient(state.dims) * hs_distance_sq(
-        state.rho, dephase(state, basis).rho
-    )
+    dephased = dephase(state, basis).rho
+    delta = state.rho - dephased
+    predicted = haar_coefficient(state.dims) * hs_distance_sq(state.rho, dephased)
     rng = np.random.default_rng(seed)
     seeds = rng.integers(0, 2**63 - 1, size=n_samples)
     vals = np.empty(n_samples)

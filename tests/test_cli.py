@@ -62,6 +62,60 @@ class TestConfigValidation:
         )
         assert main(["run", p, "--out-dir", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("model,field,value", [
+        ("spinchain", "n_spins", 7.9), ("spinchain", "n_spins", "7"),
+        ("spinchain", "n_spins", True), ("emission", "n_modes", None),
+        ("emission", "structured", "false"), ("emission", "structured", 2),
+        ("ion", "lamb_dicke_limit", "true"), ("spinchain", "b_field", "x")])
+    def test_misread_values_rejected(self, model, field, value):
+        expected = f"{model} params: .*{re.escape(repr(value))}"
+        with pytest.raises(ConfigError, match=expected):
+            _params({"model": model, "params": {field: value}})
+
+    def test_integral_and_boolean_values_accepted(self):
+        kw = _params({"model": "emission",
+                      "params": {"n_modes": 21.0, "structured": 1.0}})
+        assert kw == {"n_modes": 21, "structured": True}
+        assert type(kw["n_modes"]) is int
+        assert _params({"model": "emission", "params": {"structured": False}}) == {
+            "structured": False}
+
+    def test_non_integral_time_grid_points_rejected(self, tmp_path, capsys):
+        p = write_config(tmp_path / "c.yaml",
+                         {"model": "spinchain", "params": {"n_spins": 3},
+                          "time_grid": {"points": 40.5}})
+        assert main(["run", p, "--out-dir", str(tmp_path / "out")]) == 2
+        assert "time_grid: expected an integer, got 40.5" in capsys.readouterr().err
+
+    def test_non_integral_yaml_value_exit_2(self, tmp_path, capsys):
+        p = write_config(tmp_path / "c.yaml",
+                         {"model": "spinchain", "params": {"n_spins": 7.9}})
+        assert main(["run", p, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: spinchain params: expected an integer, got 7.9\n")
+
+    def test_non_integral_sweep_value_exit_2(self, tmp_path, capsys):
+        p = write_config(tmp_path / "c.yaml", {"model": "spinchain"})
+        out = tmp_path / "out"
+        assert main(["sweep", p, "--axis", "n_spins", "--values", "7.5",
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: spinchain params: expected an integer, got 7.5\n")
+        assert not (out / "sweep.csv").exists()
+
+    def test_integral_and_boolean_sweep_values_run(self, tmp_path):
+        for cfg, axis, values in (
+            ({"model": "spinchain", "time_grid": {"points": 20}}, "n_spins", "3,4"),
+            ({"model": "emission", "params": {"n_modes": 21},
+              "time_grid": {"points": 4}}, "structured", "0,1"),
+        ):
+            p = write_config(tmp_path / f"{axis}.yaml", cfg)
+            out = tmp_path / axis
+            assert main(["sweep", p, "--axis", axis, "--values", values,
+                         "--out-dir", str(out)]) == 0
+            lines = (out / "sweep.csv").read_text().splitlines()
+            assert [line.split(",")[0] for line in lines] == [axis, *values.split(",")]
+
 
 class TestRun:
     def test_ion_point_value(self, tmp_path, capsys):

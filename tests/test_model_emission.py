@@ -12,7 +12,7 @@ from discord_probe.tensor import (
     kron,
     partial_trace_b,
 )
-from discord_probe.measures import trace_distance
+from discord_probe.measures import negativity, trace_distance
 
 FAST = model_emission.EmissionParams(n_modes=101, half_bandwidth=20.0)
 
@@ -104,6 +104,17 @@ class TestNegativity:
         c = ratios.mean()
         assert np.max(np.abs(ratios - c) / c) <= 0.03
         assert c * 0.5 >= 0.45  # peak N = c/2 stays near the pure-state cap 1/2
+
+    @pytest.mark.parametrize("structured", [False, True])
+    @pytest.mark.parametrize("n_modes", [21, 101, 201])
+    def test_schmidt_product_is_dense_negativity(self, n_modes, structured):
+        p = model_emission.EmissionParams(n_modes=n_modes)
+        if structured:
+            p = model_emission.structured_params(p)
+        for t0 in (0.0, 0.3, 1.0, 2.5):
+            assert model_emission.transient_negativity(p, t0) == pytest.approx(
+                negativity(model_emission.embedded_pure_state(p, t0)), abs=1e-12
+            )
 
     def test_square_root_law_exact_in_population(self):
         # for the pure sector state the law is exact in the excited population

@@ -159,6 +159,16 @@ class TestProtocolEquivalence:
         )
         assert np.max(np.abs(series.d_t - analytic)) <= 1e-7
 
+    def test_simulation_builds_one_hamiltonian(self, monkeypatch):
+        # preparation and detection share one EvolutionSpec and its eigh
+        built = []
+        build = model_ion.build_hamiltonian
+        monkeypatch.setattr(model_ion, "build_hamiltonian",
+                            lambda p: built.append(p) or build(p))
+        p = model_ion.IonParams(nbar=0.2)
+        model_ion.simulated_local_distance(p, 1.0, TimeGrid.linear(5.0, 5))
+        assert built == [p]
+
 
 class TestTemperatureSweep:
     def test_cold_limit(self):

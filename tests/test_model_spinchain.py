@@ -98,16 +98,18 @@ class TestGroundStateDetection:
             assert abs(res.series.d_t[ti] - trace_distance(a, b)) <= 1e-10
 
     def test_bound_is_negativity_is_disturbance(self):
-        p = params(n_spins=5, b_field=1.2)
-        spec = model_spinchain.spectral(p)
-        res = model_spinchain.ground_state_detection(p, spec=spec)
-        psi0 = spec.states[:, 0]
-        state = BipartiteState(np.outer(psi0, psi0.conj()), p.dims)
-        assert res.negativity == pytest.approx(negativity(state), abs=1e-12)
-        assert res.negativity == pytest.approx(
-            dephasing_disturbance(state), abs=1e-9
-        )
-        assert res.series.d_max <= res.negativity + 1e-9
+        for n_spins, b_field in ((3, 0.4), (4, 0.3), (5, 1.2), (6, 20.0),
+                                 (7, 2.0), (8, 0.7)):
+            p = params(n_spins=n_spins, b_field=b_field)
+            spec = model_spinchain.spectral(p)
+            res = model_spinchain.ground_state_detection(p, spec=spec)
+            psi0 = spec.states[:, 0]
+            state = BipartiteState(np.outer(psi0, psi0.conj()), p.dims)
+            assert res.negativity == pytest.approx(negativity(state), abs=1e-12)
+            assert res.negativity == pytest.approx(
+                dephasing_disturbance(state), abs=1e-9
+            )
+            assert res.series.d_max <= res.negativity + 1e-9
 
     def test_paramagnetic_limit_silent(self):
         # B >> J0: perturbatively small entanglement ~ J0/(2B) and signal
