@@ -35,6 +35,13 @@ def _int(value) -> int:
     return int(value)
 
 
+def _float(value) -> float:
+    """Numbers only: 1 and 1.5 pass; "1.5" and true do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def _bool(value) -> bool:
     """true/false, or 0/1 (a `--values` entry); not the string "false"."""
     if not isinstance(value, (bool, int, float)) or value not in (0, 1):
@@ -45,14 +52,14 @@ def _bool(value) -> bool:
 # model -> {params field: converter}. A runner passes on only the fields a
 # config sets, so each default lives in the parameter class that takes it.
 PARAMS = {
-    "ion": {"omega": float, "eta": float, "nbar": float, "t0": float,
+    "ion": {"omega": _float, "eta": _float, "nbar": _float, "t0": _float,
             "lamb_dicke_limit": _bool},
-    "photon-cv": {"beta": float, "delta_omega": float, "omega0": float, "t": float,
-                  "grid_span": float, "grid_points": _int},
-    "photon-dv": {"lam": float, "theta": float, "phase_rate": float},
-    "spinchain": {"n_spins": _int, "alpha": float, "j0": float, "b_field": float,
-                  "kT": float},
-    "emission": {"n_modes": _int, "half_bandwidth": float, "structured": _bool},
+    "photon-cv": {"beta": _float, "delta_omega": _float, "omega0": _float, "t": _float,
+                  "grid_span": _float, "grid_points": _int},
+    "photon-dv": {"lam": _float, "theta": _float, "phase_rate": _float},
+    "spinchain": {"n_spins": _int, "alpha": _float, "j0": _float, "b_field": _float,
+                  "kT": _float},
+    "emission": {"n_modes": _int, "half_bandwidth": _float, "structured": _bool},
     "haar": {"d_a": _int, "d_b": _int, "n_samples": _int},
     "generic": {"d_a": _int, "d_b": _int, "state": str, "generator": str},
 }
@@ -100,7 +107,7 @@ def _params(cfg: dict) -> dict:
 
 
 def _time_grid(cfg: dict, default_t_max: float, default_n: int = 200) -> TimeGrid:
-    tg = _fields(cfg.get("time_grid"), {"t_max": float, "points": _int}, "time_grid")
+    tg = _fields(cfg.get("time_grid"), {"t_max": _float, "points": _int}, "time_grid")
     return TimeGrid.linear(tg.get("t_max", default_t_max), tg.get("points", default_n))
 
 
@@ -385,10 +392,14 @@ def main(argv=None) -> int:
             summary = execute(cfg, args.out_dir)
             print(_verdict(summary["results"]))
             return 0
-        rows, failed = [], 0
-        for i, val in enumerate(args.values):
+        points = []
+        for val in args.values:
             sub_cfg = json.loads(json.dumps(cfg))
             sub_cfg["params"][args.axis] = val
+            _params(sub_cfg)  # a bad value stops the sweep before any point runs
+            points.append((val, sub_cfg))
+        rows, failed = [], 0
+        for i, (val, sub_cfg) in enumerate(points):
             point_dir = os.path.join(args.out_dir, f"point-{i:03d}")
             try:
                 results = execute(sub_cfg, point_dir)["results"]

@@ -10,10 +10,9 @@ import numpy as np
 from .protocol import (BasisGrid, EvolutionSpec, TimeGrid, WitnessSeries,
                        _distances_2x2_quarter, run_minimized_detection)
 from .states import BipartiteState
-from .tensor import PAULI, BipartitionDims, kron
+from .tensor import PAULI, BipartitionDims
 
-_SX, _SY = PAULI[:2]
-_EYE2 = np.eye(2, dtype=complex)
+_SY = PAULI[1]
 
 
 @dataclass(frozen=True)
@@ -38,36 +37,33 @@ class ChainParams:
         return TimeGrid.linear(20.0 / self.j0, 400)
 
 
-def _site_op(op: np.ndarray, site: int, n: int) -> np.ndarray:
-    out = np.array([[1.0 + 0j]])
-    for j in range(n):
-        out = kron(out, op if j == site else _EYE2)
-    return out
-
-
 def build_chain_hamiltonian(p: ChainParams) -> np.ndarray:
     """H = -sum_{i<j} J0/|i-j|^alpha sx_i sx_j - B sum_i sy_i, open chain.
 
-    Spin 0 (leftmost, slow index) is the accessible subsystem A.
+    Spin 0 (leftmost, slow index, highest bit) is the accessible subsystem A.
+    Both terms are bit flips of the basis index x: sx_i sx_j sends |x> to
+    |x ^ m_i ^ m_j> and sy_i sends it to +-i |x ^ m_i>, with m_i the bit of
+    spin i. Every entry of H receives at most one term.
     """
     n = p.n_spins
-    dim = 2**n
-    h = np.zeros((dim, dim), dtype=complex)
-    sx = [_site_op(_SX, i, n) for i in range(n)]
+    x = np.arange(2**n)
+    masks = 1 << (n - 1 - np.arange(n))
+    h = np.zeros((2**n, 2**n), dtype=complex)
     for i in range(n):
         for j in range(i + 1, n):
-            h -= p.j0 / abs(i - j) ** p.alpha * (sx[i] @ sx[j])
-    for i in range(n):
-        h -= p.b_field * _site_op(_SY, i, n)
+            h.real[x ^ masks[i] ^ masks[j], x] -= p.j0 / abs(i - j) ** p.alpha
+        # sy|0> = i|1>, sy|1> = -i|0>
+        h.imag[x ^ masks[i], x] -= np.where(x & masks[i], -p.b_field, p.b_field)
     return h
 
 
-def parity_operator(n: int) -> np.ndarray:
-    """Global pi-rotation about y, fixed to the involution (x) sigma_y."""
-    out = np.array([[1.0 + 0j]])
-    for _ in range(n):
-        out = kron(out, _SY)
-    return out
+def _apply_parity(v: np.ndarray) -> np.ndarray:
+    """(x) sigma_y applied to the rows of v (a vector or a matrix of columns):
+    |x> -> i^n (-1)^popcount(x) |2^n - 1 - x>."""
+    d = v.shape[0]
+    n = d.bit_length() - 1
+    phase = np.where(np.bitwise_count(np.arange(d)[::-1]) & 1, -(1j**n), 1j**n)
+    return phase.reshape((d,) + (1,) * (v.ndim - 1)) * v[::-1]
 
 
 @dataclass(frozen=True)
@@ -82,7 +78,6 @@ def spectral(p: ChainParams) -> SpectralData:
     energy blocks are rotated to diagonalize the parity operator."""
     h = build_chain_hamiltonian(p)
     w, v = np.linalg.eigh(h)
-    par = parity_operator(p.n_spins)
     scale = max(np.max(np.abs(w)), 1.0)
     # group numerically degenerate blocks
     splits = np.where(np.diff(w) > 1e-9 * scale)[0] + 1
@@ -90,12 +85,13 @@ def spectral(p: ChainParams) -> SpectralData:
     for idx in blocks:
         if len(idx) > 1:
             sub = v[:, idx]
-            pw, pv = np.linalg.eigh(sub.conj().T @ par @ sub)
-            v[:, idx] = sub @ pv
-    parities = np.sign(np.real(np.einsum("ia,ij,ja->a", v.conj(), par, v)))
+            _, rot = np.linalg.eigh(sub.conj().T @ _apply_parity(sub))
+            v[:, idx] = sub @ rot
+    flipped = _apply_parity(v)
+    parities = np.sign(np.real(np.sum(v.conj() * flipped, axis=0)))
     # purify: project each vector onto its dominant parity sector, removing
     # the cross-sector contamination eigh leaves on quasi-degenerate doublets
-    v = 0.5 * (v + (par @ v) * parities[None, :])
+    v = 0.5 * (v + flipped * parities[None, :])
     v = v / np.linalg.norm(v, axis=0)
     return SpectralData(w, v, parities)
 

@@ -135,6 +135,14 @@ def _distances_2x2_quarter(diff: np.ndarray) -> np.ndarray:
     return 0.25 * np.maximum(np.abs(tr), s)
 
 
+def _local_trace_distances(diff: np.ndarray) -> np.ndarray:
+    """(1/2)||M||_1 for a batch of Hermitian d_A x d_A matrices M: the 2x2
+    closed form for a qubit, eigvalsh otherwise."""
+    if diff.shape[-1] == 2:
+        return 2.0 * _distances_2x2_quarter(diff)
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
+
+
 def run_local_detection(
     state: BipartiteState,
     evo: EvolutionSpec,
@@ -155,11 +163,7 @@ def run_local_detection(
     margs = evo.marginal_series(
         [state.rho, dephased.rho], state.dims, grid.samples
     )
-    diff = margs[0] - margs[1]
-    if state.dims.d_a == 2:
-        d_t = 2.0 * _distances_2x2_quarter(diff)
-    else:
-        d_t = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=1)
+    d_t = _local_trace_distances(margs[0] - margs[1])
     return WitnessSeries(grid.samples, d_t, bound_ref=bound)
 
 
@@ -235,8 +239,7 @@ def classical_correlation_witness(
     margs = evo.marginal_series(
         [state.rho, perturbed.rho], state.dims, grid.samples
     )
-    diff = margs[0] - margs[1]
-    d_t = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=1)
+    d_t = _local_trace_distances(margs[0] - margs[1])
     series = WitnessSeries(grid.samples, d_t)
     detected = bool(np.max(d_t) > d_t[0] + 1e-9)
     return series, detected

@@ -5,8 +5,10 @@ reduced form: the qubit-probe dephasing disturbance D(n) from an `eigvalsh`
 of the 2d_B x 2d_B operator rho - N rho N, the basis-minimized local
 distance d_min(t) from a separate grid-and-refine search at every time
 sample, the full trace norm, the Bloch-axis pinching, the emission model on
-the full atom (x) modes space, the spin-chain autocorrelation from its
-definition and the closed-form Michelson propagator.
+the full atom (x) modes space, the spin-chain Hamiltonian from dense
+Pauli strings and its parity as the dense operator (x) sigma_y, the
+spin-chain autocorrelation from its definition and the closed-form
+Michelson propagator.
 """
 
 import numpy as np
@@ -55,6 +57,36 @@ def full_space_hamiltonian(p) -> np.ndarray:
         h += g[k] * (kron(sigma_minus, a_dag)
                      + kron(sigma_minus.conj().T, a_dag.conj().T))
     return h
+
+
+def _site_op(op: np.ndarray, site: int, n: int) -> np.ndarray:
+    out = np.array([[1.0 + 0j]])
+    for j in range(n):
+        out = kron(out, op if j == site else np.eye(2, dtype=complex))
+    return out
+
+
+def chain_hamiltonian_dense(p) -> np.ndarray:
+    """H = -sum_{i<j} J0/|i-j|^alpha sx_i sx_j - B sum_i sy_i of a
+    `ChainParams` instance, summed from dense 2^n x 2^n Pauli strings."""
+    n = p.n_spins
+    dim = 2**n
+    h = np.zeros((dim, dim), dtype=complex)
+    sx = [_site_op(SX, i, n) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            h -= p.j0 / abs(i - j) ** p.alpha * (sx[i] @ sx[j])
+    for i in range(n):
+        h -= p.b_field * _site_op(SY, i, n)
+    return h
+
+
+def parity_operator(n: int) -> np.ndarray:
+    """Global pi-rotation about y, fixed to the involution (x) sigma_y."""
+    out = np.array([[1.0 + 0j]])
+    for _ in range(n):
+        out = kron(out, SY)
+    return out
 
 
 def autocorrelation_direct(p, t: float, spec) -> float:

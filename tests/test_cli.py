@@ -66,7 +66,9 @@ class TestConfigValidation:
         ("spinchain", "n_spins", 7.9), ("spinchain", "n_spins", "7"),
         ("spinchain", "n_spins", True), ("emission", "n_modes", None),
         ("emission", "structured", "false"), ("emission", "structured", 2),
-        ("ion", "lamb_dicke_limit", "true"), ("spinchain", "b_field", "x")])
+        ("ion", "lamb_dicke_limit", "true"), ("spinchain", "b_field", "x"),
+        ("spinchain", "b_field", "1.5"), ("spinchain", "b_field", True),
+        ("ion", "t0", "0.5"), ("photon-dv", "lam", None)])
     def test_misread_values_rejected(self, model, field, value):
         expected = f"{model} params: .*{re.escape(repr(value))}"
         with pytest.raises(ConfigError, match=expected):
@@ -87,6 +89,13 @@ class TestConfigValidation:
         assert main(["run", p, "--out-dir", str(tmp_path / "out")]) == 2
         assert "time_grid: expected an integer, got 40.5" in capsys.readouterr().err
 
+    def test_string_t_max_rejected(self, tmp_path, capsys):
+        p = write_config(tmp_path / "c.yaml",
+                         {"model": "spinchain", "params": {"n_spins": 3},
+                          "time_grid": {"t_max": "5.0"}})
+        assert main(["run", p, "--out-dir", str(tmp_path / "out")]) == 2
+        assert "time_grid: expected a number, got '5.0'" in capsys.readouterr().err
+
     def test_non_integral_yaml_value_exit_2(self, tmp_path, capsys):
         p = write_config(tmp_path / "c.yaml",
                          {"model": "spinchain", "params": {"n_spins": 7.9}})
@@ -102,6 +111,16 @@ class TestConfigValidation:
         assert capsys.readouterr().err == (
             "config error: spinchain params: expected an integer, got 7.5\n")
         assert not (out / "sweep.csv").exists()
+
+    def test_sweep_checks_every_value_before_any_point_runs(self, tmp_path, capsys):
+        p = write_config(tmp_path / "c.yaml",
+                         {"model": "spinchain", "time_grid": {"points": 20}})
+        out = tmp_path / "out"
+        assert main(["sweep", p, "--axis", "n_spins", "--values", "3,3.5",
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: spinchain params: expected an integer, got 3.5\n")
+        assert not list(out.glob("point-*"))
 
     def test_integral_and_boolean_sweep_values_run(self, tmp_path):
         for cfg, axis, values in (

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import SY
-from oracles import autocorrelation_direct
+from oracles import autocorrelation_direct, chain_hamiltonian_dense, parity_operator
 from discord_probe import model_spinchain
 from discord_probe.measures import dephasing_disturbance, negativity, trace_distance
 from discord_probe.protocol import TimeGrid
@@ -29,10 +29,18 @@ class TestHamiltonian:
         w = np.linalg.eigvalsh(model_spinchain.build_chain_hamiltonian(p))
         assert np.allclose(w, [-2, 0, 0, 2], atol=1e-9)
 
+    @pytest.mark.parametrize("n_spins", range(2, 10))
+    def test_bytes_match_dense_oracle(self, n_spins):
+        for alpha, j0, b_field in ((1.0, 1.0, 1.0), (0.7, 0.37, -0.4),
+                                   (2.3, 2.0, 1e-12), (2.0, 1.0, 7.3)):
+            p = params(n_spins=n_spins, alpha=alpha, j0=j0, b_field=b_field)
+            assert (model_spinchain.build_chain_hamiltonian(p).tobytes()
+                    == chain_hamiltonian_dense(p).tobytes())
+
     def test_parity_commutes(self):
         p = params()
         h = model_spinchain.build_chain_hamiltonian(p)
-        par = model_spinchain.parity_operator(p.n_spins)
+        par = parity_operator(p.n_spins)
         assert np.max(np.abs(h @ par - par @ h)) <= 1e-12
 
     def test_long_range_coupling_decays(self):
@@ -49,10 +57,21 @@ class TestHamiltonian:
         assert e == pytest.approx(-2.25, abs=1e-9)
 
 
+class TestParity:
+    @pytest.mark.parametrize("n_spins", range(2, 11))
+    def test_matches_dense_parity(self, n_spins):
+        rng = np.random.default_rng(n_spins)
+        d = 2**n_spins
+        par = parity_operator(n_spins)
+        for shape in ((d,), (d, 3)):
+            v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            assert np.array_equal(model_spinchain._apply_parity(v), par @ v)
+
+
 class TestSpectral:
     def test_definite_parity(self):
         spec = model_spinchain.spectral(params())
-        par = model_spinchain.parity_operator(5)
+        par = parity_operator(5)
         for j in range(len(spec.energies)):
             v = spec.states[:, j]
             resid = par @ v - spec.parities[j] * v
@@ -99,7 +118,7 @@ class TestGroundStateDetection:
 
     def test_bound_is_negativity_is_disturbance(self):
         for n_spins, b_field in ((3, 0.4), (4, 0.3), (5, 1.2), (6, 20.0),
-                                 (7, 2.0), (8, 0.7)):
+                                 (7, 2.0), (8, 0.7), (10, 1.0)):
             p = params(n_spins=n_spins, b_field=b_field)
             spec = model_spinchain.spectral(p)
             res = model_spinchain.ground_state_detection(p, spec=spec)
