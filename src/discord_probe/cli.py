@@ -19,6 +19,7 @@ from .protocol import (
     EvolutionSpec,
     TimeGrid,
     WitnessBoundError,
+    WitnessSeries,
     classical_correlation_witness,
     haar_average_estimate,
     run_local_detection,
@@ -49,6 +50,14 @@ def _bool(value) -> bool:
     return bool(value)
 
 
+def _choice(*options):
+    def convert(value):
+        if value not in options:
+            raise ValueError(f"expected one of {options}, got {value!r}")
+        return value
+    return convert
+
+
 # model -> {params field: converter}. A runner passes on only the fields a
 # config sets, so each default lives in the parameter class that takes it.
 PARAMS = {
@@ -61,7 +70,13 @@ PARAMS = {
                   "kT": _float},
     "emission": {"n_modes": _int, "half_bandwidth": _float, "structured": _bool},
     "haar": {"d_a": _int, "d_b": _int, "n_samples": _int},
-    "generic": {"d_a": _int, "d_b": _int, "state": str, "generator": str},
+    "generic": {"d_a": _int, "d_b": _int, "state": _choice("product", "random"),
+                "generator": _choice("random", "noninteracting")},
+}
+# the sections every model takes; missing or null means all defaults
+SECTIONS = {
+    "time_grid": {"t_max": _float, "points": _int},
+    "basis_grid": {"n_theta": _int, "n_phi": _int, "refine_rounds": _int},
 }
 
 
@@ -69,52 +84,54 @@ class ConfigError(ValueError):
     pass
 
 
-def _known(section: dict, allowed: set, where: str) -> dict:
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown fields {sorted(unknown)} in {where}")
-    return section
-
-
-def _fields(section: dict | None, converters: dict, where: str) -> dict:
-    """The fields a config section sets, each passed through its converter."""
-    section = _known(section or {}, converters.keys(), where)
+def _convert(converter, value, where: str):
     try:
-        return {k: converters[k](v) for k, v in section.items()}
+        return converter(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _fields(section, converters: dict, where: str) -> dict:
+    """The fields a config section sets, each passed through its converter."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a mapping, got {section!r}")
+    unknown = set(section) - converters.keys()
+    if unknown:
+        raise ConfigError(f"unknown fields {sorted(unknown)} in {where}")
+    return {k: _convert(converters[k], v, where) for k, v in section.items()}
+
+
+def parse(cfg) -> dict:
+    """The config with every value converted to the type its field takes, in
+    new dicts (`cfg` is left as it is); raises ConfigError on the first value
+    that cannot be. Ranges are left to the parameter classes."""
+    top = _fields(cfg, dict.fromkeys(("model", "seed", "params", *SECTIONS),
+                                     lambda v: v), "top level")
+    model = _convert(_choice(*PARAMS), top.get("model"), "model")
+    out = {"model": model, "seed": _convert(_int, top.get("seed", 0), "seed"),
+           "params": _fields(top.get("params", {}), PARAMS[model], f"{model} params")}
+    for name, converters in SECTIONS.items():
+        section = top.get(name)
+        out[name] = _fields({} if section is None else section, converters, name)
+    return out
+
+
 def load_config(path: str) -> dict:
+    """The config as read (`parse` checks it), with seed and params defaulted."""
     try:
         with open(path) as fh:
             cfg = yaml.safe_load(fh)
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a mapping")
-    _known(cfg, {"model", "seed", "out_dir", "params", "time_grid", "basis_grid"},
-           "top level")
-    if cfg.get("model") not in PARAMS:
-        raise ConfigError(f"model must be one of {tuple(PARAMS)}")
+    parse(cfg)
     cfg.setdefault("seed", 0)
     cfg.setdefault("params", {})
     return cfg
 
 
-def _params(cfg: dict) -> dict:
-    return _fields(cfg["params"], PARAMS[cfg["model"]], f"{cfg['model']} params")
-
-
 def _time_grid(cfg: dict, default_t_max: float, default_n: int = 200) -> TimeGrid:
-    tg = _fields(cfg.get("time_grid"), {"t_max": _float, "points": _int}, "time_grid")
+    tg = cfg["time_grid"]
     return TimeGrid.linear(tg.get("t_max", default_t_max), tg.get("points", default_n))
-
-
-def _basis_grid(cfg: dict) -> BasisGrid:
-    return BasisGrid(**_fields(
-        cfg.get("basis_grid"),
-        {"n_theta": _int, "n_phi": _int, "refine_rounds": _int}, "basis_grid"))
 
 
 def _atomic_write(path: str, text: str):
@@ -143,7 +160,7 @@ def _series_csv(path: str, series, extra: dict | None = None):
 
 
 def _run_ion(cfg: dict, out_dir: str) -> dict:
-    kw = _params(cfg)
+    kw = cfg["params"]
     t0 = kw.pop("t0", None)
     p = model_ion.IonParams(**kw)
     if t0 is None:
@@ -163,35 +180,31 @@ def _run_ion(cfg: dict, out_dir: str) -> dict:
 
 
 def _run_photon_cv(cfg: dict, out_dir: str) -> dict:
-    kw = _params(cfg)
+    kw = cfg["params"]
     if "t" in kw:
         kw["t_prep"] = kw.pop("t")
     p = model_photon.PhotonParams(**kw)
     grid = _time_grid(cfg, 6.0 / p.delta_omega, 400)
-    d = model_photon.simulated_local_distance_photon(p, grid.samples)
-    closed = np.array(
-        [model_photon.analytic_local_distance_photon(p, t) for t in grid.samples]
-    )
     disturbance = model_photon.analytic_disturbance_photon(p)
-    if np.max(d) > disturbance + 1e-9:
-        raise WitnessBoundError("photon witness exceeds its disturbance bound")
-    _write_csv(os.path.join(out_dir, "series.csv"),
-               {"time": grid.samples, "d_t": d, "d_closed_form": closed,
-                "bound": np.full(len(d), disturbance)})
+    series = WitnessSeries(grid.samples,
+                           model_photon.simulated_local_distance_photon(p, grid.samples),
+                           bound_ref=disturbance)
+    closed = [model_photon.analytic_local_distance_photon(p, t) for t in grid.samples]
+    _series_csv(os.path.join(out_dir, "series.csv"), series, {"d_closed_form": closed})
     return {
-        "max_tau_d": float(np.max(d)),
+        "max_tau_d": series.d_max,
         "closed_form_max": 0.5 * p.beta * (1 - np.exp(-2 * p.delta_omega * p.t_prep)),
         "D": disturbance,
     }
 
 
 def _run_photon_dv(cfg: dict, out_dir: str) -> dict:
-    kw = _params(cfg)
+    kw = cfg["params"]
     rate = {"rate": kw.pop("phase_rate")} if "phase_rate" in kw else {}
     state = model_photon.build_discrete_state(model_photon.DiscreteAncillaParams(**kw))
     evo = model_photon.channel_phase_evolution(**rate)
     grid = _time_grid(cfg, 2 * np.pi, 100)
-    series = run_minimized_detection(state, evo, grid, _basis_grid(cfg))
+    series = run_minimized_detection(state, evo, grid, BasisGrid(**cfg["basis_grid"]))
     hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     cc_series, cc_fired = classical_correlation_witness(state, hadamard, evo, grid)
     _series_csv(os.path.join(out_dir, "series.csv"), series)
@@ -205,13 +218,13 @@ def _run_photon_dv(cfg: dict, out_dir: str) -> dict:
 
 
 def _run_spinchain(cfg: dict, out_dir: str) -> dict:
-    p = model_spinchain.ChainParams(**_params(cfg))
+    p = model_spinchain.ChainParams(**cfg["params"])
     default = p.default_time_grid()
     grid = _time_grid(cfg, default.samples[-1], len(default.samples))
     spec = model_spinchain.spectral(p)
     if p.kT > 0:
         series, d_min_bound = model_spinchain.thermal_detection(
-            p, grid, _basis_grid(cfg), spec
+            p, grid, BasisGrid(**cfg["basis_grid"]), spec
         )
         _series_csv(os.path.join(out_dir, "series.csv"), series)
         return {"d_min": series.d_max, "D_min": d_min_bound,
@@ -231,7 +244,7 @@ def _run_spinchain(cfg: dict, out_dir: str) -> dict:
 
 
 def _run_emission(cfg: dict, out_dir: str) -> dict:
-    kw = _params(cfg)
+    kw = cfg["params"]
     structured = kw.pop("structured", False)
     p = model_emission.EmissionParams(**kw)
     if structured:
@@ -261,44 +274,36 @@ def _random_discordant_state(d_a: int, d_b: int, seed: int) -> BipartiteState:
 
 
 def _run_haar(cfg: dict, out_dir: str) -> dict:
-    pr = _params(cfg)
-    state = _random_discordant_state(pr.get("d_a", 2), pr.get("d_b", 2),
-                                     int(cfg["seed"]))
+    pr = cfg["params"]
+    state = _random_discordant_state(pr.get("d_a", 2), pr.get("d_b", 2), cfg["seed"])
     mean, std_error, predicted = haar_average_estimate(
-        state, pr.get("n_samples", 10000), int(cfg["seed"]) + 1
+        state, pr.get("n_samples", 10000), cfg["seed"] + 1
     )
     return {"mean": mean, "std_error": std_error, "predicted": predicted}
 
 
 def _run_generic(cfg: dict, out_dir: str) -> dict:
-    pr = _params(cfg)
+    pr = cfg["params"]
     d_a, d_b = pr.get("d_a", 2), pr.get("d_b", 2)
-    seed = int(cfg["seed"])
-    kind = pr.get("state", "random")
-    rng = np.random.default_rng(seed)
-    if kind == "product":
+    rng = np.random.default_rng(cfg["seed"])
+    if pr.get("state", "random") == "product":
         rho_b = np.diag(rng.dirichlet(np.ones(d_b))).astype(complex)
         state = zero_discord_state(
             [1.0] + [0.0] * (d_a - 1), computational_basis(d_a), [rho_b] * d_a
         )
-    elif kind == "random":
-        state = _random_discordant_state(d_a, d_b, seed)
     else:
-        raise ConfigError(f"unknown generic state kind {kind!r}")
-    gen_kind = pr.get("generator", "random")
-    if gen_kind == "random":
+        state = _random_discordant_state(d_a, d_b, cfg["seed"])
+    if pr.get("generator", "random") == "random":
         z = rng.standard_normal((d_a * d_b,) * 2) + 1j * rng.standard_normal(
             (d_a * d_b,) * 2
         )
         h = (z + z.conj().T) / 2
-    elif gen_kind == "noninteracting":
+    else:  # noninteracting
         za = rng.standard_normal((d_a, d_a)) + 1j * rng.standard_normal((d_a, d_a))
         zb = rng.standard_normal((d_b, d_b)) + 1j * rng.standard_normal((d_b, d_b))
         h = kron((za + za.conj().T) / 2, np.eye(d_b)) + kron(
             np.eye(d_a), (zb + zb.conj().T) / 2
         )
-    else:
-        raise ConfigError(f"unknown generator kind {gen_kind!r}")
     grid = _time_grid(cfg, 10.0, 200)
     series = run_local_detection(state, EvolutionSpec(hamiltonian=h), grid)
     _series_csv(os.path.join(out_dir, "series.csv"), series)
@@ -323,12 +328,14 @@ def _config_hash(cfg: dict) -> str:
 
 
 def execute(cfg: dict, out_dir: str) -> dict:
+    """Parses `cfg` before `out_dir` is made, runs it and writes summary.json."""
+    parsed = parse(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    results = _RUNNERS[cfg["model"]](cfg, out_dir)
+    results = _RUNNERS[parsed["model"]](parsed, out_dir)
     summary = {
         "config_hash": _config_hash(cfg),
-        "model": cfg["model"],
-        "seed": cfg["seed"],
+        "model": parsed["model"],
+        "seed": parsed["seed"],
         "version": __version__,
         "results": results,
     }
@@ -383,28 +390,20 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         if args.seed is not None:
             cfg["seed"] = args.seed
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         if args.command == "run":
             summary = execute(cfg, args.out_dir)
             print(_verdict(summary["results"]))
             return 0
         points = []
         for val in args.values:
-            sub_cfg = json.loads(json.dumps(cfg))
-            sub_cfg["params"][args.axis] = val
-            _params(sub_cfg)  # a bad value stops the sweep before any point runs
+            sub_cfg = {**cfg, "params": {**cfg["params"], args.axis: val}}
+            parse(sub_cfg)  # a bad value stops the sweep before any point runs
             points.append((val, sub_cfg))
         rows, failed = [], 0
         for i, (val, sub_cfg) in enumerate(points):
             point_dir = os.path.join(args.out_dir, f"point-{i:03d}")
             try:
                 results = execute(sub_cfg, point_dir)["results"]
-            except ConfigError:
-                raise
             except ValueError as exc:  # a NaN row; the other points still run
                 print(f"model error at {args.axis} = {val:g}: {exc}", file=sys.stderr)
                 results, failed = {}, failed + 1

@@ -33,6 +33,11 @@ class BasisGrid:
     n_phi: int = 120
     refine_rounds: int = 6
 
+    def __post_init__(self):
+        if self.n_theta < 1 or self.n_phi < 1 or self.refine_rounds < 0:
+            raise ValueError("basis grid needs n_theta >= 1, n_phi >= 1 and "
+                             "refine_rounds >= 0")
+
     def angles(self) -> np.ndarray:
         thetas = np.linspace(0.0, np.pi / 2, self.n_theta)
         phis = np.linspace(0.0, 2 * np.pi, self.n_phi, endpoint=False)

@@ -23,7 +23,6 @@ class IonParams:
     omega: float = 1.0
     eta: float = 0.05
     nbar: float = 0.0
-    n_max: int | None = None
     lamb_dicke_limit: bool = True
 
     def __post_init__(self):
@@ -31,8 +30,11 @@ class IonParams:
             raise ValueError("Lamb-Dicke parameter must be positive")
         if self.nbar < 0:
             raise ValueError("mean phonon number must be nonnegative")
-        if self.n_max is None:
-            object.__setattr__(self, "n_max", fock_cutoff(self.nbar))
+
+    @property
+    def n_max(self) -> int:
+        """Fock cutoff of the phonon mode, set by the thermal tail."""
+        return fock_cutoff(self.nbar)
 
     def rabi(self, n: np.ndarray) -> np.ndarray:
         """Sideband Rabi frequency for the |g,n> <-> |e,n+1> transition."""

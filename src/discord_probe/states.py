@@ -18,6 +18,8 @@ from .tensor import (
 
 DEGENERACY_GAP = 1e-8
 FOCK_TAIL_TOL = 1e-8
+FOCK_FLOOR = 20    # smallest phonon cutoff
+FOCK_HEADROOM = 2  # levels above the tail cut, for sideband leakage into n+1
 
 
 @dataclass(frozen=True)
@@ -139,15 +141,14 @@ def haar_unitary(dim: int, seed: int) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def fock_cutoff(nbar: float, tail_tol: float = FOCK_TAIL_TOL,
-                floor: int = 20, headroom: int = 2) -> int:
-    """Smallest cutoff with thermal tail mass below tail_tol, floored at 20,
-    plus headroom for sideband-coupling leakage into n+1."""
+def fock_cutoff(nbar: float) -> int:
+    """Smallest cutoff with thermal tail mass below FOCK_TAIL_TOL, floored at
+    FOCK_FLOOR, plus FOCK_HEADROOM."""
     if nbar <= 0:
-        return floor + headroom
+        return FOCK_FLOOR + FOCK_HEADROOM
     # tail mass above n is (nbar/(nbar+1))**(n+1)
-    n = int(np.ceil(np.log(tail_tol) / np.log(nbar / (nbar + 1.0)))) - 1
-    return max(floor, n) + headroom
+    n = int(np.ceil(np.log(FOCK_TAIL_TOL) / np.log(nbar / (nbar + 1.0)))) - 1
+    return max(FOCK_FLOOR, n) + FOCK_HEADROOM
 
 
 def thermal_fock_state(nbar: float, n_max: int) -> np.ndarray:

@@ -10,10 +10,11 @@ import pytest
 import yaml
 
 from discord_probe import model_spinchain
-from discord_probe.cli import PARAMS, ConfigError, _params, execute, load_config, main
+from discord_probe.cli import PARAMS, ConfigError, execute, load_config, main, parse
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
+BENCH_CONFIGS = sorted((ROOT / "bench" / "configs").glob("*.yaml"))
 # (config, axis) of every sweep command in the README
 README_SWEEPS = re.findall(r"discord-probe sweep (configs/\S+\.yaml) --axis (\w+)",
                            (ROOT / "README.md").read_text())
@@ -28,9 +29,12 @@ def write_config(path, cfg):
 
 
 class TestCanonicalConfigs:
-    @pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.name)
+    # the benchmark runs the configs under bench/configs: a schema change that
+    # refuses one fails here
+    @pytest.mark.parametrize("path", CONFIGS + BENCH_CONFIGS, ids=[
+        p.name for p in CONFIGS] + [f"bench-{p.name}" for p in BENCH_CONFIGS])
     def test_loads_with_known_params(self, path):
-        _params(load_config(str(path)))
+        parse(load_config(str(path)))
 
     def test_each_has_a_readme_sweep(self):
         assert len(CONFIGS) == 4
@@ -72,15 +76,15 @@ class TestConfigValidation:
     def test_misread_values_rejected(self, model, field, value):
         expected = f"{model} params: .*{re.escape(repr(value))}"
         with pytest.raises(ConfigError, match=expected):
-            _params({"model": model, "params": {field: value}})
+            parse({"model": model, "params": {field: value}})
 
     def test_integral_and_boolean_values_accepted(self):
-        kw = _params({"model": "emission",
-                      "params": {"n_modes": 21.0, "structured": 1.0}})
+        kw = parse({"model": "emission",
+                    "params": {"n_modes": 21.0, "structured": 1.0}})["params"]
         assert kw == {"n_modes": 21, "structured": True}
         assert type(kw["n_modes"]) is int
-        assert _params({"model": "emission", "params": {"structured": False}}) == {
-            "structured": False}
+        assert parse({"model": "emission", "params": {"structured": False}})[
+            "params"] == {"structured": False}
 
     def test_non_integral_time_grid_points_rejected(self, tmp_path, capsys):
         p = write_config(tmp_path / "c.yaml",
@@ -134,6 +138,43 @@ class TestConfigValidation:
                          "--out-dir", str(out)]) == 0
             lines = (out / "sweep.csv").read_text().splitlines()
             assert [line.split(",")[0] for line in lines] == [axis, *values.split(",")]
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("change", [
+        {"out_dir": "elsewhere"}, {"seed": "abc"}, {"seed": 1.5}, {"seed": None},
+        {"params": None}, {"params": 5}, {"time_grid": {"t_max": "5"}},
+        {"basis_grid": {"n_phi": "x"}}, {"params": {"state": "bogus"}},
+        {"params": {"generator": "bogus"}}], ids=repr)
+    def test_config_error_writes_nothing(self, tmp_path, capsys, command, change):
+        p = write_config(tmp_path / "c.yaml", {"model": "generic",
+                                               "time_grid": {"points": 5}, **change})
+        out = tmp_path / "out"
+        sweep = ["--axis", "d_b", "--values", "2,3"] if command == "sweep" else []
+        assert main([command, p, *sweep, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_sweep_value_a_choice_cannot_take_writes_nothing(self, tmp_path, capsys):
+        p = write_config(tmp_path / "c.yaml", {"model": "generic"})
+        out = tmp_path / "out"
+        assert main(["sweep", p, "--axis", "state", "--values", "1",
+                     "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "config error: generic params: expected one of ('product', 'random'), "
+            "got 1.0\n")
+        assert not out.exists()
+
+    def test_parse_leaves_its_argument_alone(self):
+        cfg = {"model": "spinchain", "params": {"n_spins": 4.0},
+               "time_grid": {"points": 20}}
+        before = json.dumps(cfg)
+        parsed = parse(cfg)
+        assert json.dumps(cfg) == before
+        assert parsed == {"model": "spinchain", "seed": 0, "params": {"n_spins": 4},
+                          "time_grid": {"points": 20}, "basis_grid": {}}
+        parsed["params"]["n_spins"] = 5
+        assert cfg["params"]["n_spins"] == 4.0
 
 
 class TestRun:
@@ -268,6 +309,16 @@ class TestModelErrors:
                          {"model": "spinchain", "params": {"n_spins": 13}})
         assert main(["run", p, "--out-dir", str(tmp_path / "out")]) == 4
         assert capsys.readouterr().err == "model error: chain length must lie in [2, 12]\n"
+
+    @pytest.mark.parametrize("field,value", [
+        ("n_theta", 0), ("n_phi", 0), ("refine_rounds", -3)])
+    def test_out_of_range_basis_grid_exit_4(self, tmp_path, capsys, field, value):
+        p = write_config(tmp_path / "c.yaml",
+                         {"model": "photon-dv", "basis_grid": {field: value}})
+        assert main(["run", p, "--out-dir", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == (
+            "model error: basis grid needs n_theta >= 1, n_phi >= 1 and "
+            "refine_rounds >= 0\n")
 
     def test_execute_still_raises(self, tmp_path):
         p = write_config(tmp_path / "c.yaml", DEGENERATE_CHAIN)

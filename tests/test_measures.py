@@ -184,6 +184,15 @@ class TestMinimalDisturbance:
 
 
 class TestBasisGrid:
+    @pytest.mark.parametrize("kw", [{"n_theta": 0}, {"n_phi": 0}, {"n_theta": -2},
+                                    {"refine_rounds": -3}])
+    def test_refuses_grids_it_cannot_search(self, kw):
+        with pytest.raises(ValueError, match="basis grid needs"):
+            BasisGrid(**kw)
+
+    def test_smallest_grid_accepted(self):
+        assert len(BasisGrid(n_theta=1, n_phi=1, refine_rounds=0).angles()) == 1
+
     def test_coverage(self):
         g = BasisGrid(n_theta=5, n_phi=8)
         ang = g.angles()
