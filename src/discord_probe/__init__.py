@@ -4,7 +4,6 @@ and a reproducible experiment runner."""
 from .measures import (
     BasisGrid,
     dephasing_disturbance,
-    hs_distance_sq,
     minimal_dephasing_disturbance,
     negativity,
     trace_distance,
@@ -25,6 +24,7 @@ from .states import (
     apply_local_unitary,
     computational_basis,
     dephase,
+    dephasing_delta,
     haar_unitary,
     local_eigenbasis,
     qubit_basis,
@@ -36,7 +36,6 @@ from .tensor import (
     eig_hermitian,
     evolve,
     kron,
-    partial_trace_a,
     partial_trace_b,
     partial_transpose_a,
 )

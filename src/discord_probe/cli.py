@@ -193,7 +193,7 @@ def _run_photon_cv(cfg: dict, out_dir: str) -> dict:
     _series_csv(os.path.join(out_dir, "series.csv"), series, {"d_closed_form": closed})
     return {
         "max_tau_d": series.d_max,
-        "closed_form_max": 0.5 * p.beta * (1 - np.exp(-2 * p.delta_omega * p.t_prep)),
+        "closed_form_max": model_photon.analytic_local_distance_photon(p, p.t_prep),
         "D": disturbance,
     }
 

@@ -10,14 +10,13 @@ import numpy as np
 from .states import (
     BipartiteState,
     ProjectiveBasis,
-    dephase,
+    dephasing_delta,
     local_eigenbasis,
     qubit_basis,
 )
 from .tensor import (
     partial_transpose_a,
     require_hermitian,
-    require_square,
     trace_norm_hermitian,
 )
 
@@ -65,25 +64,10 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * trace_norm_hermitian(a - b)
 
 
-def hs_distance_sq(a: np.ndarray, b: np.ndarray) -> float:
-    """Squared Hilbert-Schmidt distance Tr (a-b)^dag (a-b)."""
-    a, b = require_square(a), require_square(b)
-    if a.shape != b.shape:
-        raise ValueError("operator dimensions differ")
-    d = a - b
-    return float(np.sum(np.abs(d) ** 2))
-
-
 def dephasing_disturbance(state: BipartiteState) -> float:
-    """Trace distance between the state and its pinching in the eigenbasis
-    of the A-marginal. Refuses degenerate marginals."""
-    basis, degenerate = local_eigenbasis(state)
-    if degenerate:
-        raise ValueError(
-            "A-marginal spectrum is degenerate; use "
-            "minimal_dephasing_disturbance instead"
-        )
-    return trace_distance(state.rho, dephase(state, basis).rho)
+    """D = (1/2)||Delta||_1 for Delta = rho - Phi(rho), Phi the pinching in
+    the eigenbasis of the A-marginal. Refuses degenerate marginals."""
+    return 0.5 * trace_norm_hermitian(dephasing_delta(state))
 
 
 def negativity(state: BipartiteState) -> float:

@@ -50,27 +50,6 @@ class PhotonParams:
         return BipartitionDims(2, self.grid_points)
 
 
-def coherence_decay(p: PhotonParams, t: float) -> float:
-    """C(t) = sum_w weights * exp(i (w - w0) t); tends to exp(-dw |t|)."""
-    x = p.frequencies() - p.omega0
-    return float(np.sum(p.weights() * np.exp(1j * x * t)).real)
-
-
-def build_correlated_state(p: PhotonParams) -> BipartiteState:
-    """Post-crystal state: per-frequency 2x2 polarization blocks with
-    coherence beta * exp(i (w - w0) t_prep) (initial phase phi = -w0 t)."""
-    w = p.weights()
-    phase = np.exp(1j * (p.frequencies() - p.omega0) * p.t_prep)
-    m = p.grid_points
-    rho = np.zeros((2 * m, 2 * m), dtype=complex)
-    idx = np.arange(m)
-    rho[idx, idx] = 0.5 * w
-    rho[m + idx, m + idx] = 0.5 * w
-    rho[idx, m + idx] = p.beta * w * phase
-    rho[m + idx, idx] = p.beta * w * phase.conj()
-    return BipartiteState(rho, p.dims)
-
-
 def simulated_local_distance_photon(p: PhotonParams, taus: np.ndarray) -> np.ndarray:
     """d(tau) evaluated exactly on the discretized state.
 

@@ -10,12 +10,12 @@ from typing import Optional
 import numpy as np
 
 from . import measures
-from .measures import BasisGrid, bloch_vectors, hs_distance_sq, trace_distance
+from .measures import BasisGrid, bloch_vectors
 from .states import (
     BipartiteState,
     ProjectiveBasis,
     apply_local_unitary,
-    dephase,
+    dephasing_delta,
     haar_unitary,
     local_eigenbasis,
 )
@@ -23,8 +23,10 @@ from .tensor import (
     PAULI,
     BipartitionDims,
     eig_hermitian,
+    local_sandwich,
     partial_trace_b,
     require_hermitian,
+    trace_norm_hermitian,
 )
 
 
@@ -149,22 +151,14 @@ def run_local_detection(
     grid: TimeGrid,
     basis: Optional[ProjectiveBasis] = None,
 ) -> WitnessSeries:
-    """Dephase in the A-marginal eigenbasis (or an explicitly supplied basis),
-    evolve both states and record the local trace distance per time."""
-    if basis is None:
-        basis, degenerate = local_eigenbasis(state)
-        if degenerate:
-            raise ValueError(
-                "degenerate A-marginal: supply a basis explicitly or use "
-                "run_minimized_detection"
-            )
-    dephased = dephase(state, basis)
-    bound = trace_distance(state.rho, dephased.rho)
-    margs = evo.marginal_series(
-        [state.rho, dephased.rho], state.dims, grid.samples
-    )
-    d_t = _local_trace_distances(margs[0] - margs[1])
-    return WitnessSeries(grid.samples, d_t, bound_ref=bound)
+    """Evolve Delta = rho - Phi(rho), Phi the pinching in the A-marginal
+    eigenbasis (or an explicitly supplied basis), and record
+    d(t) = (1/2)||Tr_B U(t) Delta U(t)^dag||_1 per time; contractivity bounds
+    it by D = (1/2)||Delta||_1."""
+    delta = dephasing_delta(state, basis)
+    margs = evo.marginal_series([delta], state.dims, grid.samples)
+    return WitnessSeries(grid.samples, _local_trace_distances(margs[0]),
+                         bound_ref=0.5 * trace_norm_hermitian(delta))
 
 
 # N rho N = sum_p w_p n_a n_b S_p over the pairs p = (a, b), a <= b, with
@@ -194,8 +188,7 @@ def run_minimized_detection(
         raise ValueError("basis-grid minimization is defined for d_A = 2 only")
     bases = bases or BasisGrid()
     bound, bound_basis = measures.minimal_dephasing_disturbance(state, bases)
-    d, r = state.dims.total, state.rho.reshape(2, state.dims.d_b, 2, state.dims.d_b)
-    conj = [np.einsum("ik,kxly,lj->ixjy", PAULI[a], r, PAULI[b]).reshape(d, d)
+    conj = [local_sandwich(PAULI[a], state.rho, PAULI[b], state.dims)
             for a, b in _PAIRS]
     margs = evo.marginal_series(
         [state.rho] + [(m + m.conj().T) / 2 for m in conj], state.dims, grid.samples
@@ -228,18 +221,17 @@ def classical_correlation_witness(
     evo: EvolutionSpec,
     grid: TimeGrid,
 ):
-    """Compare the evolutions of the state and a locally rotated copy.
+    """Compare the evolutions of the state and a locally rotated copy by
+    evolving their difference Delta = rho - (V (x) I) rho (V (x) I)^dag.
 
     An increase of the local trace distance above its initial value witnesses
     initial correlations (classical or quantum). Returns (series, detected).
     """
     if perturbation is None:
         perturbation = np.array([[0, 1], [1, 0]], dtype=complex)
-    perturbed = apply_local_unitary(state, perturbation)
-    margs = evo.marginal_series(
-        [state.rho, perturbed.rho], state.dims, grid.samples
-    )
-    d_t = _local_trace_distances(margs[0] - margs[1])
+    delta = state.rho - apply_local_unitary(state, perturbation).rho
+    margs = evo.marginal_series([delta], state.dims, grid.samples)
+    d_t = _local_trace_distances(margs[0])
     series = WitnessSeries(grid.samples, d_t)
     detected = bool(np.max(d_t) > d_t[0] + 1e-9)
     return series, detected
@@ -251,16 +243,13 @@ def haar_coefficient(dims: BipartitionDims) -> float:
 
 
 def haar_average_estimate(state: BipartiteState, n_samples: int, seed: int):
-    """Monte-Carlo mean of the locally observed squared HS distance under
-    Haar-random global unitaries, against the closed-form prediction."""
+    """Monte-Carlo mean of the locally observed squared HS norm of Delta under
+    Haar-random global unitaries, against the closed-form prediction
+    c(d_A, d_B) ||Delta||_HS^2."""
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
-    basis, degenerate = local_eigenbasis(state)
-    if degenerate:
-        raise ValueError("degenerate A-marginal: reference state undefined")
-    dephased = dephase(state, basis).rho
-    delta = state.rho - dephased
-    predicted = haar_coefficient(state.dims) * hs_distance_sq(state.rho, dephased)
+    delta = dephasing_delta(state)
+    predicted = haar_coefficient(state.dims) * np.sum(np.abs(delta) ** 2)
     rng = np.random.default_rng(seed)
     seeds = rng.integers(0, 2**63 - 1, size=n_samples)
     vals = np.empty(n_samples)

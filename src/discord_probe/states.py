@@ -10,6 +10,7 @@ import numpy as np
 from .tensor import (
     BipartitionDims,
     kron,
+    local_sandwich,
     partial_trace_b,
     require_hermitian,
     require_square,
@@ -43,9 +44,6 @@ class BipartiteState:
     @property
     def marginal_a(self) -> np.ndarray:
         return partial_trace_b(self.rho, self.dims)
-
-    def purity(self) -> float:
-        return float(np.trace(self.rho @ self.rho).real)
 
 
 @dataclass(frozen=True)
@@ -101,11 +99,7 @@ def dephase(state: BipartiteState, basis: ProjectiveBasis) -> BipartiteState:
     """Local pinching sum_i (Pi_i (x) I) rho (Pi_i (x) I) on subsystem A."""
     if basis.dim != state.dims.d_a:
         raise ValueError("basis dimension does not match subsystem A")
-    eye_b = np.eye(state.dims.d_b)
-    out = np.zeros_like(state.rho)
-    for proj in basis.projectors():
-        p = kron(proj, eye_b)
-        out += p @ state.rho @ p
+    out = sum(local_sandwich(p, state.rho, p, state.dims) for p in basis.projectors())
     return BipartiteState(out, state.dims)
 
 
@@ -123,12 +117,25 @@ def local_eigenbasis(state: BipartiteState):
     return ProjectiveBasis(v), degenerate
 
 
+def dephasing_delta(state: BipartiteState,
+                    basis: ProjectiveBasis | None = None) -> np.ndarray:
+    """Delta = rho - Phi(rho) for the pinching Phi in `basis`, by default the
+    eigenbasis of the A-marginal, which is refused when degenerate because
+    it then does not define Phi."""
+    if basis is None:
+        basis, degenerate = local_eigenbasis(state)
+        if degenerate:
+            raise ValueError("degenerate A-marginal: its eigenbasis does not "
+                             "define the dephased reference state")
+    return state.rho - dephase(state, basis).rho
+
+
 def apply_local_unitary(state: BipartiteState, u_a: np.ndarray) -> BipartiteState:
     u_a = require_unitary(u_a)
     if u_a.shape[0] != state.dims.d_a:
         raise ValueError("unitary dimension does not match subsystem A")
-    u = kron(u_a, np.eye(state.dims.d_b))
-    return BipartiteState(u @ state.rho @ u.conj().T, state.dims)
+    rho = local_sandwich(u_a, state.rho, u_a.conj().T, state.dims)
+    return BipartiteState(rho, state.dims)
 
 
 def haar_unitary(dim: int, seed: int) -> np.ndarray:

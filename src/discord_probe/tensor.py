@@ -76,11 +76,16 @@ def partial_trace_b(rho: np.ndarray, dims: BipartitionDims) -> np.ndarray:
     return np.trace(r, axis1=1, axis2=3)
 
 
-def partial_trace_a(rho: np.ndarray, dims: BipartitionDims) -> np.ndarray:
+def local_sandwich(left: np.ndarray, rho: np.ndarray, right: np.ndarray,
+                   dims: BipartitionDims) -> np.ndarray:
+    """(left (x) I_B) rho (right (x) I_B) for operators left, right on A, as a
+    contraction over the A indices of rho.reshape(d_A, d_B, d_A, d_B); no
+    d x d product is formed."""
     rho = require_square(rho)
     dims.check(rho)
     r = rho.reshape(dims.d_a, dims.d_b, dims.d_a, dims.d_b)
-    return np.trace(r, axis1=0, axis2=2)
+    out = np.einsum("ik,kxly,lj->ixjy", left, r, right)
+    return out.reshape(dims.total, dims.total)
 
 
 def partial_transpose_a(rho: np.ndarray, dims: BipartitionDims) -> np.ndarray:

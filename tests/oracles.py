@@ -4,11 +4,15 @@ These are the full-dimension forms of quantities the package computes in a
 reduced form: the qubit-probe dephasing disturbance D(n) from an `eigvalsh`
 of the 2d_B x 2d_B operator rho - N rho N, the basis-minimized local
 distance d_min(t) from a separate grid-and-refine search at every time
-sample, the full trace norm, the Bloch-axis pinching, the emission model on
+sample, the full trace norm, the Bloch-axis pinching, the pinching and local
+unitaries as products with kron(op, I_B), the dephasing and comparison
+witnesses from two separately evolved states, the emission model on
 the full atom (x) modes space, the spin-chain Hamiltonian from dense
 Pauli strings and its parity as the dense operator (x) sigma_y, the
-spin-chain autocorrelation from its definition and the closed-form
-Michelson propagator.
+spin-chain autocorrelation from its definition, the dense photon state with
+its coherence decay and the closed-form Michelson propagator. Small helpers
+only the tests use (partial trace over A, purity, squared HS distance) live
+here too.
 """
 
 import numpy as np
@@ -17,7 +21,27 @@ from conftest import SX, SY, SZ
 from discord_probe.measures import BasisGrid, _basis_angles, bloch_vectors
 from discord_probe.protocol import EvolutionSpec, _distances_2x2_quarter
 from discord_probe.states import BipartiteState, local_eigenbasis
-from discord_probe.tensor import kron, require_square
+from discord_probe.tensor import BipartitionDims, kron, partial_trace_b, require_square
+
+
+def partial_trace_a(rho: np.ndarray, dims: BipartitionDims) -> np.ndarray:
+    rho = require_square(rho)
+    dims.check(rho)
+    r = rho.reshape(dims.d_a, dims.d_b, dims.d_a, dims.d_b)
+    return np.trace(r, axis1=0, axis2=2)
+
+
+def purity(state: BipartiteState) -> float:
+    return float(np.trace(state.rho @ state.rho).real)
+
+
+def hs_distance_sq(a: np.ndarray, b: np.ndarray) -> float:
+    """Squared Hilbert-Schmidt distance Tr (a-b)^dag (a-b)."""
+    a, b = require_square(a), require_square(b)
+    if a.shape != b.shape:
+        raise ValueError("operator dimensions differ")
+    d = a - b
+    return float(np.sum(np.abs(d) ** 2))
 
 
 def trace_norm(x: np.ndarray) -> float:
@@ -33,6 +57,34 @@ def dephase_qubit_bloch(state: BipartiteState, n: np.ndarray) -> np.ndarray:
     """
     big_n = kron(n[0] * SX + n[1] * SY + n[2] * SZ, np.eye(state.dims.d_b))
     return 0.5 * (state.rho + big_n @ state.rho @ big_n)
+
+
+def dephase_kron(state: BipartiteState, basis) -> np.ndarray:
+    """Pinching sum_i (Pi_i (x) I) rho (Pi_i (x) I) from d x d products."""
+    eye_b = np.eye(state.dims.d_b)
+    out = np.zeros_like(state.rho)
+    for proj in basis.projectors():
+        p = kron(proj, eye_b)
+        out += p @ state.rho @ p
+    return out
+
+
+def local_unitary_kron(state: BipartiteState, u_a: np.ndarray) -> np.ndarray:
+    """(u_a (x) I) rho (u_a (x) I)^dag from d x d products."""
+    u = kron(u_a, np.eye(state.dims.d_b))
+    return u @ state.rho @ u.conj().T
+
+
+def two_state_distances(evo: EvolutionSpec, rho: np.ndarray, sigma: np.ndarray,
+                        dims: BipartitionDims, times: np.ndarray) -> np.ndarray:
+    """(1/2)||Tr_B U(t) rho U(t)^dag - Tr_B U(t) sigma U(t)^dag||_1 per time,
+    from the two states evolved apart as full matrices: the dephasing witness
+    for sigma = Phi(rho), the comparison witness for a rotated copy."""
+    return np.array([
+        0.5 * trace_norm(partial_trace_b(evo.evolve_state(rho, t), dims)
+                         - partial_trace_b(evo.evolve_state(sigma, t), dims))
+        for t in times
+    ])
 
 
 def full_space_hamiltonian(p) -> np.ndarray:
@@ -98,6 +150,29 @@ def autocorrelation_direct(p, t: float, spec) -> float:
     u = (spec.states * np.exp(-1j * spec.energies * t)) @ spec.states.conj().T
     purity = float(np.trace(rho @ rho).real)
     return float(np.trace(rho @ u @ rho @ u.conj().T).real / purity)
+
+
+def coherence_decay(p, t: float) -> float:
+    """C(t) = sum_w weights * exp(i (w - w0) t) of `PhotonParams` p; tends to
+    exp(-dw |t|)."""
+    x = p.frequencies() - p.omega0
+    return float(np.sum(p.weights() * np.exp(1j * x * t)).real)
+
+
+def build_correlated_state(p) -> BipartiteState:
+    """Post-crystal state of `PhotonParams` p as a dense matrix: per-frequency
+    2x2 polarization blocks with coherence beta * exp(i (w - w0) t_prep)
+    (initial phase phi = -w0 t)."""
+    w = p.weights()
+    phase = np.exp(1j * (p.frequencies() - p.omega0) * p.t_prep)
+    m = p.grid_points
+    rho = np.zeros((2 * m, 2 * m), dtype=complex)
+    idx = np.arange(m)
+    rho[idx, idx] = 0.5 * w
+    rho[m + idx, m + idx] = 0.5 * w
+    rho[idx, m + idx] = p.beta * w * phase
+    rho[m + idx, idx] = p.beta * w * phase.conj()
+    return BipartiteState(rho, p.dims)
 
 
 def _rotated_v(eta_angle: float) -> np.ndarray:

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_hermitian, random_pure_state, random_state
-from oracles import disturbance_batch, sigma_conjugations
+from oracles import disturbance_batch, hs_distance_sq, sigma_conjugations
 from discord_probe.measures import (
     BasisGrid,
     _block_disturbance,
     bloch_vectors,
     dephasing_disturbance,
-    hs_distance_sq,
     minimal_dephasing_disturbance,
     negativity,
     trace_distance,

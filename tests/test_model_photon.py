@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from oracles import michelson_evolution, michelson_propagator
+from oracles import (
+    build_correlated_state,
+    coherence_decay,
+    michelson_evolution,
+    michelson_propagator,
+    partial_trace_a,
+)
 from discord_probe import model_photon
 from discord_probe.measures import minimal_dephasing_disturbance, trace_distance
 from discord_probe.protocol import (
@@ -14,7 +20,6 @@ from discord_probe.protocol import (
     run_minimized_detection,
 )
 from discord_probe.states import dephase, local_eigenbasis
-from discord_probe.tensor import partial_trace_a
 
 SMALL = dict(grid_span=40.0, grid_points=401)  # fast variant for matrix-level tests
 
@@ -22,7 +27,7 @@ SMALL = dict(grid_span=40.0, grid_points=401)  # fast variant for matrix-level t
 class TestCorrelatedState:
     def test_t0_product(self):
         p = model_photon.PhotonParams(t_prep=0.0, **SMALL)
-        s = model_photon.build_correlated_state(p)
+        s = build_correlated_state(p)
         m = p.grid_points
         qubit = s.marginal_a
         assert qubit[0, 1] == pytest.approx(0.4, abs=1e-12)
@@ -32,7 +37,7 @@ class TestCorrelatedState:
 
     def test_marginal_eigenvectors_plus_minus(self):
         p = model_photon.PhotonParams(**SMALL)
-        s = model_photon.build_correlated_state(p)
+        s = build_correlated_state(p)
         basis, _ = local_eigenbasis(s)
         plus = np.array([1, 1]) / np.sqrt(2)
         minus = np.array([1, -1]) / np.sqrt(2)
@@ -45,18 +50,18 @@ class TestCorrelatedState:
         p = model_photon.PhotonParams()
         for t in (0.3, 1.0, 2.5):
             assert abs(
-                model_photon.coherence_decay(p, t) - np.exp(-p.delta_omega * t)
+                coherence_decay(p, t) - np.exp(-p.delta_omega * t)
             ) <= 1e-3
 
     def test_coherence_monotone_decay(self):
         p = model_photon.PhotonParams()
         ts = np.linspace(0.0, 5.0, 40)
-        c = np.array([model_photon.coherence_decay(p, t) for t in ts])
+        c = np.array([coherence_decay(p, t) for t in ts])
         assert np.all(np.diff(c) <= 1e-10)
 
     def test_dephasing_preserves_marginals(self):
         p = model_photon.PhotonParams(**SMALL)
-        s = model_photon.build_correlated_state(p)
+        s = build_correlated_state(p)
         basis, _ = local_eigenbasis(s)
         out = dephase(s, basis)
         assert np.max(np.abs(out.marginal_a - s.marginal_a)) <= 1e-12
@@ -134,7 +139,7 @@ class TestSimulation:
     def test_protocol_matches_fast_path(self):
         # full matrix protocol on a small grid against the vectorized formula
         p = model_photon.PhotonParams(**SMALL)
-        s = model_photon.build_correlated_state(p)
+        s = build_correlated_state(p)
         grid = TimeGrid.linear(4.0, 9)
         series = run_local_detection(
             s, michelson_evolution(p), grid
@@ -157,7 +162,7 @@ class TestMichelson:
     def test_populations_frozen(self):
         # pure dephasing: H/V populations never change under the imprint
         p = model_photon.PhotonParams(**SMALL)
-        s = model_photon.build_correlated_state(p)
+        s = build_correlated_state(p)
         for tau in (0.7, 2.1):
             u = michelson_propagator(p, tau)
             evolved = u @ s.rho @ u.conj().T
@@ -166,7 +171,7 @@ class TestMichelson:
 
     def test_eta_independence(self):
         p = model_photon.PhotonParams(**SMALL)
-        s = model_photon.build_correlated_state(p)
+        s = build_correlated_state(p)
         grid = TimeGrid.linear(3.0, 7)
         base = run_local_detection(s, michelson_evolution(p), grid)
         for eta in (0.3, 0.9, 1.4):

@@ -13,11 +13,18 @@ from conftest import (
     random_pure_state,
     random_state,
 )
-from oracles import minimized_series
+from oracles import (
+    dephase_kron,
+    hs_distance_sq,
+    local_unitary_kron,
+    minimized_series,
+    partial_trace_a,
+    trace_norm,
+    two_state_distances,
+)
 from discord_probe.measures import (
     BasisGrid,
     dephasing_disturbance,
-    hs_distance_sq,
     minimal_dephasing_disturbance,
     trace_distance,
 )
@@ -34,8 +41,10 @@ from discord_probe.protocol import (
 )
 from discord_probe.states import (
     BipartiteState,
+    ProjectiveBasis,
     computational_basis,
     dephase,
+    haar_unitary,
     local_eigenbasis,
     zero_discord_state,
 )
@@ -43,11 +52,27 @@ from discord_probe.tensor import (
     BipartitionDims,
     evolve,
     kron,
-    partial_trace_a,
     partial_trace_b,
 )
 
 GRID = TimeGrid.linear(5.0, 60)
+
+
+def _bell_state() -> BipartiteState:
+    b = np.array([1, 0, 0, 1]) / np.sqrt(2)
+    return BipartiteState(np.outer(b, b).astype(complex), BipartitionDims(2, 2))
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: run_local_detection(
+        s, EvolutionSpec(hamiltonian=np.eye(4, dtype=complex)), GRID),
+    dephasing_disturbance,
+    lambda s: haar_average_estimate(s, 100, seed=0),
+], ids=["run_local_detection", "dephasing_disturbance", "haar_average_estimate"])
+def test_degenerate_marginal_refused(call):
+    # the A-marginal of a Bell state is I/2: no eigenbasis defines Phi
+    with pytest.raises(ValueError, match="degenerate"):
+        call(_bell_state())
 
 
 class TestTimeGrid:
@@ -162,6 +187,19 @@ class TestRunLocalDetection:
             )
             assert abs(series.d_t[ti] - direct) <= 1e-10
 
+    @pytest.mark.parametrize("d_a,d_b", [(2, 3), (3, 2), (3, 3)])
+    def test_matches_two_state_oracle(self, d_a, d_b):
+        # one evolved Delta against rho and its pinching evolved apart
+        rng = np.random.default_rng(10 * d_a + d_b)
+        s = random_state(d_a, d_b, rng)
+        evo = EvolutionSpec(hamiltonian=random_hermitian(d_a * d_b, rng))
+        for basis in (None, ProjectiveBasis(haar_unitary(d_a, 4))):
+            series = run_local_detection(s, evo, GRID, basis)
+            dephased = dephase_kron(s, basis or local_eigenbasis(s)[0])
+            d_t = two_state_distances(evo, s.rho, dephased, s.dims, GRID.samples)
+            assert np.max(np.abs(series.d_t - d_t)) <= 1e-12
+            assert abs(series.bound_ref - 0.5 * trace_norm(s.rho - dephased)) <= 1e-12
+
 
 class TestRunMinimizedDetection:
     def test_zero_discord(self, rng):
@@ -245,6 +283,18 @@ class TestClassicalCorrelationWitness:
             s, None, EvolutionSpec(hamiltonian=h), GRID
         )
         assert detected
+
+    @pytest.mark.parametrize("d_a,d_b", [(2, 3), (3, 2), (3, 3)])
+    def test_matches_two_state_oracle(self, d_a, d_b):
+        rng = np.random.default_rng(20 * d_a + d_b)
+        s = random_state(d_a, d_b, rng)
+        evo = EvolutionSpec(hamiltonian=random_hermitian(d_a * d_b, rng))
+        u = SX if d_a == 2 else haar_unitary(d_a, 9)
+        series, _ = classical_correlation_witness(
+            s, None if d_a == 2 else u, evo, GRID)
+        rotated = local_unitary_kron(s, u)
+        d_t = two_state_distances(evo, s.rho, rotated, s.dims, GRID.samples)
+        assert np.max(np.abs(series.d_t - d_t)) <= 1e-12
 
 
 class TestHaarAverage:

@@ -6,13 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SX, random_density, random_state
-from oracles import dephase_qubit_bloch
+from oracles import (
+    dephase_kron,
+    dephase_qubit_bloch,
+    local_unitary_kron,
+    partial_trace_a,
+    purity,
+)
 from discord_probe.states import (
     BipartiteState,
     ProjectiveBasis,
     apply_local_unitary,
     computational_basis,
     dephase,
+    dephasing_delta,
     fock_cutoff,
     haar_unitary,
     local_eigenbasis,
@@ -20,7 +27,7 @@ from discord_probe.states import (
     thermal_fock_state,
     zero_discord_state,
 )
-from discord_probe.tensor import BipartitionDims, kron, partial_trace_a, partial_trace_b
+from discord_probe.tensor import BipartitionDims, kron
 
 D22 = BipartitionDims(2, 2)
 
@@ -114,7 +121,7 @@ class TestDephase:
         once = dephase(s, b)
         twice = dephase(once, b)
         assert np.max(np.abs(twice.rho - once.rho)) <= 1e-12
-        assert once.purity() <= s.purity() + 1e-12
+        assert purity(once) <= purity(s) + 1e-12
 
     def test_bloch_axis_shortcut(self, rng):
         s = random_state(2, 3, rng)
@@ -128,6 +135,30 @@ class TestDephase:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
             dephase(random_state(3, 2, rng), computational_basis(2))
+
+    @pytest.mark.parametrize("d_a,d_b", [(2, 1), (2, 3), (3, 2), (3, 4)])
+    def test_matches_kron_oracle(self, d_a, d_b):
+        rng = np.random.default_rng(100 * d_a + d_b)
+        s = random_state(d_a, d_b, rng)
+        for seed in range(5):
+            basis = ProjectiveBasis(haar_unitary(d_a, seed))
+            assert np.max(np.abs(dephase(s, basis).rho - dephase_kron(s, basis))) <= 1e-12
+
+
+class TestDephasingDelta:
+    def test_default_is_marginal_eigenbasis(self, rng):
+        s = random_state(3, 2, rng)
+        basis, _ = local_eigenbasis(s)
+        assert np.array_equal(dephasing_delta(s), dephasing_delta(s, basis))
+        assert np.max(np.abs(dephasing_delta(s) - (s.rho - dephase_kron(s, basis)))) <= 1e-12
+
+    def test_degenerate_marginal_refused(self):
+        b = np.array([1, 0, 0, 1]) / np.sqrt(2)
+        bell = BipartiteState(np.outer(b, b).astype(complex), D22)
+        with pytest.raises(ValueError, match="degenerate"):
+            dephasing_delta(bell)
+        # an explicit basis is always accepted
+        assert np.max(np.abs(dephasing_delta(bell, computational_basis(2)))) > 0
 
 
 class TestLocalEigenbasis:
@@ -176,10 +207,17 @@ class TestApplyLocalUnitary:
         s = random_state(2, 3, rng)
         u = haar_unitary(2, 7)
         out = apply_local_unitary(s, u)
-        assert abs(out.purity() - s.purity()) <= 1e-12
+        assert abs(purity(out) - purity(s)) <= 1e-12
         assert np.max(np.abs(
             partial_trace_a(out.rho, s.dims) - partial_trace_a(s.rho, s.dims)
         )) <= 1e-12
+
+    @pytest.mark.parametrize("d_a,d_b", [(2, 3), (3, 2)])
+    def test_matches_kron_oracle(self, d_a, d_b):
+        rng = np.random.default_rng(10 * d_a + d_b)
+        s = random_state(d_a, d_b, rng)
+        u = haar_unitary(d_a, 3)
+        assert np.max(np.abs(apply_local_unitary(s, u).rho - local_unitary_kron(s, u))) <= 1e-12
 
     def test_rejects_nonunitary(self, rng):
         with pytest.raises(ValueError):

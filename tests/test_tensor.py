@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SX, SY, SZ, random_density, random_hermitian
-from oracles import trace_norm
+from oracles import partial_trace_a, trace_norm
 from discord_probe.tensor import (
     BipartitionDims,
     eig_hermitian,
     evolve,
     kron,
-    partial_trace_a,
+    local_sandwich,
     partial_trace_b,
     partial_transpose_a,
     require_hermitian,
@@ -85,6 +85,30 @@ class TestPartialTrace:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
             partial_trace_b(random_density(4, rng), BipartitionDims(2, 3))
+
+
+def _random_complex(shape, rng):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestLocalSandwich:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 6), st.integers(0, 2**31 - 1))
+    def test_matches_kron_products(self, d_a, d_b, seed):
+        # arbitrary complex, non-Hermitian operators on both sides and in the middle
+        rng = np.random.default_rng(seed)
+        left, right = _random_complex((d_a, d_a), rng), _random_complex((d_a, d_a), rng)
+        d = d_a * d_b
+        rho = _random_complex((d, d), rng)
+        eye_b = np.eye(d_b)
+        oracle = kron(left, eye_b) @ rho @ kron(right, eye_b)
+        out = local_sandwich(left, rho, right, BipartitionDims(d_a, d_b))
+        assert out.shape == (d, d)
+        assert np.max(np.abs(out - oracle)) <= 1e-12
+
+    def test_rejects_split_mismatch(self, rng):
+        with pytest.raises(ValueError):
+            local_sandwich(SX, random_density(6, rng), SX, D22)
 
 
 class TestPartialTranspose:
