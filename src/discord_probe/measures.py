@@ -13,6 +13,7 @@ from .states import (
     dephasing_delta,
     local_eigenbasis,
     qubit_basis,
+    qubit_kets,
 )
 from .tensor import (
     partial_transpose_a,
@@ -81,11 +82,8 @@ def _block_disturbance(rho: np.ndarray, d_b: int, angles: np.ndarray) -> np.ndar
     """D(n) for a qubit probe and Bloch angles (G, 2): rho minus its pinching
     along n is P0 rho P1 + P1 rho P0, which is block off-diagonal, so D(n) is
     the singular-value sum of the d_B x d_B block <0_n| rho |1_n>."""
-    c, s = np.cos(angles[:, 0] / 2), np.sin(angles[:, 0] / 2)
-    e = np.exp(1j * angles[:, 1])
-    bra0 = np.stack([c, s * e], axis=1).conj()  # kets as in qubit_basis
-    ket1 = np.stack([-s * e.conj(), c], axis=1)
-    weights = (bra0[:, :, None] * ket1[:, None, :]).reshape(-1, 4)
+    kets = qubit_kets(angles)  # columns |0_n>, |1_n>
+    weights = (kets[:, :, 0, None].conj() * kets[:, None, :, 1]).reshape(-1, 4)
     blocks = rho.reshape(2, d_b, 2, d_b).transpose(0, 2, 1, 3).reshape(4, -1)
     chunk = max(1, 2**20 // (d_b * d_b))  # about 16 MB of blocks per batch
     vals = np.empty(len(angles))

@@ -9,6 +9,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .protocol import EvolutionSpec
 from .states import BipartiteState
 from .tensor import BipartitionDims
 
@@ -85,9 +86,13 @@ def sector_hamiltonian(p: EmissionParams) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _sector_spectral(p: EmissionParams):
-    w, v = np.linalg.eigh(sector_hamiltonian(p))
-    return w, v
+def _sector_evolution(p: EmissionParams) -> EvolutionSpec:
+    return EvolutionSpec(sector_hamiltonian(p))
+
+
+def _evolve_excited(p: EmissionParams, t: float) -> np.ndarray:
+    """U(t)|e,0> in the sector basis."""
+    return _sector_evolution(p).evolve_vectors(np.eye(p.n_modes + 1, 1), [t])[:, 0, 0]
 
 
 def single_excitation_evolve(p: EmissionParams, t: float) -> AmplitudeSet:
@@ -95,8 +100,7 @@ def single_excitation_evolve(p: EmissionParams, t: float) -> AmplitudeSet:
     if t < 0:
         raise ValueError("time must be nonnegative")
     p.check_regime()
-    w, v = _sector_spectral(p)
-    psi = v @ (np.exp(-1j * w * t) * v[0, :].conj())
+    psi = _evolve_excited(p, t)
     return AmplitudeSet(complex(psi[0]), psi[1:])
 
 
@@ -130,10 +134,8 @@ def emission_local_signal(p: EmissionParams, t0: float, t1: float) -> float:
     if t1 < t0:
         raise ValueError("detection time must not precede preparation time")
     amp = single_excitation_evolve(p, t0)
-    w, v = _sector_spectral(p)
-    row = (v[0] * np.exp(-1j * w * (t1 - t0))) @ v.conj().T  # <e,0| U(t1 - t0)
-    delta_pe = 2 * (amp.u00 * row[0] * np.conj(row[1:] @ amp.uk0)).real
-    return abs(delta_pe)
+    row = _evolve_excited(p, t0 - t1).conj()  # <e,0| U(t1 - t0)
+    return abs(2 * (amp.u00 * row[0] * np.conj(row[1:] @ amp.uk0)).real)
 
 
 def structured_params(p: EmissionParams) -> EmissionParams:

@@ -15,7 +15,7 @@ from .states import (
     fock_cutoff,
     thermal_fock_state,
 )
-from .tensor import BipartitionDims, kron
+from .tensor import BipartitionDims
 
 
 @dataclass(frozen=True)
@@ -74,12 +74,14 @@ def build_hamiltonian(p: IonParams) -> np.ndarray:
 
 def prepare_state(p: IonParams, t0: float,
                   evo: EvolutionSpec | None = None) -> BipartiteState:
-    """Blue-sideband pulse of duration t0 on |g><g| (x) thermal motion."""
+    """Blue-sideband pulse of duration t0 on |g><g| (x) thermal motion: the
+    columns sqrt(p_n)|g,n> evolve as vectors and rho = psi psi^dag."""
     if t0 < 0:
         raise ValueError("preparation time must be nonnegative")
-    rho0 = kron(np.diag([1.0, 0.0]), thermal_fock_state(p.nbar, p.n_max))
+    cols = np.eye(2 * (p.n_max + 1), p.n_max + 1) * np.sqrt(p.populations())
     evo = evo or evolution(p)
-    return BipartiteState(evo.evolve_state(rho0, t0), p.dims)
+    psi = evo.evolve_vectors(cols, [t0])[:, :, 0]
+    return BipartiteState(psi @ psi.conj().T, p.dims)
 
 
 def evolution(p: IonParams) -> EvolutionSpec:

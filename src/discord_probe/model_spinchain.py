@@ -8,11 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocol import (BasisGrid, EvolutionSpec, TimeGrid, WitnessSeries,
-                       _distances_2x2_quarter, run_minimized_detection)
+                       local_trace_distances, run_minimized_detection)
 from .states import BipartiteState
-from .tensor import PAULI, BipartitionDims
-
-_SY = PAULI[1]
+from .tensor import PAULI, BipartitionDims, pauli_vector
 
 
 @dataclass(frozen=True)
@@ -71,6 +69,7 @@ class SpectralData:
     energies: np.ndarray
     states: np.ndarray    # eigenvectors as columns
     parities: np.ndarray  # +-1 per eigenstate
+    evolution: EvolutionSpec  # H with (energies, states) as its spectrum
 
 
 def spectral(p: ChainParams) -> SpectralData:
@@ -93,21 +92,14 @@ def spectral(p: ChainParams) -> SpectralData:
     # the cross-sector contamination eigh leaves on quasi-degenerate doublets
     v = 0.5 * (v + flipped * parities[None, :])
     v = v / np.linalg.norm(v, axis=0)
-    return SpectralData(w, v, parities)
-
-
-def evolution(p: ChainParams, spec: SpectralData | None = None) -> EvolutionSpec:
-    evo = EvolutionSpec(hamiltonian=build_chain_hamiltonian(p))
-    if spec is not None:
-        evo._spectral = (spec.energies, spec.states)
-    return evo
+    return SpectralData(w, v, parities, EvolutionSpec(h, spectrum=(w, v)))
 
 
 def _dephased_components(spec: SpectralData) -> np.ndarray:
     """Ground state and its sigma_y^(1)-flipped partner as columns: the
     y-dephased ground state is the even mixture of the two (rank 2)."""
     psi0 = spec.states[:, 0]
-    return np.column_stack([psi0, (_SY @ psi0.reshape(2, -1)).ravel()])
+    return np.column_stack([psi0, (PAULI[1] @ psi0.reshape(2, -1)).ravel()])
 
 
 @dataclass(frozen=True)
@@ -135,15 +127,14 @@ def ground_state_detection(p: ChainParams, grid: TimeGrid | None = None,
     # pure state: the negativity is the product of the Schmidt coefficients,
     # the square roots of the two eigenvalues of the qubit marginal
     neg = float(np.sqrt(max(np.linalg.det(m0).real, 0.0)))
-    chi_t = spec.states.conj().T @ chi
-    phases = np.exp(-1j * np.outer(spec.energies, grid.samples))
-    evolved = (spec.states @ (phases * chi_t[:, None])).reshape(2, -1, len(grid.samples))
+    evolved = spec.evolution.evolve_vectors(chi[:, None], grid.samples)
+    evolved = evolved.reshape(2, -1, len(grid.samples))
     mc = np.einsum("iat,jat->tij", evolved, evolved.conj())
     # rho'_A(t) = (m0 + mc)/2 and the undephased marginal stays m0, so
     # d(t) = ||m0 - mc||_1 / 4 and m_y(t) - m_y(0) = tr((mc - m0) sigma_y) / 2
     diff = m0 - mc
-    d_t = _distances_2x2_quarter(diff)
-    d_mag = np.abs(np.einsum("tij,ji->t", diff, _SY).real) / 4
+    d_t = local_trace_distances(diff) / 2
+    d_mag = np.abs(pauli_vector(diff)[:, 1]) / 4
     series = WitnessSeries(grid.samples, d_t, bound_ref=neg)
     return GroundStateResult(series, d_mag, neg, gap)
 
@@ -164,11 +155,11 @@ def autocorrelation(p: ChainParams, grid: TimeGrid | None = None,
     over x, y in {psi0, chi}, over the same sum at t = 0."""
     spec = spec or spectral(p)
     grid = grid or p.default_time_grid()
-    ab = spec.states.conj().T @ _dephased_components(spec)
-    phases = np.exp(-1j * np.outer(spec.energies, grid.samples))
-    overlaps = np.einsum("ix,it,iy->txy", ab.conj(), phases, ab, optimize=True)
-    purity = np.sum(np.abs(ab.conj().T @ ab) ** 2)
-    return list(zip(grid.samples, np.sum(np.abs(overlaps) ** 2, axis=(1, 2)) / purity))
+    comps = _dephased_components(spec)
+    evolved = spec.evolution.evolve_vectors(comps, grid.samples)
+    overlaps = np.tensordot(comps.conj(), evolved, axes=(0, 0))  # <x|U(t)|y>
+    purity = np.sum(np.abs(comps.conj().T @ comps) ** 2)
+    return list(zip(grid.samples, np.sum(np.abs(overlaps) ** 2, axis=(0, 1)) / purity))
 
 
 def gibbs_state(p: ChainParams, spec: SpectralData | None = None) -> BipartiteState:
@@ -189,5 +180,5 @@ def thermal_detection(p: ChainParams, grid: TimeGrid | None = None,
     spec = spec or spectral(p)
     grid = grid or p.default_time_grid()
     state = gibbs_state(p, spec)
-    series = run_minimized_detection(state, evolution(p, spec), grid, bases)
+    series = run_minimized_detection(state, spec.evolution, grid, bases)
     return series, series.bound_ref

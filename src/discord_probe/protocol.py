@@ -25,6 +25,7 @@ from .tensor import (
     eig_hermitian,
     local_sandwich,
     partial_trace_b,
+    pauli_vector,
     require_hermitian,
     trace_norm_hermitian,
 )
@@ -54,23 +55,24 @@ class EvolutionSpec:
     """Time-independent Hermitian generator (hbar = 1) with a spectral cache."""
 
     hamiltonian: np.ndarray
-    _spectral: tuple = field(default=None, repr=False, compare=False)
+    # (w, V) of the generator, if the caller has already diagonalized it
+    spectrum: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.hamiltonian = require_hermitian(self.hamiltonian)
 
     def spectral(self):
-        if self._spectral is None:
-            self._spectral = eig_hermitian(self.hamiltonian)
-        return self._spectral
+        if self.spectrum is None:
+            self.spectrum = eig_hermitian(self.hamiltonian)
+        return self.spectrum
 
-    def propagator_at(self, t: float) -> np.ndarray:
+    def evolve_vectors(self, vecs, times) -> np.ndarray:
+        """U(t) psi = V exp(-i w t) V^dag psi for the columns psi of `vecs`
+        (d, k) at every time; shape (d, k, T)."""
         w, v = self.spectral()
-        return (v * np.exp(-1j * w * t)) @ v.conj().T
-
-    def evolve_state(self, rho: np.ndarray, t: float) -> np.ndarray:
-        u = self.propagator_at(t)
-        return u @ rho @ u.conj().T
+        coef = (np.conj(vecs).T @ v).conj().T  # V^dag psi without copying V
+        phased = coef[:, :, None] * np.exp(-1j * np.outer(w, times))[:, None, :]
+        return (v @ phased.reshape(len(w), -1)).reshape(phased.shape)
 
     def marginal_series(self, mats, dims: BipartitionDims,
                         times: np.ndarray) -> np.ndarray:
@@ -124,24 +126,19 @@ class WitnessSeries:
 
     @property
     def argmax_time(self) -> float:
-        return float(self.times[int(np.argmax(self.d_t))])
+        """First sample within the 1e-12 floor of d_max, so that rounding
+        noise on a flat series does not pick the time."""
+        return float(self.times[int(np.argmax(self.d_t >= self.d_max - 1e-12))])
 
 
-def _distances_2x2_quarter(diff: np.ndarray) -> np.ndarray:
-    """(1/4)||M||_1 for a batch of Hermitian 2x2 matrices M (closed form)."""
-    tr = (diff[..., 0, 0] + diff[..., 1, 1]).real
-    det = (
-        diff[..., 0, 0] * diff[..., 1, 1] - diff[..., 0, 1] * diff[..., 1, 0]
-    ).real
-    s = np.sqrt(np.maximum(tr**2 - 4 * det, 0.0))
-    return 0.25 * np.maximum(np.abs(tr), s)
-
-
-def _local_trace_distances(diff: np.ndarray) -> np.ndarray:
-    """(1/2)||M||_1 for a batch of Hermitian d_A x d_A matrices M: the 2x2
-    closed form for a qubit, eigvalsh otherwise."""
+def local_trace_distances(diff: np.ndarray) -> np.ndarray:
+    """(1/2)||M||_1 for a batch of Hermitian d_A x d_A matrices M. For a
+    qubit, M = (tr M + m.sigma)/2 has eigenvalues (tr M +- |m|)/2, so
+    ||M||_1 = max(|tr M|, |m|); eigvalsh otherwise."""
     if diff.shape[-1] == 2:
-        return 2.0 * _distances_2x2_quarter(diff)
+        tr = (diff[..., 0, 0] + diff[..., 1, 1]).real
+        m = np.linalg.norm(pauli_vector(diff), axis=-1)
+        return 0.5 * np.maximum(np.abs(tr), m)
     return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
 
 
@@ -157,7 +154,7 @@ def run_local_detection(
     it by D = (1/2)||Delta||_1."""
     delta = dephasing_delta(state, basis)
     margs = evo.marginal_series([delta], state.dims, grid.samples)
-    return WitnessSeries(grid.samples, _local_trace_distances(margs[0]),
+    return WitnessSeries(grid.samples, local_trace_distances(margs[0]),
                          bound_ref=0.5 * trace_norm_hermitian(delta))
 
 
@@ -184,16 +181,15 @@ def run_minimized_detection(
     the grid. It does not seed the refinement, which therefore never ends
     above the grid search's own result.
     """
-    if state.dims.d_a != 2:
-        raise ValueError("basis-grid minimization is defined for d_A = 2 only")
     bases = bases or BasisGrid()
+    # refuses d_A != 2 before any evolution
     bound, bound_basis = measures.minimal_dephasing_disturbance(state, bases)
     conj = [local_sandwich(PAULI[a], state.rho, PAULI[b], state.dims)
             for a, b in _PAIRS]
     margs = evo.marginal_series(
         [state.rho] + [(m + m.conj().T) / 2 for m in conj], state.dims, grid.samples
     )
-    paulis = np.einsum("aji,stij->sta", PAULI, margs).real / 2  # tr(sigma_a X)/2
+    paulis = pauli_vector(margs) / 2
     r_t, s_t = paulis[0], paulis[1:].transpose(1, 0, 2)  # (T, 3), (T, 6, 3)
 
     start = measures._basis_angles(local_eigenbasis(state)[0])
@@ -231,10 +227,8 @@ def classical_correlation_witness(
         perturbation = np.array([[0, 1], [1, 0]], dtype=complex)
     delta = state.rho - apply_local_unitary(state, perturbation).rho
     margs = evo.marginal_series([delta], state.dims, grid.samples)
-    d_t = _local_trace_distances(margs[0])
-    series = WitnessSeries(grid.samples, d_t)
-    detected = bool(np.max(d_t) > d_t[0] + 1e-9)
-    return series, detected
+    series = WitnessSeries(grid.samples, local_trace_distances(margs[0]))
+    return series, bool(series.d_max > series.d_t[0] + 1e-9)
 
 
 def haar_coefficient(dims: BipartitionDims) -> float:

@@ -70,12 +70,18 @@ def computational_basis(dim: int) -> ProjectiveBasis:
     return ProjectiveBasis(np.eye(dim, dtype=complex))
 
 
+def qubit_kets(angles) -> np.ndarray:
+    """Unitaries (..., 2, 2) for Bloch angles (..., 2): column 0 is the ket
+    cos(theta/2)|0> + e^{i phi} sin(theta/2)|1> and column 1 its antipode."""
+    angles = np.asarray(angles, dtype=float)
+    c, s = np.cos(angles[..., 0] / 2), np.sin(angles[..., 0] / 2)
+    e = np.exp(1j * angles[..., 1])
+    return np.stack([c, -s * e.conj(), s * e, c], axis=-1).reshape(c.shape + (2, 2))
+
+
 def qubit_basis(theta: float, phi: float) -> ProjectiveBasis:
     """Qubit basis from Bloch angles of the first basis vector."""
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    e = np.exp(1j * phi)
-    v = np.array([[c, -s * e.conjugate()], [s * e, c]], dtype=complex)
-    return ProjectiveBasis(v)
+    return ProjectiveBasis(qubit_kets([theta, phi]))
 
 
 def zero_discord_state(weights, basis_a: ProjectiveBasis, states_b) -> BipartiteState:

@@ -88,6 +88,12 @@ def local_sandwich(left: np.ndarray, rho: np.ndarray, right: np.ndarray,
     return out.reshape(dims.total, dims.total)
 
 
+def pauli_vector(x: np.ndarray) -> np.ndarray:
+    """tr(sigma_a X) for a = x, y, z over a batch (..., 2, 2) of Hermitian
+    matrices, so that X = (tr X + m.sigma) / 2; shape (..., 3), real."""
+    return np.einsum("aji,...ij->...a", PAULI, x).real
+
+
 def partial_transpose_a(rho: np.ndarray, dims: BipartitionDims) -> np.ndarray:
     rho = require_square(rho)
     dims.check(rho)

@@ -10,18 +10,21 @@ witnesses from two separately evolved states, the emission model on
 the full atom (x) modes space, the spin-chain Hamiltonian from dense
 Pauli strings and its parity as the dense operator (x) sigma_y, the
 spin-chain autocorrelation from its definition, the dense photon state with
-its coherence decay and the closed-form Michelson propagator. Small helpers
-only the tests use (partial trace over A, purity, squared HS distance) live
-here too.
+its coherence decay, the closed-form Michelson propagator, the ion state
+prepared as a full-matrix conjugation and the emission signal from the
+eigenvector row formula. Small helpers only the tests use (partial trace
+over A, purity, squared HS distance) live here too.
 """
 
 import numpy as np
+from scipy.linalg import expm
 
 from conftest import SX, SY, SZ
 from discord_probe.measures import BasisGrid, _basis_angles, bloch_vectors
-from discord_probe.protocol import EvolutionSpec, _distances_2x2_quarter
-from discord_probe.states import BipartiteState, local_eigenbasis
-from discord_probe.tensor import BipartitionDims, kron, partial_trace_b, require_square
+from discord_probe.protocol import EvolutionSpec
+from discord_probe.states import BipartiteState, local_eigenbasis, thermal_fock_state
+from discord_probe.tensor import (BipartitionDims, evolve, kron, partial_trace_b,
+                                  require_square)
 
 
 def partial_trace_a(rho: np.ndarray, dims: BipartitionDims) -> np.ndarray:
@@ -78,13 +81,37 @@ def local_unitary_kron(state: BipartiteState, u_a: np.ndarray) -> np.ndarray:
 def two_state_distances(evo: EvolutionSpec, rho: np.ndarray, sigma: np.ndarray,
                         dims: BipartitionDims, times: np.ndarray) -> np.ndarray:
     """(1/2)||Tr_B U(t) rho U(t)^dag - Tr_B U(t) sigma U(t)^dag||_1 per time,
-    from the two states evolved apart as full matrices: the dephasing witness
-    for sigma = Phi(rho), the comparison witness for a rotated copy."""
-    return np.array([
-        0.5 * trace_norm(partial_trace_b(evo.evolve_state(rho, t), dims)
-                         - partial_trace_b(evo.evolve_state(sigma, t), dims))
-        for t in times
-    ])
+    from the two states evolved apart as full matrices with U(t) = expm(-iHt):
+    the dephasing witness for sigma = Phi(rho), the comparison witness for a
+    rotated copy."""
+    out = []
+    for t in times:
+        u = expm(-1j * evo.hamiltonian * t)
+        out.append(0.5 * trace_norm(partial_trace_b(u @ rho @ u.conj().T, dims)
+                                    - partial_trace_b(u @ sigma @ u.conj().T, dims)))
+    return np.array(out)
+
+
+def prepare_ion_state_dense(p, t0: float) -> np.ndarray:
+    """Blue-sideband preparation of `IonParams` p as U(t0) rho0 U(t0)^dag on
+    the full matrix rho0 = |g><g| (x) thermal motion."""
+    from discord_probe.model_ion import build_hamiltonian
+
+    rho0 = kron(np.diag([1.0, 0.0]), thermal_fock_state(p.nbar, p.n_max))
+    return evolve(rho0, build_hamiltonian(p), t0)
+
+
+def emission_row_signal(p, t0: float, t1: float) -> tuple:
+    """Emission amplitudes U(t0)|e,0> and local signal of `EmissionParams` p
+    from one eigh of the sector Hamiltonian, with the row <e,0| U(t1 - t0)
+    formed from the eigenvectors."""
+    from discord_probe.model_emission import sector_hamiltonian
+
+    w, v = np.linalg.eigh(sector_hamiltonian(p))
+    psi = v @ (np.exp(-1j * w * t0) * v[0, :].conj())
+    row = (v[0] * np.exp(-1j * w * (t1 - t0))) @ v.conj().T
+    signal = abs(2 * (psi[0] * row[0] * np.conj(row[1:] @ psi[1:])).real)
+    return psi, signal
 
 
 def full_space_hamiltonian(p) -> np.ndarray:
@@ -247,7 +274,8 @@ def minimized_series(state: BipartiteState, evo, times: np.ndarray,
         def batch(ang):
             n = bloch_vectors(ang)
             pin = np.einsum("ga,gb,abij->gij", n, n, m_t[:, :, ti], optimize=True)
-            return _distances_2x2_quarter(r_t[ti][None] - pin)
+            w = np.linalg.eigvalsh(r_t[ti][None] - pin)
+            return 0.25 * np.sum(np.abs(w), axis=-1)
 
         vals = batch(angles)
         k = int(np.argmin(vals))

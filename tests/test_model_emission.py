@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import full_space_hamiltonian
+from oracles import emission_row_signal, full_space_hamiltonian
 from discord_probe import model_emission
 from discord_probe.states import BipartiteState, computational_basis, dephase
 from discord_probe.tensor import (
@@ -183,6 +183,16 @@ class TestLocalSignal:
             for t0 in (0.5, 1.0, 2.0)
         )
         assert structured >= 5 * flat
+
+    @pytest.mark.parametrize("structured", [False, True])
+    def test_matches_row_formula(self, structured):
+        p = FAST if not structured else model_emission.structured_params(FAST)
+        for t0, t1 in ((0.0, 0.5), (0.4, 0.8), (1.3, 2.6), (2.0, 7.5)):
+            psi, signal = emission_row_signal(p, t0, t1)
+            amp = model_emission.single_excitation_evolve(p, t0)
+            assert abs(amp.u00 - psi[0]) <= 1e-12
+            assert np.max(np.abs(amp.uk0 - psi[1:])) <= 1e-12
+            assert abs(model_emission.emission_local_signal(p, t0, t1) - signal) <= 1e-12
 
     def test_rejects_reversed_times(self):
         with pytest.raises(ValueError):

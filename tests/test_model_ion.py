@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import prepare_ion_state_dense
 from discord_probe import model_ion
 from discord_probe.measures import dephasing_disturbance
 from discord_probe.protocol import TimeGrid
@@ -89,6 +90,13 @@ class TestPrepareState:
             s = model_ion.prepare_state(p, t / p.omega0)
             m = s.marginal_a
             assert abs(m[0, 1]) <= 1e-10
+
+    @pytest.mark.parametrize("nbar", [0.0, 5.9])
+    def test_matches_dense_conjugation(self, nbar):
+        p = model_ion.IonParams(nbar=nbar)
+        for t0 in (0.0, 0.7 / p.omega0, 3.1 / p.omega0):
+            s = model_ion.prepare_state(p, t0)
+            assert np.max(np.abs(s.rho - prepare_ion_state_dense(p, t0))) <= 1e-12
 
     def test_four_term_expansion(self):
         # rho(t0) = sum_n p_n (cos^2 |g,n><g,n| + sincos cross + sin^2 |e,n+1><e,n+1|)

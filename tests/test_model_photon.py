@@ -115,6 +115,18 @@ class TestClosedForms:
             val, abs=1e-4
         )
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "the quadrature replaces |sin| beyond x = 200 by its mean 2/pi: D is "
+        "off the closed form by 3.5e-6, 1.0e-6 and -5.5e-7 at t = 0.25, 1, 2"))
+    def test_disturbance_closed_form(self):
+        # int_0^inf |sin(a x)|/(1 + x^2) dx = 2 sinh(a) artanh(e^-a), so
+        # D = (4 beta / pi) sinh(a) artanh(e^-a) with a = delta_omega t_prep
+        for t in (0.25, 1.0, 2.0):
+            p = model_photon.PhotonParams(t_prep=t)
+            a = p.delta_omega * p.t_prep
+            exact = 4 * p.beta / np.pi * np.sinh(a) * np.arctanh(np.exp(-a))
+            assert abs(model_photon.analytic_disturbance_photon(p) - exact) <= 1e-9
+
 
 class TestSimulation:
     def test_matches_continuum(self):
@@ -181,12 +193,12 @@ class TestMichelson:
             assert np.max(np.abs(rotated.d_t - base.d_t)) <= 1e-9
 
     def test_propagator_matches_generator(self):
+        # the columns of U(tau) evolved from the generator's spectrum
         p = model_photon.PhotonParams(**SMALL)
-        evo = michelson_evolution(p)
-        for tau in (0.0, 0.8):
-            u1 = michelson_propagator(p, tau)
-            u2 = evo.propagator_at(tau)
-            assert np.max(np.abs(u1 - u2)) <= 1e-9
+        taus = (0.0, 0.8)
+        u = michelson_evolution(p).evolve_vectors(np.eye(2 * p.grid_points), taus)
+        for ti, tau in enumerate(taus):
+            assert np.max(np.abs(michelson_propagator(p, tau) - u[:, :, ti])) <= 1e-9
 
 
 class TestDiscreteAncilla:

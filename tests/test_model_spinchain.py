@@ -6,6 +6,7 @@ import pytest
 from conftest import SY
 from oracles import autocorrelation_direct, chain_hamiltonian_dense, parity_operator
 from discord_probe import model_spinchain
+from discord_probe.cli import execute
 from discord_probe.measures import dephasing_disturbance, negativity, trace_distance
 from discord_probe.protocol import TimeGrid
 from discord_probe.states import BipartiteState
@@ -16,6 +17,22 @@ def params(**kw):
     base = dict(n_spins=5, alpha=1.0, j0=1.0, b_field=1.0)
     base.update(kw)
     return model_spinchain.ChainParams(**base)
+
+
+@pytest.mark.parametrize("cfg", [
+    {"n_spins": 5, "kT": 0.1},
+    {"n_spins": 5, "b_field": 0.7},
+], ids=["thermal", "ground"])
+def test_point_builds_one_hamiltonian(cfg, monkeypatch, tmp_path):
+    # spectral() diagonalizes once and its EvolutionSpec serves every stage
+    built = []
+    build = model_spinchain.build_chain_hamiltonian
+    monkeypatch.setattr(model_spinchain, "build_chain_hamiltonian",
+                        lambda p: built.append(p) or build(p))
+    execute({"model": "spinchain", "params": cfg,
+             "time_grid": {"t_max": 5.0, "points": 20},
+             "basis_grid": {"n_theta": 6, "n_phi": 12}}, str(tmp_path))
+    assert len(built) == 1
 
 
 class TestHamiltonian:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from conftest import (
     SX,
@@ -36,6 +37,7 @@ from discord_probe.protocol import (
     classical_correlation_witness,
     haar_average_estimate,
     haar_coefficient,
+    local_trace_distances,
     run_local_detection,
     run_minimized_detection,
 )
@@ -99,6 +101,51 @@ class TestEvolutionSpec:
             direct = partial_trace_b(evolve(rho, h, t), dims)
             assert np.max(np.abs(out[0, ti] - direct)) <= 1e-10
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 12), st.integers(1, 3))
+    def test_evolve_vectors_matches_expm(self, seed, d, k):
+        rng = np.random.default_rng(seed)
+        h = random_hermitian(d, rng)
+        vecs = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
+        times = np.concatenate([[0.0], rng.uniform(-3.0, 3.0, 3)])
+        out = EvolutionSpec(hamiltonian=h).evolve_vectors(vecs, times)
+        assert out.shape == (d, k, len(times))
+        for ti, t in enumerate(times):
+            assert np.max(np.abs(out[:, :, ti] - expm(-1j * h * t) @ vecs)) <= 1e-12
+
+    def test_given_spectrum_is_used(self, rng):
+        h = random_hermitian(4, rng)
+        w, v = np.linalg.eigh(h)
+        evo = EvolutionSpec(hamiltonian=h, spectrum=(w, v))
+        assert evo.spectral()[1] is v
+
+
+class TestLocalTraceDistances:
+    @staticmethod
+    def _eigvalsh_distances(m):
+        return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(m)), axis=-1)
+
+    @pytest.mark.parametrize("traceless", [False, True])
+    @pytest.mark.parametrize("scale", [1.0, 1e-16])
+    def test_qubit_matches_eigvalsh(self, rng, traceless, scale):
+        m = np.stack([random_hermitian(2, rng) for _ in range(200)]) * scale
+        if traceless:
+            m -= np.trace(m, axis1=1, axis2=2)[:, None, None] * np.eye(2) / 2
+        ref = self._eigvalsh_distances(m)
+        assert np.max(np.abs(local_trace_distances(m) - ref)) <= 1e-14 * scale
+
+    def test_qubit_rank_one(self, rng):
+        psi = rng.standard_normal((50, 2)) + 1j * rng.standard_normal((50, 2))
+        sign = rng.choice([-1.0, 1.0], 50)[:, None, None]
+        m = sign * np.einsum("ti,tj->tij", psi, psi.conj())
+        ref = self._eigvalsh_distances(m)
+        assert np.max(np.abs(local_trace_distances(m) - ref)) <= 1e-14 * np.max(ref)
+
+    def test_qutrit_is_eigvalsh(self, rng):
+        m = np.stack([random_hermitian(3, rng) for _ in range(20)])
+        ref = [0.5 * trace_norm(x) for x in m]
+        assert np.max(np.abs(local_trace_distances(m) - ref)) <= 1e-13
+
 
 class TestWitnessSeries:
     def test_bound_enforced(self):
@@ -112,6 +159,13 @@ class TestWitnessSeries:
     def test_maxima(self):
         s = WitnessSeries(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.3, 0.1]))
         assert s.d_max == 0.3 and s.argmax_time == 1.0
+
+    def test_argmax_time_ignores_rounding_noise(self, rng):
+        # a series that is zero in exact arithmetic: no sample is picked out
+        noise = np.abs(rng.standard_normal(50)) * 1e-16
+        times = np.linspace(0.0, 10.0, 50)
+        for _ in range(20):
+            assert WitnessSeries(times, rng.permutation(noise)).argmax_time == 0.0
 
 
 class TestRunLocalDetection:

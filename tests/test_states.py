@@ -24,10 +24,11 @@ from discord_probe.states import (
     haar_unitary,
     local_eigenbasis,
     qubit_basis,
+    qubit_kets,
     thermal_fock_state,
     zero_discord_state,
 )
-from discord_probe.tensor import BipartitionDims, kron
+from discord_probe.tensor import PAULI, BipartitionDims, kron
 
 D22 = BipartitionDims(2, 2)
 
@@ -63,6 +64,18 @@ class TestProjectiveBasis:
         b = qubit_basis(np.pi / 2, 0.0)
         plus = np.array([1, 1]) / np.sqrt(2)
         assert abs(abs(plus @ b.vectors[:, 0]) - 1) <= 1e-12
+
+    def test_qubit_kets_batch(self, rng):
+        # one formula: a batch of kets is the stack of the single bases, and
+        # column 0 has Bloch vector (sin t cos p, sin t sin p, cos t)
+        angles = rng.uniform(0, np.pi, (7, 2)) * [1, 2]
+        kets = qubit_kets(angles)
+        for a, u in zip(angles, kets):
+            assert np.array_equal(u, qubit_basis(*a).vectors)
+            n = np.real([u[:, 0].conj() @ s @ u[:, 0] for s in PAULI])
+            assert np.allclose(n, [np.sin(a[0]) * np.cos(a[1]),
+                                   np.sin(a[0]) * np.sin(a[1]), np.cos(a[0])],
+                               atol=1e-14)
 
 
 class TestZeroDiscord:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from conftest import SX, SY, SZ, random_density, random_hermitian
 from oracles import partial_trace_a, trace_norm
 from discord_probe.tensor import (
+    PAULI,
     BipartitionDims,
     eig_hermitian,
     evolve,
@@ -15,6 +16,7 @@ from discord_probe.tensor import (
     local_sandwich,
     partial_trace_b,
     partial_transpose_a,
+    pauli_vector,
     require_hermitian,
     require_unitary,
     trace_norm_hermitian,
@@ -109,6 +111,18 @@ class TestLocalSandwich:
     def test_rejects_split_mismatch(self, rng):
         with pytest.raises(ValueError):
             local_sandwich(SX, random_density(6, rng), SX, D22)
+
+
+class TestPauliVector:
+    def test_reconstructs_matrix(self, rng):
+        m = np.stack([random_hermitian(2, rng) for _ in range(10)])
+        vec = pauli_vector(m)
+        tr = np.trace(m, axis1=1, axis2=2)
+        back = (tr[:, None, None] * I2 + np.einsum("ta,aij->tij", vec, PAULI)) / 2
+        assert vec.shape == (10, 3) and np.max(np.abs(back - m)) <= 1e-14
+
+    def test_pauli_basis(self):
+        assert np.array_equal(pauli_vector(PAULI), 2 * np.eye(3))
 
 
 class TestPartialTranspose:
