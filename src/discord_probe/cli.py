@@ -249,12 +249,12 @@ def _run_emission(cfg: dict, out_dir: str) -> dict:
     p = model_emission.EmissionParams(**kw)
     if structured:
         p = model_emission.structured_params(p)
-    grid = _time_grid(cfg, 3.0 / 1.0, 31)
-    t0s = grid.samples[1:]
-    neg = np.array([model_emission.transient_negativity(p, t) for t in t0s])
-    sig = np.array(
-        [model_emission.emission_local_signal(p, t, 2 * t) for t in t0s]
-    )
+    t0s = _time_grid(cfg, 3.0 / 1.0, 31).samples[1:]
+    if len(t0s) == 0:
+        raise ValueError("emission time grid needs at least 2 points: its "
+                         "nonzero samples are the preparation times")
+    neg = model_emission.transient_negativity(p, t0s)
+    sig = model_emission.emission_local_signal(p, t0s, 2 * t0s)
     _write_csv(os.path.join(out_dir, "series.csv"),
                {"time": t0s, "negativity": neg, "local_signal": sig})
     return {

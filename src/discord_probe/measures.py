@@ -95,6 +95,8 @@ def _block_disturbance(rho: np.ndarray, d_b: int, angles: np.ndarray) -> np.ndar
 
 def _basis_angles(basis: ProjectiveBasis) -> np.ndarray:
     """Bloch angles (1, 2) of a qubit basis, folded into theta <= pi/2."""
+    if basis.dim != 2:
+        raise ValueError("basis-grid minimization is defined for d_A = 2 only")
     v0, v1 = basis.vectors[:, 0]
     xy, z = 2 * v0.conjugate() * v1, abs(v0) ** 2 - abs(v1) ** 2
     sign = -1.0 if z < 0 else 1.0  # n and -n give the same basis
@@ -127,9 +129,15 @@ def _minimize_over_bloch(f, grid: BasisGrid, start: np.ndarray):
     return best_val, best_ang
 
 
-def minimal_dephasing_disturbance(
-    state: BipartiteState, grid: BasisGrid | None = None
-):
+def _minimal_disturbance(state: BipartiteState, grid: BasisGrid, start: np.ndarray):
+    """(min D(n), argmin basis) over the grid plus the `start` angles (S, 2)."""
+    val, ang = _minimize_over_bloch(
+        lambda a: _block_disturbance(state.rho, state.dims.d_b, a[0])[None],
+        grid, start)
+    return float(val[0]), qubit_basis(ang[0, 0], ang[0, 1])
+
+
+def minimal_dephasing_disturbance(state: BipartiteState, grid: BasisGrid | None = None):
     """Grid minimum of the basis-dependent dephasing disturbance for a qubit
     probe, with local refinement around the incumbent.
 
@@ -137,10 +145,5 @@ def minimal_dephasing_disturbance(
     makes the result exact for pure states and never above the plain
     dephasing disturbance. Returns (value, argmin basis).
     """
-    if state.dims.d_a != 2:
-        raise ValueError("basis-grid minimization is defined for d_A = 2 only")
-    grid = grid or BasisGrid()
-    val, ang = _minimize_over_bloch(
-        lambda a: _block_disturbance(state.rho, state.dims.d_b, a[0])[None],
-        grid, _basis_angles(local_eigenbasis(state)[0]))
-    return float(val[0]), qubit_basis(ang[0, 0], ang[0, 1])
+    start = _basis_angles(local_eigenbasis(state)[0])
+    return _minimal_disturbance(state, grid or BasisGrid(), start)

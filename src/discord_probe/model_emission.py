@@ -1,10 +1,11 @@
-"""Spontaneous emission into a discretized flat band: single-excitation
-dynamics, transient atom-field negativity and the (null) local signal."""
+"""Spontaneous emission into a discretized flat band. In the single-excitation
+sector the transient atom-field negativity and the (null) local signal are
+functions of one number, the survival amplitude a(t) = <e,0|U(t)|e,0>."""
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -25,6 +26,8 @@ class EmissionParams:
     def __post_init__(self):
         if self.n_modes < 2 or self.n_modes % 2 == 0:
             raise ValueError("need an odd mode count >= 3")
+        if not self.half_bandwidth > 0:
+            raise ValueError("half_bandwidth must be positive")
         if self.coupling is None:
             # rate 1 by construction: Gamma = 2 pi g^2 density
             g = float(np.sqrt(1.0 / (2 * np.pi * self.mode_density)))
@@ -61,17 +64,6 @@ class EmissionParams:
             )
 
 
-@dataclass(frozen=True)
-class AmplitudeSet:
-    u00: complex
-    uk0: np.ndarray
-
-    def __post_init__(self):
-        norm = abs(self.u00) ** 2 + float(np.sum(np.abs(self.uk0) ** 2))
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"single-excitation norm {norm} deviates from 1")
-
-
 def sector_hamiltonian(p: EmissionParams) -> np.ndarray:
     """Hamiltonian on the single-excitation sector; index 0 is |e,0>,
     index k >= 1 is |g,k>."""
@@ -90,52 +82,58 @@ def _sector_evolution(p: EmissionParams) -> EvolutionSpec:
     return EvolutionSpec(sector_hamiltonian(p))
 
 
-def _evolve_excited(p: EmissionParams, t: float) -> np.ndarray:
-    """U(t)|e,0> in the sector basis."""
-    return _sector_evolution(p).evolve_vectors(np.eye(p.n_modes + 1, 1), [t])[:, 0, 0]
-
-
-def single_excitation_evolve(p: EmissionParams, t: float) -> AmplitudeSet:
-    """Exact sector evolution of |e,0>."""
-    if t < 0:
+def survival_amplitude(p: EmissionParams, t):
+    """a(t) = <e,0|U(t)|e,0> = sum_k q_k exp(-i w_k t), q_k = |V_0k|^2 over the
+    sector spectrum (w, V), and the one-photon weight 1 - |a|^2, broadcast over
+    t. The weight is 4 sum_k q_k sin^2(w~_k t/2) - |a~ - 1|^2 for the centred
+    w~ = w - sum q w (|a~| = |a|), not a difference of numbers near 1."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise ValueError("time must be nonnegative")
     p.check_regime()
-    psi = _evolve_excited(p, t)
-    return AmplitudeSet(complex(psi[0]), psi[1:])
+    w, v = _sector_evolution(p).spectral()
+    q = np.abs(v[0]) ** 2
+    if abs(q.sum() - 1.0) > 1e-10:
+        raise ValueError(f"spectral weights of |e,0> sum to {q.sum()}, not 1")
+    mean = q @ w
+    arg = np.multiply.outer(t, w - mean)
+    centred = np.exp(-1j * arg) @ q
+    weight = 4 * np.sin(arg / 2) ** 2 @ q - np.abs(centred - 1) ** 2
+    return centred * np.exp(-1j * mean * t), np.maximum(weight, 0.0)
 
 
 def embedded_pure_state(p: EmissionParams, t0: float) -> BipartiteState:
-    """Dense atom (x) field density matrix of the transient pure state (field:
-    vacuum plus n one-photon states), the reference for transient_negativity."""
-    amp = single_excitation_evolve(p, t0)
+    """Dense atom (x) field density matrix of U(t0)|e,0> (field: vacuum plus
+    n one-photon states), the reference for transient_negativity."""
+    sector = _sector_evolution(p).evolve_vectors(np.eye(p.n_modes + 1, 1), [t0])[:, 0, 0]
     nf = p.n_modes + 1
     psi = np.zeros(2 * nf, dtype=complex)
-    psi[nf] = amp.u00            # |e> (x) |vac>, atom index 1 is |e>
-    psi[1 : p.n_modes + 1] = amp.uk0  # |g> (x) |k>
+    psi[nf] = sector[0]   # |e> (x) |vac>, atom index 1 is |e>
+    psi[1:nf] = sector[1:]  # |g> (x) |k>
     return BipartiteState(np.outer(psi, psi.conj()), BipartitionDims(2, nf))
 
 
-def transient_negativity(p: EmissionParams, t0: float) -> float:
-    """Negativity of |e>(x)u00|vac> + |g>(x)sum_k u_k0|k>: |vac> is orthogonal
-    to every |k>, so |u00| and ||u_k0|| are the Schmidt coefficients and the
+def transient_negativity(p: EmissionParams, t0):
+    """Negativity of |e>(x)a|vac> + |g>(x)sum_k u_k|k>: |vac> is orthogonal
+    to every |k>, so |a| and ||u_k|| are the Schmidt coefficients and the
     negativity is their product (Vidal & Werner, PRA 65, 032314 (2002))."""
-    amp = single_excitation_evolve(p, t0)
-    return abs(amp.u00) * float(np.linalg.norm(amp.uk0))
+    a, weight = survival_amplitude(p, t0)
+    return np.abs(a) * np.sqrt(weight)
 
 
-def emission_local_signal(p: EmissionParams, t0: float, t1: float) -> float:
+def emission_local_signal(p: EmissionParams, t0, t1):
     """Local detection protocol: dephase the atom in {|e>,|g>} at t0, evolve
-    to t1 and compare atomic marginals.
-
-    The atomic marginal is diagonal in {|e>,|g>} throughout (the dephasing
-    difference holds only |e,0><g,k| cross terms), so the trace distance is
-    the excited-population deviation.
-    """
-    if t1 < t0:
+    to t1 and compare atomic marginals. The marginal stays diagonal, so the
+    distance is the excited-population deviation <e,0|U Delta U^dag|e,0>,
+    U = U(t1 - t0), Delta = a(t0)|e,0><phi| + h.c., |phi> = sum_k u_k|g,k>.
+    As <e,0|U|phi> = a(t1) - a(t1 - t0) a(t0), it vanishes wherever a obeys
+    the semigroup law a(t0 + tau) = a(tau) a(t0) of memoryless decay."""
+    t0, t1 = np.asarray(t0, dtype=float), np.asarray(t1, dtype=float)
+    if np.any(t1 < t0):
         raise ValueError("detection time must not precede preparation time")
-    amp = single_excitation_evolve(p, t0)
-    row = _evolve_excited(p, t0 - t1).conj()  # <e,0| U(t1 - t0)
-    return abs(2 * (amp.u00 * row[0] * np.conj(row[1:] @ amp.uk0)).real)
+    times = np.stack(np.broadcast_arrays(t0, t1 - t0, t1))
+    a0, a_tau, a1 = survival_amplitude(p, times)[0]
+    return np.abs(2 * (a0 * a_tau * np.conj(a1 - a_tau * a0)).real)
 
 
 def structured_params(p: EmissionParams) -> EmissionParams:
@@ -144,10 +142,4 @@ def structured_params(p: EmissionParams) -> EmissionParams:
     mask = tuple(
         0.0 if f > p.atomic_gap else 1.0 for f in p.mode_frequencies()
     )
-    return EmissionParams(
-        n_modes=p.n_modes,
-        half_bandwidth=p.half_bandwidth,
-        coupling=p.coupling,
-        atomic_gap=p.atomic_gap,
-        coupling_mask=mask,
-    )
+    return replace(p, coupling_mask=mask)

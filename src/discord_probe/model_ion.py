@@ -3,7 +3,7 @@ coupling and the closed-form local witness signals."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import eval_genlaguerre
@@ -26,6 +26,8 @@ class IonParams:
     lamb_dicke_limit: bool = True
 
     def __post_init__(self):
+        if not self.omega > 0:
+            raise ValueError("Rabi frequency omega must be positive")
         if self.eta <= 0:
             raise ValueError("Lamb-Dicke parameter must be positive")
         if self.nbar < 0:
@@ -116,10 +118,7 @@ def signal_vs_temperature(p: IonParams, nbar_list) -> list:
     number."""
     out = []
     for nbar in nbar_list:
-        q = IonParams(
-            omega=p.omega, eta=p.eta, nbar=float(nbar),
-            lamb_dicke_limit=p.lamb_dicke_limit,
-        )
+        q = replace(p, nbar=float(nbar))
         t = np.pi / (2 * q.omega0)
         out.append((float(nbar), analytic_local_distance(q, t, t)))
     return out

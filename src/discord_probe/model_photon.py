@@ -25,6 +25,10 @@ class PhotonParams:
     def __post_init__(self):
         if not 0.0 <= self.beta <= 0.5:
             raise ValueError("coherence amplitude must lie in [0, 1/2]")
+        if not self.delta_omega > 0:
+            raise ValueError("Lorentzian half-width delta_omega must be positive")
+        if not self.t_prep >= 0:
+            raise ValueError("preparation time t must be nonnegative")
         if self.grid_points < 101 or self.grid_points % 2 == 0:
             raise ValueError("frequency grid needs an odd point count >= 101")
         if self.grid_span < 40:

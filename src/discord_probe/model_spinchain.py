@@ -26,6 +26,8 @@ class ChainParams:
             raise ValueError("chain length must lie in [2, 12]")
         if self.alpha <= 0 or self.j0 <= 0:
             raise ValueError("alpha and J0 must be positive")
+        if not self.kT >= 0:
+            raise ValueError("temperature kT must be nonnegative")
 
     @property
     def dims(self) -> BipartitionDims:

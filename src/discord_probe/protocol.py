@@ -22,7 +22,6 @@ from .states import (
 from .tensor import (
     PAULI,
     BipartitionDims,
-    eig_hermitian,
     local_sandwich,
     partial_trace_b,
     pauli_vector,
@@ -62,8 +61,8 @@ class EvolutionSpec:
         self.hamiltonian = require_hermitian(self.hamiltonian)
 
     def spectral(self):
-        if self.spectrum is None:
-            self.spectrum = eig_hermitian(self.hamiltonian)
+        if self.spectrum is None:  # the generator was checked on construction
+            self.spectrum = np.linalg.eigh(self.hamiltonian)
         return self.spectrum
 
     def evolve_vectors(self, vecs, times) -> np.ndarray:
@@ -181,9 +180,9 @@ def run_minimized_detection(
     the grid. It does not seed the refinement, which therefore never ends
     above the grid search's own result.
     """
+    start = measures._basis_angles(local_eigenbasis(state)[0])  # refuses d_A != 2
     bases = bases or BasisGrid()
-    # refuses d_A != 2 before any evolution
-    bound, bound_basis = measures.minimal_dephasing_disturbance(state, bases)
+    bound, bound_basis = measures._minimal_disturbance(state, bases, start)
     conj = [local_sandwich(PAULI[a], state.rho, PAULI[b], state.dims)
             for a, b in _PAIRS]
     margs = evo.marginal_series(
@@ -192,7 +191,6 @@ def run_minimized_detection(
     paulis = pauli_vector(margs) / 2
     r_t, s_t = paulis[0], paulis[1:].transpose(1, 0, 2)  # (T, 3), (T, 6, 3)
 
-    start = measures._basis_angles(local_eigenbasis(state)[0])
     n_star = measures._basis_angles(bound_basis)
     # time chunks of at most about 2**17 (axis, time) pairs bound the memory
     chunk = max(1, 2**17 // (len(bases.angles()) + len(start)))

@@ -22,6 +22,24 @@ README_SWEEPS = re.findall(r"discord-probe sweep (configs/\S+\.yaml) --axis (\w+
 DEGENERATE_CHAIN = {"model": "spinchain", "params": {"n_spins": 4, "b_field": 0.001},
                     "time_grid": {"t_max": 12.0, "points": 40}}
 
+# (model, section, field, value, message): values that convert but that the
+# model cannot take; each run exits 4 with one line naming the field
+OUT_OF_RANGE = [
+    ("spinchain", "params", "n_spins", 13, "chain length must lie in [2, 12]"),
+    ("spinchain", "params", "kT", -0.1, "temperature kT must be nonnegative"),
+    ("ion", "params", "omega", 0, "Rabi frequency omega must be positive"),
+    ("ion", "params", "omega", -1.0, "Rabi frequency omega must be positive"),
+    ("photon-cv", "params", "delta_omega", 0,
+     "Lorentzian half-width delta_omega must be positive"),
+    ("photon-cv", "params", "delta_omega", -1.0,
+     "Lorentzian half-width delta_omega must be positive"),
+    ("photon-cv", "params", "t", -1, "preparation time t must be nonnegative"),
+    ("emission", "params", "half_bandwidth", 0, "half_bandwidth must be positive"),
+    ("emission", "params", "half_bandwidth", -20, "half_bandwidth must be positive"),
+    ("emission", "time_grid", "points", 1, "emission time grid needs at least 2 "
+     "points: its nonzero samples are the preparation times"),
+]
+
 
 def write_config(path, cfg):
     path.write_text(yaml.safe_dump(cfg))
@@ -35,6 +53,11 @@ class TestCanonicalConfigs:
         p.name for p in CONFIGS] + [f"bench-{p.name}" for p in BENCH_CONFIGS])
     def test_loads_with_known_params(self, path):
         parse(load_config(str(path)))
+
+    @pytest.mark.parametrize("path", CONFIGS + BENCH_CONFIGS, ids=[
+        p.name for p in CONFIGS] + [f"bench-{p.name}" for p in BENCH_CONFIGS])
+    def test_runs(self, path, tmp_path):
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == 0
 
     def test_each_has_a_readme_sweep(self):
         assert len(CONFIGS) == 4
@@ -303,12 +326,14 @@ class TestModelErrors:
         err = capsys.readouterr().err
         assert err == "model error: ground state is (numerically) degenerate\n"
 
-    def test_out_of_range_param_exit_4(self, tmp_path, capsys):
-        # parameter classes check their own ranges; their ValueError is a model error
-        p = write_config(tmp_path / "c.yaml",
-                         {"model": "spinchain", "params": {"n_spins": 13}})
+    @pytest.mark.parametrize("model,section,field,value,message", OUT_OF_RANGE,
+                             ids=[f"{m}-{f}-{v}" for m, _, f, v, _ in OUT_OF_RANGE])
+    def test_out_of_range_param_exit_4(self, tmp_path, capsys, model, section, field,
+                                       value, message):
+        # parameter classes and runners check their own ranges: a model error
+        p = write_config(tmp_path / "c.yaml", {"model": model, section: {field: value}})
         assert main(["run", p, "--out-dir", str(tmp_path / "out")]) == 4
-        assert capsys.readouterr().err == "model error: chain length must lie in [2, 12]\n"
+        assert capsys.readouterr().err == f"model error: {message}\n"
 
     @pytest.mark.parametrize("field,value", [
         ("n_theta", 0), ("n_phi", 0), ("refine_rounds", -3)])

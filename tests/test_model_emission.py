@@ -32,31 +32,36 @@ class TestParams:
             bad.check_regime()
 
 
+def one_photon_populations(p, t):
+    """|u_k(t)|^2 per mode from the dense embedded state (|g> (x) |k>)."""
+    return np.diag(model_emission.embedded_pure_state(p, t).rho).real[1 : p.n_modes + 1]
+
+
 class TestSectorEvolution:
     def test_initial_amplitudes(self):
-        amp = model_emission.single_excitation_evolve(FAST, 0.0)
-        assert amp.u00 == pytest.approx(1.0)
-        assert np.max(np.abs(amp.uk0)) <= 1e-14
+        a, weight = model_emission.survival_amplitude(FAST, 0.0)
+        assert a == pytest.approx(1.0)
+        assert weight <= 1e-28
+        assert np.max(one_photon_populations(FAST, 0.0)) <= 1e-28
 
     def test_norm_conservation(self):
         for t in (0.3, 1.0, 2.7):
-            amp = model_emission.single_excitation_evolve(FAST, t)
-            norm = abs(amp.u00) ** 2 + np.sum(np.abs(amp.uk0) ** 2)
-            assert abs(norm - 1.0) <= 1e-8
+            a, weight = model_emission.survival_amplitude(FAST, t)
+            pops = one_photon_populations(FAST, t)
+            assert abs(abs(a) ** 2 + np.sum(pops) - 1.0) <= 1e-8
+            assert weight == pytest.approx(np.sum(pops), abs=1e-12)
 
     def test_exponential_decay(self):
         # past the short-time (sub-1/bandwidth) transient the decay is
         # exponential to a few percent at bandwidth = 20 rates
         p = model_emission.EmissionParams()
         for t in (0.5, 1.0, 2.0, 3.0):
-            amp = model_emission.single_excitation_evolve(p, t)
-            assert abs(abs(amp.u00) ** 2 - np.exp(-t)) <= 0.025 * np.exp(-t)
+            a, _ = model_emission.survival_amplitude(p, t)
+            assert abs(abs(a) ** 2 - np.exp(-t)) <= 0.025 * np.exp(-t)
 
     def test_wigner_weisskopf_point(self):
-        amp = model_emission.single_excitation_evolve(
-            model_emission.EmissionParams(), 1.0
-        )
-        assert abs(abs(amp.u00) ** 2 - np.exp(-1.0)) <= 0.02
+        a, _ = model_emission.survival_amplitude(model_emission.EmissionParams(), 1.0)
+        assert abs(abs(a) ** 2 - np.exp(-1.0)) <= 0.02
 
     @pytest.mark.filterwarnings("ignore:decay rate")
     def test_full_space_oracle(self):
@@ -72,14 +77,15 @@ class TestSectorEvolution:
         rho = np.outer(psi, psi.conj())
         t = 0.9
         out = evolve(rho, h_full, t)
-        amp = model_emission.single_excitation_evolve(p, t)
+        a, _ = model_emission.survival_amplitude(p, t)
         # excited-state population comparison
         pe_full = np.trace(out[2**nm:, 2**nm:]).real
-        assert abs(pe_full - abs(amp.u00) ** 2) <= 1e-10
-        # one-photon amplitudes: field basis state with only mode k occupied
+        assert abs(pe_full - abs(a) ** 2) <= 1e-10
+        # one-photon populations: field basis state with only mode k occupied
+        pops = one_photon_populations(p, t)
         for k in range(nm):
             idx = 2 ** (nm - 1 - k)
-            assert abs(out[idx, idx].real - abs(amp.uk0[k]) ** 2) <= 1e-10
+            assert abs(out[idx, idx].real - pops[k]) <= 1e-10
 
 
 class TestNegativity:
@@ -111,7 +117,7 @@ class TestNegativity:
         p = model_emission.EmissionParams(n_modes=n_modes)
         if structured:
             p = model_emission.structured_params(p)
-        for t0 in (0.0, 0.3, 1.0, 2.5):
+        for t0 in (0.0, 1e-7, 1e-5, 1e-3, 0.3, 1.0, 2.5):
             assert model_emission.transient_negativity(p, t0) == pytest.approx(
                 negativity(model_emission.embedded_pure_state(p, t0)), abs=1e-12
             )
@@ -120,7 +126,7 @@ class TestNegativity:
         # for the pure sector state the law is exact in the excited population
         p = model_emission.EmissionParams()
         for t in (0.2, 0.7, 1.9):
-            pe = abs(model_emission.single_excitation_evolve(p, t).u00) ** 2
+            pe = abs(model_emission.survival_amplitude(p, t)[0]) ** 2
             assert model_emission.transient_negativity(p, t) == pytest.approx(
                 np.sqrt(pe * (1 - pe)), abs=1e-9
             )
@@ -189,11 +195,58 @@ class TestLocalSignal:
         p = FAST if not structured else model_emission.structured_params(FAST)
         for t0, t1 in ((0.0, 0.5), (0.4, 0.8), (1.3, 2.6), (2.0, 7.5)):
             psi, signal = emission_row_signal(p, t0, t1)
-            amp = model_emission.single_excitation_evolve(p, t0)
-            assert abs(amp.u00 - psi[0]) <= 1e-12
-            assert np.max(np.abs(amp.uk0 - psi[1:])) <= 1e-12
+            a, weight = model_emission.survival_amplitude(p, t0)
+            assert abs(a - psi[0]) <= 1e-12
+            assert abs(weight - np.sum(np.abs(psi[1:]) ** 2)) <= 1e-12
+            # <g,k| rho |e,0> = u_k conj(a) in the embedded state
+            nf = p.n_modes + 1
+            rho = model_emission.embedded_pure_state(p, t0).rho
+            assert np.max(np.abs(rho[1:nf, nf] - psi[1:] * np.conj(psi[0]))) <= 1e-12
             assert abs(model_emission.emission_local_signal(p, t0, t1) - signal) <= 1e-12
 
     def test_rejects_reversed_times(self):
         with pytest.raises(ValueError):
             model_emission.emission_local_signal(FAST, 1.0, 0.5)
+
+    def test_shifted_energies_leave_signal(self):
+        # atomic_gap moves the atom and the band together: a(t) only picks up
+        # the phase exp(-i gap t), which the semigroup defect does not see
+        shifted = model_emission.EmissionParams(n_modes=101, atomic_gap=7.5)
+        for structured in (False, True):
+            p, q = FAST, shifted
+            if structured:
+                p, q = map(model_emission.structured_params, (p, q))
+            for t0, t1 in ((0.2, 0.5), (0.7, 1.4), (1.5, 4.0)):
+                assert abs(model_emission.emission_local_signal(q, t0, t1)
+                           - model_emission.emission_local_signal(p, t0, t1)) <= 1e-12
+                assert abs(abs(model_emission.survival_amplitude(q, t0)[0])
+                           - abs(model_emission.survival_amplitude(p, t0)[0])) <= 1e-12
+
+
+class TestSurvivalAmplitude:
+    @pytest.mark.parametrize("structured", [False, True])
+    def test_arrays_equal_scalar_calls(self, structured):
+        p = FAST if not structured else model_emission.structured_params(FAST)
+        t0s = np.array([0.0, 1e-6, 0.3, 1.1, 2.9])
+        a, weight = model_emission.survival_amplitude(p, t0s)
+        neg = model_emission.transient_negativity(p, t0s)
+        sig = model_emission.emission_local_signal(p, t0s, 2 * t0s)
+        assert a.shape == weight.shape == neg.shape == sig.shape == t0s.shape
+        for i, t in enumerate(t0s):
+            a_i, w_i = model_emission.survival_amplitude(p, t)
+            assert abs(a[i] - a_i) <= 1e-15 and abs(weight[i] - w_i) <= 1e-15
+            assert abs(neg[i] - model_emission.transient_negativity(p, t)) <= 1e-15
+            assert abs(sig[i] - model_emission.emission_local_signal(p, t, 2 * t)) <= 1e-15
+
+    def test_rejects_negative_time(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            model_emission.survival_amplitude(FAST, [0.5, -0.1])
+
+    def test_rejects_spectral_weights_off_one(self, monkeypatch):
+        # a non-unitary eigenvector matrix breaks sum_k q_k = 1
+        w, v = np.linalg.eigh(model_emission.sector_hamiltonian(FAST))
+        evo = model_emission.EvolutionSpec(model_emission.sector_hamiltonian(FAST),
+                                           spectrum=(w, v * (1 + 1e-9)))
+        monkeypatch.setattr(model_emission, "_sector_evolution", lambda p: evo)
+        with pytest.raises(ValueError, match="spectral weights"):
+            model_emission.survival_amplitude(FAST, 1.0)

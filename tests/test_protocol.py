@@ -23,6 +23,7 @@ from oracles import (
     trace_norm,
     two_state_distances,
 )
+from discord_probe import measures, protocol, tensor
 from discord_probe.measures import (
     BasisGrid,
     dephasing_disturbance,
@@ -118,6 +119,18 @@ class TestEvolutionSpec:
         w, v = np.linalg.eigh(h)
         evo = EvolutionSpec(hamiltonian=h, spectrum=(w, v))
         assert evo.spectral()[1] is v
+
+    def test_spectral_checks_hermiticity_once(self, rng, monkeypatch):
+        # the generator is checked on construction, not again by spectral()
+        calls = []
+        for module in (protocol, tensor):
+            real = module.require_hermitian
+            monkeypatch.setattr(module, "require_hermitian",
+                                lambda m, *a, real=real: calls.append(1) or real(m, *a))
+        h = random_hermitian(5, rng)
+        w, v = EvolutionSpec(h).spectral()
+        assert len(calls) == 1
+        assert np.array_equal(w, np.linalg.eigh(h)[0])
 
 
 class TestLocalTraceDistances:
@@ -272,6 +285,20 @@ class TestRunMinimizedDetection:
         plain = run_local_detection(s, evo, grid)
         minimized = run_minimized_detection(s, evo, grid)
         assert np.all(minimized.d_t <= plain.d_t + 1e-9)
+
+    def test_diagonalizes_marginal_once(self, rng, monkeypatch):
+        calls = []
+        real = local_eigenbasis
+        for module in (protocol, measures):
+            monkeypatch.setattr(module, "local_eigenbasis",
+                                lambda st: calls.append(1) or real(st))
+        s = random_state(2, 3, rng)
+        evo = EvolutionSpec(hamiltonian=random_hermitian(6, rng))
+        bases = BasisGrid(n_theta=6, n_phi=12)
+        series = run_minimized_detection(s, evo, TimeGrid.linear(3.0, 8), bases)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert series.bound_ref == minimal_dephasing_disturbance(s, bases)[0]
 
     def test_rejects_large_probe(self, rng):
         s = random_state(3, 2, rng)
