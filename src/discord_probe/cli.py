@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -37,9 +38,12 @@ def _int(value) -> int:
 
 
 def _float(value) -> float:
-    """Numbers only: 1 and 1.5 pass; "1.5" and true do not."""
+    """Finite numbers only: 1 and 1.5 pass; "1.5", true and YAML's .nan and
+    .inf do not."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {value!r}")
     return float(value)
 
 

@@ -182,7 +182,7 @@ def run_minimized_detection(
     """
     start = measures._basis_angles(local_eigenbasis(state)[0])  # refuses d_A != 2
     bases = bases or BasisGrid()
-    bound, bound_basis = measures._minimal_disturbance(state, bases, start)
+    bound, bound_basis = measures.minimal_dephasing_disturbance(state, bases, start)
     conj = [local_sandwich(PAULI[a], state.rho, PAULI[b], state.dims)
             for a, b in _PAIRS]
     margs = evo.marginal_series(

@@ -95,7 +95,10 @@ class TestConfigValidation:
         ("emission", "structured", "false"), ("emission", "structured", 2),
         ("ion", "lamb_dicke_limit", "true"), ("spinchain", "b_field", "x"),
         ("spinchain", "b_field", "1.5"), ("spinchain", "b_field", True),
-        ("ion", "t0", "0.5"), ("photon-dv", "lam", None)])
+        ("ion", "t0", "0.5"), ("photon-dv", "lam", None),
+        ("spinchain", "b_field", float("nan")),
+        ("emission", "half_bandwidth", float("inf")),
+        ("ion", "eta", float("-inf"))])
     def test_misread_values_rejected(self, model, field, value):
         expected = f"{model} params: .*{re.escape(repr(value))}"
         with pytest.raises(ConfigError, match=expected):
@@ -129,6 +132,14 @@ class TestConfigValidation:
         assert main(["run", p, "--out-dir", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == (
             "config error: spinchain params: expected an integer, got 7.9\n")
+
+    def test_yaml_nan_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "c.yaml"
+        p.write_text("model: spinchain\nparams: {n_spins: 3, b_field: .nan}\n")
+        assert main(["run", str(p), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "config error: spinchain params: expected a finite number, got nan\n")
+        assert not (tmp_path / "out").exists()
 
     def test_non_integral_sweep_value_exit_2(self, tmp_path, capsys):
         p = write_config(tmp_path / "c.yaml", {"model": "spinchain"})

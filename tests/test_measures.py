@@ -6,10 +6,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_hermitian, random_pure_state, random_state
-from oracles import disturbance_batch, hs_distance_sq, sigma_conjugations
+from oracles import (dephase_qubit_bloch, disturbance_batch, hs_distance_sq,
+                     sigma_conjugations, trace_norm)
 from discord_probe.measures import (
+    FACTOR_TAIL,
     BasisGrid,
+    _basis_angles,
     _block_disturbance,
+    _chord,
+    _disturbance_kernel,
+    _factored_disturbance,
+    _minimize_over_bloch,
+    _pruned_grid_values,
     bloch_vectors,
     dephasing_disturbance,
     minimal_dephasing_disturbance,
@@ -32,6 +40,17 @@ D22 = BipartitionDims(2, 2)
 P0 = np.diag([1.0, 0.0]).astype(complex)
 P1 = np.diag([0.0, 1.0]).astype(complex)
 PLUS = np.outer([1, 1], [1, 1]).astype(complex) / 2
+
+
+def random_rank_state(d_b: int, rank: int, rng) -> BipartiteState:
+    """A qubit-probe state of rank min(rank, 2 d_B) with random eigenvectors."""
+    z = rng.standard_normal((2 * d_b, rank)) + 1j * rng.standard_normal((2 * d_b, rank))
+    rho = z @ z.conj().T
+    return BipartiteState(rho / np.trace(rho).real, BipartitionDims(2, d_b))
+
+
+def random_angles(n: int, rng) -> np.ndarray:
+    return np.column_stack([rng.uniform(-np.pi, np.pi, n), rng.uniform(0, 2 * np.pi, n)])
 
 
 def two_qubit_schmidt(gamma: float) -> BipartiteState:
@@ -180,6 +199,114 @@ class TestMinimalDisturbance:
             s.rho, sigma_conjugations(s), bloch_vectors(angles)
         )
         assert np.max(np.abs(_block_disturbance(s.rho, d_b, angles) - dense)) <= 1e-12
+
+
+class TestDisturbanceSearch:
+    """The pruned grid and the rank-r kernel behind minimal_dephasing_disturbance."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 8), st.integers(1, 16))
+    def test_lipschitz_in_the_chord(self, seed, d_b, rank):
+        rng = np.random.default_rng(seed)
+        s = random_rank_state(d_b, rank, rng)
+        n, m = random_angles(60, rng), random_angles(60, rng)
+        # nearby pairs too, where the bound is tight
+        m[::2] = n[::2] + rng.normal(scale=1e-3, size=(30, 2))
+        dn, dm = _block_disturbance(s.rho, d_b, n), _block_disturbance(s.rho, d_b, m)
+        vn, vm = bloch_vectors(n), bloch_vectors(m)
+        assert np.all(np.abs(dn - dm) <= np.linalg.norm(vn - vm, axis=1) / 2 + 1e-12)
+        assert np.all(np.abs(dn - dm) <= _chord(vn, vm) / 2 + 1e-12)
+        antipodes = np.column_stack([np.pi - n[:, 0], n[:, 1] + np.pi])
+        assert np.allclose(_block_disturbance(s.rho, d_b, antipodes), dn,
+                           rtol=0, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 8), st.integers(1, 16),
+           st.sampled_from([(1, 1), (1, 7), (2, 5), (3, 3), (4, 9), (7, 12), (20, 40)]))
+    def test_pruned_grid_is_exhaustive_grid(self, seed, d_b, rank, shape):
+        rng = np.random.default_rng(seed)
+        s = random_rank_state(d_b, rank, rng)
+        grid = BasisGrid(*shape)
+        start = np.vstack([_basis_angles(local_eigenbasis(s)[0]), random_angles(1, rng)])
+        f, lip = _disturbance_kernel(s.rho, d_b)
+        angles, vals = _pruned_grid_values(f, lip, grid, start)
+        full = f(angles)
+        assert np.argmin(vals) == np.argmin(full)
+        assert vals.min() == full.min()  # bit for bit
+        seen = np.isfinite(vals)
+        assert np.array_equal(vals[seen], full[seen])
+        assert np.all(full[~seen] > full.min())
+        assert np.all(seen[grid.n_theta * grid.n_phi:])  # start always evaluated
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 8), st.integers(1, 16))
+    def test_factored_kernel_matches_block_and_dense_oracle(self, seed, d_b, rank):
+        rng = np.random.default_rng(seed)
+        s = random_rank_state(d_b, rank, rng)
+        w, v = np.linalg.eigh(s.rho)
+        keep = w > FACTOR_TAIL
+        right = v[:, keep] * np.sqrt(w[keep])
+        angles = random_angles(30, rng)
+        got = _factored_disturbance(right, right, angles)
+        block = _block_disturbance(s.rho, d_b, angles)
+        dense = [0.5 * trace_norm(s.rho - dephase_qubit_bloch(s, n))
+                 for n in bloch_vectors(angles)]
+        assert np.max(np.abs(got - block)) <= 1e-12
+        assert np.max(np.abs(got - dense)) <= 1e-12
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 8), st.integers(1, 16))
+    def test_kernel_choice_follows_rank(self, seed, d_b, rank):
+        # r <= d_B / 2 runs on the r x r core; larger ranks, r >= d_B among
+        # them, on the d_B x d_B block
+        rng = np.random.default_rng(seed)
+        s = random_rank_state(d_b, rank, rng)
+        f, lip = _disturbance_kernel(s.rho, d_b)
+        r = min(rank, 2 * d_b)
+        assert f.func is (_factored_disturbance if 2 * r <= d_b else _block_disturbance)
+        assert abs(lip - 0.5) <= 1e-12
+        angles = random_angles(20, rng)
+        assert np.max(np.abs(f(angles) - _block_disturbance(s.rho, d_b, angles))) <= 1e-12
+
+    @pytest.mark.parametrize("tail,kernel", [
+        (FACTOR_TAIL, _block_disturbance), (2 * FACTOR_TAIL, _block_disturbance),
+        (FACTOR_TAIL * (1 - 2**-20), _factored_disturbance),
+        (FACTOR_TAIL / 4, _factored_disturbance)])
+    def test_tail_cut_is_below_eps_only(self, tail, kernel):
+        # rank one plus a tail: eigh returns the diagonal exactly, so the tail
+        # sits at the cut to the bit
+        rho = np.diag([1 - tail, tail / 2, tail / 2, 0, 0, 0]).astype(complex)
+        s = BipartiteState(rho, BipartitionDims(2, 3))
+        assert np.array_equal(np.linalg.eigvalsh(rho), np.sort(np.diag(rho).real))
+        f, _ = _disturbance_kernel(s.rho, 3)
+        assert f.func is kernel
+
+    def test_tail_at_eps_in_a_random_basis_takes_block(self, rng):
+        d_b = 4
+        w = np.array([1 - 2 * FACTOR_TAIL] + [2 * FACTOR_TAIL / 7] * 7)
+        u = haar_unitary(2 * d_b, 11)
+        s = BipartiteState((u * w) @ u.conj().T, BipartitionDims(2, d_b))
+        assert _disturbance_kernel(s.rho, d_b)[0].func is _block_disturbance
+        w = np.array([1 - FACTOR_TAIL / 2] + [FACTOR_TAIL / 14] * 7)
+        s = BipartiteState((u * w) @ u.conj().T, BipartitionDims(2, d_b))
+        f, _ = _disturbance_kernel(s.rho, d_b)
+        assert f.func is _factored_disturbance
+        angles = random_angles(40, rng)
+        # dropping a tail below eps moves D(n) by less than eps
+        dev = np.abs(f(angles) - _block_disturbance(s.rho, d_b, angles))
+        assert np.max(dev) <= FACTOR_TAIL
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 8), st.integers(1, 16))
+    def test_search_matches_exhaustive_search(self, seed, d_b, rank):
+        rng = np.random.default_rng(seed)
+        s = random_rank_state(d_b, rank, rng)
+        grid = BasisGrid(n_theta=6, n_phi=10, refine_rounds=3)
+        start = _basis_angles(local_eigenbasis(s)[0])
+        val, _ = minimal_dephasing_disturbance(s, grid)
+        ref, _ = _minimize_over_bloch(
+            lambda a: _block_disturbance(s.rho, d_b, a[0])[None], grid, start)
+        assert abs(val - ref[0]) <= 1e-12
 
 
 class TestBasisGrid:
