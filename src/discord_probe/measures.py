@@ -142,9 +142,8 @@ def _disturbance_kernel(rho: np.ndarray, d_b: int):
     """
     w, v = np.linalg.eigh(rho)
     size = np.abs(w)
-    order = np.argsort(size, kind="stable")
-    dropped = np.searchsorted(np.cumsum(size[order]), FACTOR_TAIL)
-    keep = np.sort(order[dropped:])
+    order = np.argsort(size)
+    keep = order[np.searchsorted(np.cumsum(size[order]), FACTOR_TAIL):]
     lip = 0.5 * size.sum()
     if 2 * len(keep) > d_b:
         return partial(_block_disturbance, rho, d_b), lip
