@@ -171,9 +171,8 @@ def _run_ion(cfg: dict, out_dir: str) -> dict:
         t0 = float(np.pi / (2 * p.omega0))
     grid = _time_grid(cfg, 4 * np.pi / p.omega0)
     series = model_ion.simulated_local_distance(p, t0, grid)
-    analytic = [model_ion.analytic_local_distance(p, t0, t) for t in grid.samples]
     _series_csv(os.path.join(out_dir, "series.csv"), series,
-                {"d_analytic": np.asarray(analytic)})
+                {"d_analytic": model_ion.analytic_local_distance(p, t0, grid.samples)})
     return {
         "d_max": series.d_max,
         "argmax_time": series.argmax_time,
@@ -193,7 +192,7 @@ def _run_photon_cv(cfg: dict, out_dir: str) -> dict:
     series = WitnessSeries(grid.samples,
                            model_photon.simulated_local_distance_photon(p, grid.samples),
                            bound_ref=disturbance)
-    closed = [model_photon.analytic_local_distance_photon(p, t) for t in grid.samples]
+    closed = model_photon.analytic_local_distance_photon(p, grid.samples)
     _series_csv(os.path.join(out_dir, "series.csv"), series, {"d_closed_form": closed})
     return {
         "max_tau_d": series.d_max,

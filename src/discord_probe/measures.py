@@ -11,6 +11,7 @@ import numpy as np
 from .states import (
     BipartiteState,
     ProjectiveBasis,
+    dephasing_basis,
     dephasing_delta,
     local_eigenbasis,
     qubit_basis,
@@ -66,10 +67,21 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * trace_norm_hermitian(a - b)
 
 
-def dephasing_disturbance(state: BipartiteState) -> float:
+def dephasing_disturbance(state: BipartiteState, basis: ProjectiveBasis | None = None,
+                          delta: np.ndarray | None = None) -> float:
     """D = (1/2)||Delta||_1 for Delta = rho - Phi(rho), Phi the pinching in
-    the eigenbasis of the A-marginal. Refuses degenerate marginals."""
-    return 0.5 * trace_norm_hermitian(dephasing_delta(state))
+    `basis`, by default the eigenbasis of the A-marginal, which is refused
+    when degenerate. For a qubit probe D is the singular-value sum of the
+    d_B x d_B block <0| rho |1> (`_pinching_disturbance`); for d_A > 2 it is
+    the eigenvalue trace norm of Delta, which a caller that has already
+    formed it for `basis` passes as `delta`."""
+    basis = dephasing_basis(state, basis)
+    if state.dims.d_a == 2:
+        kets = basis.vectors[None]
+        return float(_pinching_disturbance(state.rho, state.dims.d_b, kets)[0])
+    if delta is None:
+        delta = dephasing_delta(state, basis)
+    return 0.5 * trace_norm_hermitian(delta)
 
 
 def negativity(state: BipartiteState) -> float:
@@ -89,15 +101,20 @@ def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 
 def _block_disturbance(rho: np.ndarray, d_b: int, angles: np.ndarray) -> np.ndarray:
-    """D(n) for a qubit probe and Bloch angles (G, 2): rho minus its pinching
-    along n is P0 rho P1 + P1 rho P0, which is block off-diagonal, so D(n) is
-    the singular-value sum of the d_B x d_B block <0_n| rho |1_n>."""
-    kets = qubit_kets(angles)  # columns |0_n>, |1_n>
+    """D(n) for a qubit probe and Bloch angles (G, 2)."""
+    return _pinching_disturbance(rho, d_b, qubit_kets(angles))
+
+
+def _pinching_disturbance(rho: np.ndarray, d_b: int, kets: np.ndarray) -> np.ndarray:
+    """D for a qubit probe and the bases whose kets |0>, |1> are the columns
+    of kets (G, 2, 2): rho minus its pinching is P0 rho P1 + P1 rho P0, which
+    is block off-diagonal, so D is the singular-value sum of the d_B x d_B
+    block <0| rho |1>."""
     weights = (kets[:, :, 0, None].conj() * kets[:, None, :, 1]).reshape(-1, 4)
     blocks = rho.reshape(2, d_b, 2, d_b).transpose(0, 2, 1, 3).reshape(4, -1)
     chunk = max(1, 2**20 // (d_b * d_b))  # about 16 MB of blocks per batch
-    vals = np.empty(len(angles))
-    for lo in range(0, len(angles), chunk):
+    vals = np.empty(len(kets))
+    for lo in range(0, len(kets), chunk):
         blk = _rows_times(weights[lo : lo + chunk], blocks).reshape(-1, d_b, d_b)
         vals[lo : lo + chunk] = np.linalg.svd(blk, compute_uv=False).sum(axis=1)
     return vals

@@ -13,7 +13,7 @@ from .states import (
     BipartiteState,
     computational_basis,
     fock_cutoff,
-    thermal_fock_state,
+    thermal_populations,
 )
 from .tensor import BipartitionDims
 
@@ -51,7 +51,7 @@ class IonParams:
         return float(self.rabi(np.array(0.0)))
 
     def populations(self) -> np.ndarray:
-        return np.diag(thermal_fock_state(self.nbar, self.n_max)).real
+        return thermal_populations(self.nbar, self.n_max)
 
     @property
     def dims(self) -> BipartitionDims:
@@ -90,11 +90,13 @@ def evolution(p: IonParams) -> EvolutionSpec:
     return EvolutionSpec(hamiltonian=build_hamiltonian(p))
 
 
-def analytic_local_distance(p: IonParams, t0: float, t1: float) -> float:
-    """(1/2) |sum_n p_n sin(Omega_n t0) sin(Omega_n t1)|."""
+def analytic_local_distance(p: IonParams, t0: float, t1):
+    """(1/2) |sum_n p_n sin(Omega_n t0) sin(Omega_n t1)| per detection time
+    of an array `t1`, or a float for a scalar one."""
     pn = p.populations()
     om = p.rabi(np.arange(len(pn)))
-    return 0.5 * abs(float(np.sum(pn * np.sin(om * t0) * np.sin(om * t1))))
+    d = 0.5 * np.abs(np.sin(np.multiply.outer(t1, om)) @ (pn * np.sin(om * t0)))
+    return float(d) if np.ndim(d) == 0 else d
 
 
 def analytic_disturbance(p: IonParams, t0: float) -> float:

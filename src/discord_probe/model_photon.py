@@ -62,23 +62,30 @@ def simulated_local_distance_photon(p: PhotonParams, taus: np.ndarray) -> np.nda
     local distance is the modulus of a frequency sum.
     """
     x = p.frequencies() - p.omega0
-    w = p.weights()
-    s = np.sin(x * p.t_prep)
+    c = p.weights() * np.sin(x * p.t_prep)
     taus = np.atleast_1d(np.asarray(taus, dtype=float))
-    # Bloch-plane component: sum_w w sin(phi_w) e^{i w tau} (modulus is basis
-    # rotation invariant)
-    z = (w * s)[None, :] * np.exp(1j * np.outer(taus, p.frequencies()))
-    return p.beta * np.abs(z.sum(axis=1))
+    # Bloch-plane component: sum_w c_w e^{i w tau}, whose modulus is basis
+    # rotation invariant and drops the common phase e^{i omega0 tau}. On the
+    # uniform grid x_k = x_0 + k dx, k = a m + b factors the sum into
+    # sum_a e^{i (x_0 + a m dx) tau} sum_b c_{am+b} e^{i b dx tau}: two
+    # (T, ~sqrt(n)) exponential tables instead of one (T, n).
+    n = len(c)
+    m = int(np.ceil(np.sqrt(n)))
+    dx = (x[-1] - x[0]) / (n - 1)
+    coef = np.zeros((-(-n // m), m))  # c_{am+b} at [a, b], zero-padded
+    coef.flat[:n] = c
+    fine = np.exp(1j * np.outer(taus, dx * np.arange(m)))
+    coarse = np.exp(1j * np.outer(taus, x[0] + m * dx * np.arange(len(coef))))
+    return p.beta * np.abs(np.sum(coarse * (fine @ coef.T), axis=1))
 
 
-def analytic_local_distance_photon(p: PhotonParams, tau: float) -> float:
-    """(beta/2) |exp(-dw|t+tau|) - exp(-dw|t-tau|)| (continuum limit)."""
+def analytic_local_distance_photon(p: PhotonParams, tau):
+    """(beta/2) |exp(-dw|t+tau|) - exp(-dw|t-tau|)| (continuum limit), per
+    delay of an array `tau`, or a float for a scalar one."""
     dw, t = p.delta_omega, p.t_prep
-    return (
-        0.5
-        * p.beta
-        * abs(np.exp(-dw * abs(t + tau)) - np.exp(-dw * abs(t - tau)))
-    )
+    d = 0.5 * p.beta * np.abs(np.exp(-dw * np.abs(t + tau))
+                              - np.exp(-dw * np.abs(t - tau)))
+    return float(d) if np.ndim(d) == 0 else d
 
 
 def analytic_disturbance_photon(p: PhotonParams) -> float:

@@ -15,18 +15,17 @@ from .states import (
     BipartiteState,
     ProjectiveBasis,
     apply_local_unitary,
+    dephasing_basis,
     dephasing_delta,
-    haar_unitary,
+    haar_unitaries,
     local_eigenbasis,
 )
 from .tensor import (
     PAULI,
     BipartitionDims,
     local_sandwich,
-    partial_trace_b,
     pauli_vector,
     require_hermitian,
-    trace_norm_hermitian,
 )
 
 
@@ -151,10 +150,11 @@ def run_local_detection(
     eigenbasis (or an explicitly supplied basis), and record
     d(t) = (1/2)||Tr_B U(t) Delta U(t)^dag||_1 per time; contractivity bounds
     it by D = (1/2)||Delta||_1."""
+    basis = dephasing_basis(state, basis)
     delta = dephasing_delta(state, basis)
     margs = evo.marginal_series([delta], state.dims, grid.samples)
     return WitnessSeries(grid.samples, local_trace_distances(margs[0]),
-                         bound_ref=0.5 * trace_norm_hermitian(delta))
+                         bound_ref=measures.dephasing_disturbance(state, basis, delta))
 
 
 # N rho N = sum_p w_p n_a n_b S_p over the pairs p = (a, b), a <= b, with
@@ -234,6 +234,10 @@ def haar_coefficient(dims: BipartitionDims) -> float:
     return (da**2 * db - db) / (da**2 * db**2 - 1)
 
 
+# complex entries per batch of sampled unitaries, about 16 MB
+HAAR_BATCH = 2**20
+
+
 def haar_average_estimate(state: BipartiteState, n_samples: int, seed: int):
     """Monte-Carlo mean of the locally observed squared HS norm of Delta under
     Haar-random global unitaries, against the closed-form prediction
@@ -244,11 +248,14 @@ def haar_average_estimate(state: BipartiteState, n_samples: int, seed: int):
     predicted = haar_coefficient(state.dims) * np.sum(np.abs(delta) ** 2)
     rng = np.random.default_rng(seed)
     seeds = rng.integers(0, 2**63 - 1, size=n_samples)
+    da, db, dim = state.dims.d_a, state.dims.d_b, state.dims.total
+    chunk = max(1, HAAR_BATCH // dim**2)
     vals = np.empty(n_samples)
-    for i, s in enumerate(seeds):
-        u = haar_unitary(state.dims.total, int(s))
-        loc = partial_trace_b(u @ delta @ u.conj().T, state.dims)
-        vals[i] = np.sum(np.abs(loc) ** 2)
+    for lo in range(0, n_samples, chunk):
+        u = haar_unitaries(dim, seeds[lo : lo + chunk])
+        rotated = u @ delta @ u.conj().transpose(0, 2, 1)
+        loc = np.einsum("nxiyi->nxy", rotated.reshape(-1, da, db, da, db))
+        vals[lo : lo + len(u)] = np.sum(np.abs(loc.reshape(len(u), -1)) ** 2, axis=1)
     mean = float(vals.mean())
     std_error = float(vals.std(ddof=1) / np.sqrt(n_samples))
     return mean, std_error, float(predicted)

@@ -31,19 +31,38 @@ class BipartiteState:
     dims: BipartitionDims
 
     def __post_init__(self):
-        rho = require_hermitian(self.rho)
-        self.dims.check(rho)
-        tr = np.trace(rho).real
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"state trace {tr} deviates from 1")
-        wmin = np.linalg.eigvalsh(rho)[0]
-        if wmin < -1e-10:
-            raise ValueError(f"state has negative eigenvalue {wmin:.3e}")
-        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "rho", _checked_density(self.rho, self.dims))
+
+    @classmethod
+    def _with_spectrum(cls, rho: np.ndarray, dims: BipartitionDims,
+                       eigenvalues: np.ndarray) -> "BipartiteState":
+        """The state rho, whose eigenvalues the caller has computed in a
+        cheaper form than one eigvalsh of size d_A d_B, with the checks of
+        construction."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "rho", _checked_density(rho, dims, eigenvalues))
+        object.__setattr__(state, "dims", dims)
+        return state
 
     @property
     def marginal_a(self) -> np.ndarray:
         return partial_trace_b(self.rho, self.dims)
+
+
+def _checked_density(rho: np.ndarray, dims: BipartitionDims,
+                     eigenvalues: np.ndarray | None = None) -> np.ndarray:
+    """rho, refused unless it is a Hermitian unit-trace operator of the
+    split's shape with no eigenvalue below -1e-10; eigvalsh(rho) unless the
+    `eigenvalues` are given."""
+    rho = require_hermitian(rho)
+    dims.check(rho)
+    tr = np.trace(rho).real
+    if abs(tr - 1.0) > 1e-10:
+        raise ValueError(f"state trace {tr} deviates from 1")
+    wmin = np.min(np.linalg.eigvalsh(rho) if eigenvalues is None else eigenvalues)
+    if wmin < -1e-10:
+        raise ValueError(f"state has negative eigenvalue {wmin:.3e}")
+    return rho
 
 
 @dataclass(frozen=True)
@@ -101,12 +120,24 @@ def zero_discord_state(weights, basis_a: ProjectiveBasis, states_b) -> Bipartite
     return BipartiteState(rho, BipartitionDims(basis_a.dim, d_b))
 
 
+def _pinching_blocks(rho: np.ndarray, dims: BipartitionDims,
+                     vectors: np.ndarray) -> np.ndarray:
+    """The d_B x d_B blocks <v_i| rho |v_i> (d_A, d_B, d_B) for the columns
+    v_i of `vectors`."""
+    r = rho.reshape(dims.d_a, dims.d_b, dims.d_a, dims.d_b)
+    return np.einsum("ai,axby,bi->ixy", vectors.conj(), r, vectors)
+
+
 def dephase(state: BipartiteState, basis: ProjectiveBasis) -> BipartiteState:
-    """Local pinching sum_i (Pi_i (x) I) rho (Pi_i (x) I) on subsystem A."""
+    """Local pinching sum_i (Pi_i (x) I) rho (Pi_i (x) I) on subsystem A. The
+    result is sum_i |v_i><v_i| (x) <v_i| rho |v_i>, so its spectrum is the
+    union of the spectra of the d_A blocks <v_i| rho |v_i>, and positivity is
+    checked on those."""
     if basis.dim != state.dims.d_a:
         raise ValueError("basis dimension does not match subsystem A")
     out = sum(local_sandwich(p, state.rho, p, state.dims) for p in basis.projectors())
-    return BipartiteState(out, state.dims)
+    blocks = _pinching_blocks(state.rho, state.dims, basis.vectors)
+    return BipartiteState._with_spectrum(out, state.dims, np.linalg.eigvalsh(blocks))
 
 
 def local_eigenbasis(state: BipartiteState):
@@ -123,17 +154,24 @@ def local_eigenbasis(state: BipartiteState):
     return ProjectiveBasis(v), degenerate
 
 
-def dephasing_delta(state: BipartiteState,
-                    basis: ProjectiveBasis | None = None) -> np.ndarray:
-    """Delta = rho - Phi(rho) for the pinching Phi in `basis`, by default the
-    eigenbasis of the A-marginal, which is refused when degenerate because
-    it then does not define Phi."""
+def dephasing_basis(state: BipartiteState,
+                    basis: ProjectiveBasis | None = None) -> ProjectiveBasis:
+    """`basis`, by default the eigenbasis of the A-marginal, which is refused
+    when degenerate because it then does not define the pinching."""
     if basis is None:
         basis, degenerate = local_eigenbasis(state)
         if degenerate:
             raise ValueError("degenerate A-marginal: its eigenbasis does not "
                              "define the dephased reference state")
-    return state.rho - dephase(state, basis).rho
+    elif basis.dim != state.dims.d_a:
+        raise ValueError("basis dimension does not match subsystem A")
+    return basis
+
+
+def dephasing_delta(state: BipartiteState,
+                    basis: ProjectiveBasis | None = None) -> np.ndarray:
+    """Delta = rho - Phi(rho) for the pinching Phi in `dephasing_basis`."""
+    return state.rho - dephase(state, dephasing_basis(state, basis)).rho
 
 
 def apply_local_unitary(state: BipartiteState, u_a: np.ndarray) -> BipartiteState:
@@ -144,14 +182,21 @@ def apply_local_unitary(state: BipartiteState, u_a: np.ndarray) -> BipartiteStat
     return BipartiteState(rho, state.dims)
 
 
+def haar_unitaries(dim: int, seeds) -> np.ndarray:
+    """Haar-distributed unitaries (N, dim, dim), one per seed: the QR of a
+    Ginibre matrix drawn from its own default_rng(seed), with the phases of
+    R's diagonal moved into Q (Mezzadri, Notices AMS 54, 592 (2007))."""
+    g = np.empty((len(seeds), 2, dim, dim))
+    for i, s in enumerate(seeds):
+        np.random.default_rng(int(s)).standard_normal(out=g[i])
+    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
+    d = np.diagonal(r, axis1=1, axis2=2)
+    return q * (d / np.abs(d))[:, None, :]
+
+
 def haar_unitary(dim: int, seed: int) -> np.ndarray:
-    """Haar-distributed unitary via QR of a Ginibre matrix, deterministic in
-    the seed."""
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    q, r = np.linalg.qr(z / np.sqrt(2.0))
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    """Haar-distributed unitary, deterministic in the seed."""
+    return haar_unitaries(dim, [seed])[0]
 
 
 def fock_cutoff(nbar: float) -> int:
@@ -166,6 +211,11 @@ def fock_cutoff(nbar: float) -> int:
 
 def thermal_fock_state(nbar: float, n_max: int) -> np.ndarray:
     """Truncated thermal oscillator state, renormalized to unit trace."""
+    return np.diag(thermal_populations(nbar, n_max)).astype(complex)
+
+
+def thermal_populations(nbar: float, n_max: int) -> np.ndarray:
+    """Fock populations p_0..p_{n_max} of the truncated thermal state."""
     if nbar < 0:
         raise ValueError("mean occupation must be nonnegative")
     n = np.arange(n_max + 1)
@@ -181,4 +231,4 @@ def thermal_fock_state(nbar: float, n_max: int) -> np.ndarray:
         # log-space evaluation: nbar**n overflows for hot states
         p = np.exp(n * np.log(nbar) - (n + 1) * np.log(nbar + 1.0))
         p = p / p.sum()
-    return np.diag(p).astype(complex)
+    return p

@@ -11,8 +11,10 @@ the full atom (x) modes space, the spin-chain Hamiltonian from dense
 Pauli strings and its parity as the dense operator (x) sigma_y, the
 spin-chain autocorrelation from its definition, the dense photon state with
 its coherence decay, the closed-form Michelson propagator, the ion state
-prepared as a full-matrix conjugation and the emission signal from the
-eigenvector row formula. Small helpers only the tests use (partial trace
+prepared as a full-matrix conjugation, the emission signal from the
+eigenvector row formula, the Haar-average estimate one sampled unitary at a
+time and the photon frequency sum with one exponential per (delay,
+frequency) pair. Small helpers only the tests use (partial trace
 over A, purity, squared HS distance) live here too.
 """
 
@@ -290,3 +292,31 @@ def minimized_series(state: BipartiteState, evo, times: np.ndarray,
                 best, best_ang = cvals[j], cand[j]
         out[ti] = best
     return out
+
+
+def haar_average_loop(state: BipartiteState, n_samples: int, seed: int):
+    """`haar_average_estimate` one sampled unitary at a time: the locally
+    observed squared HS norm of Delta under haar_unitary(d, s) for the same
+    per-sample seeds, with the mean, its standard error and the prediction."""
+    from discord_probe.protocol import haar_coefficient
+    from discord_probe.states import dephasing_delta, haar_unitary
+
+    delta = dephasing_delta(state)
+    predicted = haar_coefficient(state.dims) * np.sum(np.abs(delta) ** 2)
+    seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=n_samples)
+    vals = np.empty(n_samples)
+    for i, s in enumerate(seeds):
+        u = haar_unitary(state.dims.total, int(s))
+        loc = partial_trace_b(u @ delta @ u.conj().T, state.dims)
+        vals[i] = np.sum(np.abs(loc) ** 2)
+    return (float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(n_samples)),
+            float(predicted))
+
+
+def photon_distance_dense(p, taus: np.ndarray) -> np.ndarray:
+    """d(tau) of `PhotonParams` p as beta |sum_w c_w e^{i w tau}| with
+    c_w = weights * sin((w - w0) t_prep), one complex exponential per
+    (tau, frequency) pair."""
+    c = p.weights() * np.sin((p.frequencies() - p.omega0) * p.t_prep)
+    z = c[None, :] * np.exp(1j * np.outer(np.atleast_1d(taus), p.frequencies()))
+    return p.beta * np.abs(z.sum(axis=1))

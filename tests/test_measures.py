@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_hermitian, random_pure_state, random_state
-from oracles import (dephase_qubit_bloch, disturbance_batch, hs_distance_sq,
-                     sigma_conjugations, trace_norm)
+from oracles import (dephase_kron, dephase_qubit_bloch, disturbance_batch,
+                     hs_distance_sq, sigma_conjugations, trace_norm)
 from discord_probe.measures import (
     FACTOR_TAIL,
     BasisGrid,
@@ -26,6 +26,7 @@ from discord_probe.measures import (
 )
 from discord_probe.states import (
     BipartiteState,
+    ProjectiveBasis,
     apply_local_unitary,
     computational_basis,
     dephase,
@@ -199,6 +200,20 @@ class TestMinimalDisturbance:
             s.rho, sigma_conjugations(s), bloch_vectors(angles)
         )
         assert np.max(np.abs(_block_disturbance(s.rho, d_b, angles) - dense)) <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 8), st.booleans())
+    def test_qubit_block_identity_matches_dense_trace_norm(self, seed, d_b, pure):
+        # D = (1/2)||rho - Phi(rho)||_1 is the singular-value sum of <0|rho|1>
+        rng = np.random.default_rng(seed)
+        s = (random_pure_state if pure else random_state)(2, d_b, rng)
+        basis = ProjectiveBasis(haar_unitary(2, seed))
+        dense = 0.5 * trace_norm(s.rho - dephase_kron(s, basis))
+        assert abs(dephasing_disturbance(s, basis) - dense) <= 1e-12
+        eigen, degenerate = local_eigenbasis(s)
+        if not degenerate:
+            dense = 0.5 * trace_norm(s.rho - dephase_kron(s, eigen))
+            assert abs(dephasing_disturbance(s) - dense) <= 1e-12
 
 
 class TestDisturbanceSearch:

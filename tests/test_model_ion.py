@@ -134,6 +134,16 @@ class TestClosedForms:
         t = np.pi / (2 * p.omega0)
         assert abs(model_ion.analytic_local_distance(p, t, t) - 0.25) <= 0.05
 
+    @pytest.mark.parametrize("nbar,ld", [(0.0, True), (2.5, False), (10.0, False)])
+    def test_time_grid_call_matches_scalar_calls(self, nbar, ld):
+        p = model_ion.IonParams(nbar=nbar, lamb_dicke_limit=ld)
+        t0 = np.pi / (2 * p.omega0)
+        t1 = np.linspace(0.0, 4 * np.pi / p.omega0, 100)
+        scalar = [model_ion.analytic_local_distance(p, t0, t) for t in t1]
+        assert all(type(d) is float for d in scalar)
+        grid = model_ion.analytic_local_distance(p, t0, t1)
+        assert np.max(np.abs(grid - scalar)) <= 1e-15
+
     def test_disturbance_values(self):
         p = model_ion.IonParams()
         assert model_ion.analytic_disturbance(p, 0.0) == 0.0

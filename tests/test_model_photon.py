@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     build_correlated_state,
@@ -9,6 +11,7 @@ from oracles import (
     michelson_evolution,
     michelson_propagator,
     partial_trace_a,
+    photon_distance_dense,
 )
 from discord_probe import model_photon
 from discord_probe.measures import minimal_dephasing_disturbance, trace_distance
@@ -137,6 +140,28 @@ class TestSimulation:
             [model_photon.analytic_local_distance_photon(p, t) for t in taus]
         )
         assert np.max(np.abs(sim - closed)) <= 1e-3
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([101, 1001, 3201]), st.floats(40.0, 640.0),
+           st.floats(0.0, 0.5), st.floats(0.5, 2.0), st.floats(0.0, 2.0),
+           st.floats(0.1, 20.0), st.booleans(), st.integers(0, 2**31 - 1))
+    def test_factored_sum_matches_dense(self, n, span, beta, dw, t_prep,
+                                        omega0, negative, seed):
+        # odd point counts that are not perfect squares pad the last row
+        p = model_photon.PhotonParams(beta=beta, delta_omega=dw, t_prep=t_prep,
+                                      omega0=-omega0 if negative else omega0,
+                                      grid_span=span, grid_points=n)
+        taus = np.random.default_rng(seed).uniform(0.0, 6.0 / dw, 50)
+        fast = model_photon.simulated_local_distance_photon(p, taus)
+        assert np.max(np.abs(fast - photon_distance_dense(p, taus))) <= 1e-12
+
+    def test_closed_form_grid_call_matches_scalar_calls(self):
+        p = model_photon.PhotonParams(t_prep=0.7)
+        taus = np.linspace(0.0, 6.0, 400)
+        scalar = [model_photon.analytic_local_distance_photon(p, t) for t in taus]
+        assert all(type(d) is float for d in scalar)
+        grid = model_photon.analytic_local_distance_photon(p, taus)
+        assert np.max(np.abs(grid - scalar)) <= 1e-15
 
     def test_doubling_convergence(self):
         taus = np.linspace(0.0, 6.0, 60)

@@ -16,6 +16,7 @@ from conftest import (
 )
 from oracles import (
     dephase_kron,
+    haar_average_loop,
     hs_distance_sq,
     local_unitary_kron,
     minimized_series,
@@ -213,6 +214,17 @@ class TestRunLocalDetection:
         assert series.bound_ref == pytest.approx(dephasing_disturbance(s), abs=1e-12)
         assert np.all(series.d_t <= series.bound_ref + 1e-9)
 
+    @pytest.mark.parametrize("d_a,d_b", [(2, 3), (3, 2), (3, 4)])
+    def test_bound_matches_dense_trace_norm(self, d_a, d_b):
+        # the qubit block kernel for d_A = 2, the trace norm of Delta above
+        rng = np.random.default_rng(10 * d_a + d_b)
+        s = random_state(d_a, d_b, rng)
+        basis = ProjectiveBasis(haar_unitary(d_a, d_b))
+        evo = EvolutionSpec(hamiltonian=random_hermitian(d_a * d_b, rng))
+        dense = 0.5 * trace_norm(s.rho - dephase_kron(s, basis))
+        assert abs(run_local_detection(s, evo, GRID, basis).bound_ref - dense) <= 1e-12
+        assert abs(dephasing_disturbance(s, basis) - dense) <= 1e-12
+
     def test_b_marginals_coincide_at_t0(self, rng):
         s = random_state(2, 3, rng)
         basis, _ = local_eigenbasis(s)
@@ -399,6 +411,23 @@ class TestHaarAverage:
         assert predicted == pytest.approx(
             0.4 * hs_distance_sq(s.rho, dephase(s, basis).rho)
         )
+
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(0, 2**31 - 1),
+           st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 4), (4, 2)]),
+           st.integers(100, 400))
+    def test_batched_draws_equal_the_loop(self, seed, dims, n_samples):
+        s = random_state(*dims, np.random.default_rng(seed))
+        assert haar_average_estimate(s, n_samples, seed + 1) == haar_average_loop(
+            s, n_samples, seed + 1)
+
+    @pytest.mark.parametrize("batch", [1, 36 * 7, 36 * 300])
+    def test_batch_boundaries_keep_the_stream(self, monkeypatch, batch, rng):
+        # d = 6: one sample per batch, batches of 7, and one batch
+        s = random_state(2, 3, rng)
+        expect = haar_average_loop(s, 250, 3)
+        monkeypatch.setattr(protocol, "HAAR_BATCH", batch)
+        assert haar_average_estimate(s, 250, 3) == expect
 
     def test_sample_floor(self, rng):
         with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SX, random_density, random_state
+from conftest import SX, random_density, random_hermitian, random_state
 from oracles import (
     dephase_kron,
     dephase_qubit_bloch,
@@ -16,6 +16,7 @@ from oracles import (
 from discord_probe.states import (
     BipartiteState,
     ProjectiveBasis,
+    _pinching_blocks,
     apply_local_unitary,
     computational_basis,
     dephase,
@@ -148,6 +149,38 @@ class TestDephase:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
             dephase(random_state(3, 2, rng), computational_basis(2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 3), st.integers(1, 6),
+           st.sampled_from([-1e-3, -1e-8, 0.0, 1e-3]))
+    def test_blockwise_least_eigenvalue_is_the_dense_one(self, seed, d_a, d_b, floor):
+        # rho = sum_ij |v_i><v_j| (x) B_ij, Hermitian with unit trace, whose
+        # pinching sum_i |v_i><v_i| (x) B_ii has the eigenvalues w, one of them
+        # floor; the off-diagonal B_ij make rho itself differ from it
+        rng = np.random.default_rng(seed)
+        v = haar_unitary(d_a, seed)
+        w = rng.dirichlet(np.ones(d_a * d_b)).reshape(d_a, d_b)
+        w[0, 0], w[-1, -1] = floor, w[-1, -1] + w[0, 0] - floor
+        b = [[0.1 * random_hermitian(d_b, rng) for _ in range(d_a)] for _ in range(d_a)]
+        for i in range(d_a):
+            u = haar_unitary(d_b, seed + i + 1)
+            b[i][i] = (u * w[i]) @ u.conj().T
+            for j in range(i):
+                b[i][j] = b[j][i].conj().T
+        rho = sum(kron(np.outer(v[:, i], v[:, j].conj()), b[i][j])
+                  for i in range(d_a) for j in range(d_a))
+        # unchecked: rho need not be positive
+        s = BipartiteState._with_spectrum(rho, BipartitionDims(d_a, d_b), [0.0])
+        basis = ProjectiveBasis(v)
+        pinched = dephase_kron(s, basis)
+        dense = np.linalg.eigvalsh(pinched)[0]
+        assert abs(np.linalg.eigvalsh(_pinching_blocks(s.rho, s.dims, v)).min()
+                   - dense) <= 1e-12
+        if dense < -1e-10:
+            with pytest.raises(ValueError, match="negative eigenvalue"):
+                dephase(s, basis)
+        else:
+            assert np.max(np.abs(dephase(s, basis).rho - pinched)) <= 1e-12
 
     @pytest.mark.parametrize("d_a,d_b", [(2, 1), (2, 3), (3, 2), (3, 4)])
     def test_matches_kron_oracle(self, d_a, d_b):
