@@ -215,7 +215,7 @@ def _run_photon_dv(cfg: dict, out_dir: str) -> dict:
     return {
         "d_min": series.d_max,
         "D_min": series.bound_ref,
-        "discord_witnessed": bool(series.d_max > 1e-6),
+        "discord_witnessed": bool(series.d_max > D_MIN_THRESHOLD),
         "classical_correlation_detected": cc_fired,
     }
 
@@ -349,11 +349,12 @@ def execute(cfg: dict, out_dir: str) -> dict:
     return summary
 
 
+D_MIN_THRESHOLD = 1e-6  # d_min above this witnesses discord
 # (witness, bound, discord threshold) per result schema; the first pair
 # present in a run's results gives its verdict
 _WITNESS_BOUND = (
     ("d_max", "D", 1e-9),
-    ("d_min", "D_min", 1e-6),
+    ("d_min", "D_min", D_MIN_THRESHOLD),
     ("d_max", "negativity", 1e-9),
     ("max_tau_d", "D", 1e-9),
 )

@@ -4,11 +4,12 @@ basis-minimized disturbance, negativity."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 
 import numpy as np
 
 from .states import (
+    STATE_TOL,
     BipartiteState,
     ProjectiveBasis,
     dephasing_basis,
@@ -92,11 +93,11 @@ def negativity(state: BipartiteState) -> float:
 
 
 def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """rows @ mat with each row's result independent of the other rows: a
-    one-row product would go through gemv, whose rounding differs from
-    gemm's, so a single row is doubled."""
-    if len(rows) == 1:
-        return (np.repeat(rows, 2, axis=0) @ mat)[:1]
+    """rows @ mat for rows (..., R, k), with each row's result independent of
+    the other rows: a one-row product would go through gemv, whose rounding
+    differs from gemm's, so a single row is doubled."""
+    if rows.shape[-2] == 1:
+        return (np.repeat(rows, 2, axis=-2) @ mat)[..., :1, :]
     return rows @ mat
 
 
@@ -149,24 +150,29 @@ FACTOR_TAIL = 1e-13
 
 
 def _disturbance_kernel(rho: np.ndarray, d_b: int):
-    """(D on Bloch angles (G, 2), its Lipschitz constant in the chord).
+    """D on Bloch angles (G, 2).
 
     One eigh of rho gives the factors of its rank-r part after the tail cut.
     For r <= d_B / 2 the factored kernel does r x r work per axis; above
     that its two QRs cost more than the block kernel's one d_B x d_B SVD
-    (1.3-2.3x at r >= 3 d_B / 4 for d_B = 8 to 64). Both are Lipschitz with
-    ||rho||_1 / 2: ||N rho N - M rho M||_1 <= 2 ||rho||_1 |n - m|.
+    (1.3-2.3x at r >= 3 d_B / 4 for d_B = 8 to 64).
     """
     w, v = np.linalg.eigh(rho)
     size = np.abs(w)
     order = np.argsort(size)
     keep = order[np.searchsorted(np.cumsum(size[order]), FACTOR_TAIL):]
-    lip = 0.5 * size.sum()
     if 2 * len(keep) > d_b:
-        return partial(_block_disturbance, rho, d_b), lip
+        return partial(_block_disturbance, rho, d_b)
     right = v[:, keep] * np.sqrt(size[keep])
     left = right * np.sign(w[keep])
-    return partial(_factored_disturbance, left, right), lip
+    return partial(_factored_disturbance, left, right)
+
+
+def _chord_lipschitz(state: BipartiteState) -> float:
+    """Lipschitz constant ||rho||_1 / 2 in the chord of D(n) and d_n(t), as
+    ||N rho N - M rho M||_1 <= 2 ||rho||_1 |n - m| and Tr_B U(.)U^dag contracts
+    the trace norm; every state has ||rho||_1 <= 1 + (2d + 1) STATE_TOL."""
+    return 0.5 + (state.dims.total + 0.5) * STATE_TOL
 
 
 def _basis_angles(basis: ProjectiveBasis) -> np.ndarray:
@@ -180,15 +186,72 @@ def _basis_angles(basis: ProjectiveBasis) -> np.ndarray:
     return np.array([[theta, np.angle(sign * xy) % (2 * np.pi)]])
 
 
+def _chord(n: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Distance between the bases of Bloch axes n and m, min(|n - m|, |n + m|),
+    from the differences themselves: sqrt(2 - 2|n.m|) loses half the digits
+    of a short chord."""
+    return np.minimum(np.linalg.norm(n - m, axis=-1), np.linalg.norm(n + m, axis=-1))
+
+
+@lru_cache(maxsize=8)
+def _pruning_table(grid: BasisGrid):
+    """The coarse subgrid (every 3rd theta row plus the last, times every 3rd
+    phi), the other points, the corners (4, N) of the distinct coarse cells as
+    positions in the subgrid, and each other point's cell and chords (4, F)."""
+    ti, pj = np.divmod(np.arange(grid.n_theta * grid.n_phi), grid.n_phi)
+    coarse_row = np.arange(grid.n_theta) % 3 == 0
+    coarse_row[-1] = True
+    rows, cols = np.flatnonzero(coarse_row), np.arange(0, grid.n_phi, 3)
+    coarse = coarse_row[ti] & (pj % 3 == 0)
+    ti, pj = ti[~coarse], pj[~coarse]
+    t_lo = rows[np.searchsorted(rows, ti, "right") - 1]
+    t_hi = rows[np.searchsorted(rows, ti, "left")]
+    p_lo = cols[np.searchsorted(cols, pj, "right") - 1]
+    p_hi = cols[np.searchsorted(cols, pj, "left") % len(cols)]  # phi wraps
+    corners = np.stack([t_lo * grid.n_phi + p_lo, t_lo * grid.n_phi + p_hi,
+                        t_hi * grid.n_phi + p_lo, t_hi * grid.n_phi + p_hi])
+    axes = bloch_vectors(grid.angles())
+    fine, coarse = np.flatnonzero(~coarse), np.flatnonzero(coarse)
+    cells, cell_of = np.unique(np.searchsorted(coarse, corners), axis=1,
+                               return_inverse=True)
+    table = (coarse, fine, cells, cell_of.ravel(), _chord(axes[fine], axes[corners]))
+    for arr in table:  # shared by every caller through the cache
+        arr.flags.writeable = False
+    return table
+
+
 # the 3x3 stencil without its centre, the incumbent itself
 _STENCIL = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j])
 
 
-def _refine(f, grid: BasisGrid, angles: np.ndarray, vals: np.ndarray):
-    """Refine the incumbent of each of K objectives, given their values
-    (K, G) on the angles (G, 2), on the 8 neighbours of a 3x3 stencil whose
-    spacing halves each round. `f` maps angles (K, G', 2) to values (K, G').
-    Returns the minima (K,) and their angles (K, 2)."""
+def _bloch_search(f, lip: float, grid: BasisGrid, start: np.ndarray):
+    """Minimize K objectives over Bloch angles at once. `f` maps angles
+    (1, G, 2), shared by all K, or (K, G, 2) to values (K, G), each point's
+    value independent of the others in the call.
+
+    f is first evaluated on the coarse subgrid and the `start` angles (S, 2).
+    With |f_k(p) - f_k(c)| <= lip * chord(p, c), another grid point is
+    evaluated only if, for some k, its bound from its coarse corners is within
+    1e-12 of k's incumbent, so each grid argmin is the exhaustive grid's.
+    Every incumbent is then refined on the 8 neighbours of a 3x3 stencil
+    whose spacing halves each round. Returns the minima (K,) and angles (K, 2).
+    """
+    angles = np.vstack([grid.angles(), start])
+    coarse, fine, cells, cell_of, chords = _pruning_table(grid)
+    first = np.concatenate([coarse, np.arange(grid.n_theta * grid.n_phi, len(angles))])
+    first_vals = f(angles[None, first])
+    excess = first_vals - (first_vals.min(axis=1, keepdims=True) + 1e-12)
+    # kept when some k's highest cell corner lies within lip * its shortest chord
+    top = reduce(np.maximum, (excess[:, c] for c in cells)).min(axis=0)
+    keep = top[cell_of] <= lip * chords.min(axis=0)
+    out = np.flatnonzero(~keep)
+    bound = reduce(np.maximum, (excess[:, c] - h[out]
+                                for c, h in zip(cells[:, cell_of[out]], lip * chords)))
+    keep[out] = np.any(bound <= 0, axis=0)
+    rest = fine[keep]
+    vals = np.full((len(first_vals), len(angles)), np.inf)
+    vals[:, first] = first_vals
+    vals[:, rest] = f(angles[None, rest])
     best_val, best_ang = vals.min(axis=1), angles[np.argmin(vals, axis=1)]
     rows, step = np.arange(len(vals)), np.array(grid.spacing)
     for _ in range(grid.refine_rounds):
@@ -202,69 +265,6 @@ def _refine(f, grid: BasisGrid, angles: np.ndarray, vals: np.ndarray):
     return best_val, best_ang
 
 
-def _minimize_over_bloch(f, grid: BasisGrid, start: np.ndarray):
-    """Minimize K objectives over Bloch angles at once: evaluate all on the
-    grid plus the `start` angles (S, 2), then refine every incumbent. `f`
-    maps angles (K, G, 2), or (1, G, 2) shared by all K, to values (K, G).
-    Returns the minima (K,) and their angles (K, 2)."""
-    angles = np.vstack([grid.angles(), start])
-    return _refine(f, grid, angles, f(angles[None]))
-
-
-def _chord(n: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """Distance between the bases of Bloch axes n and m, min(|n - m|, |n + m|),
-    from the differences themselves: sqrt(2 - 2|n.m|) loses half the digits
-    of a short chord."""
-    return np.minimum(np.linalg.norm(n - m, axis=-1), np.linalg.norm(n + m, axis=-1))
-
-
-@lru_cache(maxsize=8)
-def _pruning_table(grid: BasisGrid):
-    """The coarse subgrid (every 3rd theta row plus the last, times every 3rd
-    phi) and, for every other grid point, the flat indices (F, 4) of the
-    corners of its coarse cell and its chords (F, 4) to them."""
-    ti, pj = np.divmod(np.arange(grid.n_theta * grid.n_phi), grid.n_phi)
-    coarse_row = np.arange(grid.n_theta) % 3 == 0
-    coarse_row[-1] = True
-    rows, cols = np.flatnonzero(coarse_row), np.arange(0, grid.n_phi, 3)
-    coarse = coarse_row[ti] & (pj % 3 == 0)
-    ti, pj = ti[~coarse], pj[~coarse]
-    t_lo = rows[np.searchsorted(rows, ti, "right") - 1]
-    t_hi = rows[np.searchsorted(rows, ti, "left")]
-    p_lo = cols[np.searchsorted(cols, pj, "right") - 1]
-    p_hi = cols[np.searchsorted(cols, pj, "left") % len(cols)]  # phi wraps
-    corners = np.stack([t_lo * grid.n_phi + p_lo, t_lo * grid.n_phi + p_hi,
-                        t_hi * grid.n_phi + p_lo, t_hi * grid.n_phi + p_hi], axis=1)
-    axes = bloch_vectors(grid.angles())
-    fine = np.flatnonzero(~coarse)
-    chords = _chord(axes[fine, None], axes[corners])
-    table = (np.flatnonzero(coarse), fine, corners, chords)
-    for arr in table:  # shared by every caller through the cache
-        arr.flags.writeable = False
-    return table
-
-
-def _pruned_grid_values(f, lip: float, grid: BasisGrid, start: np.ndarray):
-    """Angles (G + S, 2) of the grid plus `start`, and the values of f on
-    them, where grid points that cannot hold the minimum read +inf.
-
-    f is first evaluated on the coarse subgrid and `start`. With
-    |f(p) - f(c)| <= lip * chord(p, c), a point whose bound from its coarse
-    corners exceeds that incumbent by more than 1e-12 is skipped: it lies
-    strictly above the minimum, so argmin and min are the exhaustive grid's.
-    """
-    angles = np.vstack([grid.angles(), start])
-    coarse, fine, corners, chords = _pruning_table(grid)
-    first = np.concatenate([coarse, np.arange(grid.n_theta * grid.n_phi, len(angles))])
-    vals = np.full(len(angles), np.inf)
-    vals[first] = f(angles[first])
-    bound = np.max(vals[corners] - lip * chords, axis=1)
-    rest = fine[bound <= vals[first].min() + 1e-12]
-    if len(rest):
-        vals[rest] = f(angles[rest])
-    return angles, vals
-
-
 def minimal_dephasing_disturbance(state: BipartiteState, grid: BasisGrid | None = None,
                                   start: np.ndarray | None = None):
     """Grid minimum of the basis-dependent dephasing disturbance D(n) for a
@@ -273,15 +273,12 @@ def minimal_dephasing_disturbance(state: BipartiteState, grid: BasisGrid | None 
     The `start` angles (S, 2), by default those of the eigenbasis of the
     A-marginal, are candidates besides the grid; the eigenbasis makes the
     result exact for pure states and never above the plain dephasing
-    disturbance. Grid points that the Lipschitz bound of D places above the
-    minimum are not evaluated. Returns (value, argmin basis).
+    disturbance. Returns (value, argmin basis).
     """
     if state.dims.d_a != 2:
         raise ValueError("basis-grid minimization is defined for d_A = 2 only")
-    if start is None:
-        start = _basis_angles(local_eigenbasis(state)[0])
-    grid = grid or BasisGrid()
-    f, lip = _disturbance_kernel(state.rho, state.dims.d_b)
-    angles, vals = _pruned_grid_values(f, lip, grid, start)
-    val, ang = _refine(lambda a: f(a[0])[None], grid, angles, vals[None])
+    start = _basis_angles(local_eigenbasis(state)[0]) if start is None else start
+    f = _disturbance_kernel(state.rho, state.dims.d_b)
+    val, ang = _bloch_search(lambda a: f(a[0])[None], _chord_lipschitz(state),
+                             grid or BasisGrid(), start)
     return float(val[0]), qubit_basis(ang[0, 0], ang[0, 1])

@@ -83,7 +83,8 @@ def prepare_state(p: IonParams, t0: float,
     cols = np.eye(2 * (p.n_max + 1), p.n_max + 1) * np.sqrt(p.populations())
     evo = evo or evolution(p)
     psi = evo.evolve_vectors(cols, [t0])[:, :, 0]
-    return BipartiteState(psi @ psi.conj().T, p.dims)
+    gram = np.linalg.eigvalsh(psi.conj().T @ psi)  # the nonzero spectrum of rho
+    return BipartiteState._with_spectrum(psi @ psi.conj().T, p.dims, gram)
 
 
 def evolution(p: IonParams) -> EvolutionSpec:

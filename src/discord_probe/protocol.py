@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from . import measures
-from .measures import BasisGrid, bloch_vectors
+from .measures import BasisGrid, _rows_times, bloch_vectors
 from .states import (
     BipartiteState,
     ProjectiveBasis,
@@ -174,11 +174,11 @@ def run_minimized_detection(
     Dephasing along Bloch axis n maps the evolved marginal to
     (R(t) + sum_p w_p n_a n_b S_p(t))/2, so once the marginal series of the
     six S_p are known, the local distance at every (n, t) is half the length
-    of the Pauli vector of the traceless R(t) - sum_p w_p n_a n_b S_p(t).
-    The argmin axis n* of the bound is evaluated at every time and caps the
-    refined minimum, so d_min(t) <= d_{n*}(t) <= D(n*) = D_min holds whatever
-    the grid. It does not seed the refinement, which therefore never ends
-    above the grid search's own result.
+    of the Pauli vector of the traceless R(t) - sum_p w_p n_a n_b S_p(t), each
+    time one objective of a Bloch search. The argmin axis n* of the bound caps
+    the result at every time, so d_min(t) <= d_{n*}(t) <= D(n*) = D_min
+    whatever the grid; it does not seed the refinement, which therefore never
+    ends above the search's own result.
     """
     start = measures._basis_angles(local_eigenbasis(state)[0])  # refuses d_A != 2
     bases = bases or BasisGrid()
@@ -191,7 +191,7 @@ def run_minimized_detection(
     paulis = pauli_vector(margs) / 2
     r_t, s_t = paulis[0], paulis[1:].transpose(1, 0, 2)  # (T, 3), (T, 6, 3)
 
-    n_star = measures._basis_angles(bound_basis)
+    n_star, lip = measures._basis_angles(bound_basis), measures._chord_lipschitz(state)
     # time chunks of at most about 2**17 (axis, time) pairs bound the memory
     chunk = max(1, 2**17 // (len(bases.angles()) + len(start)))
     d_min_t = np.empty(len(grid.samples))
@@ -201,11 +201,10 @@ def run_minimized_detection(
         def local_distance(ang):
             n = bloch_vectors(ang)
             q = n[..., _PAIRS[:, 0]] * n[..., _PAIRS[:, 1]] * _PAIR_WEIGHTS
-            return 0.5 * np.linalg.norm(r_c[:, None] - q @ s_c, axis=-1)
+            return 0.5 * np.sqrt(np.square(r_c[:, None] - _rows_times(q, s_c)).sum(-1))
 
-        vals, _ = measures._minimize_over_bloch(local_distance, bases, start)
-        along_n_star = local_distance(n_star[None])[:, 0]
-        d_min_t[lo : lo + chunk] = np.minimum(vals, along_n_star)
+        vals, _ = measures._bloch_search(local_distance, lip, bases, start)
+        d_min_t[lo : lo + chunk] = np.minimum(vals, local_distance(n_star[None])[:, 0])
     return WitnessSeries(grid.samples, d_min_t, bound_ref=bound)
 
 

@@ -18,6 +18,7 @@ from .tensor import (
 )
 
 DEGENERACY_GAP = 1e-8
+STATE_TOL = 1e-10  # trace deviation and negative eigenvalue a state may have
 FOCK_TAIL_TOL = 1e-8
 FOCK_FLOOR = 20    # smallest phonon cutoff
 FOCK_HEADROOM = 2  # levels above the tail cut, for sideband leakage into n+1
@@ -51,16 +52,16 @@ class BipartiteState:
 
 def _checked_density(rho: np.ndarray, dims: BipartitionDims,
                      eigenvalues: np.ndarray | None = None) -> np.ndarray:
-    """rho, refused unless it is a Hermitian unit-trace operator of the
-    split's shape with no eigenvalue below -1e-10; eigvalsh(rho) unless the
-    `eigenvalues` are given."""
+    """rho, refused unless it is a Hermitian operator of the split's shape
+    with trace within STATE_TOL of 1 and no eigenvalue below -STATE_TOL;
+    eigvalsh(rho) unless the `eigenvalues` are given."""
     rho = require_hermitian(rho)
     dims.check(rho)
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > 1e-10:
+    if abs(tr - 1.0) > STATE_TOL:
         raise ValueError(f"state trace {tr} deviates from 1")
     wmin = np.min(np.linalg.eigvalsh(rho) if eigenvalues is None else eigenvalues)
-    if wmin < -1e-10:
+    if wmin < -STATE_TOL:
         raise ValueError(f"state has negative eigenvalue {wmin:.3e}")
     return rho
 

@@ -2,9 +2,9 @@
 
 These are the full-dimension forms of quantities the package computes in a
 reduced form: the qubit-probe dephasing disturbance D(n) from an `eigvalsh`
-of the 2d_B x 2d_B operator rho - N rho N, the basis-minimized local
-distance d_min(t) from a separate grid-and-refine search at every time
-sample, the full trace norm, the Bloch-axis pinching, the pinching and local
+of the 2d_B x 2d_B operator rho - N rho N, the Bloch search over the whole
+grid with no pruning, the basis-minimized local distance d_min(t) from a
+separate grid-and-refine search at every time sample, the full trace norm, the Bloch-axis pinching, the pinching and local
 unitaries as products with kron(op, I_B), the dephasing and comparison
 witnesses from two separately evolved states, the emission model on
 the full atom (x) modes space, the spin-chain Hamiltonian from dense
@@ -259,6 +259,27 @@ def disturbance_batch(rho: np.ndarray, conj: np.ndarray,
         w = np.linalg.eigvalsh(diff)
         vals[lo : lo + chunk] = 0.25 * np.sum(np.abs(w), axis=1)
     return vals
+
+
+def bloch_search_exhaustive(f, grid: BasisGrid, start: np.ndarray):
+    """`measures._bloch_search` without pruning: the K objectives of `f`
+    evaluated on the whole grid plus `start` in one call, and each incumbent
+    refined on the 8 neighbours of a 3x3 stencil whose spacing halves each
+    round. Returns the minima (K,) and their angles (K, 2)."""
+    angles = np.vstack([grid.angles(), start])
+    vals = f(angles[None])
+    best_val, best_ang = vals.min(axis=1), angles[np.argmin(vals, axis=1)]
+    offs = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j])
+    rows, step = np.arange(len(vals)), np.array(grid.spacing)
+    for _ in range(grid.refine_rounds):
+        step = step / 2
+        cand = best_ang[:, None, :] + offs * step
+        cvals = f(cand)
+        j = np.argmin(cvals, axis=1)
+        better = cvals[rows, j] < best_val
+        best_val[better] = cvals[rows, j][better]
+        best_ang[better] = cand[rows, j][better]
+    return best_val, best_ang
 
 
 def minimized_series(state: BipartiteState, evo, times: np.ndarray,

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
-from discord_probe import model_spinchain
+from discord_probe import cli, model_spinchain
 from discord_probe.cli import PARAMS, ConfigError, execute, load_config, main, parse
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -268,6 +268,23 @@ class TestRun:
         assert not res["discord_witnessed"]
         assert res["classical_correlation_detected"]
         assert (out / "classical_series.csv").exists()
+
+    @pytest.mark.parametrize("theta", [float(np.pi / 4), float(np.pi / 2)])
+    def test_photon_dv_flag_is_verdict(self, tmp_path, capsys, theta):
+        # discord_witnessed and the d_min verdict read one threshold
+        assert ("d_min", "D_min", cli.D_MIN_THRESHOLD) in cli._WITNESS_BOUND
+        p = write_config(
+            tmp_path / "c.yaml",
+            {"model": "photon-dv", "params": {"lam": 0.5, "theta": theta},
+             "basis_grid": {"n_theta": 20, "n_phi": 40}},
+        )
+        out = tmp_path / "out"
+        assert main(["run", p, "--out-dir", str(out)]) == 0
+        res = json.loads((out / "summary.json").read_text())["results"]
+        assert res["discord_witnessed"] == (res["d_min"] > cli.D_MIN_THRESHOLD)
+        verdict = capsys.readouterr().out.strip()
+        assert verdict.startswith("discord witnessed") == res["discord_witnessed"]
+        assert res["discord_witnessed"] == (theta < 1.0)  # pi/2 is classical
 
     def test_spinchain_ground_state_verdict(self, tmp_path, capsys):
         p = write_config(

@@ -6,25 +6,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_hermitian, random_pure_state, random_state
-from oracles import (dephase_kron, dephase_qubit_bloch, disturbance_batch,
-                     hs_distance_sq, sigma_conjugations, trace_norm)
+from oracles import (bloch_search_exhaustive, dephase_kron, dephase_qubit_bloch,
+                     disturbance_batch, hs_distance_sq, sigma_conjugations, trace_norm)
+from discord_probe import measures
 from discord_probe.measures import (
     FACTOR_TAIL,
     BasisGrid,
     _basis_angles,
+    _bloch_search,
     _block_disturbance,
     _chord,
+    _chord_lipschitz,
     _disturbance_kernel,
     _factored_disturbance,
-    _minimize_over_bloch,
-    _pruned_grid_values,
     bloch_vectors,
     dephasing_disturbance,
     minimal_dephasing_disturbance,
     negativity,
     trace_distance,
 )
+from discord_probe.protocol import EvolutionSpec, TimeGrid, run_minimized_detection
 from discord_probe.states import (
+    STATE_TOL,
     BipartiteState,
     ProjectiveBasis,
     apply_local_unitary,
@@ -52,6 +55,19 @@ def random_rank_state(d_b: int, rank: int, rng) -> BipartiteState:
 
 def random_angles(n: int, rng) -> np.ndarray:
     return np.column_stack([rng.uniform(-np.pi, np.pi, n), rng.uniform(0, 2 * np.pi, n)])
+
+
+def minimized_objective(state: BipartiteState, rng, n_times: int):
+    """The d_n(t) objective, one per time sample, that run_minimized_detection
+    hands to the Bloch search for a random generator."""
+    evo = EvolutionSpec(hamiltonian=random_hermitian(state.dims.total, rng))
+    handed = []
+    real = measures._bloch_search
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_bloch_search", lambda f, *a: handed.append(f) or real(f, *a))
+        run_minimized_detection(state, evo, TimeGrid.linear(3.0, n_times),
+                                BasisGrid(3, 4, refine_rounds=0))
+    return handed[-1]  # handed[0] is D(n)
 
 
 def two_qubit_schmidt(gamma: float) -> BipartiteState:
@@ -237,21 +253,33 @@ class TestDisturbanceSearch:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 8), st.integers(1, 16),
-           st.sampled_from([(1, 1), (1, 7), (2, 5), (3, 3), (4, 9), (7, 12), (20, 40)]))
-    def test_pruned_grid_is_exhaustive_grid(self, seed, d_b, rank, shape):
+           st.sampled_from([(1, 1), (1, 2), (1, 7), (2, 5), (3, 3), (4, 9), (7, 12),
+                            (20, 40)]),
+           st.integers(1, 6))
+    def test_pruned_grid_is_exhaustive_grid(self, seed, d_b, rank, shape, n_times):
+        # K = 1 for D(n), K = n_times for d_n(t) and for cones lip * chord(n, a)
+        # that attain the Lipschitz bound; refine_rounds = 0 leaves the grid
         rng = np.random.default_rng(seed)
         s = random_rank_state(d_b, rank, rng)
-        grid = BasisGrid(*shape)
+        grid = BasisGrid(*shape, refine_rounds=0)
         start = np.vstack([_basis_angles(local_eigenbasis(s)[0]), random_angles(1, rng)])
-        f, lip = _disturbance_kernel(s.rho, d_b)
-        angles, vals = _pruned_grid_values(f, lip, grid, start)
-        full = f(angles)
-        assert np.argmin(vals) == np.argmin(full)
-        assert vals.min() == full.min()  # bit for bit
-        seen = np.isfinite(vals)
-        assert np.array_equal(vals[seen], full[seen])
-        assert np.all(full[~seen] > full.min())
-        assert np.all(seen[grid.n_theta * grid.n_phi:])  # start always evaluated
+        angles = np.vstack([grid.angles(), start])
+        kernel, lip = _disturbance_kernel(s.rho, d_b), _chord_lipschitz(s)
+        apexes = bloch_vectors(np.vstack([random_angles(n_times, rng),
+                                          angles[rng.integers(len(angles) - 2)]]))
+        for f in (lambda a: kernel(a[0])[None], minimized_objective(s, rng, n_times),
+                  lambda a: lip * _chord(bloch_vectors(a), apexes[:, None])):
+            seen = []
+            val, ang = _bloch_search(lambda a: seen.append(a[0]) or f(a), lip, grid, start)
+            full = f(angles[None])
+            k = np.argmin(full, axis=1)
+            assert np.array_equal(val, full[np.arange(len(full)), k])  # bit for bit
+            assert np.array_equal(ang, angles[k])
+            assert np.array_equal(seen[0][-len(start):], start)  # always evaluated
+            seen = np.vstack(seen)
+            skipped = ~np.isin(angles @ [1, 1j], seen @ [1, 1j])
+            assert len(seen) + skipped.sum() == len(angles)  # each point at most once
+            assert np.all(full[:, skipped] > val[:, None])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 8), st.integers(1, 16))
@@ -276,10 +304,9 @@ class TestDisturbanceSearch:
         # them, on the d_B x d_B block
         rng = np.random.default_rng(seed)
         s = random_rank_state(d_b, rank, rng)
-        f, lip = _disturbance_kernel(s.rho, d_b)
+        f = _disturbance_kernel(s.rho, d_b)
         r = min(rank, 2 * d_b)
         assert f.func is (_factored_disturbance if 2 * r <= d_b else _block_disturbance)
-        assert abs(lip - 0.5) <= 1e-12
         angles = random_angles(20, rng)
         assert np.max(np.abs(f(angles) - _block_disturbance(s.rho, d_b, angles))) <= 1e-12
 
@@ -293,18 +320,17 @@ class TestDisturbanceSearch:
         rho = np.diag([1 - tail, tail / 2, tail / 2, 0, 0, 0]).astype(complex)
         s = BipartiteState(rho, BipartitionDims(2, 3))
         assert np.array_equal(np.linalg.eigvalsh(rho), np.sort(np.diag(rho).real))
-        f, _ = _disturbance_kernel(s.rho, 3)
-        assert f.func is kernel
+        assert _disturbance_kernel(s.rho, 3).func is kernel
 
     def test_tail_at_eps_in_a_random_basis_takes_block(self, rng):
         d_b = 4
         w = np.array([1 - 2 * FACTOR_TAIL] + [2 * FACTOR_TAIL / 7] * 7)
         u = haar_unitary(2 * d_b, 11)
         s = BipartiteState((u * w) @ u.conj().T, BipartitionDims(2, d_b))
-        assert _disturbance_kernel(s.rho, d_b)[0].func is _block_disturbance
+        assert _disturbance_kernel(s.rho, d_b).func is _block_disturbance
         w = np.array([1 - FACTOR_TAIL / 2] + [FACTOR_TAIL / 14] * 7)
         s = BipartiteState((u * w) @ u.conj().T, BipartitionDims(2, d_b))
-        f, _ = _disturbance_kernel(s.rho, d_b)
+        f = _disturbance_kernel(s.rho, d_b)
         assert f.func is _factored_disturbance
         angles = random_angles(40, rng)
         # dropping a tail below eps moves D(n) by less than eps
@@ -312,16 +338,61 @@ class TestDisturbanceSearch:
         assert np.max(dev) <= FACTOR_TAIL
 
     @settings(max_examples=20, deadline=None)
-    @given(st.integers(0, 2**31 - 1), st.integers(1, 8), st.integers(1, 16))
-    def test_search_matches_exhaustive_search(self, seed, d_b, rank):
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 8), st.integers(1, 16),
+           st.integers(1, 6))
+    def test_search_matches_exhaustive_search(self, seed, d_b, rank, n_times):
         rng = np.random.default_rng(seed)
         s = random_rank_state(d_b, rank, rng)
         grid = BasisGrid(n_theta=6, n_phi=10, refine_rounds=3)
         start = _basis_angles(local_eigenbasis(s)[0])
-        val, _ = minimal_dephasing_disturbance(s, grid)
-        ref, _ = _minimize_over_bloch(
+        val, basis = minimal_dephasing_disturbance(s, grid)
+        ref, _ = bloch_search_exhaustive(
             lambda a: _block_disturbance(s.rho, d_b, a[0])[None], grid, start)
         assert abs(val - ref[0]) <= 1e-12
+        kernel = _disturbance_kernel(s.rho, d_b)
+        ref, ang = bloch_search_exhaustive(lambda a: kernel(a[0])[None], grid, start)
+        assert val == ref[0]  # bit for bit with the same kernel
+        assert np.array_equal(basis.vectors, qubit_basis(*ang[0]).vectors)
+        # d_n(t): one objective per time sample, bit for bit
+        f = minimized_objective(s, rng, n_times)
+        got = _bloch_search(f, _chord_lipschitz(s), grid, start)
+        ref = bloch_search_exhaustive(f, grid, start)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+    # (grid shape, seed, d_B, rank, times) where exactly one fine point is
+    # left to evaluate; with one time sample its lone row goes through gemv
+    @pytest.mark.parametrize("shape,seed,d_b,rank,n_times", [
+        ((5, 12), 6, 1, 1, 1), ((5, 12), 45, 1, 2, 1), ((20, 40), 7, 2, 2, 1),
+        ((20, 40), 3, 1, 2, 1), ((5, 12), 2, 1, 1, 2), ((5, 12), 19, 1, 2, 3)])
+    def test_single_survivor_is_exhaustive(self, shape, seed, d_b, rank, n_times):
+        rng = np.random.default_rng(seed)
+        s = random_rank_state(d_b, rank, rng)
+        grid = BasisGrid(*shape, refine_rounds=0)
+        start = _basis_angles(local_eigenbasis(s)[0])
+        f, calls = minimized_objective(s, rng, n_times), []
+        got = _bloch_search(lambda a: calls.append(a[0]) or f(a), _chord_lipschitz(s),
+                            grid, start)
+        assert [len(a) for a in calls[1:]] == [1]
+        angles = np.vstack([grid.angles(), start])
+        full = f(angles[None])
+        lone = np.flatnonzero((angles == calls[1]).all(axis=1))
+        assert np.array_equal(f(calls[1][None]), full[:, lone])  # bit for bit
+        ref = bloch_search_exhaustive(f, grid, start)
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 8))
+    def test_lipschitz_constant_bounds_the_trace_norm(self, seed, d_b):
+        # eigenvalues at the edges of the construction checks: trace up to
+        # 1 + STATE_TOL and eigenvalues down to -STATE_TOL
+        rng = np.random.default_rng(seed)
+        d = 2 * d_b
+        n_neg = rng.integers(0, d)
+        w = np.concatenate([np.full(n_neg, -0.99 * STATE_TOL), rng.dirichlet(np.ones(d - n_neg))])
+        w[-1] += 0.99 * STATE_TOL - w.sum() + 1
+        u = haar_unitary(d, seed)
+        s = BipartiteState((u * w) @ u.conj().T, BipartitionDims(2, d_b))
+        assert 0.5 * trace_norm(s.rho) <= _chord_lipschitz(s) <= 0.5 + 1e-8
 
 
 class TestBasisGrid:

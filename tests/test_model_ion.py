@@ -7,7 +7,7 @@ from oracles import prepare_ion_state_dense
 from discord_probe import model_ion
 from discord_probe.measures import dephasing_disturbance
 from discord_probe.protocol import TimeGrid
-from discord_probe.states import local_eigenbasis
+from discord_probe.states import BipartiteState, local_eigenbasis
 from discord_probe.tensor import kron
 
 
@@ -97,6 +97,21 @@ class TestPrepareState:
         for t0 in (0.0, 0.7 / p.omega0, 3.1 / p.omega0):
             s = model_ion.prepare_state(p, t0)
             assert np.max(np.abs(s.rho - prepare_ion_state_dense(p, t0))) <= 1e-12
+
+    @pytest.mark.parametrize("nbar,limit", [(0.0, True), (1.3, True), (10.0, False)])
+    def test_gram_spectrum_is_state_spectrum(self, nbar, limit, monkeypatch):
+        # positivity is checked on eigvalsh(psi^dag psi), d_B x d_B: the
+        # nonzero spectrum of rho = psi psi^dag, whose other d_B eigenvalues vanish
+        p = model_ion.IonParams(nbar=nbar, lamb_dicke_limit=limit)
+        real, checked = BipartiteState._with_spectrum, []
+        monkeypatch.setattr(BipartiteState, "_with_spectrum", classmethod(
+            lambda cls, rho, dims, w: checked.append(w) or real(rho, dims, w)))
+        s = model_ion.prepare_state(p, 1.3 / p.omega0)
+        (gram,) = checked
+        assert len(gram) == p.n_max + 1
+        dense = np.linalg.eigvalsh(s.rho)
+        assert np.max(np.abs(np.sort(np.concatenate([gram, np.zeros(len(gram))]))
+                             - dense)) <= 1e-12
 
     def test_four_term_expansion(self):
         # rho(t0) = sum_n p_n (cos^2 |g,n><g,n| + sincos cross + sin^2 |e,n+1><e,n+1|)

@@ -27,6 +27,7 @@ from oracles import (
 from discord_probe import measures, protocol, tensor
 from discord_probe.measures import (
     BasisGrid,
+    bloch_vectors,
     dephasing_disturbance,
     minimal_dephasing_disturbance,
     trace_distance,
@@ -50,6 +51,7 @@ from discord_probe.states import (
     dephase,
     haar_unitary,
     local_eigenbasis,
+    qubit_basis,
     zero_discord_state,
 )
 from discord_probe.tensor import (
@@ -281,6 +283,23 @@ class TestRunLocalDetection:
 
 
 class TestRunMinimizedDetection:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.booleans())
+    def test_local_distance_is_lipschitz_in_the_chord(self, seed, d_b, near):
+        # |d_n(t) - d_m(t)| <= ||N rho N - M rho M||_1 / 4 <= ||rho||_1 chord / 2,
+        # the constant that prunes the d_min(t) search
+        rng = np.random.default_rng(seed)
+        s = random_state(2, d_b, rng)
+        evo = EvolutionSpec(hamiltonian=random_hermitian(2 * d_b, rng))
+        n = rng.uniform([0.0, 0.0], [np.pi, 2 * np.pi])
+        m = n + rng.normal(scale=1e-3 if near else 1.0, size=2)
+        d_n = run_local_detection(s, evo, GRID, basis=qubit_basis(*n)).d_t
+        d_m = run_local_detection(s, evo, GRID, basis=qubit_basis(*m)).d_t
+        lip = 0.5 * trace_norm(s.rho)
+        assert lip <= measures._chord_lipschitz(s)
+        chord = measures._chord(bloch_vectors(n), bloch_vectors(m))
+        assert np.all(np.abs(d_n - d_m) <= lip * chord + 1e-12)
+
     def test_zero_discord(self, rng):
         s = zero_discord_state(
             [0.7, 0.3], computational_basis(2),
