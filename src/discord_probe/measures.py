@@ -92,7 +92,7 @@ def negativity(state: BipartiteState) -> float:
     return max(val, 0.0)
 
 
-def _rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
+def rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """rows @ mat for rows (..., R, k), with each row's result independent of
     the other rows: a one-row product would go through gemv, whose rounding
     differs from gemm's, so a single row is doubled."""
@@ -116,7 +116,7 @@ def _pinching_disturbance(rho: np.ndarray, d_b: int, kets: np.ndarray) -> np.nda
     chunk = max(1, 2**20 // (d_b * d_b))  # about 16 MB of blocks per batch
     vals = np.empty(len(kets))
     for lo in range(0, len(kets), chunk):
-        blk = _rows_times(weights[lo : lo + chunk], blocks).reshape(-1, d_b, d_b)
+        blk = rows_times(weights[lo : lo + chunk], blocks).reshape(-1, d_b, d_b)
         vals[lo : lo + chunk] = np.linalg.svd(blk, compute_uv=False).sum(axis=1)
     return vals
 
@@ -132,8 +132,8 @@ def _factored_disturbance(left: np.ndarray, right: np.ndarray,
     chunk = max(1, 2**20 // (d_b * r))
     vals = np.empty(len(angles))
     for lo in range(0, len(angles), chunk):
-        a = _rows_times(bras[lo : lo + chunk, :, 0], left).reshape(-1, d_b, r)
-        b = _rows_times(bras[lo : lo + chunk, :, 1], right).reshape(-1, d_b, r)
+        a = rows_times(bras[lo : lo + chunk, :, 0], left).reshape(-1, d_b, r)
+        b = rows_times(bras[lo : lo + chunk, :, 1], right).reshape(-1, d_b, r)
         if r == 1:
             vals[lo : lo + chunk] = (np.linalg.norm(a[:, :, 0], axis=1)
                                      * np.linalg.norm(b[:, :, 0], axis=1))
@@ -171,7 +171,8 @@ def _disturbance_kernel(rho: np.ndarray, d_b: int):
 def _chord_lipschitz(state: BipartiteState) -> float:
     """Lipschitz constant ||rho||_1 / 2 in the chord of D(n) and d_n(t), as
     ||N rho N - M rho M||_1 <= 2 ||rho||_1 |n - m| and Tr_B U(.)U^dag contracts
-    the trace norm; every state has ||rho||_1 <= 1 + (2d + 1) STATE_TOL."""
+    the trace norm; the construction checks give ||rho||_1 <= 1 + (2d + 1)
+    STATE_TOL for a Hermitian rho, not for the residue require_hermitian allows."""
     return 0.5 + (state.dims.total + 0.5) * STATE_TOL
 
 
@@ -224,19 +225,19 @@ def _pruning_table(grid: BasisGrid):
 _STENCIL = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j])
 
 
-def _bloch_search(f, lip: float, grid: BasisGrid, start: np.ndarray):
+def _bloch_search(f, state: BipartiteState, grid: BasisGrid, start: np.ndarray):
     """Minimize K objectives over Bloch angles at once. `f` maps angles
     (1, G, 2), shared by all K, or (K, G, 2) to values (K, G), each point's
-    value independent of the others in the call.
+    value independent of the others in the call to the bit (see rows_times).
 
     f is first evaluated on the coarse subgrid and the `start` angles (S, 2).
-    With |f_k(p) - f_k(c)| <= lip * chord(p, c), another grid point is
-    evaluated only if, for some k, its bound from its coarse corners is within
-    1e-12 of k's incumbent, so each grid argmin is the exhaustive grid's.
-    Every incumbent is then refined on the 8 neighbours of a 3x3 stencil
-    whose spacing halves each round. Returns the minima (K,) and angles (K, 2).
-    """
-    angles = np.vstack([grid.angles(), start])
+    With |f_k(p) - f_k(c)| <= lip * chord(p, c), lip = _chord_lipschitz(state),
+    another grid point is evaluated only if, for some k, its bound from its
+    coarse corners is within 1e-12 of k's incumbent, so each grid argmin is
+    the exhaustive grid's. Every incumbent is then refined on the 8 neighbours
+    of a 3x3 stencil whose spacing halves each round. Returns the minima (K,)
+    and angles (K, 2)."""
+    angles, lip = np.vstack([grid.angles(), start]), _chord_lipschitz(state)
     coarse, fine, cells, cell_of, chords = _pruning_table(grid)
     first = np.concatenate([coarse, np.arange(grid.n_theta * grid.n_phi, len(angles))])
     first_vals = f(angles[None, first])
@@ -279,6 +280,5 @@ def minimal_dephasing_disturbance(state: BipartiteState, grid: BasisGrid | None 
         raise ValueError("basis-grid minimization is defined for d_A = 2 only")
     start = _basis_angles(local_eigenbasis(state)[0]) if start is None else start
     f = _disturbance_kernel(state.rho, state.dims.d_b)
-    val, ang = _bloch_search(lambda a: f(a[0])[None], _chord_lipschitz(state),
-                             grid or BasisGrid(), start)
+    val, ang = _bloch_search(lambda a: f(a[0])[None], state, grid or BasisGrid(), start)
     return float(val[0]), qubit_basis(ang[0, 0], ang[0, 1])

@@ -10,7 +10,7 @@ from typing import Optional
 import numpy as np
 
 from . import measures
-from .measures import BasisGrid, _rows_times, bloch_vectors
+from .measures import BasisGrid, bloch_vectors, rows_times
 from .states import (
     BipartiteState,
     ProjectiveBasis,
@@ -191,7 +191,7 @@ def run_minimized_detection(
     paulis = pauli_vector(margs) / 2
     r_t, s_t = paulis[0], paulis[1:].transpose(1, 0, 2)  # (T, 3), (T, 6, 3)
 
-    n_star, lip = measures._basis_angles(bound_basis), measures._chord_lipschitz(state)
+    n_star = measures._basis_angles(bound_basis)
     # time chunks of at most about 2**17 (axis, time) pairs bound the memory
     chunk = max(1, 2**17 // (len(bases.angles()) + len(start)))
     d_min_t = np.empty(len(grid.samples))
@@ -201,9 +201,9 @@ def run_minimized_detection(
         def local_distance(ang):
             n = bloch_vectors(ang)
             q = n[..., _PAIRS[:, 0]] * n[..., _PAIRS[:, 1]] * _PAIR_WEIGHTS
-            return 0.5 * np.sqrt(np.square(r_c[:, None] - _rows_times(q, s_c)).sum(-1))
+            return 0.5 * np.sqrt(np.square(r_c[:, None] - rows_times(q, s_c)).sum(-1))
 
-        vals, _ = measures._bloch_search(local_distance, lip, bases, start)
+        vals, _ = measures._bloch_search(local_distance, state, bases, start)
         d_min_t[lo : lo + chunk] = np.minimum(vals, local_distance(n_star[None])[:, 0])
     return WitnessSeries(grid.samples, d_min_t, bound_ref=bound)
 

@@ -269,15 +269,25 @@ class TestDisturbanceSearch:
                                           angles[rng.integers(len(angles) - 2)]]))
         for f in (lambda a: kernel(a[0])[None], minimized_objective(s, rng, n_times),
                   lambda a: lip * _chord(bloch_vectors(a), apexes[:, None])):
-            seen = []
-            val, ang = _bloch_search(lambda a: seen.append(a[0]) or f(a), lip, grid, start)
+            calls = []
+
+            def spy(a):
+                calls.append((a[0], f(a)))
+                return calls[-1][1]
+
+            val, ang = _bloch_search(spy, s, grid, start)
             full = f(angles[None])
             k = np.argmin(full, axis=1)
             assert np.array_equal(val, full[np.arange(len(full)), k])  # bit for bit
             assert np.array_equal(ang, angles[k])
-            assert np.array_equal(seen[0][-len(start):], start)  # always evaluated
-            seen = np.vstack(seen)
-            skipped = ~np.isin(angles @ [1, 1j], seen @ [1, 1j])
+            assert np.array_equal(calls[0][0][-len(start):], start)  # always evaluated
+            seen = np.vstack([a for a, _ in calls])
+            seen_vals = np.hstack([v for _, v in calls])
+            # every evaluated point has its whole-grid value, bit for bit
+            keys = angles @ [1, 1j]
+            at = np.array([np.flatnonzero(keys == key)[0] for key in seen @ [1, 1j]])
+            assert np.array_equal(seen_vals, full[:, at])
+            skipped = ~np.isin(keys, seen @ [1, 1j])
             assert len(seen) + skipped.sum() == len(angles)  # each point at most once
             assert np.all(full[:, skipped] > val[:, None])
 
@@ -355,23 +365,27 @@ class TestDisturbanceSearch:
         assert np.array_equal(basis.vectors, qubit_basis(*ang[0]).vectors)
         # d_n(t): one objective per time sample, bit for bit
         f = minimized_objective(s, rng, n_times)
-        got = _bloch_search(f, _chord_lipschitz(s), grid, start)
+        got = _bloch_search(f, s, grid, start)
         ref = bloch_search_exhaustive(f, grid, start)
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
     # (grid shape, seed, d_B, rank, times) where exactly one fine point is
-    # left to evaluate; with one time sample its lone row goes through gemv
+    # left to evaluate; with one time sample, or for D(n) (times 0), its lone
+    # row goes through gemv
     @pytest.mark.parametrize("shape,seed,d_b,rank,n_times", [
         ((5, 12), 6, 1, 1, 1), ((5, 12), 45, 1, 2, 1), ((20, 40), 7, 2, 2, 1),
-        ((20, 40), 3, 1, 2, 1), ((5, 12), 2, 1, 1, 2), ((5, 12), 19, 1, 2, 3)])
+        ((20, 40), 3, 1, 2, 1), ((5, 12), 2, 1, 1, 2), ((5, 12), 19, 1, 2, 3),
+        ((5, 12), 6, 1, 1, 0), ((20, 40), 3, 1, 2, 0)])
     def test_single_survivor_is_exhaustive(self, shape, seed, d_b, rank, n_times):
         rng = np.random.default_rng(seed)
         s = random_rank_state(d_b, rank, rng)
         grid = BasisGrid(*shape, refine_rounds=0)
         start = _basis_angles(local_eigenbasis(s)[0])
-        f, calls = minimized_objective(s, rng, n_times), []
-        got = _bloch_search(lambda a: calls.append(a[0]) or f(a), _chord_lipschitz(s),
-                            grid, start)
+        kernel = _disturbance_kernel(s.rho, d_b)
+        f = (minimized_objective(s, rng, n_times) if n_times
+             else lambda a: kernel(a[0])[None])
+        calls = []
+        got = _bloch_search(lambda a: calls.append(a[0]) or f(a), s, grid, start)
         assert [len(a) for a in calls[1:]] == [1]
         angles = np.vstack([grid.angles(), start])
         full = f(angles[None])
