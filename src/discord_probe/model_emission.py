@@ -32,6 +32,8 @@ class EmissionParams:
             # rate 1 by construction: Gamma = 2 pi g^2 density
             g = float(np.sqrt(1.0 / (2 * np.pi * self.mode_density)))
             object.__setattr__(self, "coupling", g)
+        if not np.isfinite(self.coupling):
+            raise ValueError("coupling must be finite")
         if self.coupling_mask is not None and len(self.coupling_mask) != self.n_modes:
             raise ValueError("coupling mask length must equal the mode count")
 
@@ -65,10 +67,10 @@ class EmissionParams:
 
 
 def sector_hamiltonian(p: EmissionParams) -> np.ndarray:
-    """Hamiltonian on the single-excitation sector; index 0 is |e,0>,
+    """Real Hamiltonian on the single-excitation sector; index 0 is |e,0>,
     index k >= 1 is |g,k>."""
     n = p.n_modes
-    h = np.zeros((n + 1, n + 1), dtype=complex)
+    h = np.zeros((n + 1, n + 1))
     h[0, 0] = p.atomic_gap
     h[np.arange(1, n + 1), np.arange(1, n + 1)] = p.mode_frequencies()
     g = p.couplings()
@@ -77,16 +79,26 @@ def sector_hamiltonian(p: EmissionParams) -> np.ndarray:
     return h
 
 
+def _coupled_sector(p: EmissionParams) -> np.ndarray:
+    """Sector indices of |e,0> and of the modes with g_k != 0."""
+    return np.flatnonzero(np.concatenate([[1.0], p.couplings()]))
+
+
 @lru_cache(maxsize=8)
 def _sector_evolution(p: EmissionParams) -> EvolutionSpec:
-    return EvolutionSpec(sector_hamiltonian(p))
+    """Generator on the coupled sub-sector. A mode with g_k = 0 is an exact
+    eigenvector (w_k, |g,k>) orthogonal to |e,0>: it adds q_k = 0 to a(t) and
+    no amplitude to U(t)|e,0>, so dropping it is exact."""
+    keep = _coupled_sector(p)
+    return EvolutionSpec(sector_hamiltonian(p)[np.ix_(keep, keep)])
 
 
 def survival_amplitude(p: EmissionParams, t):
     """a(t) = <e,0|U(t)|e,0> = sum_k q_k exp(-i w_k t), q_k = |V_0k|^2 over the
-    sector spectrum (w, V), and the one-photon weight 1 - |a|^2, broadcast over
-    t. The weight is 4 sum_k q_k sin^2(w~_k t/2) - |a~ - 1|^2 for the centred
-    w~ = w - sum q w (|a~| = |a|), not a difference of numbers near 1."""
+    coupled sector's spectrum (w, V), and the one-photon weight 1 - |a|^2,
+    broadcast over t. The weight is 4 sum_k q_k sin^2(w~_k t/2) - |a~ - 1|^2
+    for the centred w~ = w - sum q w (|a~| = |a|), not a difference of numbers
+    near 1."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("time must be nonnegative")
@@ -105,11 +117,12 @@ def survival_amplitude(p: EmissionParams, t):
 def embedded_pure_state(p: EmissionParams, t0: float) -> BipartiteState:
     """Dense atom (x) field density matrix of U(t0)|e,0> (field: vacuum plus
     n one-photon states), the reference for transient_negativity."""
-    sector = _sector_evolution(p).evolve_vectors(np.eye(p.n_modes + 1, 1), [t0])[:, 0, 0]
+    keep = _coupled_sector(p)
+    sector = _sector_evolution(p).evolve_vectors(np.eye(len(keep), 1), [t0])[:, 0, 0]
     nf = p.n_modes + 1
-    psi = np.zeros(2 * nf, dtype=complex)
+    psi = np.zeros(2 * nf, dtype=complex)  # decoupled modes stay exactly 0
     psi[nf] = sector[0]   # |e> (x) |vac>, atom index 1 is |e>
-    psi[1:nf] = sector[1:]  # |g> (x) |k>
+    psi[keep[1:]] = sector[1:]  # |g> (x) |k> of the coupled modes
     return BipartiteState(np.outer(psi, psi.conj()), BipartitionDims(2, nf))
 
 

@@ -28,9 +28,9 @@ class IonParams:
     def __post_init__(self):
         if not self.omega > 0:
             raise ValueError("Rabi frequency omega must be positive")
-        if self.eta <= 0:
+        if not self.eta > 0:
             raise ValueError("Lamb-Dicke parameter must be positive")
-        if self.nbar < 0:
+        if not self.nbar >= 0:
             raise ValueError("mean phonon number must be nonnegative")
 
     @property
@@ -65,12 +65,8 @@ def build_hamiltonian(p: IonParams) -> np.ndarray:
     """
     nb = p.n_max + 1
     h = np.zeros((2 * nb, 2 * nb), dtype=complex)
-    for n in range(p.n_max):
-        g_n = n           # |g, n>
-        e_np1 = nb + n + 1  # |e, n+1>
-        elem = 0.5 * p.rabi(np.array(float(n)))
-        h[e_np1, g_n] = elem
-        h[g_n, e_np1] = elem
+    n = np.arange(p.n_max)  # |g, n> at index n, |e, n+1> at nb + n + 1
+    h[nb + n + 1, n] = h[n, nb + n + 1] = 0.5 * p.rabi(n)
     return h
 
 

@@ -24,7 +24,7 @@ class ChainParams:
     def __post_init__(self):
         if not 2 <= self.n_spins <= 12:
             raise ValueError("chain length must lie in [2, 12]")
-        if self.alpha <= 0 or self.j0 <= 0:
+        if not (self.alpha > 0 and self.j0 > 0):
             raise ValueError("alpha and J0 must be positive")
         if not self.kT >= 0:
             raise ValueError("temperature kT must be nonnegative")
@@ -165,13 +165,16 @@ def autocorrelation(p: ChainParams, grid: TimeGrid | None = None,
 
 
 def gibbs_state(p: ChainParams, spec: SpectralData | None = None) -> BipartiteState:
+    """rho = X diag(w) X^dag with Boltzmann weights w >= 0. It is positive
+    for any X, so w stands in for its spectrum in the state checks even
+    though the purified columns X are orthonormal only to rounding."""
     if p.kT <= 0:
         raise ValueError("Gibbs state needs kT > 0")
     spec = spec or spectral(p)
     w = np.exp(-(spec.energies - spec.energies[0]) / p.kT)
     w = w / w.sum()
     rho = (spec.states * w) @ spec.states.conj().T
-    return BipartiteState(rho, p.dims)
+    return BipartiteState._with_spectrum(rho, p.dims, w)
 
 
 def thermal_detection(p: ChainParams, grid: TimeGrid | None = None,

@@ -57,7 +57,10 @@ class EvolutionSpec:
     spectrum: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        self.hamiltonian = require_hermitian(self.hamiltonian)
+        h = np.asarray(self.hamiltonian)
+        checked = require_hermitian(h)
+        # a real symmetric generator stays real, and so does its eigh
+        self.hamiltonian = h if h.dtype == np.float64 else checked
 
     def spectral(self):
         if self.spectrum is None:  # the generator was checked on construction

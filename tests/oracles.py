@@ -105,11 +105,11 @@ def prepare_ion_state_dense(p, t0: float) -> np.ndarray:
 
 def emission_row_signal(p, t0: float, t1: float) -> tuple:
     """Emission amplitudes U(t0)|e,0> and local signal of `EmissionParams` p
-    from one eigh of the sector Hamiltonian, with the row <e,0| U(t1 - t0)
-    formed from the eigenvectors."""
+    from one complex eigh of the full sector Hamiltonian, decoupled modes
+    included, with the row <e,0| U(t1 - t0) formed from the eigenvectors."""
     from discord_probe.model_emission import sector_hamiltonian
 
-    w, v = np.linalg.eigh(sector_hamiltonian(p))
+    w, v = np.linalg.eigh(sector_hamiltonian(p).astype(complex))
     psi = v @ (np.exp(-1j * w * t0) * v[0, :].conj())
     row = (v[0] * np.exp(-1j * w * (t1 - t0))) @ v.conj().T
     signal = abs(2 * (psi[0] * row[0] * np.conj(row[1:] @ psi[1:])).real)

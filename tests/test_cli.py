@@ -1,6 +1,7 @@
 """Config-driven runner: validation, artifacts, determinism, exit codes."""
 
 import json
+import math
 import os
 import re
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from discord_probe import cli, model_spinchain
+from discord_probe import cli, model_emission, model_ion, model_spinchain
 from discord_probe.cli import PARAMS, ConfigError, execute, load_config, main, parse
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -103,6 +104,20 @@ class TestConfigValidation:
         expected = f"{model} params: .*{re.escape(repr(value))}"
         with pytest.raises(ConfigError, match=expected):
             parse({"model": model, "params": {field: value}})
+
+    @pytest.mark.parametrize("cls,field,value", [
+        (model_ion.IonParams, "omega", math.nan), (model_ion.IonParams, "eta", math.nan),
+        (model_ion.IonParams, "nbar", math.nan),
+        (model_spinchain.ChainParams, "alpha", math.nan),
+        (model_spinchain.ChainParams, "j0", math.nan),
+        (model_spinchain.ChainParams, "kT", math.nan),
+        (model_emission.EmissionParams, "half_bandwidth", math.nan),
+        (model_emission.EmissionParams, "coupling", math.nan),
+        (model_emission.EmissionParams, "coupling", -math.inf)])
+    def test_parameter_classes_refuse_nan(self, cls, field, value):
+        # the library checks its own ranges, not only through _float
+        with pytest.raises(ValueError):
+            cls(**{field: value})
 
     def test_integral_and_boolean_values_accepted(self):
         kw = parse({"model": "emission",

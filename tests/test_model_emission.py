@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import emission_row_signal, full_space_hamiltonian
 from discord_probe import model_emission
+from discord_probe.cli import execute
 from discord_probe.states import BipartiteState, computational_basis, dephase
 from discord_probe.tensor import (
     BipartitionDims,
@@ -15,6 +18,24 @@ from discord_probe.tensor import (
 from discord_probe.measures import negativity, trace_distance
 
 FAST = model_emission.EmissionParams(n_modes=101, half_bandwidth=20.0)
+
+
+@pytest.mark.parametrize("structured", [False, True])
+def test_point_makes_one_real_coupled_eigh(structured, monkeypatch, tmp_path):
+    # the only diagonalization of a point is the real coupled sub-sector:
+    # |e,0> plus the 11 of 21 modes a structured band keeps coupled
+    model_emission._sector_evolution.cache_clear()
+    calls = []
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a, *r, **k: calls.append(a) or eigh(a, *r, **k))
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a, *r, **k: calls.append(a) or eigvalsh(a, *r, **k))
+    execute({"model": "emission", "params": {"n_modes": 21, "structured": structured},
+             "time_grid": {"t_max": 3.0, "points": 7}}, str(tmp_path))
+    assert len(calls) == 1
+    assert calls[0].dtype == np.float64
+    assert calls[0].shape == ((12, 12) if structured else (22, 22))
 
 
 class TestParams:
@@ -247,3 +268,53 @@ class TestSurvivalAmplitude:
         monkeypatch.setattr(model_emission, "_sector_evolution", lambda p: evo)
         with pytest.raises(ValueError, match="spectral weights"):
             model_emission.survival_amplitude(FAST, 1.0)
+
+
+@st.composite
+def masked_params(draw):
+    n = 2 * draw(st.integers(1, 20)) + 1
+    mask = draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 0.4, -1.7]),
+                         min_size=n, max_size=n))
+    return model_emission.EmissionParams(
+        n_modes=n, coupling_mask=tuple(mask),
+        half_bandwidth=draw(st.floats(0.5, 30.0)),
+        atomic_gap=draw(st.floats(-10.0, 10.0)))
+
+
+class TestCoupledSector:
+    # decoupled modes (g_k = 0) are exact eigenvectors orthogonal to |e,0>,
+    # so the coupled sub-sector must reproduce the full complex sector
+
+    @pytest.mark.filterwarnings("ignore:decay rate")
+    @settings(max_examples=40, deadline=None)
+    @example(model_emission.EmissionParams(n_modes=7, coupling_mask=(0.0,) * 7,
+                                           atomic_gap=2.5))
+    @given(masked_params())
+    def test_survival_amplitude_matches_full_sector(self, p):
+        times = np.array([0.0, 0.37, 1.0, 2.9])
+        a, weight = model_emission.survival_amplitude(p, times)
+        for i, t in enumerate(times):
+            psi, _ = emission_row_signal(p, t, t)
+            assert abs(a[i] - psi[0]) <= 1e-12
+            assert abs(weight[i] - np.sum(np.abs(psi[1:]) ** 2)) <= 1e-12
+        if not any(p.coupling_mask):
+            assert np.max(np.abs(a - np.exp(-1j * p.atomic_gap * times))) <= 1e-15
+            assert np.all(weight == 0.0)
+
+    @pytest.mark.filterwarnings("ignore:decay rate")
+    @pytest.mark.parametrize("p", [
+        model_emission.structured_params(FAST),
+        model_emission.EmissionParams(n_modes=9, coupling_mask=(0, 1, 0, 0, 1, 1, 0, 1, 0),
+                                      half_bandwidth=3.0, atomic_gap=-1.2),
+        model_emission.EmissionParams(n_modes=5, coupling_mask=(0,) * 5),
+    ], ids=["structured", "scattered", "decoupled"])
+    def test_embedded_state_scatters_coupled_modes(self, p):
+        nf = p.n_modes + 1
+        off = 1 + np.flatnonzero(p.couplings() == 0)  # |g,k> of decoupled modes
+        for t0 in (0.0, 0.6, 2.2):
+            rho = model_emission.embedded_pure_state(p, t0).rho
+            assert not np.any(rho[off]) and not np.any(rho[:, off])
+            psi, _ = emission_row_signal(p, t0, t0)
+            full = np.zeros(2 * nf, dtype=complex)
+            full[nf], full[1:nf] = psi[0], psi[1:]
+            assert np.max(np.abs(rho - np.outer(full, full.conj()))) <= 1e-12

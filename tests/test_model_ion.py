@@ -33,6 +33,16 @@ class TestParams:
 
 
 class TestHamiltonian:
+    @pytest.mark.parametrize("nbar", [0.0, 2.5, 10.0])
+    @pytest.mark.parametrize("ld", [True, False])
+    def test_bytes_match_loop(self, nbar, ld):
+        p = model_ion.IonParams(eta=0.3, nbar=nbar, lamb_dicke_limit=ld)
+        nb = p.n_max + 1
+        h = np.zeros((2 * nb, 2 * nb), dtype=complex)
+        for n in range(p.n_max):
+            h[nb + n + 1, n] = h[n, nb + n + 1] = 0.5 * p.rabi(np.array(float(n)))
+        assert model_ion.build_hamiltonian(p).tobytes() == h.tobytes()
+
     def test_sideband_element(self):
         p = model_ion.IonParams(omega=1.0, eta=0.05)
         h = model_ion.build_hamiltonian(p)

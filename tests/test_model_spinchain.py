@@ -269,3 +269,17 @@ class TestThermal:
     def test_requires_positive_temperature(self):
         with pytest.raises(ValueError):
             model_spinchain.gibbs_state(params(kT=0.0))
+
+    def test_gibbs_state_takes_weights_as_spectrum(self, monkeypatch):
+        # the Boltzmann weights are the spectrum: no eigvalsh, same bits
+        p = params(n_spins=6, kT=0.3)
+        spec = model_spinchain.spectral(p)
+        w = np.exp(-(spec.energies - spec.energies[0]) / p.kT)
+        rho = (spec.states * (w / w.sum())) @ spec.states.conj().T
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh",
+                            lambda a, *r, **k: calls.append(a) or eigvalsh(a, *r, **k))
+        g = model_spinchain.gibbs_state(p, spec)
+        assert calls == []
+        assert g.rho.tobytes() == rho.tobytes()

@@ -123,6 +123,16 @@ class TestEvolutionSpec:
         evo = EvolutionSpec(hamiltonian=h, spectrum=(w, v))
         assert evo.spectral()[1] is v
 
+    def test_real_generator_stays_real(self, rng):
+        h = random_hermitian(5, rng).real
+        evo = EvolutionSpec(h)
+        assert evo.hamiltonian.dtype == np.float64
+        assert evo.spectral()[1].dtype == np.float64
+        times = np.array([0.0, 0.8, 2.1])
+        out = evo.evolve_vectors(np.eye(5, 2), times)
+        ref = EvolutionSpec(h.astype(complex)).evolve_vectors(np.eye(5, 2), times)
+        assert np.max(np.abs(out - ref)) <= 1e-12
+
     def test_spectral_checks_hermiticity_once(self, rng, monkeypatch):
         # the generator is checked on construction, not again by spectral()
         calls = []
