@@ -28,12 +28,16 @@ class EmissionParams:
             raise ValueError("need an odd mode count >= 3")
         if not self.half_bandwidth > 0:
             raise ValueError("half_bandwidth must be positive")
+        given = [self.half_bandwidth, self.atomic_gap, *(self.coupling_mask or ())]
+        if self.coupling is not None:
+            given.append(self.coupling)
+        if not np.all(np.isfinite(given)):
+            raise ValueError("half_bandwidth, coupling, atomic_gap and the coupling "
+                             "mask must be finite")
         if self.coupling is None:
             # rate 1 by construction: Gamma = 2 pi g^2 density
             g = float(np.sqrt(1.0 / (2 * np.pi * self.mode_density)))
             object.__setattr__(self, "coupling", g)
-        if not np.isfinite(self.coupling):
-            raise ValueError("coupling must be finite")
         if self.coupling_mask is not None and len(self.coupling_mask) != self.n_modes:
             raise ValueError("coupling mask length must equal the mode count")
 

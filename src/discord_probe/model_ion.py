@@ -32,6 +32,8 @@ class IonParams:
             raise ValueError("Lamb-Dicke parameter must be positive")
         if not self.nbar >= 0:
             raise ValueError("mean phonon number must be nonnegative")
+        if not np.all(np.isfinite([self.omega, self.eta, self.nbar])):
+            raise ValueError("omega, eta and nbar must be finite")
 
     @property
     def n_max(self) -> int:
@@ -84,7 +86,12 @@ def prepare_state(p: IonParams, t0: float,
 
 
 def evolution(p: IonParams) -> EvolutionSpec:
-    return EvolutionSpec(hamiltonian=build_hamiltonian(p))
+    """The sideband H conserves N = a^dag a - |e><e|, so the eigenspaces of
+    N are exact sectors of H: {|g,n>, |e,n+1>} at N = n < n_max, and the
+    singletons |e,0> (N = -1) and |g,n_max> (its partner |e,n_max+1> lies
+    beyond the cutoff)."""
+    n = np.arange(p.n_max + 1)
+    return EvolutionSpec(build_hamiltonian(p), sectors=np.concatenate([n, n - 1]))
 
 
 def analytic_local_distance(p: IonParams, t0: float, t1):

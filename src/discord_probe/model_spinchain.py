@@ -28,6 +28,8 @@ class ChainParams:
             raise ValueError("alpha and J0 must be positive")
         if not self.kT >= 0:
             raise ValueError("temperature kT must be nonnegative")
+        if not np.all(np.isfinite([self.alpha, self.j0, self.b_field, self.kT])):
+            raise ValueError("alpha, J0, b_field and kT must be finite")
 
     @property
     def dims(self) -> BipartitionDims:

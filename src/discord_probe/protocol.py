@@ -48,55 +48,147 @@ class TimeGrid:
         return cls(np.linspace(0.0, t_max, n))
 
 
+def _sector_rows(labels: np.ndarray) -> list:
+    """The basis indices of each sector, one (S, m) stack per sector size m,
+    each row ascending."""
+    order = np.argsort(labels, kind="stable")
+    _, start, size = np.unique(labels[order], return_index=True, return_counts=True)
+    return [order[start[size == m, None] + np.arange(m)] for m in np.unique(size)]
+
+
 @dataclass
 class EvolutionSpec:
-    """Time-independent Hermitian generator (hbar = 1) with a spectral cache."""
+    """Time-independent Hermitian generator (hbar = 1) with a spectral cache.
+
+    `sectors`, if given, labels each basis state with the invariant subspace
+    of H it belongs to, so that H is the direct sum of its sector blocks.
+    Construction refuses a nonzero entry of H between two sectors, so the
+    split is exact. The spectrum is then one stacked `eigh` per sector size,
+    and both evolutions work sector by sector. Without sectors the generator
+    is one sector, diagonalized as a whole.
+    """
 
     hamiltonian: np.ndarray
-    # (w, V) of the generator, if the caller has already diagonalized it
+    # (w, V) of the generator (with sectors: the blocks spectral() returns),
+    # if the caller has already diagonalized it
     spectrum: tuple = field(default=None, repr=False, compare=False)
+    sectors: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian)
         checked = require_hermitian(h)
         # a real symmetric generator stays real, and so does its eigh
         self.hamiltonian = h if h.dtype == np.float64 else checked
+        if self.sectors is not None:
+            labels = np.asarray(self.sectors)
+            if labels.shape != h.shape[:1]:
+                raise ValueError("need one sector label per basis state")
+            if np.any(self.hamiltonian[labels[:, None] != labels]):
+                raise ValueError("the generator couples two declared sectors")
+            self.sectors = labels
 
     def spectral(self):
+        """(w, V) with H = V diag(w) V^dag. With declared sectors, one
+        stacked (rows, w, V) per sector size m instead: rows (S, m) holds the
+        basis indices of S sectors, w (S, m) and V (S, m, m) their spectra."""
         if self.spectrum is None:  # the generator was checked on construction
-            self.spectrum = np.linalg.eigh(self.hamiltonian)
+            h = self.hamiltonian
+            self.spectrum = np.linalg.eigh(h) if self.sectors is None else [
+                (rows, *np.linalg.eigh(h[rows[:, :, None], rows[:, None, :]]))
+                for rows in _sector_rows(self.sectors)]
         return self.spectrum
+
+    def _blocks(self) -> list:
+        """(rows, w, V) per sector size; rows is None for the whole space."""
+        return [(None, *self.spectral())] if self.sectors is None else self.spectral()
 
     def evolve_vectors(self, vecs, times) -> np.ndarray:
         """U(t) psi = V exp(-i w t) V^dag psi for the columns psi of `vecs`
-        (d, k) at every time; shape (d, k, T)."""
-        w, v = self.spectral()
-        coef = (np.conj(vecs).T @ v).conj().T  # V^dag psi without copying V
-        phased = coef[:, :, None] * np.exp(-1j * np.outer(w, times))[:, None, :]
-        return (v @ phased.reshape(len(w), -1)).reshape(phased.shape)
+        (d, k) at every time, sector by sector; shape (d, k, T)."""
+        vecs = np.asarray(vecs)
+        out = None if self.sectors is None else np.empty(
+            vecs.shape + (len(times),), dtype=complex)
+        for rows, w, v in self._blocks():
+            x = vecs if rows is None else vecs[rows]  # (S, m, k) per sector
+            coef = (np.conj(x).swapaxes(-1, -2) @ v).conj().swapaxes(-1, -2)
+            phased = coef[..., None] * np.exp(-1j * np.multiply.outer(w, times))[
+                ..., None, :]
+            res = (v @ phased.reshape(*phased.shape[:-2], -1)).reshape(phased.shape)
+            if out is None:  # the whole space, as it came out
+                return res
+            out[rows] = res
+        return out
+
+    def _sector_pairs(self, dims: BipartitionDims, times: np.ndarray):
+        """The sector pairs (s, s') that the partial trace over B couples,
+        stacked per pair of sector sizes. Yields (g, rows, cols, V_s, V_s',
+        phases_s, phases_s'), with g[..., i, j, a, b] the weight of the
+        eigenbasis coherence |a><b| in the marginal entry <i|.|j>.
+
+        An eigenvector of sector s has support only on s, so g vanishes
+        unless some B index k has (i, k) in s and (j, k) in s'. Without
+        sectors this is the one pair (whole space, whole space).
+        """
+        blocks = self._blocks()
+        dims.check(self.hamiltonian)
+        phases = [np.exp(-1j * np.multiply.outer(w, times)) for _, w, _ in blocks]
+        if self.sectors is None:
+            (_, _, v), (ph,) = blocks[0], phases
+            r = v.reshape(dims.d_a, dims.d_b, v.shape[0])
+            yield (np.einsum("ika,jkb->ijab", r, r.conj(), optimize=True),
+                   None, None, v, v, ph, ph)
+            return
+        # where each basis state lies: stack, sector in the stack, position
+        where = np.empty((3, dims.total), dtype=int)
+        for bi, (rows, _, _) in enumerate(blocks):
+            where[0, rows] = bi
+            where[1, rows] = np.arange(len(rows))[:, None]
+            where[2, rows] = np.arange(rows.shape[1])
+        # g sums V_s[x, a] conj(V_s'[y, b]) over the basis pairs x = (i, k),
+        # y = (j, k) that share a B index k, x in s and y in s'
+        i, j, k = np.indices((dims.d_a, dims.d_a, dims.d_b)).reshape(3, -1)
+        st_x, s_x, p_x = where[:, i * dims.d_b + k]
+        st_y, s_y, p_y = where[:, j * dims.d_b + k]
+        for bi, (rows, _, v) in enumerate(blocks):
+            for ci, (cols, _, v_c) in enumerate(blocks):
+                hit = (st_x == bi) & (st_y == ci)
+                if not hit.any():
+                    continue
+                pair, at = np.unique(s_x[hit] * len(cols) + s_y[hit], return_inverse=True)
+                g = np.zeros((len(pair), dims.d_a, dims.d_a, v.shape[-1], v_c.shape[-1]),
+                             dtype=complex)
+                np.add.at(g, (at, i[hit], j[hit]), v[s_x[hit], p_x[hit], :, None]
+                          * v_c[s_y[hit], p_y[hit]].conj()[:, None, :])
+                s, s_c = np.divmod(pair, len(cols))
+                yield (g, rows[s], cols[s_c], v[s], v_c[s_c], phases[bi][s],
+                       phases[ci][s_c])
 
     def marginal_series(self, mats, dims: BipartitionDims,
                         times: np.ndarray) -> np.ndarray:
         """A-marginals of U(t) X U(t)^dag for a stack of operators X.
 
         Returns shape (n_states, n_times, d_A, d_A). Works in the energy
-        eigenbasis and never forms the full evolved matrices.
+        eigenbasis and never forms the full evolved matrices; with declared
+        sectors, only the sector pairs that share a B index contribute.
         """
         mats = np.asarray(mats, dtype=complex)
         times = np.asarray(times, dtype=float)
-        w, v = self.spectral()
-        d = v.shape[0]
-        dims.check(v)
-        r = v.reshape(dims.d_a, dims.d_b, d)
-        # G[(i,j),(a,b)] couples eigenbasis coherences to marginal entries
-        g = np.einsum("ika,jkb->ijab", r, r.conj(), optimize=True)
-        phases = np.exp(-1j * np.outer(w, times))  # (d, T)
-        out = np.empty((len(mats), len(times), dims.d_a, dims.d_a), dtype=complex)
-        for xi, x in enumerate(mats):
-            xt = v.conj().T @ x @ v
-            c = g * xt[None, None, :, :]
-            y = np.einsum("ijab,bt->ijat", c, phases.conj(), optimize=True)
-            out[xi] = np.einsum("ijat,at->tij", y, phases, optimize=True)
+        out = None
+        for g, rows, cols, v, v_c, ph, ph_c in self._sector_pairs(dims, times):
+            part = np.empty((len(mats), len(times), dims.d_a, dims.d_a), dtype=complex)
+            if rows is not None:  # small sectors: every exp(-i (w_a - w_b) t) at once
+                ph_ab = ph[:, :, None] * ph_c[:, None].conj()
+            for xi, x in enumerate(mats):
+                if rows is None:  # the whole space: one eigenbasis index at a time
+                    c = g * (v.conj().T @ x @ v)[None, None, :, :]
+                    y = np.einsum("ijab,bt->ijat", c, ph_c.conj(), optimize=True)
+                    part[xi] = np.einsum("ijat,at->tij", y, ph, optimize=True)
+                else:
+                    x = x[rows[:, :, None], cols[:, None]]  # the (s, s') blocks of X
+                    xt = np.conj(v).swapaxes(1, 2) @ x @ v_c
+                    part[xi] = np.tensordot(ph_ab, g * xt[:, None, None],
+                                            axes=([0, 1, 2], [0, 3, 4]))
+            out = part if out is None else out + part
         return out
 
 

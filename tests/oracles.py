@@ -11,7 +11,8 @@ the full atom (x) modes space, the spin-chain Hamiltonian from dense
 Pauli strings and its parity as the dense operator (x) sigma_y, the
 spin-chain autocorrelation from its definition, the dense photon state with
 its coherence decay, the closed-form Michelson propagator, the ion state
-prepared as a full-matrix conjugation, the emission signal from the
+prepared as a full-matrix conjugation, the ion witness with the sideband
+generator as one dense sector, the emission signal from the
 eigenvector row formula, the Haar-average estimate one sampled unitary at a
 time and the photon frequency sum with one exponential per (delay,
 frequency) pair. Small helpers only the tests use (partial trace
@@ -101,6 +102,18 @@ def prepare_ion_state_dense(p, t0: float) -> np.ndarray:
 
     rho0 = kron(np.diag([1.0, 0.0]), thermal_fock_state(p.nbar, p.n_max))
     return evolve(rho0, build_hamiltonian(p), t0)
+
+
+def ion_local_distance_dense(p, t0: float, grid):
+    """`model_ion.simulated_local_distance` with the ion generator as one
+    dense sector: no declared sectors, so one `eigh` of the whole H."""
+    from discord_probe.model_ion import build_hamiltonian, prepare_state
+    from discord_probe.protocol import run_local_detection
+    from discord_probe.states import computational_basis
+
+    evo = EvolutionSpec(build_hamiltonian(p))
+    return run_local_detection(prepare_state(p, t0, evo), evo, grid,
+                               basis=computational_basis(2))
 
 
 def emission_row_signal(p, t0: float, t1: float) -> tuple:

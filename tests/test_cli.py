@@ -113,9 +113,17 @@ class TestConfigValidation:
         (model_spinchain.ChainParams, "kT", math.nan),
         (model_emission.EmissionParams, "half_bandwidth", math.nan),
         (model_emission.EmissionParams, "coupling", math.nan),
-        (model_emission.EmissionParams, "coupling", -math.inf)])
+        (model_emission.EmissionParams, "coupling", -math.inf),
+        (model_ion.IonParams, "omega", math.inf), (model_ion.IonParams, "eta", math.inf),
+        (model_ion.IonParams, "nbar", math.inf),
+        (model_spinchain.ChainParams, "b_field", math.nan),
+        (model_spinchain.ChainParams, "b_field", -math.inf),
+        (model_spinchain.ChainParams, "kT", math.inf),
+        (model_emission.EmissionParams, "half_bandwidth", math.inf),
+        (model_emission.EmissionParams, "atomic_gap", math.nan),
+        (model_emission.EmissionParams, "coupling_mask", (math.nan,) + (1.0,) * 400)])
     def test_parameter_classes_refuse_nan(self, cls, field, value):
-        # the library checks its own ranges, not only through _float
+        # the library refuses NaN and infinities itself, not only through _float
         with pytest.raises(ValueError):
             cls(**{field: value})
 

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from oracles import prepare_ion_state_dense
+from oracles import ion_local_distance_dense, prepare_ion_state_dense
 from discord_probe import model_ion
+from discord_probe.cli import execute
 from discord_probe.measures import dephasing_disturbance
 from discord_probe.protocol import TimeGrid
 from discord_probe.states import BipartiteState, local_eigenbasis
@@ -201,6 +202,43 @@ class TestProtocolEquivalence:
             [model_ion.analytic_local_distance(p, t0, t) for t in grid.samples]
         )
         assert np.max(np.abs(series.d_t - analytic)) <= 1e-7
+
+    @pytest.mark.parametrize("nbar", [0.0, 2.5, 10.0])
+    @pytest.mark.parametrize("ld", [True, False])
+    def test_sectors_match_dense_generator(self, nbar, ld):
+        p = model_ion.IonParams(nbar=nbar, lamb_dicke_limit=ld)
+        t0 = np.pi / (2 * p.omega0)
+        grid = TimeGrid.linear(4 * np.pi / p.omega0, 100)
+        series = model_ion.simulated_local_distance(p, t0, grid)
+        dense = ion_local_distance_dense(p, t0, grid)
+        assert np.max(np.abs(series.d_t - dense.d_t)) <= 1e-12
+        assert abs(series.bound_ref - dense.bound_ref) <= 1e-12
+
+    def test_zero_rabi_block_is_a_sector(self, monkeypatch):
+        # off the Lamb-Dicke limit a Rabi frequency can vanish: its block is
+        # then zero, and still a sector of its own
+        rabi = model_ion.IonParams.rabi
+        monkeypatch.setattr(model_ion.IonParams, "rabi",
+                            lambda self, n: rabi(self, n) * (np.asarray(n) != 2))
+        p = model_ion.IonParams(nbar=1.5, lamb_dicke_limit=False)
+        assert p.rabi(np.arange(4))[2] == 0.0
+        t0 = 0.8 / p.omega0
+        grid = TimeGrid.linear(4 * np.pi / p.omega0, 60)
+        series = model_ion.simulated_local_distance(p, t0, grid)
+        dense = ion_local_distance_dense(p, t0, grid)
+        assert np.max(np.abs(series.d_t - dense.d_t)) <= 1e-12
+        assert abs(series.bound_ref - dense.bound_ref) <= 1e-12
+
+    def test_point_makes_no_eigh_above_2x2(self, monkeypatch, tmp_path):
+        # the spectrum is one stacked eigh of the 2x2 sideband blocks (and
+        # one of the two 1x1 singletons), never one of the dense generator
+        shapes = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a, *r, **k:
+                            shapes.append(np.shape(a)) or eigh(a, *r, **k))
+        execute({"model": "ion", "params": {"nbar": 2.5}}, str(tmp_path))
+        assert max(s[-1] for s in shapes) == 2
+        assert (model_ion.IonParams(nbar=2.5).n_max, 2, 2) in shapes
 
     def test_simulation_builds_one_hamiltonian(self, monkeypatch):
         # preparation and detection share one EvolutionSpec and its eigh

@@ -117,6 +117,57 @@ class TestEvolutionSpec:
         for ti, t in enumerate(times):
             assert np.max(np.abs(out[:, :, ti] - expm(-1j * h * t) @ vecs)) <= 1e-12
 
+    @staticmethod
+    def _direct_sum(seed, d):
+        """A random Hermitian direct sum of blocks of size 1-4 (some zero),
+        with the basis permuted; returns H and a sector label per state."""
+        rng = np.random.default_rng(seed)
+        sizes = []
+        while sum(sizes) < d:
+            sizes.append(min(int(rng.integers(1, 5)), d - sum(sizes)))
+        perm = rng.permutation(d)
+        h = np.zeros((d, d), dtype=complex)
+        labels = np.empty(d, dtype=int)
+        lo = 0
+        for s, m in enumerate(sizes):
+            idx = perm[lo : lo + m]
+            h[np.ix_(idx, idx)] = random_hermitian(m, rng) * (rng.random() > 0.2)
+            labels[idx] = 7 * s - 3  # any distinct integers label sectors
+            lo += m
+        return h, labels, rng
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(2, 3), st.integers(1, 6))
+    def test_sectors_match_dense_and_expm(self, seed, d_a, d_b):
+        dims = BipartitionDims(d_a, d_b)
+        h, labels, rng = self._direct_sum(seed, dims.total)
+        sectored, dense = EvolutionSpec(h, sectors=labels), EvolutionSpec(h)
+        times = np.concatenate([[0.0], rng.uniform(-3.0, 3.0, 3)])
+        vecs = rng.standard_normal((dims.total, 2)) + 1j * rng.standard_normal(
+            (dims.total, 2))
+        mats = [random_density(dims.total, rng),
+                rng.standard_normal((dims.total,) * 2) + 0j]
+        out = sectored.evolve_vectors(vecs, times)
+        margs = sectored.marginal_series(mats, dims, times)
+        assert np.max(np.abs(out - dense.evolve_vectors(vecs, times))) <= 1e-12
+        assert np.max(np.abs(margs - dense.marginal_series(mats, dims, times))) <= 1e-12
+        for ti, t in enumerate(times):
+            u = expm(-1j * h * t)
+            assert np.max(np.abs(out[:, :, ti] - u @ vecs)) <= 1e-12
+            for xi, x in enumerate(mats):
+                direct = partial_trace_b(u @ x @ u.conj().T, dims)
+                assert np.max(np.abs(margs[xi, ti] - direct)) <= 1e-12
+
+    def test_sectors_refuse_coupling_between_them(self):
+        h, labels, _ = self._direct_sum(7, 8)
+        a, b = np.nonzero(labels[:, None] != labels)
+        h[a[0], b[0]] = 1e-3j  # one entry between two sectors, H kept Hermitian
+        h[b[0], a[0]] = -1e-3j
+        with pytest.raises(ValueError, match="couples two declared sectors"):
+            EvolutionSpec(h, sectors=labels)
+        with pytest.raises(ValueError, match="one sector label per basis state"):
+            EvolutionSpec(np.eye(3), sectors=[0, 1])
+
     def test_given_spectrum_is_used(self, rng):
         h = random_hermitian(4, rng)
         w, v = np.linalg.eigh(h)
