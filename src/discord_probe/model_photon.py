@@ -33,6 +33,9 @@ class PhotonParams:
             raise ValueError("frequency grid needs an odd point count >= 101")
         if self.grid_span < 40:
             raise ValueError("frequency grid span must cover >= 40 half-widths")
+        if not np.all(np.isfinite([self.delta_omega, self.omega0, self.t_prep,
+                                   self.grid_span])):
+            raise ValueError("delta_omega, omega0, t_prep and grid_span must be finite")
 
     def frequencies(self) -> np.ndarray:
         half = self.grid_span * self.delta_omega
@@ -114,6 +117,8 @@ class DiscreteAncillaParams:
     def __post_init__(self):
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError("mixing weight must lie in [0, 1]")
+        if not np.isfinite(self.theta):
+            raise ValueError("polarization angle theta must be finite")
 
 
 def build_discrete_state(p: DiscreteAncillaParams) -> BipartiteState:

@@ -39,8 +39,9 @@ class TimeGrid:
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=float)
-        if s.ndim != 1 or len(s) == 0 or s[0] != 0.0 or np.any(np.diff(s) <= 0):
-            raise ValueError("time grid must start at 0 and strictly increase")
+        if (s.ndim != 1 or len(s) == 0 or s[0] != 0.0 or not np.all(np.isfinite(s))
+                or np.any(np.diff(s) <= 0)):
+            raise ValueError("time grid must be finite, start at 0 and strictly increase")
         object.__setattr__(self, "samples", s)
 
     @classmethod
@@ -99,96 +100,71 @@ class EvolutionSpec:
         return self.spectrum
 
     def _blocks(self) -> list:
-        """(rows, w, V) per sector size; rows is None for the whole space."""
-        return [(None, *self.spectral())] if self.sectors is None else self.spectral()
+        """(rows, w, V) per sector size; a generator with no declared sectors
+        is one sector, the whole space."""
+        if self.sectors is not None:
+            return self.spectral()
+        w, v = self.spectral()
+        return [(np.arange(len(w))[None], w[None], v[None])]
 
     def evolve_vectors(self, vecs, times) -> np.ndarray:
         """U(t) psi = V exp(-i w t) V^dag psi for the columns psi of `vecs`
         (d, k) at every time, sector by sector; shape (d, k, T)."""
         vecs = np.asarray(vecs)
-        out = None if self.sectors is None else np.empty(
-            vecs.shape + (len(times),), dtype=complex)
+        out = np.empty(vecs.shape + (len(times),), dtype=complex)
         for rows, w, v in self._blocks():
-            x = vecs if rows is None else vecs[rows]  # (S, m, k) per sector
-            coef = (np.conj(x).swapaxes(-1, -2) @ v).conj().swapaxes(-1, -2)
+            coef = (np.conj(vecs[rows]).swapaxes(-1, -2) @ v).conj().swapaxes(-1, -2)
             phased = coef[..., None] * np.exp(-1j * np.multiply.outer(w, times))[
                 ..., None, :]
-            res = (v @ phased.reshape(*phased.shape[:-2], -1)).reshape(phased.shape)
-            if out is None:  # the whole space, as it came out
-                return res
-            out[rows] = res
+            out[rows] = (v @ phased.reshape(*phased.shape[:-2], -1)).reshape(phased.shape)
         return out
-
-    def _sector_pairs(self, dims: BipartitionDims, times: np.ndarray):
-        """The sector pairs (s, s') that the partial trace over B couples,
-        stacked per pair of sector sizes. Yields (g, rows, cols, V_s, V_s',
-        phases_s, phases_s'), with g[..., i, j, a, b] the weight of the
-        eigenbasis coherence |a><b| in the marginal entry <i|.|j>.
-
-        An eigenvector of sector s has support only on s, so g vanishes
-        unless some B index k has (i, k) in s and (j, k) in s'. Without
-        sectors this is the one pair (whole space, whole space).
-        """
-        blocks = self._blocks()
-        dims.check(self.hamiltonian)
-        phases = [np.exp(-1j * np.multiply.outer(w, times)) for _, w, _ in blocks]
-        if self.sectors is None:
-            (_, _, v), (ph,) = blocks[0], phases
-            r = v.reshape(dims.d_a, dims.d_b, v.shape[0])
-            yield (np.einsum("ika,jkb->ijab", r, r.conj(), optimize=True),
-                   None, None, v, v, ph, ph)
-            return
-        # where each basis state lies: stack, sector in the stack, position
-        where = np.empty((3, dims.total), dtype=int)
-        for bi, (rows, _, _) in enumerate(blocks):
-            where[0, rows] = bi
-            where[1, rows] = np.arange(len(rows))[:, None]
-            where[2, rows] = np.arange(rows.shape[1])
-        # g sums V_s[x, a] conj(V_s'[y, b]) over the basis pairs x = (i, k),
-        # y = (j, k) that share a B index k, x in s and y in s'
-        i, j, k = np.indices((dims.d_a, dims.d_a, dims.d_b)).reshape(3, -1)
-        st_x, s_x, p_x = where[:, i * dims.d_b + k]
-        st_y, s_y, p_y = where[:, j * dims.d_b + k]
-        for bi, (rows, _, v) in enumerate(blocks):
-            for ci, (cols, _, v_c) in enumerate(blocks):
-                hit = (st_x == bi) & (st_y == ci)
-                if not hit.any():
-                    continue
-                pair, at = np.unique(s_x[hit] * len(cols) + s_y[hit], return_inverse=True)
-                g = np.zeros((len(pair), dims.d_a, dims.d_a, v.shape[-1], v_c.shape[-1]),
-                             dtype=complex)
-                np.add.at(g, (at, i[hit], j[hit]), v[s_x[hit], p_x[hit], :, None]
-                          * v_c[s_y[hit], p_y[hit]].conj()[:, None, :])
-                s, s_c = np.divmod(pair, len(cols))
-                yield (g, rows[s], cols[s_c], v[s], v_c[s_c], phases[bi][s],
-                       phases[ci][s_c])
 
     def marginal_series(self, mats, dims: BipartitionDims,
                         times: np.ndarray) -> np.ndarray:
         """A-marginals of U(t) X U(t)^dag for a stack of operators X.
 
         Returns shape (n_states, n_times, d_A, d_A). Works in the energy
-        eigenbasis and never forms the full evolved matrices; with declared
-        sectors, only the sector pairs that share a B index contribute.
+        eigenbasis of each sector and never forms the full evolved matrices.
+        Only the sector pairs (s, s') that share a B index contribute, and a
+        pair whose blocks X_{ss'} vanish for every X adds exactly zero, so it
+        is skipped.
         """
         mats = np.asarray(mats, dtype=complex)
         times = np.asarray(times, dtype=float)
-        out = None
-        for g, rows, cols, v, v_c, ph, ph_c in self._sector_pairs(dims, times):
-            part = np.empty((len(mats), len(times), dims.d_a, dims.d_a), dtype=complex)
-            if rows is not None:  # small sectors: every exp(-i (w_a - w_b) t) at once
-                ph_ab = ph[:, :, None] * ph_c[:, None].conj()
-            for xi, x in enumerate(mats):
-                if rows is None:  # the whole space: one eigenbasis index at a time
-                    c = g * (v.conj().T @ x @ v)[None, None, :, :]
-                    y = np.einsum("ijab,bt->ijat", c, ph_c.conj(), optimize=True)
-                    part[xi] = np.einsum("ijat,at->tij", y, ph, optimize=True)
-                else:
-                    x = x[rows[:, :, None], cols[:, None]]  # the (s, s') blocks of X
-                    xt = np.conj(v).swapaxes(1, 2) @ x @ v_c
-                    part[xi] = np.tensordot(ph_ab, g * xt[:, None, None],
-                                            axes=([0, 1, 2], [0, 3, 4]))
-            out = part if out is None else out + part
+        dims.check(self.hamiltonian)
+        out = np.zeros((len(mats), len(times), dims.d_a, dims.d_a), dtype=complex)
+        nonzero = np.any(mats, axis=0)
+        blocks = []
+        for rows, w, v in self._blocks():
+            i_x, k_x = np.divmod(rows, dims.d_b)
+            on_b = np.zeros((len(rows), dims.d_b))  # the B indices each sector covers
+            on_b[np.arange(len(rows))[:, None], k_x] = 1.0
+            # E[s, i, x, a] = [i(x) = i] V_s[x, a]: the eigenvectors split by A index
+            e = (i_x[:, None] == np.arange(dims.d_a)[:, None])[..., None] * v[:, None]
+            blocks.append((rows, k_x, on_b, v, e,
+                           np.exp(-1j * np.multiply.outer(w, times))))
+        for rows, k_x, on_b, v, e, ph in blocks:
+            for cols, k_y, on_b_c, v_c, e_c, ph_c in blocks:
+                s, s_c = np.nonzero(on_b @ on_b_c.T)  # the pairs that share a B index
+                keep = nonzero[rows[s, :, None], cols[s_c, None]].any(axis=(1, 2))
+                s, s_c = s[keep], s_c[keep]
+                if not len(s):
+                    continue
+                # g[p, i, j, a, b], the weight of the eigenbasis coherence |a><b|
+                # of pair p in the marginal entry <i|.|j>: E_s^T M conj(E_s')
+                # with M[x, y] = [k(x) = k(y)]
+                m = k_x[s, :, None] == k_y[s_c, None]
+                g = e[s].swapaxes(-1, -2)[:, :, None] @ (
+                    m[:, None] @ e_c[s_c].conj())[:, None]
+                block = rows[s, :, None], cols[s_c, None]  # where X_{ss'} lies in X
+                v_h, v_cs = np.conj(v[s]).swapaxes(-1, -2), v_c[s_c]
+                ph_a, ph_b = ph[s], ph_c[s_c].conj()
+                for xi, x in enumerate(mats):
+                    xt = v_h @ x[block] @ v_cs
+                    # sum_b g X~ exp(i w_b t), then sum_a exp(-i w_a t) over the pairs
+                    y = (g * xt[:, None, None]).reshape(len(s), -1, xt.shape[-1]) @ ph_b
+                    out[xi] += np.einsum("pijat,pat->tij", y.reshape(*g.shape[:-1], -1),
+                                         ph_a)
         return out
 
 

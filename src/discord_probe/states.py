@@ -58,10 +58,10 @@ def _checked_density(rho: np.ndarray, dims: BipartitionDims,
     rho = require_hermitian(rho)
     dims.check(rho)
     tr = np.trace(rho).real
-    if abs(tr - 1.0) > STATE_TOL:
+    if not abs(tr - 1.0) <= STATE_TOL:
         raise ValueError(f"state trace {tr} deviates from 1")
     wmin = np.min(np.linalg.eigvalsh(rho) if eigenvalues is None else eigenvalues)
-    if wmin < -STATE_TOL:
+    if not wmin >= -STATE_TOL:
         raise ValueError(f"state has negative eigenvalue {wmin:.3e}")
     return rho
 

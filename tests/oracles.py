@@ -11,8 +11,8 @@ the full atom (x) modes space, the spin-chain Hamiltonian from dense
 Pauli strings and its parity as the dense operator (x) sigma_y, the
 spin-chain autocorrelation from its definition, the dense photon state with
 its coherence decay, the closed-form Michelson propagator, the ion state
-prepared as a full-matrix conjugation, the ion witness with the sideband
-generator as one dense sector, the emission signal from the
+prepared as a full-matrix conjugation, the ion witness from Delta evolved
+as a full matrix by expm, the emission signal from the
 eigenvector row formula, the Haar-average estimate one sampled unitary at a
 time and the photon frequency sum with one exponential per (delay,
 frequency) pair. Small helpers only the tests use (partial trace
@@ -24,7 +24,7 @@ from scipy.linalg import expm
 
 from conftest import SX, SY, SZ
 from discord_probe.measures import BasisGrid, _basis_angles, bloch_vectors
-from discord_probe.protocol import EvolutionSpec
+from discord_probe.protocol import EvolutionSpec, WitnessSeries
 from discord_probe.states import BipartiteState, local_eigenbasis, thermal_fock_state
 from discord_probe.tensor import (BipartitionDims, evolve, kron, partial_trace_b,
                                   require_square)
@@ -104,16 +104,24 @@ def prepare_ion_state_dense(p, t0: float) -> np.ndarray:
     return evolve(rho0, build_hamiltonian(p), t0)
 
 
-def ion_local_distance_dense(p, t0: float, grid):
-    """`model_ion.simulated_local_distance` with the ion generator as one
-    dense sector: no declared sectors, so one `eigh` of the whole H."""
-    from discord_probe.model_ion import build_hamiltonian, prepare_state
-    from discord_probe.protocol import run_local_detection
+def ion_local_distance_dense(p, t0: float, grid) -> WitnessSeries:
+    """`model_ion.simulated_local_distance` on full matrices, apart from
+    `EvolutionSpec`: the state from `prepare_ion_state_dense`, pinched in
+    {|g>, |e>} by d x d products, and Delta = rho - Phi(rho) carried along a
+    uniform time grid by U(dt) = expm(-i H dt), one step per sample."""
+    from discord_probe.model_ion import build_hamiltonian
     from discord_probe.states import computational_basis
 
-    evo = EvolutionSpec(build_hamiltonian(p))
-    return run_local_detection(prepare_state(p, t0, evo), evo, grid,
-                               basis=computational_basis(2))
+    state = BipartiteState(prepare_ion_state_dense(p, t0), p.dims)
+    delta = state.rho - dephase_kron(state, computational_basis(2))
+    steps = np.diff(grid.samples)
+    assert np.allclose(steps, steps[0], rtol=1e-12, atol=0)
+    u = expm(-1j * build_hamiltonian(p) * steps[0])
+    d_t, x = [], delta
+    for _ in grid.samples:
+        d_t.append(0.5 * trace_norm(partial_trace_b(x, p.dims)))
+        x = u @ x @ u.conj().T
+    return WitnessSeries(grid.samples, np.array(d_t), bound_ref=0.5 * trace_norm(delta))
 
 
 def emission_row_signal(p, t0: float, t1: float) -> tuple:

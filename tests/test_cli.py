@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import yaml
 
-from discord_probe import cli, model_emission, model_ion, model_spinchain
+from discord_probe import cli, model_emission, model_ion, model_photon, model_spinchain
 from discord_probe.cli import PARAMS, ConfigError, execute, load_config, main, parse
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -121,7 +121,15 @@ class TestConfigValidation:
         (model_spinchain.ChainParams, "kT", math.inf),
         (model_emission.EmissionParams, "half_bandwidth", math.inf),
         (model_emission.EmissionParams, "atomic_gap", math.nan),
-        (model_emission.EmissionParams, "coupling_mask", (math.nan,) + (1.0,) * 400)])
+        (model_emission.EmissionParams, "coupling_mask", (math.nan,) + (1.0,) * 400),
+        (model_photon.PhotonParams, "delta_omega", math.inf),
+        (model_photon.PhotonParams, "omega0", math.nan),
+        (model_photon.PhotonParams, "omega0", -math.inf),
+        (model_photon.PhotonParams, "t_prep", math.inf),
+        (model_photon.PhotonParams, "grid_span", math.nan),
+        (model_photon.PhotonParams, "grid_span", math.inf),
+        (model_photon.DiscreteAncillaParams, "theta", math.nan),
+        (model_photon.DiscreteAncillaParams, "theta", math.inf)])
     def test_parameter_classes_refuse_nan(self, cls, field, value):
         # the library refuses NaN and infinities itself, not only through _float
         with pytest.raises(ValueError):

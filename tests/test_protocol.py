@@ -1,6 +1,8 @@
 """Local detection protocol, minimized witness, classical-correlation
 witness and the Haar-average estimator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from oracles import (
     trace_norm,
     two_state_distances,
 )
-from discord_probe import measures, protocol, tensor
+from discord_probe import measures, model_spinchain, protocol, tensor
 from discord_probe.measures import (
     BasisGrid,
     bloch_vectors,
@@ -91,6 +93,10 @@ class TestTimeGrid:
             TimeGrid(np.array([1.0, 2.0]))
         with pytest.raises(ValueError):
             TimeGrid(np.array([0.0, 2.0, 1.0]))
+        with pytest.raises(ValueError, match="must be finite"):
+            TimeGrid(np.array([0.0, np.nan]))
+        with pytest.raises(ValueError, match="must be finite"):
+            TimeGrid(np.array([0.0, 1.0, np.inf]))
 
 
 class TestEvolutionSpec:
@@ -147,16 +153,27 @@ class TestEvolutionSpec:
             (dims.total, 2))
         mats = [random_density(dims.total, rng),
                 rng.standard_normal((dims.total,) * 2) + 0j]
+        # operators with exactly zero sector blocks, one block diagonal and one
+        # with a few blocks between sectors, so that one call both skips the
+        # sector pairs that no operator reaches and keeps the others
+        _, sec = np.unique(labels, return_inverse=True)
+        between = rng.random((sec.max() + 1,) * 2) < 0.3
+        np.fill_diagonal(between, False)
+        z = rng.standard_normal((dims.total,) * 2) + 1j * rng.standard_normal(
+            (dims.total,) * 2)
+        pruned = [z * (sec[:, None] == sec), z * between[sec[:, None], sec]]
         out = sectored.evolve_vectors(vecs, times)
         margs = sectored.marginal_series(mats, dims, times)
+        margs_pruned = sectored.marginal_series(pruned, dims, times)
         assert np.max(np.abs(out - dense.evolve_vectors(vecs, times))) <= 1e-12
         assert np.max(np.abs(margs - dense.marginal_series(mats, dims, times))) <= 1e-12
         for ti, t in enumerate(times):
             u = expm(-1j * h * t)
             assert np.max(np.abs(out[:, :, ti] - u @ vecs)) <= 1e-12
-            for xi, x in enumerate(mats):
-                direct = partial_trace_b(u @ x @ u.conj().T, dims)
-                assert np.max(np.abs(margs[xi, ti] - direct)) <= 1e-12
+            for xs, ms in ((mats, margs), (pruned, margs_pruned)):
+                for xi, x in enumerate(xs):
+                    direct = partial_trace_b(u @ x @ u.conj().T, dims)
+                    assert np.max(np.abs(ms[xi, ti] - direct)) <= 1e-12
 
     def test_sectors_refuse_coupling_between_them(self):
         h, labels, _ = self._direct_sum(7, 8)
@@ -167,6 +184,30 @@ class TestEvolutionSpec:
             EvolutionSpec(h, sectors=labels)
         with pytest.raises(ValueError, match="one sector label per basis state"):
             EvolutionSpec(np.eye(3), sectors=[0, 1])
+
+    def test_rejects_nan_generator(self):
+        for h in (np.full((2, 2), np.nan), np.diag([0.0, np.nan])):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                EvolutionSpec(h)
+
+    def test_marginal_series_memory(self):
+        # the seven operators of the minimized witness on the n = 8 Gibbs state
+        # (d = 256) over 400 times: contracting one operator at a time peaks
+        # near 40 MB, one contraction over all seven near 100 MB
+        p = model_spinchain.ChainParams(n_spins=8, kT=0.1)
+        spec = model_spinchain.spectral(p)
+        state = model_spinchain.gibbs_state(p, spec)
+        conj = [tensor.local_sandwich(tensor.PAULI[a], state.rho, tensor.PAULI[b],
+                                      state.dims) for a, b in protocol._PAIRS]
+        mats = [state.rho] + [(m + m.conj().T) / 2 for m in conj]
+        times = TimeGrid.linear(20.0, 400).samples
+        tracemalloc.start()
+        try:
+            spec.evolution.marginal_series(mats, state.dims, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 48e6
 
     def test_given_spectrum_is_used(self, rng):
         h = random_hermitian(4, rng)

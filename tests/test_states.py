@@ -48,6 +48,18 @@ class TestBipartiteState:
         with pytest.raises(ValueError):
             BipartiteState(rho, D22)
 
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (3, 2)])
+    def test_rejects_nan(self, entry):
+        rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        rho[entry] = np.nan
+        with pytest.raises(ValueError, match="not Hermitian"):
+            BipartiteState(rho, D22)
+
+    def test_rejects_nan_spectrum(self):
+        rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        with pytest.raises(ValueError, match="negative eigenvalue nan"):
+            BipartiteState._with_spectrum(rho, D22, np.array([0.5, 0.5, np.nan, 0.0]))
+
 
 class TestProjectiveBasis:
     def test_computational(self):

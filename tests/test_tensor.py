@@ -167,6 +167,17 @@ class TestEigHermitian:
             eig_hermitian(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
+class TestRequire:
+    @pytest.mark.parametrize("check", [require_hermitian, require_unitary])
+    def test_rejects_nan(self, check):
+        # a NaN deviation compares False against the tolerance either way
+        one = np.eye(2, dtype=complex)
+        one[0, 0] = np.nan
+        for m in (one, np.full((2, 2), np.nan, dtype=complex)):
+            with pytest.raises(ValueError, match="max deviation nan"):
+                check(m)
+
+
 class TestTraceNorm:
     def test_density_matrix(self, rng):
         assert abs(trace_norm(random_density(5, rng)) - 1.0) <= 1e-12
