@@ -147,11 +147,9 @@ def _atomic_write(path: str, text: str):
 
 
 def _write_csv(path: str, columns: dict):
-    keys = list(columns)
-    rows = [",".join(keys)]
-    for vals in zip(*columns.values()):
-        rows.append(",".join("%.17g" % v for v in vals))
-    _atomic_write(path, "\n".join(rows) + "\n")
+    table = np.column_stack(list(columns.values()))
+    rows = ("\n" + ",".join(["%.17g"] * len(columns))) * len(table)
+    _atomic_write(path, ",".join(columns) + rows % tuple(table.ravel().tolist()) + "\n")
 
 
 def _series_csv(path: str, series, extra: dict | None = None):

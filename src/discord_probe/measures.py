@@ -195,24 +195,30 @@ def _chord(n: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _pruning_table(grid: BasisGrid):
+def _pruning_table(grid: BasisGrid, mirror: bool):
     """The coarse subgrid (every 3rd theta row plus the last, times every 3rd
     phi), the other points, the corners (4, N) of the distinct coarse cells as
-    positions in the subgrid, and each other point's cell and chords (4, F)."""
-    ti, pj = np.divmod(np.arange(grid.n_theta * grid.n_phi), grid.n_phi)
+    positions in the subgrid, and each other point's cell and chords (4, F),
+    all as whole-grid indices. `mirror` keeps phi columns 0 .. n_phi // 2 and
+    their last as a coarse one, as phi in [0, pi] does not wrap."""
+    n_col = grid.n_phi // 2 + 1 if mirror else grid.n_phi
+    ti, pj = np.divmod(np.arange(grid.n_theta * n_col), n_col)
     coarse_row = np.arange(grid.n_theta) % 3 == 0
     coarse_row[-1] = True
-    rows, cols = np.flatnonzero(coarse_row), np.arange(0, grid.n_phi, 3)
-    coarse = coarse_row[ti] & (pj % 3 == 0)
+    coarse_col = np.arange(n_col) % 3 == 0
+    coarse_col[-1] |= mirror
+    rows, cols = np.flatnonzero(coarse_row), np.flatnonzero(coarse_col)
+    coarse = coarse_row[ti] & coarse_col[pj]
+    index = ti * grid.n_phi + pj
     ti, pj = ti[~coarse], pj[~coarse]
     t_lo = rows[np.searchsorted(rows, ti, "right") - 1]
     t_hi = rows[np.searchsorted(rows, ti, "left")]
     p_lo = cols[np.searchsorted(cols, pj, "right") - 1]
-    p_hi = cols[np.searchsorted(cols, pj, "left") % len(cols)]  # phi wraps
+    p_hi = cols[np.searchsorted(cols, pj, "left") % len(cols)]  # phi wraps, unmirrored
     corners = np.stack([t_lo * grid.n_phi + p_lo, t_lo * grid.n_phi + p_hi,
                         t_hi * grid.n_phi + p_lo, t_hi * grid.n_phi + p_hi])
     axes = bloch_vectors(grid.angles())
-    fine, coarse = np.flatnonzero(~coarse), np.flatnonzero(coarse)
+    fine, coarse = index[~coarse], index[coarse]
     cells, cell_of = np.unique(np.searchsorted(coarse, corners), axis=1,
                                return_inverse=True)
     table = (coarse, fine, cells, cell_of.ravel(), _chord(axes[fine], axes[corners]))
@@ -225,7 +231,8 @@ def _pruning_table(grid: BasisGrid):
 _STENCIL = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j])
 
 
-def _bloch_search(f, state: BipartiteState, grid: BasisGrid, start: np.ndarray):
+def _bloch_search(f, state: BipartiteState, grid: BasisGrid, start: np.ndarray,
+                  mirror: bool = False):
     """Minimize K objectives over Bloch angles at once. `f` maps angles
     (1, G, 2), shared by all K, or (K, G, 2) to values (K, G), each point's
     value independent of the others in the call to the bit (see rows_times).
@@ -236,9 +243,12 @@ def _bloch_search(f, state: BipartiteState, grid: BasisGrid, start: np.ndarray):
     coarse corners is within 1e-12 of k's incumbent, so each grid argmin is
     the exhaustive grid's. Every incumbent is then refined on the 8 neighbours
     of a 3x3 stencil whose spacing halves each round. Returns the minima (K,)
-    and angles (K, 2)."""
+    and angles (K, 2).
+
+    `mirror` declares every f_k even in phi, and only the phi columns in
+    [0, pi] are searched: their minimum is the grid's up to rounding."""
     angles, lip = np.vstack([grid.angles(), start]), _chord_lipschitz(state)
-    coarse, fine, cells, cell_of, chords = _pruning_table(grid)
+    coarse, fine, cells, cell_of, chords = _pruning_table(grid, mirror)
     first = np.concatenate([coarse, np.arange(grid.n_theta * grid.n_phi, len(angles))])
     first_vals = f(angles[None, first])
     excess = first_vals - (first_vals.min(axis=1, keepdims=True) + 1e-12)
@@ -267,18 +277,20 @@ def _bloch_search(f, state: BipartiteState, grid: BasisGrid, start: np.ndarray):
 
 
 def minimal_dephasing_disturbance(state: BipartiteState, grid: BasisGrid | None = None,
-                                  start: np.ndarray | None = None):
+                                  start: np.ndarray | None = None, mirror: bool = False):
     """Grid minimum of the basis-dependent dephasing disturbance D(n) for a
     qubit probe, with local refinement around the incumbent.
 
     The `start` angles (S, 2), by default those of the eigenbasis of the
     A-marginal, are candidates besides the grid; the eigenbasis makes the
     result exact for pure states and never above the plain dephasing
-    disturbance. Returns (value, argmin basis).
+    disturbance. `mirror` declares D(n) even in phi. Returns (value, argmin
+    basis).
     """
     if state.dims.d_a != 2:
         raise ValueError("basis-grid minimization is defined for d_A = 2 only")
     start = _basis_angles(local_eigenbasis(state)[0]) if start is None else start
     f = _disturbance_kernel(state.rho, state.dims.d_b)
-    val, ang = _bloch_search(lambda a: f(a[0])[None], state, grid or BasisGrid(), start)
+    val, ang = _bloch_search(lambda a: f(a[0])[None], state, grid or BasisGrid(),
+                             start, mirror)
     return float(val[0]), qubit_basis(ang[0, 0], ang[0, 1])

@@ -183,9 +183,15 @@ def thermal_detection(p: ChainParams, grid: TimeGrid | None = None,
                       bases: BasisGrid | None = None,
                       spec: SpectralData | None = None):
     """Minimized witness series and minimal dephasing disturbance of the
-    Gibbs state. Returns (series, d_min_bound)."""
+    Gibbs state. Returns (series, d_min_bound). The parity P = (x) sigma_y
+    maps the probe's axis (x, y, z) to (-x, y, -z), the basis of (x, -y, z);
+    so once rho and H are checked to equal their P conjugates, D(n) and every
+    d_n(t) are even in phi, and both searches are declared mirrored."""
     spec = spec or spectral(p)
     grid = grid or p.default_time_grid()
     state = gibbs_state(p, spec)
-    series = run_minimized_detection(state, spec.evolution, grid, bases)
+    for m in (state.rho, spec.evolution.hamiltonian):
+        if not np.array_equal(_apply_parity(_apply_parity(m).conj().T).conj().T, m):
+            raise ValueError("the Gibbs state or H is not parity symmetric")
+    series = run_minimized_detection(state, spec.evolution, grid, bases, True)
     return series, series.bound_ref

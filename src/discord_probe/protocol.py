@@ -129,11 +129,12 @@ class EvolutionSpec:
         pair whose blocks X_{ss'} vanish for every X adds exactly zero, so it
         is skipped.
         """
-        mats = np.asarray(mats, dtype=complex)
         times = np.asarray(times, dtype=float)
         dims.check(self.hamiltonian)
         out = np.zeros((len(mats), len(times), dims.d_a, dims.d_a), dtype=complex)
-        nonzero = np.any(mats, axis=0)
+        nonzero = np.zeros(self.hamiltonian.shape, dtype=bool)
+        for x in mats:  # each operator is read as it is, never stacked
+            nonzero |= np.asarray(x) != 0
         blocks = []
         for rows, w, v in self._blocks():
             i_x, k_x = np.divmod(rows, dims.d_b)
@@ -160,7 +161,7 @@ class EvolutionSpec:
                 v_h, v_cs = np.conj(v[s]).swapaxes(-1, -2), v_c[s_c]
                 ph_a, ph_b = ph[s], ph_c[s_c].conj()
                 for xi, x in enumerate(mats):
-                    xt = v_h @ x[block] @ v_cs
+                    xt = v_h @ np.asarray(x, dtype=complex)[block] @ v_cs
                     # sum_b g X~ exp(i w_b t), then sum_a exp(-i w_a t) over the pairs
                     y = (g * xt[:, None, None]).reshape(len(s), -1, xt.shape[-1]) @ ph_b
                     out[xi] += np.einsum("pijat,pat->tij", y.reshape(*g.shape[:-1], -1),
@@ -239,6 +240,7 @@ def run_minimized_detection(
     evo: EvolutionSpec,
     grid: TimeGrid,
     bases: Optional[BasisGrid] = None,
+    mirror: bool = False,
 ) -> WitnessSeries:
     """max over t of the basis-minimized local distance, qubit probe only.
 
@@ -249,11 +251,12 @@ def run_minimized_detection(
     time one objective of a Bloch search. The argmin axis n* of the bound caps
     the result at every time, so d_min(t) <= d_{n*}(t) <= D(n*) = D_min
     whatever the grid; it does not seed the refinement, which therefore never
-    ends above the search's own result.
+    ends above the search's own result. `mirror` declares D(n) and every d_n(t)
+    even in phi, so both searches cover phi in [0, pi] only.
     """
     start = measures._basis_angles(local_eigenbasis(state)[0])  # refuses d_A != 2
     bases = bases or BasisGrid()
-    bound, bound_basis = measures.minimal_dephasing_disturbance(state, bases, start)
+    bound, bound_basis = measures.minimal_dephasing_disturbance(state, bases, start, mirror)
     conj = [local_sandwich(PAULI[a], state.rho, PAULI[b], state.dims)
             for a, b in _PAIRS]
     margs = evo.marginal_series(
@@ -274,7 +277,7 @@ def run_minimized_detection(
             q = n[..., _PAIRS[:, 0]] * n[..., _PAIRS[:, 1]] * _PAIR_WEIGHTS
             return 0.5 * np.sqrt(np.square(r_c[:, None] - rows_times(q, s_c)).sum(-1))
 
-        vals, _ = measures._bloch_search(local_distance, state, bases, start)
+        vals, _ = measures._bloch_search(local_distance, state, bases, start, mirror)
         d_min_t[lo : lo + chunk] = np.minimum(vals, local_distance(n_star[None])[:, 0])
     return WitnessSeries(grid.samples, d_min_t, bound_ref=bound)
 

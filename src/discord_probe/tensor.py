@@ -50,7 +50,8 @@ def require_square(m: np.ndarray) -> np.ndarray:
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     m = require_square(m)
-    dev = np.max(np.abs(m - m.conj().T))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN, refused
+        dev = np.max(np.abs(m - m.conj().T))
     if not dev <= tol:  # refuses NaN too
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return m
@@ -58,7 +59,8 @@ def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
 
 def require_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     m = require_square(m)
-    dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
+    with np.errstate(invalid="ignore", over="ignore"):
+        dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
     if not dev <= tol:
         raise ValueError(f"matrix is not unitary (max deviation {dev:.3e})")
     return m

@@ -3,8 +3,9 @@
 These are the full-dimension forms of quantities the package computes in a
 reduced form: the qubit-probe dephasing disturbance D(n) from an `eigvalsh`
 of the 2d_B x 2d_B operator rho - N rho N, the Bloch search over the whole
-grid with no pruning, the basis-minimized local distance d_min(t) from a
-separate grid-and-refine search at every time sample, the full trace norm, the Bloch-axis pinching, the pinching and local
+grid (or its phi columns in [0, pi]) with no pruning, the unmirrored pruning
+table on its own, the CSV text one row at a time, the basis-minimized local
+distance d_min(t) from a separate grid-and-refine search at every time sample, the full trace norm, the Bloch-axis pinching, the pinching and local
 unitaries as products with kron(op, I_B), the dephasing and comparison
 witnesses from two separately evolved states, the emission model on
 the full atom (x) modes space, the spin-chain Hamiltonian from dense
@@ -23,7 +24,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from conftest import SX, SY, SZ
-from discord_probe.measures import BasisGrid, _basis_angles, bloch_vectors
+from discord_probe.measures import BasisGrid, _basis_angles, _chord, bloch_vectors
 from discord_probe.protocol import EvolutionSpec, WitnessSeries
 from discord_probe.states import BipartiteState, local_eigenbasis, thermal_fock_state
 from discord_probe.tensor import (BipartitionDims, evolve, kron, partial_trace_b,
@@ -282,12 +283,15 @@ def disturbance_batch(rho: np.ndarray, conj: np.ndarray,
     return vals
 
 
-def bloch_search_exhaustive(f, grid: BasisGrid, start: np.ndarray):
+def bloch_search_exhaustive(f, grid: BasisGrid, start: np.ndarray, cols=None):
     """`measures._bloch_search` without pruning: the K objectives of `f`
-    evaluated on the whole grid plus `start` in one call, and each incumbent
-    refined on the 8 neighbours of a 3x3 stencil whose spacing halves each
-    round. Returns the minima (K,) and their angles (K, 2)."""
-    angles = np.vstack([grid.angles(), start])
+    evaluated on the whole grid, or on its phi columns `cols` only, plus
+    `start` in one call, and each incumbent refined on the 8 neighbours of a
+    3x3 stencil whose spacing halves each round. Returns the minima (K,) and
+    their angles (K, 2)."""
+    on = np.isin(np.arange(grid.n_theta * grid.n_phi) % grid.n_phi,
+                 np.arange(grid.n_phi) if cols is None else cols)
+    angles = np.vstack([grid.angles()[on], start])
     vals = f(angles[None])
     best_val, best_ang = vals.min(axis=1), angles[np.argmin(vals, axis=1)]
     offs = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j])
@@ -301,6 +305,38 @@ def bloch_search_exhaustive(f, grid: BasisGrid, start: np.ndarray):
         best_val[better] = cvals[rows, j][better]
         best_ang[better] = cand[rows, j][better]
     return best_val, best_ang
+
+
+def pruning_table_unmirrored(grid: BasisGrid):
+    """`measures._pruning_table(grid, False)` written for the whole grid
+    alone: coarse every 3rd theta row plus the last, times every 3rd phi
+    column, with phi wrapping from the last coarse column to the first."""
+    ti, pj = np.divmod(np.arange(grid.n_theta * grid.n_phi), grid.n_phi)
+    coarse_row = np.arange(grid.n_theta) % 3 == 0
+    coarse_row[-1] = True
+    rows, cols = np.flatnonzero(coarse_row), np.arange(0, grid.n_phi, 3)
+    coarse = coarse_row[ti] & (pj % 3 == 0)
+    ti, pj = ti[~coarse], pj[~coarse]
+    t_lo = rows[np.searchsorted(rows, ti, "right") - 1]
+    t_hi = rows[np.searchsorted(rows, ti, "left")]
+    p_lo = cols[np.searchsorted(cols, pj, "right") - 1]
+    p_hi = cols[np.searchsorted(cols, pj, "left") % len(cols)]
+    corners = np.stack([t_lo * grid.n_phi + p_lo, t_lo * grid.n_phi + p_hi,
+                        t_hi * grid.n_phi + p_lo, t_hi * grid.n_phi + p_hi])
+    axes = bloch_vectors(grid.angles())
+    fine, coarse = np.flatnonzero(~coarse), np.flatnonzero(coarse)
+    cells, cell_of = np.unique(np.searchsorted(coarse, corners), axis=1,
+                               return_inverse=True)
+    return coarse, fine, cells, cell_of.ravel(), _chord(axes[fine], axes[corners])
+
+
+def csv_text_loop(columns: dict) -> str:
+    """The text `cli._write_csv` writes, one row at a time: a header of the
+    column names, then one line per row of "%.17g" values."""
+    rows = [",".join(columns)]
+    for vals in zip(*columns.values()):
+        rows.append(",".join("%.17g" % v for v in vals))
+    return "\n".join(rows) + "\n"
 
 
 def minimized_series(state: BipartiteState, evo, times: np.ndarray,

@@ -9,7 +9,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import csv_text_loop
 from discord_probe import cli, model_emission, model_ion, model_photon, model_spinchain
 from discord_probe.cli import PARAMS, ConfigError, execute, load_config, main, parse
 
@@ -376,6 +379,28 @@ class TestRun:
         b = json.loads((tmp_path / "b" / "summary.json").read_text())
         assert a["config_hash"] != b["config_hash"]
         assert b["seed"] == 9
+
+
+# floats a CSV cell must carry: signed zeros, subnormals, the extremes,
+# integer values, nan and the infinities, and anything else
+CSV_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300,
+                     -1e300, 1.7976931348623157e308, 1.0, -3.0, 2.0**53, 1e16,
+                     math.nan, math.inf, -math.inf]),
+    st.integers(-2**53, 2**53).map(float),
+    st.floats(allow_nan=True, allow_infinity=True))
+
+
+class TestWriteCsv:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda k: st.integers(0, 30).flatmap(
+        lambda n: st.lists(st.lists(CSV_FLOATS, min_size=n, max_size=n),
+                           min_size=k, max_size=k))))
+    def test_bytes_match_row_loop(self, tmp_path_factory, cols):
+        columns = {f"c{i}": np.array(c, dtype=float) for i, c in enumerate(cols)}
+        path = tmp_path_factory.mktemp("csv") / "series.csv"
+        cli._write_csv(str(path), columns)
+        assert path.read_bytes() == csv_text_loop(columns).encode()
 
 
 class TestModelErrors:

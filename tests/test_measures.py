@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_density, random_hermitian, random_pure_state, random_state
 from oracles import (bloch_search_exhaustive, dephase_kron, dephase_qubit_bloch,
-                     disturbance_batch, hs_distance_sq, sigma_conjugations, trace_norm)
+                     disturbance_batch, hs_distance_sq, pruning_table_unmirrored,
+                     sigma_conjugations, trace_norm)
 from discord_probe import measures
 from discord_probe.measures import (
     FACTOR_TAIL,
@@ -19,6 +20,7 @@ from discord_probe.measures import (
     _chord_lipschitz,
     _disturbance_kernel,
     _factored_disturbance,
+    _pruning_table,
     bloch_vectors,
     dephasing_disturbance,
     minimal_dephasing_disturbance,
@@ -68,6 +70,37 @@ def minimized_objective(state: BipartiteState, rng, n_times: int):
         run_minimized_detection(state, evo, TimeGrid.linear(3.0, n_times),
                                 BasisGrid(3, 4, refine_rounds=0))
     return handed[-1]  # handed[0] is D(n)
+
+
+def searched_angles(grid: BasisGrid, mirror: bool) -> np.ndarray:
+    """The grid points a search covers: with the mirror, phi columns
+    0 .. n_phi // 2 only."""
+    top = grid.n_phi // 2 if mirror else grid.n_phi
+    return grid.angles()[np.arange(grid.n_theta * grid.n_phi) % grid.n_phi <= top]
+
+
+def mirror_cols(grid: BasisGrid, mirror: bool):
+    """The phi columns for `bloch_search_exhaustive`, None for all."""
+    return np.arange(grid.n_phi // 2 + 1) if mirror else None
+
+
+def check_single_survivor(shape, seed, d_b, rank, n_times, mirror):
+    rng = np.random.default_rng(seed)
+    s = random_rank_state(d_b, rank, rng)
+    grid = BasisGrid(*shape, refine_rounds=0)
+    start = _basis_angles(local_eigenbasis(s)[0])
+    kernel = _disturbance_kernel(s.rho, d_b)
+    f = (minimized_objective(s, rng, n_times) if n_times
+         else lambda a: kernel(a[0])[None])
+    calls = []
+    got = _bloch_search(lambda a: calls.append(a[0]) or f(a), s, grid, start, mirror)
+    assert [len(a) for a in calls[1:]] == [1]
+    angles = np.vstack([searched_angles(grid, mirror), start])
+    full = f(angles[None])
+    lone = np.flatnonzero((angles == calls[1]).all(axis=1))
+    assert np.array_equal(f(calls[1][None]), full[:, lone])  # bit for bit
+    ref = bloch_search_exhaustive(f, grid, start, mirror_cols(grid, mirror))
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
 
 def two_qubit_schmidt(gamma: float) -> BipartiteState:
@@ -253,17 +286,25 @@ class TestDisturbanceSearch:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 8), st.integers(1, 16),
-           st.sampled_from([(1, 1), (1, 2), (1, 7), (2, 5), (3, 3), (4, 9), (7, 12),
-                            (20, 40)]),
-           st.integers(1, 6))
-    def test_pruned_grid_is_exhaustive_grid(self, seed, d_b, rank, shape, n_times):
+           st.sampled_from([(1, 1), (1, 2), (1, 7), (2, 5), (3, 3), (3, 4), (4, 9),
+                            (7, 12), (20, 40)]),
+           st.integers(1, 6), st.booleans())
+    @example(seed=1, d_b=2, rank=3, shape=(7, 1), n_times=2, mirror=True)
+    @example(seed=2, d_b=3, rank=2, shape=(5, 2), n_times=1, mirror=True)
+    @example(seed=3, d_b=1, rank=2, shape=(6, 3), n_times=3, mirror=True)
+    @example(seed=4, d_b=4, rank=1, shape=(5, 4), n_times=2, mirror=True)
+    @example(seed=5, d_b=2, rank=4, shape=(4, 5), n_times=4, mirror=True)
+    @example(seed=6, d_b=3, rank=5, shape=(20, 40), n_times=6, mirror=True)
+    def test_pruned_grid_is_exhaustive_grid(self, seed, d_b, rank, shape, n_times,
+                                            mirror):
         # K = 1 for D(n), K = n_times for d_n(t) and for cones lip * chord(n, a)
-        # that attain the Lipschitz bound; refine_rounds = 0 leaves the grid
+        # that attain the Lipschitz bound; refine_rounds = 0 leaves the grid,
+        # which with the mirror is phi columns 0 .. n_phi // 2
         rng = np.random.default_rng(seed)
         s = random_rank_state(d_b, rank, rng)
         grid = BasisGrid(*shape, refine_rounds=0)
         start = np.vstack([_basis_angles(local_eigenbasis(s)[0]), random_angles(1, rng)])
-        angles = np.vstack([grid.angles(), start])
+        angles = np.vstack([searched_angles(grid, mirror), start])
         kernel, lip = _disturbance_kernel(s.rho, d_b), _chord_lipschitz(s)
         apexes = bloch_vectors(np.vstack([random_angles(n_times, rng),
                                           angles[rng.integers(len(angles) - 2)]]))
@@ -275,7 +316,7 @@ class TestDisturbanceSearch:
                 calls.append((a[0], f(a)))
                 return calls[-1][1]
 
-            val, ang = _bloch_search(spy, s, grid, start)
+            val, ang = _bloch_search(spy, s, grid, start, mirror)
             full = f(angles[None])
             k = np.argmin(full, axis=1)
             assert np.array_equal(val, full[np.arange(len(full)), k])  # bit for bit
@@ -377,22 +418,31 @@ class TestDisturbanceSearch:
         ((20, 40), 3, 1, 2, 1), ((5, 12), 2, 1, 1, 2), ((5, 12), 19, 1, 2, 3),
         ((5, 12), 6, 1, 1, 0), ((20, 40), 3, 1, 2, 0)])
     def test_single_survivor_is_exhaustive(self, shape, seed, d_b, rank, n_times):
-        rng = np.random.default_rng(seed)
-        s = random_rank_state(d_b, rank, rng)
-        grid = BasisGrid(*shape, refine_rounds=0)
-        start = _basis_angles(local_eigenbasis(s)[0])
-        kernel = _disturbance_kernel(s.rho, d_b)
-        f = (minimized_objective(s, rng, n_times) if n_times
-             else lambda a: kernel(a[0])[None])
-        calls = []
-        got = _bloch_search(lambda a: calls.append(a[0]) or f(a), s, grid, start)
-        assert [len(a) for a in calls[1:]] == [1]
-        angles = np.vstack([grid.angles(), start])
-        full = f(angles[None])
-        lone = np.flatnonzero((angles == calls[1]).all(axis=1))
-        assert np.array_equal(f(calls[1][None]), full[:, lone])  # bit for bit
-        ref = bloch_search_exhaustive(f, grid, start)
-        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+        check_single_survivor(shape, seed, d_b, rank, n_times, mirror=False)
+
+    # the same with the mirror, one or two cases for each n_phi in 1-5 and 40
+    @pytest.mark.parametrize("shape,seed,d_b,rank,n_times", [
+        ((5, 1), 39, 1, 1, 1), ((5, 2), 39, 1, 1, 0), ((5, 3), 2, 1, 1, 2),
+        ((3, 4), 3, 1, 1, 1), ((3, 5), 3, 1, 1, 0), ((20, 40), 21, 1, 2, 1),
+        ((20, 40), 21, 1, 2, 0)])
+    def test_single_survivor_is_exhaustive_mirrored(self, shape, seed, d_b, rank,
+                                                    n_times):
+        check_single_survivor(shape, seed, d_b, rank, n_times, mirror=True)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 12),
+                                       (7, 9), (20, 40), (60, 120)])
+    def test_pruning_table(self, shape):
+        grid = BasisGrid(*shape)
+        table = _pruning_table(grid, False)
+        ref = pruning_table_unmirrored(grid)
+        assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(table, ref))
+        # the mirrored table partitions phi columns 0 .. n_phi // 2, and the
+        # last of them is coarse
+        coarse, fine = _pruning_table(grid, True)[:2]
+        half = np.flatnonzero(np.arange(grid.n_theta * grid.n_phi) % grid.n_phi
+                              <= grid.n_phi // 2)
+        assert np.array_equal(np.sort(np.concatenate([coarse, fine])), half)
+        assert grid.n_phi // 2 in coarse % grid.n_phi
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 8))

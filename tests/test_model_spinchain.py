@@ -1,14 +1,19 @@
 """Variable-range transverse Ising chain."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SY
 from oracles import autocorrelation_direct, chain_hamiltonian_dense, parity_operator
-from discord_probe import model_spinchain
+from discord_probe import measures, model_spinchain
 from discord_probe.cli import execute
-from discord_probe.measures import dephasing_disturbance, negativity, trace_distance
-from discord_probe.protocol import TimeGrid
+from discord_probe.measures import (BasisGrid, dephasing_disturbance, negativity,
+                                    trace_distance)
+from discord_probe.protocol import EvolutionSpec, TimeGrid, run_minimized_detection
 from discord_probe.states import BipartiteState
 from discord_probe.tensor import evolve, kron, partial_trace_b
 
@@ -33,6 +38,34 @@ def test_point_builds_one_hamiltonian(cfg, monkeypatch, tmp_path):
              "time_grid": {"t_max": 5.0, "points": 20},
              "basis_grid": {"n_theta": 6, "n_phi": 12}}, str(tmp_path))
     assert len(built) == 1
+
+
+def test_thermal_point_searches_half_the_grid(monkeypatch, tmp_path):
+    # the parity mirror: before refinement, each Bloch search of a thermal
+    # point evaluates phi in [0, pi] only, at most n_theta (n_phi // 2 + 1)
+    # grid points plus the one start
+    searches = []
+    real = measures._bloch_search
+
+    def spy(f, *args):
+        calls = []
+        searches.append(calls)
+        return real(lambda a: calls.append(a.reshape(-1, 2)) or f(a), *args)
+
+    monkeypatch.setattr(measures, "_bloch_search", spy)
+    execute({"model": "spinchain", "params": {"n_spins": 5, "kT": 0.3},
+             "time_grid": {"t_max": 5.0, "points": 20},
+             "basis_grid": {"n_theta": 20, "n_phi": 40}}, str(tmp_path))
+    grid = BasisGrid(20, 40)
+    assert len(searches) == 2  # D_min, and d_min(t) in one chunk
+    for calls in searches:
+        assert len(calls) == 2 + grid.refine_rounds
+        first, rest = calls[0][:-1], calls[1]
+        # the coarse subgrid: theta rows 0, 3, .., 18, 19 x phi columns 0, 3, .., 18, 20
+        assert len(first) == 8 * 8
+        assert len(first) + len(rest) + 1 <= 20 * (40 // 2 + 1) + 1
+        assert np.all(np.vstack([first, rest])[:, 1] <= np.pi)
+        assert len(np.unique(np.vstack([first, rest]), axis=0)) == len(first) + len(rest)
 
 
 class TestHamiltonian:
@@ -265,6 +298,39 @@ class TestThermal:
             p, TimeGrid.linear(10.0, 40)
         )
         assert np.all(series.d_t <= bound + 1e-9)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 6), st.floats(-3.0, 3.0), st.floats(0.02, 5.0))
+    def test_mirrored_search_matches_unmirrored(self, n_spins, b_field, kT):
+        p = params(n_spins=n_spins, b_field=b_field, kT=kT)
+        spec = model_spinchain.spectral(p)
+        grid, bases = TimeGrid.linear(10.0, 30), BasisGrid(20, 40)
+        series, bound = model_spinchain.thermal_detection(p, grid, bases, spec)
+        ref = run_minimized_detection(model_spinchain.gibbs_state(p, spec),
+                                      spec.evolution, grid, bases)
+        assert abs(bound - ref.bound_ref) <= 1e-15
+        assert np.max(np.abs(series.d_t - ref.d_t)) <= 1e-15
+
+    def test_refuses_broken_parity(self, monkeypatch):
+        # the mirror is declared only for a rho and an H that equal their
+        # (x) sigma_y conjugates to the bit
+        p = params(n_spins=4, kT=0.3)
+        spec = model_spinchain.spectral(p)
+        grid = TimeGrid.linear(5.0, 10)
+        g = model_spinchain.gibbs_state(p, spec)
+        corner = np.zeros_like(g.rho)
+        corner[0, 0] = 1.0
+        tilted = BipartiteState((1 - 1e-9) * g.rho + 1e-9 * corner, p.dims)
+        with monkeypatch.context() as mp:
+            mp.setattr(model_spinchain, "gibbs_state", lambda p, spec=None: tilted)
+            with pytest.raises(ValueError, match="not parity symmetric"):
+                model_spinchain.thermal_detection(p, grid, spec=spec)
+        h = spec.evolution.hamiltonian.copy()
+        h[0, 0] += 1e-9
+        bent = dataclasses.replace(spec, evolution=EvolutionSpec(h))
+        with pytest.raises(ValueError, match="not parity symmetric"):
+            model_spinchain.thermal_detection(p, grid, spec=bent)
+        model_spinchain.thermal_detection(p, grid, spec=spec)  # the chain's own pass
 
     def test_requires_positive_temperature(self):
         with pytest.raises(ValueError):

@@ -192,8 +192,9 @@ class TestEvolutionSpec:
 
     def test_marginal_series_memory(self):
         # the seven operators of the minimized witness on the n = 8 Gibbs state
-        # (d = 256) over 400 times: contracting one operator at a time peaks
-        # near 40 MB, one contraction over all seven near 100 MB
+        # (d = 256) over 400 times: contracting one operator at a time, with
+        # no stacked copy of the operators, peaks near 32 MB, one contraction
+        # over all seven near 100 MB
         p = model_spinchain.ChainParams(n_spins=8, kT=0.1)
         spec = model_spinchain.spectral(p)
         state = model_spinchain.gibbs_state(p, spec)

@@ -177,6 +177,24 @@ class TestRequire:
             with pytest.raises(ValueError, match="max deviation nan"):
                 check(m)
 
+    @pytest.mark.parametrize("check", [require_hermitian, require_unitary])
+    @pytest.mark.parametrize("at", [(0, 0), (0, 1)])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, complex(0, np.inf)])
+    def test_rejects_inf(self, check, at, value):
+        # inf - inf is NaN; with warnings as errors the ValueError must still
+        # be what is raised
+        m = np.eye(2, dtype=complex)
+        m[at] = value
+        with pytest.raises(ValueError, match="max deviation (nan|inf)"):
+            check(m)
+
+    def test_rejects_overflow(self):
+        # finite entries whose deviation overflows to inf
+        with pytest.raises(ValueError, match="max deviation inf"):
+            require_hermitian(np.array([[0, 1e308], [-1e308, 0]]))
+        with pytest.raises(ValueError, match="max deviation inf"):
+            require_unitary(1e300 * np.eye(2))
+
 
 class TestTraceNorm:
     def test_density_matrix(self, rng):
