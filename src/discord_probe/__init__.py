@@ -25,10 +25,8 @@ from .states import (
     computational_basis,
     dephase,
     dephasing_delta,
-    haar_unitary,
     local_eigenbasis,
     qubit_basis,
-    thermal_fock_state,
     zero_discord_state,
 )
 from .tensor import (

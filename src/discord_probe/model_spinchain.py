@@ -1,16 +1,18 @@
-"""Variable-range transverse Ising chain: exact diagonalization with parity
-bookkeeping, single-spin detection on ground and thermal states."""
+"""Variable-range transverse Ising chain: exact diagonalization on the real
+parity sectors of a rotated frame, single-spin detection on ground and
+thermal states."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .protocol import (BasisGrid, EvolutionSpec, TimeGrid, WitnessSeries,
-                       local_trace_distances, run_minimized_detection)
+                       run_minimized_detection)
 from .states import BipartiteState
-from .tensor import PAULI, BipartitionDims, pauli_vector
+from .tensor import BipartitionDims
 
 
 @dataclass(frozen=True)
@@ -39,23 +41,26 @@ class ChainParams:
         return TimeGrid.linear(20.0 / self.j0, 400)
 
 
-def build_chain_hamiltonian(p: ChainParams) -> np.ndarray:
-    """H = -sum_{i<j} J0/|i-j|^alpha sx_i sx_j - B sum_i sy_i, open chain.
+def build_chain_hamiltonian(p: ChainParams, rotated: bool = False) -> np.ndarray:
+    """H = -sum_{i<j} J0/|i-j|^alpha sx_i sx_j - B sum_i sy_i, open chain; with
+    `rotated`, the real R H R^dag, R = (x) exp(-i pi/4 sx), where sy_i -> sz_i.
 
     Spin 0 (leftmost, slow index, highest bit) is the accessible subsystem A.
-    Both terms are bit flips of the basis index x: sx_i sx_j sends |x> to
-    |x ^ m_i ^ m_j> and sy_i sends it to +-i |x ^ m_i>, with m_i the bit of
-    spin i. Every entry of H receives at most one term.
+    With m_i the bit of spin i, sx_i sx_j sends |x> to |x ^ m_i ^ m_j>, sy_i
+    sends it to +-i |x ^ m_i> and sz_i scales it by 1 - 2 (bit i of x).
+    Every entry of H receives at most one term.
     """
     n = p.n_spins
     x = np.arange(2**n)
-    masks = 1 << (n - 1 - np.arange(n))
-    h = np.zeros((2**n, 2**n), dtype=complex)
-    for i in range(n):
-        for j in range(i + 1, n):
-            h.real[x ^ masks[i] ^ masks[j], x] -= p.j0 / abs(i - j) ** p.alpha
-        # sy|0> = i|1>, sy|1> = -i|0>
-        h.imag[x ^ masks[i], x] -= np.where(x & masks[i], -p.b_field, p.b_field)
+    masks = (1 << (n - 1 - np.arange(n)))[:, None]
+    i, j = np.triu_indices(n, 1)
+    h = np.zeros((2**n, 2**n), dtype=float if rotated else complex)
+    couplings = [[p.j0 / d ** p.alpha] for d in (j - i).tolist()]
+    h.real[x ^ masks[i] ^ masks[j], x] -= couplings
+    if rotated:
+        h[x, x] = -p.b_field * (n - 2 * np.bitwise_count(x).astype(int))
+    else:  # sy|0> = i|1>, sy|1> = -i|0>
+        h.imag[x ^ masks, x] -= np.where(x & masks, -p.b_field, p.b_field)
     return h
 
 
@@ -70,40 +75,58 @@ def _apply_parity(v: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralData:
-    energies: np.ndarray
-    states: np.ndarray    # eigenvectors as columns
+    energies: np.ndarray  # ascending
     parities: np.ndarray  # +-1 per eigenstate
-    evolution: EvolutionSpec  # H with (energies, states) as its spectrum
+    evolution: EvolutionSpec  # the rotated frame's real H on its popcount sectors
+    order: np.ndarray  # eigenstate j is column order[j] of the sectors' eigenvectors
+
+    @cached_property
+    def states(self) -> np.ndarray:
+        """The eigenvectors as columns in the original frame. R^dag acts site
+        by site, |0> -> (|0> + i|1>)/sqrt2 and |1> -> (|1> + i|0>)/sqrt2, by
+        adding swapped components, which keeps each column's parity exact."""
+        (rows, _, v), = self.evolution.spectral()
+        d, n = len(self.order), len(self.order).bit_length() - 1
+        out = np.zeros((d, *v.shape[:2]), dtype=complex)
+        out[rows, np.arange(2)[:, None]] = v
+        out = out.reshape(d, d)[:, self.order]
+        for i in range(n):
+            a = out.reshape(2**i, 2, -1)
+            out = a + 1j * a[:, ::-1]
+        return out.reshape(d, d) * 0.5 ** (n / 2)
 
 
 def spectral(p: ChainParams) -> SpectralData:
-    """Eigendecomposition with definite parity per eigenvector; degenerate
-    energy blocks are rotated to diagonalize the parity operator."""
-    h = build_chain_hamiltonian(p)
-    w, v = np.linalg.eigh(h)
-    scale = max(np.max(np.abs(w)), 1.0)
-    # group numerically degenerate blocks
-    splits = np.where(np.diff(w) > 1e-9 * scale)[0] + 1
-    blocks = np.split(np.arange(len(w)), splits)
-    for idx in blocks:
-        if len(idx) > 1:
-            sub = v[:, idx]
-            _, rot = np.linalg.eigh(sub.conj().T @ _apply_parity(sub))
-            v[:, idx] = sub @ rot
-    flipped = _apply_parity(v)
-    parities = np.sign(np.real(np.sum(v.conj() * flipped, axis=0)))
-    # purify: project each vector onto its dominant parity sector, removing
-    # the cross-sector contamination eigh leaves on quasi-degenerate doublets
-    v = 0.5 * (v + flipped * parities[None, :])
-    v = v / np.linalg.norm(v, axis=0)
-    return SpectralData(w, v, parities, EvolutionSpec(h, spectrum=(w, v)))
+    """Eigendecomposition in the rotated frame, where H is real and the parity
+    (x) sigma_y is (x) sigma_z: one stacked real eigh of the even- and odd-
+    popcount sectors, parity +1 and -1. The energies ascend; in a block of
+    numerically degenerate ones (1e-9 of the scale apart) parity -1 is first."""
+    h = build_chain_hamiltonian(p, rotated=True)
+    evolution = EvolutionSpec(h, sectors=np.bitwise_count(np.arange(len(h))) & 1)
+    (_, w, _), = evolution.spectral()
+    parity = np.repeat([1, -1], w.shape[1])  # the sectors in label order
+    order = np.argsort(w, axis=None, kind="stable")
+    energies = w.ravel()[order]
+    gaps = np.diff(energies, prepend=energies[0]) > 1e-9 * max(np.max(np.abs(w)), 1.0)
+    order = order[np.lexsort((parity[order], np.cumsum(gaps)))]
+    return SpectralData(energies, parity[order], evolution, order)
 
 
-def _dephased_components(spec: SpectralData) -> np.ndarray:
-    """Ground state and its sigma_y^(1)-flipped partner as columns: the
-    y-dephased ground state is the even mixture of the two (rank 2)."""
-    psi0 = spec.states[:, 0]
-    return np.column_stack([psi0, (PAULI[1] @ psi0.reshape(2, -1)).ravel()])
+def original_frame_evolution(p: ChainParams, spec: SpectralData) -> EvolutionSpec:
+    """H in the original frame, with spec.states and their own energies."""
+    (_, w, _), = spec.evolution.spectral()
+    return EvolutionSpec(build_chain_hamiltonian(p),
+                         spectrum=(w.ravel()[spec.order], spec.states))
+
+
+def _ground_sector(spec: SpectralData):
+    """(s, w, V, psi0, chi), rotated frame: the sector s of the ground vector,
+    all sectors' energies and eigenvectors, psi0 and chi = sigma_z^(0) psi0.
+    Spin 0 is up in the first half of a sector's (ascending) rows."""
+    (_, w, v), = spec.evolution.spectral()
+    s, k = divmod(int(spec.order[0]), w.shape[1])
+    psi0 = v[s, :, k]
+    return s, w, v, psi0, psi0 * np.repeat([1.0, -1.0], len(psi0) // 2)
 
 
 @dataclass(frozen=True)
@@ -116,60 +139,44 @@ class GroundStateResult:
 
 def ground_state_detection(p: ChainParams, grid: TimeGrid | None = None,
                            spec: SpectralData | None = None) -> GroundStateResult:
-    """Dephase spin 1 along y, evolve, and record the single-spin distance
-    both as a trace distance and through the y-magnetization."""
+    """Dephase spin 0 along y, evolve, and record the single-spin distance.
+    psi0 and chi share a popcount sector, where every spin-0 marginal is
+    diagonal: d(t) = |p_up - P_up(t)| / 2 for the spin-up populations of psi0
+    and U(t) chi, also the magnetization form (m_y is the rotated sz_0)."""
     spec = spec or spectral(p)
     grid = grid or p.default_time_grid()
     gap = float(spec.energies[1] - spec.energies[0])
     if gap <= 1e-10:
         raise ValueError("ground state is (numerically) degenerate")
-    psi0, chi = _dephased_components(spec).T
-    r0 = psi0.reshape(2, -1)
-    m0 = r0 @ r0.conj().T
-    if abs(np.trace(m0).real - 1.0) > 1e-10:
-        raise ValueError(f"ground-state norm {np.trace(m0).real} deviates from 1")
-    # pure state: the negativity is the product of the Schmidt coefficients,
-    # the square roots of the two eigenvalues of the qubit marginal
-    neg = float(np.sqrt(max(np.linalg.det(m0).real, 0.0)))
-    evolved = spec.evolution.evolve_vectors(chi[:, None], grid.samples)
-    evolved = evolved.reshape(2, -1, len(grid.samples))
-    mc = np.einsum("iat,jat->tij", evolved, evolved.conj())
-    # rho'_A(t) = (m0 + mc)/2 and the undephased marginal stays m0, so
-    # d(t) = ||m0 - mc||_1 / 4 and m_y(t) - m_y(0) = tr((mc - m0) sigma_y) / 2
-    diff = m0 - mc
-    d_t = local_trace_distances(diff) / 2
-    d_mag = np.abs(pauli_vector(diff)[:, 1]) / 4
+    s, w, v, psi0, chi = _ground_sector(spec)
+    half = len(psi0) // 2
+    p_up, p_down = psi0[:half] @ psi0[:half], psi0[half:] @ psi0[half:]
+    if abs(p_up + p_down - 1.0) > 1e-10:
+        raise ValueError(f"ground-state norm {p_up + p_down} deviates from 1")
+    # pure state: the negativity is the product of the Schmidt coefficients
+    neg = float(np.sqrt(p_up * p_down))
+    phased = (chi @ v[s])[:, None] * np.exp(-1j * np.multiply.outer(w[s], grid.samples))
+    # the spin-up amplitudes of U(t) chi, real and imaginary parts side by side
+    amp = v[s, :half] @ phased.view(float)
+    d_t = np.abs(p_up - np.square(amp).reshape(half, -1, 2).sum(axis=(0, 2))) / 2
     series = WitnessSeries(grid.samples, d_t, bound_ref=neg)
-    return GroundStateResult(series, d_mag, neg, gap)
+    return GroundStateResult(series, d_t, neg, gap)
 
 
 def excitation_overlaps(p: ChainParams, spec: SpectralData | None = None):
     """Populations c_j of the y-dephased ground state in the energy
-    eigenbasis, with parities."""
+    eigenbasis, with parities; only the ground vector's sector is populated."""
     spec = spec or spectral(p)
-    ab = spec.states.conj().T @ _dephased_components(spec)
-    c = 0.5 * np.sum(np.abs(ab) ** 2, axis=1)
-    return list(zip(spec.energies, c, spec.parities))
-
-
-def autocorrelation(p: ChainParams, grid: TimeGrid | None = None,
-                    spec: SpectralData | None = None):
-    """Global autocorrelation Tr{rho U rho U^dag} / Tr{rho^2} of the dephased
-    ground state rho = (|psi0><psi0| + |chi><chi|)/2: the sum of |<x|U(t)|y>|^2
-    over x, y in {psi0, chi}, over the same sum at t = 0."""
-    spec = spec or spectral(p)
-    grid = grid or p.default_time_grid()
-    comps = _dephased_components(spec)
-    evolved = spec.evolution.evolve_vectors(comps, grid.samples)
-    overlaps = np.tensordot(comps.conj(), evolved, axes=(0, 0))  # <x|U(t)|y>
-    purity = np.sum(np.abs(comps.conj().T @ comps) ** 2)
-    return list(zip(grid.samples, np.sum(np.abs(overlaps) ** 2, axis=(0, 1)) / purity))
+    s, w, v, psi0, chi = _ground_sector(spec)
+    c = np.zeros(w.shape)
+    c[s] = 0.5 * (np.square(psi0 @ v[s]) + np.square(chi @ v[s]))
+    return list(zip(spec.energies, c.ravel()[spec.order], spec.parities))
 
 
 def gibbs_state(p: ChainParams, spec: SpectralData | None = None) -> BipartiteState:
     """rho = X diag(w) X^dag with Boltzmann weights w >= 0. It is positive
     for any X, so w stands in for its spectrum in the state checks even
-    though the purified columns X are orthonormal only to rounding."""
+    though the columns X (spec.states) are orthonormal only to rounding."""
     if p.kT <= 0:
         raise ValueError("Gibbs state needs kT > 0")
     spec = spec or spectral(p)
@@ -190,8 +197,9 @@ def thermal_detection(p: ChainParams, grid: TimeGrid | None = None,
     spec = spec or spectral(p)
     grid = grid or p.default_time_grid()
     state = gibbs_state(p, spec)
-    for m in (state.rho, spec.evolution.hamiltonian):
+    evolution = original_frame_evolution(p, spec)
+    for m in (state.rho, evolution.hamiltonian):
         if not np.array_equal(_apply_parity(_apply_parity(m).conj().T).conj().T, m):
             raise ValueError("the Gibbs state or H is not parity symmetric")
-    series = run_minimized_detection(state, spec.evolution, grid, bases, True)
+    series = run_minimized_detection(state, evolution, grid, bases, True)
     return series, series.bound_ref

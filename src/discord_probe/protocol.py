@@ -57,6 +57,13 @@ def _sector_rows(labels: np.ndarray) -> list:
     return [order[start[size == m, None] + np.arange(m)] for m in np.unique(size)]
 
 
+def _shared_b_pairs(k_x: np.ndarray, k_y: np.ndarray, d_b: int) -> tuple:
+    """The sorted pairs (s, s') of sector rows of k_x and k_y sharing a B index."""
+    on_b = np.zeros((len(k_y), d_b), dtype=bool)  # the B indices each s' covers
+    on_b[np.arange(len(k_y))[:, None], k_y] = True
+    return np.nonzero(on_b[:, k_x].any(axis=-1).T)
+
+
 @dataclass
 class EvolutionSpec:
     """Time-independent Hermitian generator (hbar = 1) with a spectral cache.
@@ -138,15 +145,12 @@ class EvolutionSpec:
         blocks = []
         for rows, w, v in self._blocks():
             i_x, k_x = np.divmod(rows, dims.d_b)
-            on_b = np.zeros((len(rows), dims.d_b))  # the B indices each sector covers
-            on_b[np.arange(len(rows))[:, None], k_x] = 1.0
             # E[s, i, x, a] = [i(x) = i] V_s[x, a]: the eigenvectors split by A index
             e = (i_x[:, None] == np.arange(dims.d_a)[:, None])[..., None] * v[:, None]
-            blocks.append((rows, k_x, on_b, v, e,
-                           np.exp(-1j * np.multiply.outer(w, times))))
-        for rows, k_x, on_b, v, e, ph in blocks:
-            for cols, k_y, on_b_c, v_c, e_c, ph_c in blocks:
-                s, s_c = np.nonzero(on_b @ on_b_c.T)  # the pairs that share a B index
+            blocks.append((rows, k_x, v, e, np.exp(-1j * np.multiply.outer(w, times))))
+        for rows, k_x, v, e, ph in blocks:
+            for cols, k_y, v_c, e_c, ph_c in blocks:
+                s, s_c = _shared_b_pairs(k_x, k_y, dims.d_b)
                 keep = nonzero[rows[s, :, None], cols[s_c, None]].any(axis=(1, 2))
                 s, s_c = s[keep], s_c[keep]
                 if not len(s):

@@ -195,11 +195,6 @@ def haar_unitaries(dim: int, seeds) -> np.ndarray:
     return q * (d / np.abs(d))[:, None, :]
 
 
-def haar_unitary(dim: int, seed: int) -> np.ndarray:
-    """Haar-distributed unitary, deterministic in the seed."""
-    return haar_unitaries(dim, [seed])[0]
-
-
 def fock_cutoff(nbar: float) -> int:
     """Smallest cutoff with thermal tail mass below FOCK_TAIL_TOL, floored at
     FOCK_FLOOR, plus FOCK_HEADROOM."""
@@ -208,11 +203,6 @@ def fock_cutoff(nbar: float) -> int:
     # tail mass above n is (nbar/(nbar+1))**(n+1)
     n = int(np.ceil(np.log(FOCK_TAIL_TOL) / np.log(nbar / (nbar + 1.0)))) - 1
     return max(FOCK_FLOOR, n) + FOCK_HEADROOM
-
-
-def thermal_fock_state(nbar: float, n_max: int) -> np.ndarray:
-    """Truncated thermal oscillator state, renormalized to unit trace."""
-    return np.diag(thermal_populations(nbar, n_max)).astype(complex)
 
 
 def thermal_populations(nbar: float, n_max: int) -> np.ndarray:

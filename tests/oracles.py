@@ -10,25 +10,45 @@ unitaries as products with kron(op, I_B), the dephasing and comparison
 witnesses from two separately evolved states, the emission model on
 the full atom (x) modes space, the spin-chain Hamiltonian from dense
 Pauli strings and its parity as the dense operator (x) sigma_y, the
-spin-chain autocorrelation from its definition, the dense photon state with
+chain's spectrum from one dense complex `eigh` with degenerate blocks rotated
+to definite parity, its ground-state detection from 2x2 marginals and a
+whole-space evolution, the spin-chain autocorrelation (through the
+original-frame evolution, and from its definition), the sector pairs of
+`marginal_series` from a dense incidence product, the dense photon state with
 its coherence decay, the closed-form Michelson propagator, the ion state
 prepared as a full-matrix conjugation, the ion witness from Delta evolved
 as a full matrix by expm, the emission signal from the
 eigenvector row formula, the Haar-average estimate one sampled unitary at a
 time and the photon frequency sum with one exponential per (delay,
-frequency) pair. Small helpers only the tests use (partial trace
-over A, purity, squared HS distance) live here too.
+frequency) pair. Small helpers only the tests use (one seeded Haar
+unitary, the truncated thermal oscillator state, partial trace over A,
+purity, squared HS distance) live here too.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.linalg import expm
 
 from conftest import SX, SY, SZ
+from discord_probe import model_spinchain
 from discord_probe.measures import BasisGrid, _basis_angles, _chord, bloch_vectors
 from discord_probe.protocol import EvolutionSpec, WitnessSeries
-from discord_probe.states import BipartiteState, local_eigenbasis, thermal_fock_state
+from discord_probe.states import (BipartiteState, haar_unitaries, local_eigenbasis,
+                                  thermal_populations)
 from discord_probe.tensor import (BipartitionDims, evolve, kron, partial_trace_b,
                                   require_square)
+
+
+def haar_unitary(dim: int, seed: int) -> np.ndarray:
+    """Haar-distributed unitary, deterministic in the seed: one draw of
+    `haar_unitaries`."""
+    return haar_unitaries(dim, [seed])[0]
+
+
+def thermal_fock_state(nbar: float, n_max: int) -> np.ndarray:
+    """Truncated thermal oscillator state, renormalized to unit trace."""
+    return np.diag(thermal_populations(nbar, n_max)).astype(complex)
 
 
 def partial_trace_a(rho: np.ndarray, dims: BipartitionDims) -> np.ndarray:
@@ -201,6 +221,84 @@ def autocorrelation_direct(p, t: float, spec) -> float:
     u = (spec.states * np.exp(-1j * spec.energies * t)) @ spec.states.conj().T
     purity = float(np.trace(rho @ rho).real)
     return float(np.trace(rho @ u @ rho @ u.conj().T).real / purity)
+
+
+def spectral_dense(p) -> SimpleNamespace:
+    """The chain's eigendecomposition as one dense complex `eigh` of the
+    original-frame H. Numerically degenerate energy blocks (each within 1e-9
+    of the scale of the next) are rotated to diagonalize (x) sigma_y, parity
+    -1 first, and each vector is then projected onto its dominant parity
+    sector. Fields as `model_spinchain.SpectralData`, with `evolution` the
+    dense original-frame `EvolutionSpec`."""
+    h = model_spinchain.build_chain_hamiltonian(p)
+    w, v = np.linalg.eigh(h)
+    scale = max(np.max(np.abs(w)), 1.0)
+    splits = np.where(np.diff(w) > 1e-9 * scale)[0] + 1
+    for idx in np.split(np.arange(len(w)), splits):
+        if len(idx) > 1:
+            sub = v[:, idx]
+            _, rot = np.linalg.eigh(sub.conj().T @ model_spinchain._apply_parity(sub))
+            v[:, idx] = sub @ rot
+    flipped = model_spinchain._apply_parity(v)
+    parities = np.sign(np.real(np.sum(v.conj() * flipped, axis=0)))
+    v = 0.5 * (v + flipped * parities[None, :])
+    v = v / np.linalg.norm(v, axis=0)
+    return SimpleNamespace(energies=w, states=v, parities=parities,
+                           evolution=EvolutionSpec(h, spectrum=(w, v)))
+
+
+def dephased_components(p, spec) -> np.ndarray:
+    """The ground state states[:, 0] and its sigma_y^(0)-flipped partner as
+    columns: the y-dephased ground state is their even mixture."""
+    psi0 = spec.states[:, 0]
+    return np.column_stack([psi0, kron(SY, np.eye(2 ** (p.n_spins - 1))) @ psi0])
+
+
+def ground_detection_dense(p, grid, spec) -> SimpleNamespace:
+    """Single-spin ground-state detection with 2x2 marginals in the original
+    frame: d(t) = ||m0 - mc(t)||_1 / 4 for the marginals of psi0 and U(t) chi,
+    the magnetization form |tr((mc - m0) sigma_y)| / 4, the negativity
+    sqrt(det m0) and the gap, from a `spectral_dense` result with the
+    whole-space evolution of chi."""
+    gap = float(spec.energies[1] - spec.energies[0])
+    if gap <= 1e-10:
+        raise ValueError("ground state is (numerically) degenerate")
+    psi0, chi = dephased_components(p, spec).T
+    r0 = psi0.reshape(2, -1)
+    m0 = r0 @ r0.conj().T
+    evolved = spec.evolution.evolve_vectors(chi[:, None], grid.samples)
+    evolved = evolved.reshape(2, -1, len(grid.samples))
+    diff = m0 - np.einsum("iat,jat->tij", evolved, evolved.conj())
+    d_t = 0.25 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
+    d_mag = np.abs(np.trace(diff @ SY, axis1=1, axis2=2)) / 4
+    neg = float(np.sqrt(max(np.linalg.det(m0).real, 0.0)))
+    return SimpleNamespace(d_t=d_t, d_mag=d_mag, negativity=neg, gap=gap)
+
+
+def autocorrelation(p, grid=None, spec=None):
+    """Global autocorrelation Tr{rho U rho U^dag} / Tr{rho^2} of the dephased
+    ground state rho = (|psi0><psi0| + |chi><chi|)/2 of a chain: the sum of
+    |<x|U(t)|y>|^2 over x, y in {psi0, chi}, over the same sum at t = 0,
+    with U(t) the original-frame evolution over the time grid."""
+    spec = spec or model_spinchain.spectral(p)
+    grid = grid or p.default_time_grid()
+    comps = dephased_components(p, spec)
+    evolved = model_spinchain.original_frame_evolution(p, spec).evolve_vectors(
+        comps, grid.samples)
+    overlaps = np.tensordot(comps.conj(), evolved, axes=(0, 0))  # <x|U(t)|y>
+    purity = np.sum(np.abs(comps.conj().T @ comps) ** 2)
+    return list(zip(grid.samples, np.sum(np.abs(overlaps) ** 2, axis=(0, 1)) / purity))
+
+
+def shared_b_pairs_dense(k_x: np.ndarray, k_y: np.ndarray, d_b: int) -> tuple:
+    """The sector pairs (s, s') whose B indices (rows of k_x and k_y) meet,
+    as np.nonzero of the product of the two dense sector-by-B incidence
+    matrices."""
+    on_b = np.zeros((len(k_x), d_b))
+    on_b[np.arange(len(k_x))[:, None], k_x] = 1.0
+    on_b_c = np.zeros((len(k_y), d_b))
+    on_b_c[np.arange(len(k_y))[:, None], k_y] = 1.0
+    return np.nonzero(on_b @ on_b_c.T)
 
 
 def coherence_decay(p, t: float) -> float:
@@ -377,7 +475,7 @@ def haar_average_loop(state: BipartiteState, n_samples: int, seed: int):
     observed squared HS norm of Delta under haar_unitary(d, s) for the same
     per-sample seeds, with the mean, its standard error and the prediction."""
     from discord_probe.protocol import haar_coefficient
-    from discord_probe.states import dephasing_delta, haar_unitary
+    from discord_probe.states import dephasing_delta
 
     delta = dephasing_delta(state)
     predicted = haar_coefficient(state.dims) * np.sum(np.abs(delta) ** 2)

@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from conftest import random_density, random_hermitian, random_pure_state, random_state
 from oracles import (bloch_search_exhaustive, dephase_kron, dephase_qubit_bloch,
-                     disturbance_batch, hs_distance_sq, pruning_table_unmirrored,
-                     sigma_conjugations, trace_norm)
+                     disturbance_batch, haar_unitary, hs_distance_sq,
+                     pruning_table_unmirrored, sigma_conjugations, trace_norm)
 from discord_probe import measures
 from discord_probe.measures import (
     FACTOR_TAIL,
@@ -35,7 +35,6 @@ from discord_probe.states import (
     apply_local_unitary,
     computational_basis,
     dephase,
-    haar_unitary,
     local_eigenbasis,
     qubit_basis,
     zero_discord_state,

@@ -1,6 +1,6 @@
 """Variable-range transverse Ising chain."""
 
-import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SY
-from oracles import autocorrelation_direct, chain_hamiltonian_dense, parity_operator
+from oracles import (autocorrelation, autocorrelation_direct, chain_hamiltonian_dense,
+                     ground_detection_dense, parity_operator, spectral_dense)
 from discord_probe import measures, model_spinchain
 from discord_probe.cli import execute
 from discord_probe.measures import (BasisGrid, dephasing_disturbance, negativity,
                                     trace_distance)
-from discord_probe.protocol import EvolutionSpec, TimeGrid, run_minimized_detection
+from discord_probe.protocol import TimeGrid, run_minimized_detection
 from discord_probe.states import BipartiteState
 from discord_probe.tensor import evolve, kron, partial_trace_b
 
@@ -29,15 +30,33 @@ def params(**kw):
     {"n_spins": 5, "b_field": 0.7},
 ], ids=["thermal", "ground"])
 def test_point_builds_one_hamiltonian(cfg, monkeypatch, tmp_path):
-    # spectral() diagonalizes once and its EvolutionSpec serves every stage
+    # spectral() diagonalizes the rotated frame's H once and its sectors serve
+    # every stage; a thermal point also builds the original frame's H, once,
+    # for its evolution and the parity check
     built = []
     build = model_spinchain.build_chain_hamiltonian
     monkeypatch.setattr(model_spinchain, "build_chain_hamiltonian",
-                        lambda p: built.append(p) or build(p))
+                        lambda p, rotated=False: built.append(rotated) or build(p, rotated))
     execute({"model": "spinchain", "params": cfg,
              "time_grid": {"t_max": 5.0, "points": 20},
              "basis_grid": {"n_theta": 6, "n_phi": 12}}, str(tmp_path))
-    assert len(built) == 1
+    assert sorted(built) == ([False, True] if cfg.get("kT") else [True])
+
+
+def test_ground_point_kernels(monkeypatch, tmp_path):
+    # one n = 8 ground point diagonalizes once: one real eigh of the two
+    # 128-state popcount sectors, no complex or larger matrix, no eigvalsh
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, *r, name=name, real=real, **k:
+                            calls.append((name, np.asarray(a))) or real(a, *r, **k))
+    execute({"model": "spinchain", "params": {"n_spins": 8, "b_field": 0.7}},
+            str(tmp_path))
+    assert [name for name, _ in calls] == ["eigh"]
+    a = calls[0][1]
+    assert a.dtype == np.float64 and a.shape == (2, 128, 128)
 
 
 def test_thermal_point_searches_half_the_grid(monkeypatch, tmp_path):
@@ -69,6 +88,21 @@ def test_thermal_point_searches_half_the_grid(monkeypatch, tmp_path):
 
 
 class TestHamiltonian:
+    @pytest.mark.parametrize("n_spins", range(2, 8))
+    def test_rotated_frame(self, n_spins):
+        # R H R^dag with R = (x) exp(-i pi/4 sigma_x): real, and without an
+        # entry between the even- and odd-popcount sectors
+        p = params(n_spins=n_spins, alpha=0.7, j0=0.37, b_field=-0.4)
+        r = np.array([[1.0 + 0j]])
+        for _ in range(n_spins):
+            r = kron(r, (np.eye(2) - 1j * np.array([[0, 1], [1, 0]])) / np.sqrt(2))
+        h = model_spinchain.build_chain_hamiltonian(p, rotated=True)
+        assert h.dtype == np.float64
+        ref = r @ chain_hamiltonian_dense(p) @ r.conj().T
+        assert np.max(np.abs(h - ref)) <= 1e-13
+        odd = np.bitwise_count(np.arange(2**n_spins)) & 1
+        assert not np.any(h[odd[:, None] != odd])
+
     def test_two_spin_ising_only(self):
         p = model_spinchain.ChainParams(n_spins=2, b_field=1e-12)
         w = np.linalg.eigvalsh(model_spinchain.build_chain_hamiltonian(p))
@@ -132,9 +166,10 @@ class TestSpectral:
         assert np.all(np.diff(spec.energies) >= -1e-12)
 
     @pytest.mark.xfail(strict=True, reason=(
-        "the degenerate-block rotation reorders the ground doublet's vectors "
-        "but keeps the sorted energies: states[:, 0] has parity -1, the "
-        "exact parity-sector ground state +1 (residual 1.6e-9)"))
+        "the kept convention for a numerically degenerate block puts its "
+        "parity -1 states first but keeps the energies sorted: states[:, 0] "
+        "is the odd member of the ground doublet, while the even-sector "
+        "ground state lies lower (gap 1.6e-9)"))
     def test_ground_state_is_eigenvector_of_ground_energy(self):
         p = model_spinchain.ChainParams(n_spins=7, b_field=0.1)
         spec = model_spinchain.spectral(p)
@@ -142,12 +177,54 @@ class TestSpectral:
         psi0 = spec.states[:, 0]
         assert np.linalg.norm(h @ psi0 - spec.energies[0] * psi0) <= 1e-12
 
+    @pytest.mark.parametrize("n_spins,b_field,points", [
+        (2, 0.5, 400), (3, 0.3, 400), (4, 0.001, 400), (5, 0.7, 400), (6, 1.1, 400),
+        (6, 20.0, 400), (7, 0.1, 400), (7, 0.12978, 400), (7, 1.014587, 400),
+        (8, 0.1, 400), (8, 0.109078, 400), (8, 0.112283, 400), (8, 0.150003, 400),
+        (8, 0.200395, 400), (8, 1.014587, 400), (8, 6.862431, 400), (9, 0.5, 100),
+        (10, 1.0, 100)])
+    def test_matches_dense_oracle(self, n_spins, b_field, points):
+        # the popcount sectors against one dense complex eigh with rotated
+        # degenerate blocks; (7, 0.1) to (8, 0.200395) are grouped ground
+        # doublets, (4, 0.001), (8, 0.1) and (8, 0.109078) refused ones
+        p = params(n_spins=n_spins, b_field=b_field)
+        spec, ref = model_spinchain.spectral(p), spectral_dense(p)
+        scale = max(np.max(np.abs(ref.energies)), 1.0)
+        assert np.max(np.abs(spec.energies - ref.energies)) <= 1e-12 * scale
+        assert np.array_equal(spec.parities, ref.parities)
+        grid = TimeGrid.linear(20.0, points)
+        try:
+            want = ground_detection_dense(p, grid, ref)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                model_spinchain.ground_state_detection(p, grid, spec)
+            return
+        assert want.gap > 1e-10
+        res = model_spinchain.ground_state_detection(p, grid, spec)
+        assert abs(res.series.d_max - np.max(want.d_t)) <= 1e-9
+        assert abs(res.negativity - want.negativity) <= 1e-12
+        assert abs(res.gap - want.gap) <= 1e-12
+
+    @pytest.mark.parametrize("n_spins", range(2, 9))
+    def test_states_are_orthonormal_eigenvectors(self, n_spins):
+        p = params(n_spins=n_spins, b_field=1.3)
+        spec = model_spinchain.spectral(p)
+        x = spec.states
+        h = model_spinchain.build_chain_hamiltonian(p)
+        assert np.max(np.abs(x.conj().T @ x - np.eye(2**n_spins))) <= 1e-13
+        assert np.max(np.abs(h @ x - x * spec.energies)) <= 1e-12 * n_spins
+
 
 class TestGroundStateDetection:
     def test_magnetization_identity(self):
+        # d(t) is the magnetization form, here against |tr((mc - m0) sigma_y)|/4
+        # of the original frame's 2x2 marginals
         p = params(n_spins=6)
-        res = model_spinchain.ground_state_detection(p)
-        assert np.max(np.abs(res.series.d_t - res.d_mag)) <= 1e-10
+        grid = p.default_time_grid()
+        res = model_spinchain.ground_state_detection(p, grid)
+        want = ground_detection_dense(p, grid, spectral_dense(p))
+        assert np.max(np.abs(res.d_mag - want.d_mag)) <= 1e-10
+        assert np.max(np.abs(res.series.d_t - want.d_mag)) <= 1e-10
 
     def test_trace_distance_oracle(self):
         # independent slow-path evaluation of d(t) at a few times
@@ -212,7 +289,7 @@ class TestExcitations:
         out = model_spinchain.excitation_overlaps(p)
         c = np.array(sorted((x[1] for x in out), reverse=True))
         assert c[:3].sum() >= 1 - 1e-3
-        auto = model_spinchain.autocorrelation(p)
+        auto = autocorrelation(p)
         assert min(x[1] for x in auto) >= 0.99
 
     def test_critical_field_broad_support(self):
@@ -234,25 +311,25 @@ class TestExcitations:
 
 class TestAutocorrelation:
     def test_starts_at_one(self):
-        out = model_spinchain.autocorrelation(params())
+        out = autocorrelation(params())
         assert out[0][1] == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_direct_definition(self):
         p = params(n_spins=4)
         spec = model_spinchain.spectral(p)
-        out = model_spinchain.autocorrelation(p, TimeGrid.linear(6.0, 7), spec)
+        out = autocorrelation(p, TimeGrid.linear(6.0, 7), spec)
         for t, c in out[::2]:
             direct = autocorrelation_direct(p, t, spec)
             assert abs(c - direct) <= 1e-10
 
     def test_flat_in_extreme_fields(self):
         for b in (1e-3, 50.0):
-            out = model_spinchain.autocorrelation(params(b_field=b))
+            out = autocorrelation(params(b_field=b))
             c = np.array([x[1] for x in out])
             assert c.min() >= 0.99
 
     def test_dips_near_critical(self):
-        out = model_spinchain.autocorrelation(params(b_field=1.0))
+        out = autocorrelation(params(b_field=1.0))
         c = np.array([x[1] for x in out])
         assert c.min() < 0.9
 
@@ -307,7 +384,8 @@ class TestThermal:
         grid, bases = TimeGrid.linear(10.0, 30), BasisGrid(20, 40)
         series, bound = model_spinchain.thermal_detection(p, grid, bases, spec)
         ref = run_minimized_detection(model_spinchain.gibbs_state(p, spec),
-                                      spec.evolution, grid, bases)
+                                      model_spinchain.original_frame_evolution(p, spec),
+                                      grid, bases)
         assert abs(bound - ref.bound_ref) <= 1e-15
         assert np.max(np.abs(series.d_t - ref.d_t)) <= 1e-15
 
@@ -325,11 +403,12 @@ class TestThermal:
             mp.setattr(model_spinchain, "gibbs_state", lambda p, spec=None: tilted)
             with pytest.raises(ValueError, match="not parity symmetric"):
                 model_spinchain.thermal_detection(p, grid, spec=spec)
-        h = spec.evolution.hamiltonian.copy()
+        h = model_spinchain.build_chain_hamiltonian(p)
         h[0, 0] += 1e-9
-        bent = dataclasses.replace(spec, evolution=EvolutionSpec(h))
-        with pytest.raises(ValueError, match="not parity symmetric"):
-            model_spinchain.thermal_detection(p, grid, spec=bent)
+        with monkeypatch.context() as mp:
+            mp.setattr(model_spinchain, "build_chain_hamiltonian", lambda p: h)
+            with pytest.raises(ValueError, match="not parity symmetric"):
+                model_spinchain.thermal_detection(p, grid, spec=spec)
         model_spinchain.thermal_detection(p, grid, spec=spec)  # the chain's own pass
 
     def test_requires_positive_temperature(self):

@@ -19,10 +19,12 @@ from conftest import (
 from oracles import (
     dephase_kron,
     haar_average_loop,
+    haar_unitary,
     hs_distance_sq,
     local_unitary_kron,
     minimized_series,
     partial_trace_a,
+    shared_b_pairs_dense,
     trace_norm,
     two_state_distances,
 )
@@ -51,7 +53,6 @@ from discord_probe.states import (
     ProjectiveBasis,
     computational_basis,
     dephase,
-    haar_unitary,
     local_eigenbasis,
     qubit_basis,
     zero_discord_state,
@@ -175,6 +176,19 @@ class TestEvolutionSpec:
                     direct = partial_trace_b(u @ x @ u.conj().T, dims)
                     assert np.max(np.abs(ms[xi, ti] - direct)) <= 1e-12
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 8), st.integers(1, 6),
+           st.integers(1, 6), st.integers(1, 4), st.integers(1, 4))
+    def test_shared_b_pairs_match_dense_product(self, seed, d_b, s, s_c, m, m_c):
+        # the pairs, their order and their dtype as np.nonzero of the dense
+        # sector-by-B incidence product, repeated B indices within a sector included
+        rng = np.random.default_rng(seed)
+        k_x, k_y = rng.integers(0, d_b, (s, m)), rng.integers(0, d_b, (s_c, m_c))
+        got = protocol._shared_b_pairs(k_x, k_y, d_b)
+        want = shared_b_pairs_dense(k_x, k_y, d_b)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
     def test_sectors_refuse_coupling_between_them(self):
         h, labels, _ = self._direct_sum(7, 8)
         a, b = np.nonzero(labels[:, None] != labels)
@@ -192,19 +206,21 @@ class TestEvolutionSpec:
 
     def test_marginal_series_memory(self):
         # the seven operators of the minimized witness on the n = 8 Gibbs state
-        # (d = 256) over 400 times: contracting one operator at a time, with
+        # (d = 256) over 400 times, under the original frame's dense evolution
+        # that the thermal path uses: contracting one operator at a time, with
         # no stacked copy of the operators, peaks near 32 MB, one contraction
         # over all seven near 100 MB
         p = model_spinchain.ChainParams(n_spins=8, kT=0.1)
         spec = model_spinchain.spectral(p)
         state = model_spinchain.gibbs_state(p, spec)
+        evolution = model_spinchain.original_frame_evolution(p, spec)
         conj = [tensor.local_sandwich(tensor.PAULI[a], state.rho, tensor.PAULI[b],
                                       state.dims) for a, b in protocol._PAIRS]
         mats = [state.rho] + [(m + m.conj().T) / 2 for m in conj]
         times = TimeGrid.linear(20.0, 400).samples
         tracemalloc.start()
         try:
-            spec.evolution.marginal_series(mats, state.dims, times)
+            evolution.marginal_series(mats, state.dims, times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

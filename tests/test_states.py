@@ -9,9 +9,11 @@ from conftest import SX, random_density, random_hermitian, random_state
 from oracles import (
     dephase_kron,
     dephase_qubit_bloch,
+    haar_unitary,
     local_unitary_kron,
     partial_trace_a,
     purity,
+    thermal_fock_state,
 )
 from discord_probe.states import (
     BipartiteState,
@@ -22,11 +24,9 @@ from discord_probe.states import (
     dephase,
     dephasing_delta,
     fock_cutoff,
-    haar_unitary,
     local_eigenbasis,
     qubit_basis,
     qubit_kets,
-    thermal_fock_state,
     zero_discord_state,
 )
 from discord_probe.tensor import PAULI, BipartitionDims, kron
