@@ -12,6 +12,7 @@ from .states import (
     STATE_TOL,
     BipartiteState,
     ProjectiveBasis,
+    _sector_weights,
     dephasing_basis,
     dephasing_delta,
     local_eigenbasis,
@@ -21,6 +22,7 @@ from .states import (
 from .tensor import (
     partial_transpose_a,
     require_hermitian,
+    sector_rows,
     trace_norm_hermitian,
 )
 
@@ -72,17 +74,21 @@ def dephasing_disturbance(state: BipartiteState, basis: ProjectiveBasis | None =
                           delta: np.ndarray | None = None) -> float:
     """D = (1/2)||Delta||_1 for Delta = rho - Phi(rho), Phi the pinching in
     `basis`, by default the eigenbasis of the A-marginal, which is refused
-    when degenerate. For a qubit probe D is the singular-value sum of the
-    d_B x d_B block <0| rho |1> (`_pinching_disturbance`); for d_A > 2 it is
-    the eigenvalue trace norm of Delta, which a caller that has already
-    formed it for `basis` passes as `delta`."""
+    when degenerate. Where Phi keeps the state's sectors, D sums the blocks'
+    (1/2)||Delta_s||_1; else, for a qubit probe, it is the singular-value sum
+    of the d_B x d_B block <0| rho |1> (`_pinching_disturbance`), and for
+    d_A > 2 from the eigenvalues of Delta (`delta`, if the caller has it)."""
     basis = dephasing_basis(state, basis)
-    if state.dims.d_a == 2:
+    sectors = _sector_weights(state, basis) is not None  # then Delta is a direct sum
+    if state.dims.d_a == 2 and not sectors:
         kets = basis.vectors[None]
         return float(_pinching_disturbance(state.rho, state.dims.d_b, kets)[0])
     if delta is None:
         delta = dephasing_delta(state, basis)
-    return 0.5 * trace_norm_hermitian(delta)
+    if not sectors:
+        return 0.5 * trace_norm_hermitian(delta)
+    blocks = (delta[r[:, :, None], r[:, None, :]] for r in sector_rows(state.sectors))
+    return float(sum(np.abs(np.linalg.eigvalsh(b)).sum() for b in blocks) / 2)
 
 
 def negativity(state: BipartiteState) -> float:

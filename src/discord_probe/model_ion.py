@@ -15,7 +15,7 @@ from .states import (
     fock_cutoff,
     thermal_populations,
 )
-from .tensor import BipartitionDims
+from .tensor import BipartitionDims, sector_rows
 
 
 @dataclass(frozen=True)
@@ -74,15 +74,19 @@ def build_hamiltonian(p: IonParams) -> np.ndarray:
 
 def prepare_state(p: IonParams, t0: float,
                   evo: EvolutionSpec | None = None) -> BipartiteState:
-    """Blue-sideband pulse of duration t0 on |g><g| (x) thermal motion: the
-    columns sqrt(p_n)|g,n> evolve as vectors and rho = psi psi^dag."""
+    """Blue-sideband pulse of duration t0 on |g><g| (x) thermal motion: each
+    sqrt(p_n)|g,n> evolves in its sector N = n, so psi = U(t0) sum_n sqrt(p_n)|g,n>
+    gives the sector blocks psi_s psi_s^dag of rho, whose labels it carries."""
     if t0 < 0:
         raise ValueError("preparation time must be nonnegative")
-    cols = np.eye(2 * (p.n_max + 1), p.n_max + 1) * np.sqrt(p.populations())
     evo = evo or evolution(p)
-    psi = evo.evolve_vectors(cols, [t0])[:, :, 0]
-    gram = np.linalg.eigvalsh(psi.conj().T @ psi)  # the nonzero spectrum of rho
-    return BipartiteState._with_spectrum(psi @ psi.conj().T, p.dims, gram)
+    col = np.sqrt(np.r_[p.populations(), np.zeros(p.n_max + 1)])[:, None]
+    psi = evo.evolve_vectors(col, [t0])[:, 0, 0]
+    rho = np.zeros((len(psi),) * 2, dtype=complex)
+    for rows in sector_rows(evo.sectors):
+        u = psi[rows]
+        rho[rows[:, :, None], rows[:, None, :]] = u[:, :, None] * u[:, None].conj()
+    return BipartiteState(rho, p.dims, sectors=evo.sectors)
 
 
 def evolution(p: IonParams) -> EvolutionSpec:

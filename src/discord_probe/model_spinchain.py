@@ -155,9 +155,10 @@ def ground_state_detection(p: ChainParams, grid: TimeGrid | None = None,
         raise ValueError(f"ground-state norm {p_up + p_down} deviates from 1")
     # pure state: the negativity is the product of the Schmidt coefficients
     neg = float(np.sqrt(p_up * p_down))
-    phased = (chi @ v[s])[:, None] * np.exp(-1j * np.multiply.outer(w[s], grid.samples))
-    # the spin-up amplitudes of U(t) chi, real and imaginary parts side by side
-    amp = v[s, :half] @ phased.view(float)
+    # Re and Im of (chi V)_a exp(-i w_a t) side by side: the complex exp's bits
+    wt = np.multiply.outer(w[s], -grid.samples)
+    phased = (chi @ v[s])[:, None, None] * np.stack([np.cos(wt), np.sin(wt)], axis=-1)
+    amp = v[s, :half] @ phased.reshape(len(wt), -1)  # the spin-up amplitudes of U(t) chi
     d_t = np.abs(p_up - np.square(amp).reshape(half, -1, 2).sum(axis=(0, 2))) / 2
     series = WitnessSeries(grid.samples, d_t, bound_ref=neg)
     return GroundStateResult(series, d_t, neg, gap)
@@ -183,7 +184,7 @@ def gibbs_state(p: ChainParams, spec: SpectralData | None = None) -> BipartiteSt
     w = np.exp(-(spec.energies - spec.energies[0]) / p.kT)
     w = w / w.sum()
     rho = (spec.states * w) @ spec.states.conj().T
-    return BipartiteState._with_spectrum(rho, p.dims, w)
+    return BipartiteState(rho, p.dims, spectrum=w)
 
 
 def thermal_detection(p: ChainParams, grid: TimeGrid | None = None,

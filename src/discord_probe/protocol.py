@@ -26,6 +26,8 @@ from .tensor import (
     local_sandwich,
     pauli_vector,
     require_hermitian,
+    require_sector_blocks,
+    sector_rows,
 )
 
 
@@ -47,14 +49,6 @@ class TimeGrid:
     @classmethod
     def linear(cls, t_max: float, n: int) -> "TimeGrid":
         return cls(np.linspace(0.0, t_max, n))
-
-
-def _sector_rows(labels: np.ndarray) -> list:
-    """The basis indices of each sector, one (S, m) stack per sector size m,
-    each row ascending."""
-    order = np.argsort(labels, kind="stable")
-    _, start, size = np.unique(labels[order], return_index=True, return_counts=True)
-    return [order[start[size == m, None] + np.arange(m)] for m in np.unique(size)]
 
 
 def _shared_b_pairs(k_x: np.ndarray, k_y: np.ndarray, d_b: int) -> tuple:
@@ -84,16 +78,13 @@ class EvolutionSpec:
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian)
-        checked = require_hermitian(h)
         # a real symmetric generator stays real, and so does its eigh
-        self.hamiltonian = h if h.dtype == np.float64 else checked
-        if self.sectors is not None:
-            labels = np.asarray(self.sectors)
-            if labels.shape != h.shape[:1]:
-                raise ValueError("need one sector label per basis state")
-            if np.any(self.hamiltonian[labels[:, None] != labels]):
-                raise ValueError("the generator couples two declared sectors")
-            self.sectors = labels
+        self.hamiltonian = h = h if h.dtype == np.float64 else np.asarray(h, dtype=complex)
+        if self.sectors is None:
+            require_hermitian(h)
+        else:  # checked on the blocks spectral() diagonalizes
+            self.sectors = np.asarray(self.sectors)
+            require_sector_blocks(h, self.sectors)
 
     def spectral(self):
         """(w, V) with H = V diag(w) V^dag. With declared sectors, one
@@ -103,7 +94,7 @@ class EvolutionSpec:
             h = self.hamiltonian
             self.spectrum = np.linalg.eigh(h) if self.sectors is None else [
                 (rows, *np.linalg.eigh(h[rows[:, :, None], rows[:, None, :]]))
-                for rows in _sector_rows(self.sectors)]
+                for rows in sector_rows(self.sectors)]
         return self.spectrum
 
     def _blocks(self) -> list:

@@ -3,7 +3,7 @@ Haar-random unitaries, thermal oscillator states."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -13,6 +13,7 @@ from .tensor import (
     local_sandwich,
     partial_trace_b,
     require_hermitian,
+    require_sector_blocks,
     require_square,
     require_unitary,
 )
@@ -26,44 +27,35 @@ FOCK_HEADROOM = 2  # levels above the tail cut, for sideband leakage into n+1
 
 @dataclass(frozen=True)
 class BipartiteState:
-    """Density operator together with its A-first dimension split."""
+    """Density operator with its A-first dimension split. With `sectors`, one
+    label per basis state, construction checks rho as the direct sum of its
+    sector blocks; it keeps the `spectrum` it checked, given or computed."""
 
     rho: np.ndarray
     dims: BipartitionDims
+    spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
+    sectors: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", _checked_density(self.rho, self.dims))
-
-    @classmethod
-    def _with_spectrum(cls, rho: np.ndarray, dims: BipartitionDims,
-                       eigenvalues: np.ndarray) -> "BipartiteState":
-        """The state rho, whose eigenvalues the caller has computed in a
-        cheaper form than one eigvalsh of size d_A d_B, with the checks of
-        construction."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "rho", _checked_density(rho, dims, eigenvalues))
-        object.__setattr__(state, "dims", dims)
-        return state
+        rho = require_square(self.rho)
+        self.dims.check(rho)
+        blocks = ([require_hermitian(rho)] if self.sectors is None
+                  else [b for _, b in require_sector_blocks(rho, self.sectors)])
+        tr = np.trace(rho).real
+        if not abs(tr - 1.0) <= STATE_TOL:
+            raise ValueError(f"state trace {tr} deviates from 1")
+        w = np.ravel(self.spectrum if self.spectrum is not None else
+                     np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks]))
+        if len(w) != len(rho):
+            raise ValueError("need one eigenvalue per basis state")
+        if not np.min(w) >= -STATE_TOL:
+            raise ValueError(f"state has negative eigenvalue {np.min(w):.3e}")
+        object.__setattr__(self, "rho", rho)
+        object.__setattr__(self, "spectrum", w)
 
     @property
     def marginal_a(self) -> np.ndarray:
         return partial_trace_b(self.rho, self.dims)
-
-
-def _checked_density(rho: np.ndarray, dims: BipartitionDims,
-                     eigenvalues: np.ndarray | None = None) -> np.ndarray:
-    """rho, refused unless it is a Hermitian operator of the split's shape
-    with trace within STATE_TOL of 1 and no eigenvalue below -STATE_TOL;
-    eigvalsh(rho) unless the `eigenvalues` are given."""
-    rho = require_hermitian(rho)
-    dims.check(rho)
-    tr = np.trace(rho).real
-    if not abs(tr - 1.0) <= STATE_TOL:
-        raise ValueError(f"state trace {tr} deviates from 1")
-    wmin = np.min(np.linalg.eigvalsh(rho) if eigenvalues is None else eigenvalues)
-    if not wmin >= -STATE_TOL:
-        raise ValueError(f"state has negative eigenvalue {wmin:.3e}")
-    return rho
 
 
 @dataclass(frozen=True)
@@ -129,16 +121,30 @@ def _pinching_blocks(rho: np.ndarray, dims: BipartitionDims,
     return np.einsum("ai,axby,bi->ixy", vectors.conj(), r, vectors)
 
 
+def _sector_weights(state: BipartiteState, basis: ProjectiveBasis):
+    """w_a = sum_i |<a|v_i>|^4 if the state has sectors and each basis vector
+    has one nonzero entry, else None. Every projector is then diagonal, so the
+    pinching keeps the sectors: it scales <a x| rho |b y> by [a = b] w_a."""
+    if state.sectors is None or np.any(np.count_nonzero(basis.vectors, axis=0) != 1):
+        return None
+    return np.sum(np.abs(basis.vectors) ** 4, axis=1)
+
+
 def dephase(state: BipartiteState, basis: ProjectiveBasis) -> BipartiteState:
     """Local pinching sum_i (Pi_i (x) I) rho (Pi_i (x) I) on subsystem A. The
     result is sum_i |v_i><v_i| (x) <v_i| rho |v_i>, so its spectrum is the
     union of the spectra of the d_A blocks <v_i| rho |v_i>, and positivity is
-    checked on those."""
+    checked on those, or on the sector blocks that `_sector_weights` keeps."""
     if basis.dim != state.dims.d_a:
         raise ValueError("basis dimension does not match subsystem A")
+    w = _sector_weights(state, basis)
+    if w is not None:
+        r = state.rho.reshape(state.dims.d_a, state.dims.d_b, state.dims.d_a, -1)
+        out = (r * np.diag(w)[:, None, :, None]).reshape(state.rho.shape)
+        return BipartiteState(out, state.dims, sectors=state.sectors)
     out = sum(local_sandwich(p, state.rho, p, state.dims) for p in basis.projectors())
     blocks = _pinching_blocks(state.rho, state.dims, basis.vectors)
-    return BipartiteState._with_spectrum(out, state.dims, np.linalg.eigvalsh(blocks))
+    return BipartiteState(out, state.dims, spectrum=np.linalg.eigvalsh(blocks))
 
 
 def local_eigenbasis(state: BipartiteState):

@@ -7,6 +7,7 @@ tensor factor, i.e. a composite index reads (i_A * d_B + i_B).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -49,12 +50,43 @@ def require_square(m: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    m = require_square(m)
+    """m, refused unless it is a Hermitian matrix or stack (..., k, k) of them."""
+    m = require_square(m) if np.ndim(m) < 3 else m
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN, refused
-        dev = np.max(np.abs(m - m.conj().T))
+        dev = np.max(np.abs(m - np.conj(m).swapaxes(-1, -2)))
     if not dev <= tol:  # refuses NaN too
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return m
+
+
+def sector_rows(labels: np.ndarray) -> tuple:
+    """The basis indices of each sector, one (S, m) stack per sector size m,
+    each row ascending; read-only, as they are cached by the labels."""
+    return _sector_rows(np.asarray(labels).tobytes(), np.asarray(labels).dtype.str)
+
+
+@lru_cache(maxsize=8)
+def _sector_rows(raw: bytes, dtype: str) -> tuple:
+    labels = np.frombuffer(raw, dtype)
+    order = np.argsort(labels, kind="stable")
+    _, start, size = np.unique(labels[order], return_index=True, return_counts=True)
+    rows = tuple(order[start[size == m, None] + np.arange(m)] for m in np.unique(size))
+    for r in rows:  # shared by every caller through the cache
+        r.flags.writeable = False
+    return rows
+
+
+def require_sector_blocks(m: np.ndarray, labels, tol: float = HERMITIAN_TOL) -> list:
+    """(rows, m[rows][:, rows]) per stack of sector_rows(labels), refused
+    unless m is square with one label per basis state, has no nonzero entry
+    between two sectors (NaN and inf included) and every block is Hermitian."""
+    if np.shape(labels) * 2 != m.shape:
+        raise ValueError("need a square matrix and one sector label per basis state")
+    blocks = [(rows, require_hermitian(m[rows[:, :, None], rows[:, None, :]], tol))
+              for rows in sector_rows(labels)]
+    if np.count_nonzero(m) != sum(np.count_nonzero(b) for _, b in blocks):
+        raise ValueError("the matrix couples two declared sectors")
+    return blocks
 
 
 def require_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:

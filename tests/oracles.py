@@ -275,6 +275,18 @@ def ground_detection_dense(p, grid, spec) -> SimpleNamespace:
     return SimpleNamespace(d_t=d_t, d_mag=d_mag, negativity=neg, gap=gap)
 
 
+def ground_distances_complex_exp(spec, times: np.ndarray) -> np.ndarray:
+    """d(t) of `model_spinchain.ground_state_detection` in its complex form:
+    the phases exp(-i w t) from the complex exp, and the real and imaginary
+    parts of (chi V)_a exp(-i w_a t) read from the complex product."""
+    s, w, v, psi0, chi = model_spinchain._ground_sector(spec)
+    half = len(psi0) // 2
+    p_up = psi0[:half] @ psi0[:half]
+    phased = (chi @ v[s])[:, None] * np.exp(-1j * np.multiply.outer(w[s], times))
+    amp = v[s, :half] @ phased.view(float)
+    return np.abs(p_up - np.square(amp).reshape(half, -1, 2).sum(axis=(0, 2))) / 2
+
+
 def autocorrelation(p, grid=None, spec=None):
     """Global autocorrelation Tr{rho U rho U^dag} / Tr{rho^2} of the dephased
     ground state rho = (|psi0><psi0| + |chi><chi|)/2 of a chain: the sum of

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import ion_local_distance_dense, prepare_ion_state_dense
-from discord_probe import model_ion
+from discord_probe import measures, model_ion, protocol, states, tensor
 from discord_probe.cli import execute
 from discord_probe.measures import dephasing_disturbance
 from discord_probe.protocol import TimeGrid
@@ -110,19 +110,15 @@ class TestPrepareState:
             assert np.max(np.abs(s.rho - prepare_ion_state_dense(p, t0))) <= 1e-12
 
     @pytest.mark.parametrize("nbar,limit", [(0.0, True), (1.3, True), (10.0, False)])
-    def test_gram_spectrum_is_state_spectrum(self, nbar, limit, monkeypatch):
-        # positivity is checked on eigvalsh(psi^dag psi), d_B x d_B: the
-        # nonzero spectrum of rho = psi psi^dag, whose other d_B eigenvalues vanish
+    def test_gram_spectrum_is_state_spectrum(self, nbar, limit):
+        # positivity is checked on the eigenvalues of the 2x2 and 1x1 sector
+        # blocks of rho, which construction keeps as the state's spectrum
         p = model_ion.IonParams(nbar=nbar, lamb_dicke_limit=limit)
-        real, checked = BipartiteState._with_spectrum, []
-        monkeypatch.setattr(BipartiteState, "_with_spectrum", classmethod(
-            lambda cls, rho, dims, w: checked.append(w) or real(rho, dims, w)))
         s = model_ion.prepare_state(p, 1.3 / p.omega0)
-        (gram,) = checked
-        assert len(gram) == p.n_max + 1
+        assert np.array_equal(s.sectors, model_ion.evolution(p).sectors)
+        assert s.spectrum.shape == (p.dims.total,)
         dense = np.linalg.eigvalsh(s.rho)
-        assert np.max(np.abs(np.sort(np.concatenate([gram, np.zeros(len(gram))]))
-                             - dense)) <= 1e-12
+        assert np.max(np.abs(np.sort(s.spectrum) - dense)) <= 1e-12
 
     def test_four_term_expansion(self):
         # rho(t0) = sum_n p_n (cos^2 |g,n><g,n| + sincos cross + sin^2 |e,n+1><e,n+1|)
@@ -231,14 +227,24 @@ class TestProtocolEquivalence:
 
     def test_point_makes_no_eigh_above_2x2(self, monkeypatch, tmp_path):
         # the spectrum is one stacked eigh of the 2x2 sideband blocks (and
-        # one of the two 1x1 singletons), never one of the dense generator
-        shapes = []
-        eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda a, *r, **k:
-                            shapes.append(np.shape(a)) or eigh(a, *r, **k))
-        execute({"model": "ion", "params": {"nbar": 2.5}}, str(tmp_path))
-        assert max(s[-1] for s in shapes) == 2
-        assert (model_ion.IonParams(nbar=2.5).n_max, 2, 2) in shapes
+        # one of the two 1x1 singletons), never one of the dense generator;
+        # the state's checks, its pinching and D run on the same blocks, so a
+        # point decomposes no matrix above 2x2 and checks none d x d
+        shapes, checked = {"eigh": [], "eigvalsh": [], "svd": []}, []
+        for name, seen in shapes.items():
+            monkeypatch.setattr(np.linalg, name, lambda a, *r, seen=seen,
+                                real=getattr(np.linalg, name), **k:
+                                seen.append(np.shape(a)) or real(a, *r, **k))
+        for module in (tensor, states, protocol, measures):
+            monkeypatch.setattr(module, "require_hermitian", lambda m, *r,
+                                real=module.require_hermitian:
+                                checked.append(np.shape(m)) or real(m, *r))
+        for nbar in (2.5, 10.0):
+            shapes["eigh"].clear()
+            execute({"model": "ion", "params": {"nbar": nbar}}, str(tmp_path))
+            assert (model_ion.IonParams(nbar=nbar).n_max, 2, 2) in shapes["eigh"]
+        assert max(s[-1] for seen in shapes.values() for s in seen) == 2
+        assert max((s[-1] for s in checked), default=0) <= 2
 
     def test_simulation_builds_one_hamiltonian(self, monkeypatch):
         # preparation and detection share one EvolutionSpec and its eigh

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import SY
 from oracles import (autocorrelation, autocorrelation_direct, chain_hamiltonian_dense,
-                     ground_detection_dense, parity_operator, spectral_dense)
+                     ground_detection_dense, ground_distances_complex_exp,
+                     parity_operator, spectral_dense)
 from discord_probe import measures, model_spinchain
 from discord_probe.cli import execute
 from discord_probe.measures import (BasisGrid, dephasing_disturbance, negativity,
@@ -242,6 +243,20 @@ class TestGroundStateDetection:
             a = partial_trace_b(evolve(rho, h, t), p.dims)
             b = partial_trace_b(evolve(rho_deph, h, t), p.dims)
             assert abs(res.series.d_t[ti] - trace_distance(a, b)) <= 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 7), st.floats(0.3, 5.0), st.floats(0.5, 3.0),
+           st.integers(0, 2**31 - 1))
+    def test_cos_sin_phases_give_the_complex_bits(self, n_spins, b_field, alpha, seed):
+        # the phases written as cos and sin into one float array give d(t) to
+        # the bit of the complex exp form (t = 0 included)
+        p = params(n_spins=n_spins, b_field=b_field, alpha=alpha)
+        spec = model_spinchain.spectral(p)
+        times = np.sort(np.random.default_rng(seed).uniform(0.0, 50.0, 40))
+        grid = TimeGrid(np.concatenate([[0.0], times[times > 0]]))
+        res = model_spinchain.ground_state_detection(p, grid, spec)
+        want = ground_distances_complex_exp(spec, grid.samples)
+        assert res.series.d_t.tobytes() == want.tobytes()
 
     def test_bound_is_negativity_is_disturbance(self):
         for n_spins, b_field in ((3, 0.4), (4, 0.3), (5, 1.2), (6, 20.0),

@@ -1,0 +1,180 @@
+"""Labelled states and generators: the checks, the pinching and D on their
+sector blocks, against the same calls without sectors (the dense path)."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_hermitian
+from oracles import haar_unitary
+from discord_probe.measures import dephasing_disturbance
+from discord_probe.protocol import EvolutionSpec
+from discord_probe.states import (
+    STATE_TOL,
+    BipartiteState,
+    ProjectiveBasis,
+    computational_basis,
+    dephase,
+    dephasing_delta,
+)
+from discord_probe.tensor import BipartitionDims
+
+
+def sectored(seed: int, d_a: int, d_b: int, floor: float = 0.0):
+    """A random state and generator, each a direct sum of blocks of sizes 1-4
+    over a permuted basis: the first block is 1x1 and the last is exactly
+    zero in both. One eigenvalue of the state, in a random block, is `floor`.
+    Returns rho, H, a sector label per basis state, the sectors' index sets
+    and the rng."""
+    rng = np.random.default_rng(seed)
+    d = d_a * d_b
+    sizes = [1]
+    while sum(sizes) < d:  # the second block leaves room for a third
+        sizes.append(min(int(rng.integers(1, 5)), d - sum(sizes) - (len(sizes) == 1)))
+    live = d - sizes[-1]  # positions outside the zero block, at least 2
+    w = np.zeros(d)
+    w[:live] = rng.dirichlet(np.ones(live))
+    j = rng.integers(live)
+    w[j] = 0.0
+    w *= (1.0 - floor) / w.sum()
+    w[j] = floor
+    perm, names = rng.permutation(d), 3 * rng.permutation(len(sizes)) - 5
+    rho = np.zeros((d, d), dtype=complex)
+    h = np.zeros((d, d), dtype=complex)
+    labels, sectors, lo = np.empty(d, dtype=int), [], 0
+    for s, m in enumerate(sizes):
+        idx = perm[lo : lo + m]
+        u = haar_unitary(m, seed + s)
+        rho[np.ix_(idx, idx)] = (u * w[lo : lo + m]) @ u.conj().T
+        h[np.ix_(idx, idx)] = random_hermitian(m, rng) * (s < len(sizes) - 1)
+        labels[idx] = names[s]
+        sectors.append(idx)
+        lo += m
+    return rho, h, labels, sectors, rng
+
+
+def outcome(make):
+    """The constructed object, or the ValueError that refused it."""
+    try:
+        return make()
+    except ValueError as err:
+        return err
+
+
+DEFECTS = [None, "residue", "nan", "inf"]
+
+
+def spoil(m: np.ndarray, sector: np.ndarray, defect, rng) -> np.ndarray:
+    """m with `defect` on an entry inside `sector`'s block."""
+    m = m.copy()
+    x, y = rng.choice(sector, 2)
+    if defect == "residue":  # |m - m^dag| = 2e-10 on the diagonal
+        m[x, x] += 1e-10j
+    elif defect is not None:
+        m[x, y] = m[y, x] = np.nan if defect == "nan" else np.inf
+    return m
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(2, 3), st.integers(2, 6),
+       st.sampled_from([-1e-3, -1e-9, 0.0, 1e-3]), st.sampled_from([0.0, 2e-10]),
+       st.sampled_from(DEFECTS))
+def test_checks_match_dense_path(seed, d_a, d_b, floor, trace_off, defect):
+    # inside the blocks the two paths accept and refuse the same states and
+    # generators, and see the same least eigenvalue
+    rho, h, labels, sectors, rng = sectored(seed, d_a, d_b, floor)
+    dims = BipartitionDims(d_a, d_b)
+    block = sectors[int(rng.integers(len(sectors)))]
+    rho = spoil(rho, block, defect, rng)
+    rho[block[0], block[0]] += trace_off
+    dense = outcome(lambda: BipartiteState(rho, dims))
+    labelled = outcome(lambda: BipartiteState(rho, dims, sectors=labels))
+    assert type(dense) is type(labelled)
+    refused = defect is not None or floor < -STATE_TOL or trace_off > STATE_TOL
+    assert isinstance(labelled, ValueError) == refused
+    if not refused:
+        assert abs(labelled.spectrum.min() - np.linalg.eigvalsh(rho).min()) <= 1e-12
+        assert abs(labelled.spectrum.min() - dense.spectrum.min()) <= 1e-12
+    h = spoil(h, block, defect, rng)
+    dense = outcome(lambda: EvolutionSpec(h))
+    labelled = outcome(lambda: EvolutionSpec(h, sectors=labels))
+    assert type(dense) is type(labelled)
+    assert isinstance(labelled, ValueError) == (defect is not None)
+
+
+def monomial_basis(d: int, rng) -> ProjectiveBasis:
+    """A permutation of the computational basis with random phases: every
+    vector has one nonzero entry."""
+    return ProjectiveBasis(np.eye(d)[rng.permutation(d)] * np.exp(2j * np.pi * rng.random(d)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(2, 3), st.integers(2, 6))
+def test_pinching_matches_dense_path(seed, d_a, d_b):
+    # a basis whose vectors each have one nonzero entry keeps the sectors,
+    # any other drops them; rho, Delta and D agree with the dense path
+    rho, _, labels, _, rng = sectored(seed, d_a, d_b)
+    dims = BipartitionDims(d_a, d_b)
+    dense, labelled = BipartiteState(rho, dims), BipartiteState(rho, dims, sectors=labels)
+    bases = [(computational_basis(d_a), True), (monomial_basis(d_a, rng), True),
+             (ProjectiveBasis(haar_unitary(d_a, seed)), False)]
+    for basis, keeps in bases:
+        pinched = dephase(labelled, basis)
+        assert (pinched.sectors is not None) == keeps
+        assert np.max(np.abs(pinched.rho - dephase(dense, basis).rho)) <= 1e-12
+        assert np.max(np.abs(dephasing_delta(labelled, basis)
+                             - dephasing_delta(dense, basis))) <= 1e-12
+        assert abs(dephasing_disturbance(labelled, basis)
+                   - dephasing_disturbance(dense, basis)) <= 1e-12
+
+
+class TestRefusals:
+    """A labelled state or generator is refused for each defect, inside a
+    block or between two sectors, however small."""
+
+    @staticmethod
+    def _between(m, labels, value):
+        x, y = np.argwhere(labels[:, None] != labels)[0]
+        m = m.copy()
+        m[x, y] = m[y, x] = value
+        return m
+
+    @pytest.mark.parametrize("value,match", [
+        (1e-300, "couples two declared sectors"), (np.nan, "couples two declared sectors"),
+        (np.inf, "couples two declared sectors")])
+    def test_between_sectors(self, value, match):
+        rho, h, labels, _, _ = sectored(3, 2, 4)
+        dims = BipartitionDims(2, 4)
+        BipartiteState(rho, dims, sectors=labels)  # valid before the entry
+        with pytest.raises(ValueError, match=match):
+            BipartiteState(self._between(rho, labels, value), dims, sectors=labels)
+        with pytest.raises(ValueError, match=match):
+            EvolutionSpec(self._between(h, labels, value), sectors=labels)
+
+    @pytest.mark.parametrize("defect,match", [
+        ("residue", "not Hermitian"), ("nan", "not Hermitian"), ("inf", "not Hermitian")])
+    def test_inside_a_block(self, defect, match):
+        rho, h, labels, sectors, rng = sectored(5, 3, 3)
+        big = max(sectors, key=len)
+        with pytest.raises(ValueError, match=match):
+            BipartiteState(spoil(rho, big, defect, rng), BipartitionDims(3, 3),
+                           sectors=labels)
+        with pytest.raises(ValueError, match=match):
+            EvolutionSpec(spoil(h, big, defect, rng), sectors=labels)
+
+    def test_negative_block_eigenvalue(self):
+        rho, _, labels, _, _ = sectored(11, 2, 5, floor=-2 * STATE_TOL)
+        with pytest.raises(ValueError, match="negative eigenvalue"):
+            BipartiteState(rho, BipartitionDims(2, 5), sectors=labels)
+
+    def test_trace_off(self):
+        rho, _, labels, sectors, _ = sectored(13, 2, 5)
+        rho[sectors[0][0], sectors[0][0]] += 2e-10
+        with pytest.raises(ValueError, match="trace"):
+            BipartiteState(rho, BipartitionDims(2, 5), sectors=labels)
+
+    def test_labels_must_cover_the_basis(self):
+        rho, _, labels, _, _ = sectored(17, 2, 3)
+        with pytest.raises(ValueError, match="one sector label per basis state"):
+            BipartiteState(rho, BipartitionDims(2, 3), sectors=labels[:-1])

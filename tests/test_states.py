@@ -58,7 +58,7 @@ class TestBipartiteState:
     def test_rejects_nan_spectrum(self):
         rho = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="negative eigenvalue nan"):
-            BipartiteState._with_spectrum(rho, D22, np.array([0.5, 0.5, np.nan, 0.0]))
+            BipartiteState(rho, D22, spectrum=np.array([0.5, 0.5, np.nan, 0.0]))
 
 
 class TestProjectiveBasis:
@@ -182,7 +182,7 @@ class TestDephase:
         rho = sum(kron(np.outer(v[:, i], v[:, j].conj()), b[i][j])
                   for i in range(d_a) for j in range(d_a))
         # unchecked: rho need not be positive
-        s = BipartiteState._with_spectrum(rho, BipartitionDims(d_a, d_b), [0.0])
+        s = BipartiteState(rho, BipartitionDims(d_a, d_b), spectrum=np.zeros(d_a * d_b))
         basis = ProjectiveBasis(v)
         pinched = dephase_kron(s, basis)
         dense = np.linalg.eigvalsh(pinched)[0]

@@ -19,6 +19,7 @@ from discord_probe.tensor import (
     pauli_vector,
     require_hermitian,
     require_unitary,
+    sector_rows,
     trace_norm_hermitian,
 )
 
@@ -194,6 +195,13 @@ class TestRequire:
             require_hermitian(np.array([[0, 1e308], [-1e308, 0]]))
         with pytest.raises(ValueError, match="max deviation inf"):
             require_unitary(1e300 * np.eye(2))
+
+
+class TestSectorRows:
+    def test_groups_by_label_and_size(self):
+        rows = sector_rows(np.array([4, -1, 4, 7, 7, 2, 7]))
+        assert [r.tolist() for r in rows] == [[[1], [5]], [[0, 2]], [[3, 4, 6]]]
+        assert not any(r.flags.writeable for r in rows)  # shared through the cache
 
 
 class TestTraceNorm:
