@@ -12,9 +12,8 @@ from .states import (
     STATE_TOL,
     BipartiteState,
     ProjectiveBasis,
-    _sector_weights,
     dephasing_basis,
-    dephasing_delta,
+    dephase,
     local_eigenbasis,
     qubit_basis,
     qubit_kets,
@@ -71,24 +70,26 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def dephasing_disturbance(state: BipartiteState, basis: ProjectiveBasis | None = None,
-                          delta: np.ndarray | None = None) -> float:
+                          pinched: BipartiteState | None = None) -> float:
     """D = (1/2)||Delta||_1 for Delta = rho - Phi(rho), Phi the pinching in
     `basis`, by default the eigenbasis of the A-marginal, which is refused
-    when degenerate. Where Phi keeps the state's sectors, D sums the blocks'
-    (1/2)||Delta_s||_1; else, for a qubit probe, it is the singular-value sum
-    of the d_B x d_B block <0| rho |1> (`_pinching_disturbance`), and for
-    d_A > 2 from the eigenvalues of Delta (`delta`, if the caller has it)."""
+    when degenerate; `pinched` is Phi(rho), if the caller has formed it. For
+    a qubit probe without sectors D is the singular-value sum of the d_B x d_B
+    block <0| rho |1> (`_pinching_disturbance`). Else, where Phi(rho) keeps
+    the state's sectors, D sums the blocks' (1/2)||Delta_s||_1, and otherwise
+    it is the eigenvalue trace norm of Delta."""
     basis = dephasing_basis(state, basis)
-    sectors = _sector_weights(state, basis) is not None  # then Delta is a direct sum
-    if state.dims.d_a == 2 and not sectors:
+    if state.dims.d_a == 2 and state.sectors is None:
         kets = basis.vectors[None]
         return float(_pinching_disturbance(state.rho, state.dims.d_b, kets)[0])
-    if delta is None:
-        delta = dephasing_delta(state, basis)
-    if not sectors:
-        return 0.5 * trace_norm_hermitian(delta)
-    blocks = (delta[r[:, :, None], r[:, None, :]] for r in sector_rows(state.sectors))
-    return float(sum(np.abs(np.linalg.eigvalsh(b)).sum() for b in blocks) / 2)
+    pinched = dephase(state, basis) if pinched is None else pinched
+    if pinched.sectors is None:
+        return 0.5 * trace_norm_hermitian(state.rho - pinched.rho)
+    d = 0.0
+    for r in sector_rows(pinched.sectors):  # Delta is the direct sum of its blocks
+        at = r[:, :, None], r[:, None, :]
+        d += np.abs(np.linalg.eigvalsh(state.rho[at] - pinched.rho[at])).sum()
+    return float(d / 2)
 
 
 def negativity(state: BipartiteState) -> float:

@@ -15,6 +15,7 @@ from .states import (
     BipartiteState,
     ProjectiveBasis,
     apply_local_unitary,
+    dephase,
     dephasing_basis,
     dephasing_delta,
     haar_unitaries,
@@ -218,10 +219,10 @@ def run_local_detection(
     d(t) = (1/2)||Tr_B U(t) Delta U(t)^dag||_1 per time; contractivity bounds
     it by D = (1/2)||Delta||_1."""
     basis = dephasing_basis(state, basis)
-    delta = dephasing_delta(state, basis)
-    margs = evo.marginal_series([delta], state.dims, grid.samples)
+    pinched = dephase(state, basis)
+    margs = evo.marginal_series([state.rho - pinched.rho], state.dims, grid.samples)
     return WitnessSeries(grid.samples, local_trace_distances(margs[0]),
-                         bound_ref=measures.dephasing_disturbance(state, basis, delta))
+                         bound_ref=measures.dephasing_disturbance(state, basis, pinched))
 
 
 # N rho N = sum_p w_p n_a n_b S_p over the pairs p = (a, b), a <= b, with

@@ -7,7 +7,6 @@ tensor factor, i.e. a composite index reads (i_A * d_B + i_B).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -50,8 +49,11 @@ def require_square(m: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """m, refused unless it is a Hermitian matrix or stack (..., k, k) of them."""
-    m = require_square(m) if np.ndim(m) < 3 else m
+    return _require_hermitian_stack(require_square(m), tol)
+
+
+def _require_hermitian_stack(m: np.ndarray, tol: float) -> np.ndarray:
+    """m, refused unless each matrix of the stack (..., k, k) is Hermitian."""
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN, refused
         dev = np.max(np.abs(m - np.conj(m).swapaxes(-1, -2)))
     if not dev <= tol:  # refuses NaN too
@@ -59,21 +61,13 @@ def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return m
 
 
-def sector_rows(labels: np.ndarray) -> tuple:
+def sector_rows(labels: np.ndarray) -> list:
     """The basis indices of each sector, one (S, m) stack per sector size m,
-    each row ascending; read-only, as they are cached by the labels."""
-    return _sector_rows(np.asarray(labels).tobytes(), np.asarray(labels).dtype.str)
-
-
-@lru_cache(maxsize=8)
-def _sector_rows(raw: bytes, dtype: str) -> tuple:
-    labels = np.frombuffer(raw, dtype)
+    each row ascending."""
+    labels = np.asarray(labels)
     order = np.argsort(labels, kind="stable")
     _, start, size = np.unique(labels[order], return_index=True, return_counts=True)
-    rows = tuple(order[start[size == m, None] + np.arange(m)] for m in np.unique(size))
-    for r in rows:  # shared by every caller through the cache
-        r.flags.writeable = False
-    return rows
+    return [order[start[size == m, None] + np.arange(m)] for m in np.unique(size)]
 
 
 def require_sector_blocks(m: np.ndarray, labels, tol: float = HERMITIAN_TOL) -> list:
@@ -82,7 +76,7 @@ def require_sector_blocks(m: np.ndarray, labels, tol: float = HERMITIAN_TOL) -> 
     between two sectors (NaN and inf included) and every block is Hermitian."""
     if np.shape(labels) * 2 != m.shape:
         raise ValueError("need a square matrix and one sector label per basis state")
-    blocks = [(rows, require_hermitian(m[rows[:, :, None], rows[:, None, :]], tol))
+    blocks = [(rows, _require_hermitian_stack(m[rows[:, :, None], rows[:, None, :]], tol))
               for rows in sector_rows(labels)]
     if np.count_nonzero(m) != sum(np.count_nonzero(b) for _, b in blocks):
         raise ValueError("the matrix couples two declared sectors")

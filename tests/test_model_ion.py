@@ -240,11 +240,11 @@ class TestProtocolEquivalence:
                                 real=module.require_hermitian:
                                 checked.append(np.shape(m)) or real(m, *r))
         for nbar in (2.5, 10.0):
-            shapes["eigh"].clear()
             execute({"model": "ion", "params": {"nbar": nbar}}, str(tmp_path))
             assert (model_ion.IonParams(nbar=nbar).n_max, 2, 2) in shapes["eigh"]
-        assert max(s[-1] for seen in shapes.values() for s in seen) == 2
-        assert max((s[-1] for s in checked), default=0) <= 2
+            assert max(s[-1] for seen in (*shapes.values(), checked) for s in seen) == 2
+            for seen in (*shapes.values(), checked):
+                seen.clear()
 
     def test_simulation_builds_one_hamiltonian(self, monkeypatch):
         # preparation and detection share one EvolutionSpec and its eigh

@@ -196,12 +196,20 @@ class TestRequire:
         with pytest.raises(ValueError, match="max deviation inf"):
             require_unitary(1e300 * np.eye(2))
 
+    @pytest.mark.parametrize("check", [require_hermitian, require_unitary, eig_hermitian])
+    def test_rejects_a_stack(self, check):
+        # the checks take one matrix; a stack of blocks is checked only
+        # through require_sector_blocks
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            check(np.zeros((2, 3, 3)))
+
 
 class TestSectorRows:
     def test_groups_by_label_and_size(self):
-        rows = sector_rows(np.array([4, -1, 4, 7, 7, 2, 7]))
-        assert [r.tolist() for r in rows] == [[[1], [5]], [[0, 2]], [[3, 4, 6]]]
-        assert not any(r.flags.writeable for r in rows)  # shared through the cache
+        labels = [4, -1, 4, 7, 7, 2, 7]
+        for given in (labels, np.array(labels)):
+            rows = sector_rows(given)
+            assert [r.tolist() for r in rows] == [[[1], [5]], [[0, 2]], [[3, 4, 6]]]
 
 
 class TestTraceNorm:
