@@ -21,6 +21,7 @@ from .states import (
 from .tensor import (
     partial_transpose_a,
     require_hermitian,
+    sector_blocks,
     sector_rows,
     trace_norm_hermitian,
 )
@@ -73,22 +74,15 @@ def dephasing_disturbance(state: BipartiteState, basis: ProjectiveBasis | None =
                           pinched: BipartiteState | None = None) -> float:
     """D = (1/2)||Delta||_1 for Delta = rho - Phi(rho), Phi the pinching in
     `basis`, by default the eigenbasis of the A-marginal, which is refused
-    when degenerate; `pinched` is Phi(rho), if the caller has formed it. For
-    a qubit probe without sectors D is the singular-value sum of the d_B x d_B
-    block <0| rho |1> (`_pinching_disturbance`). Else, where Phi(rho) keeps
-    the state's sectors, D sums the blocks' (1/2)||Delta_s||_1, and otherwise
-    it is the eigenvalue trace norm of Delta."""
+    when degenerate; `pinched` is Phi(rho), if the caller has formed it.
+    Delta is the direct sum of its blocks on the sectors of Phi(rho), so D
+    sums their (1/2)||Delta_s||_1."""
     basis = dephasing_basis(state, basis)
-    if state.dims.d_a == 2 and state.sectors is None:
-        kets = basis.vectors[None]
-        return float(_pinching_disturbance(state.rho, state.dims.d_b, kets)[0])
     pinched = dephase(state, basis) if pinched is None else pinched
-    if pinched.sectors is None:
-        return 0.5 * trace_norm_hermitian(state.rho - pinched.rho)
     d = 0.0
-    for r in sector_rows(pinched.sectors):  # Delta is the direct sum of its blocks
-        at = r[:, :, None], r[:, None, :]
-        d += np.abs(np.linalg.eigvalsh(state.rho[at] - pinched.rho[at])).sum()
+    for r in sector_rows(pinched.sectors):
+        delta = sector_blocks(state.rho, r) - sector_blocks(pinched.rho, r)
+        d += np.abs(np.linalg.eigvalsh(delta)).sum()
     return float(d / 2)
 
 
@@ -109,15 +103,11 @@ def rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
 
 
 def _block_disturbance(rho: np.ndarray, d_b: int, angles: np.ndarray) -> np.ndarray:
-    """D(n) for a qubit probe and Bloch angles (G, 2)."""
-    return _pinching_disturbance(rho, d_b, qubit_kets(angles))
-
-
-def _pinching_disturbance(rho: np.ndarray, d_b: int, kets: np.ndarray) -> np.ndarray:
-    """D for a qubit probe and the bases whose kets |0>, |1> are the columns
-    of kets (G, 2, 2): rho minus its pinching is P0 rho P1 + P1 rho P0, which
+    """D(n) for a qubit probe and Bloch angles (G, 2): with |0_n>, |1_n> the
+    kets of each basis, rho minus its pinching is P0 rho P1 + P1 rho P0, which
     is block off-diagonal, so D is the singular-value sum of the d_B x d_B
-    block <0| rho |1>."""
+    block <0_n| rho |1_n>."""
+    kets = qubit_kets(angles)
     weights = (kets[:, :, 0, None].conj() * kets[:, None, :, 1]).reshape(-1, 4)
     blocks = rho.reshape(2, d_b, 2, d_b).transpose(0, 2, 1, 3).reshape(4, -1)
     chunk = max(1, 2**20 // (d_b * d_b))  # about 16 MB of blocks per batch

@@ -107,8 +107,8 @@ def survival_amplitude(p: EmissionParams, t):
     if np.any(t < 0):
         raise ValueError("time must be nonnegative")
     p.check_regime()
-    w, v = _sector_evolution(p).spectral()
-    q = np.abs(v[0]) ** 2
+    (_, w, v), = _sector_evolution(p).spectral()  # one sector
+    w, q = w[0], np.abs(v[0, 0]) ** 2
     if abs(q.sum() - 1.0) > 1e-10:
         raise ValueError(f"spectral weights of |e,0> sum to {q.sum()}, not 1")
     mean = q @ w

@@ -115,8 +115,9 @@ def spectral(p: ChainParams) -> SpectralData:
 def original_frame_evolution(p: ChainParams, spec: SpectralData) -> EvolutionSpec:
     """H in the original frame, with spec.states and their own energies."""
     (_, w, _), = spec.evolution.spectral()
-    return EvolutionSpec(build_chain_hamiltonian(p),
-                         spectrum=(w.ravel()[spec.order], spec.states))
+    rows = np.arange(len(spec.order))[None]  # one sector, the whole space
+    return EvolutionSpec(build_chain_hamiltonian(p), spectrum=[
+        (rows, w.ravel()[spec.order][None], spec.states[None])])
 
 
 def _ground_sector(spec: SpectralData):

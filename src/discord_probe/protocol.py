@@ -26,9 +26,7 @@ from .tensor import (
     BipartitionDims,
     local_sandwich,
     pauli_vector,
-    require_hermitian,
     require_sector_blocks,
-    sector_rows,
 )
 
 
@@ -63,55 +61,43 @@ def _shared_b_pairs(k_x: np.ndarray, k_y: np.ndarray, d_b: int) -> tuple:
 class EvolutionSpec:
     """Time-independent Hermitian generator (hbar = 1) with a spectral cache.
 
-    `sectors`, if given, labels each basis state with the invariant subspace
-    of H it belongs to, so that H is the direct sum of its sector blocks.
-    Construction refuses a nonzero entry of H between two sectors, so the
-    split is exact. The spectrum is then one stacked `eigh` per sector size,
-    and both evolutions work sector by sector. Without sectors the generator
-    is one sector, diagonalized as a whole.
+    `sectors` labels each basis state with the invariant subspace of H it
+    belongs to, so that H is the direct sum of its sector blocks; without
+    labels the whole space is one sector. Construction refuses a nonzero
+    entry of H between two sectors, so the split is exact. The spectrum is
+    one stacked `eigh` per sector size, and both evolutions work sector by
+    sector.
     """
 
     hamiltonian: np.ndarray
-    # (w, V) of the generator (with sectors: the blocks spectral() returns),
-    # if the caller has already diagonalized it
-    spectrum: tuple = field(default=None, repr=False, compare=False)
+    # the blocks spectral() returns, if the caller has already diagonalized H
+    spectrum: list = field(default=None, repr=False, compare=False)
     sectors: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian)
         # a real symmetric generator stays real, and so does its eigh
         self.hamiltonian = h = h if h.dtype == np.float64 else np.asarray(h, dtype=complex)
-        if self.sectors is None:
-            require_hermitian(h)
-        else:  # checked on the blocks spectral() diagonalizes
-            self.sectors = np.asarray(self.sectors)
-            require_sector_blocks(h, self.sectors)
+        self.sectors = np.asarray(np.zeros(h.shape[:1], int) if self.sectors is None
+                                  else self.sectors)
+        # the checked blocks, kept until spectral() has diagonalized them
+        self._checked = require_sector_blocks(h, self.sectors)
 
-    def spectral(self):
-        """(w, V) with H = V diag(w) V^dag. With declared sectors, one
-        stacked (rows, w, V) per sector size m instead: rows (S, m) holds the
-        basis indices of S sectors, w (S, m) and V (S, m, m) their spectra."""
-        if self.spectrum is None:  # the generator was checked on construction
-            h = self.hamiltonian
-            self.spectrum = np.linalg.eigh(h) if self.sectors is None else [
-                (rows, *np.linalg.eigh(h[rows[:, :, None], rows[:, None, :]]))
-                for rows in sector_rows(self.sectors)]
+    def spectral(self) -> list:
+        """One stacked (rows, w, V) per sector size m, H = sum_s V_s diag(w_s)
+        V_s^dag on its sector: rows (S, m) holds the basis indices of S
+        sectors, w (S, m) and V (S, m, m) their spectra."""
+        if self.spectrum is None:
+            self.spectrum = [(rows, *np.linalg.eigh(b)) for rows, b in self._checked]
+        self._checked = None
         return self.spectrum
-
-    def _blocks(self) -> list:
-        """(rows, w, V) per sector size; a generator with no declared sectors
-        is one sector, the whole space."""
-        if self.sectors is not None:
-            return self.spectral()
-        w, v = self.spectral()
-        return [(np.arange(len(w))[None], w[None], v[None])]
 
     def evolve_vectors(self, vecs, times) -> np.ndarray:
         """U(t) psi = V exp(-i w t) V^dag psi for the columns psi of `vecs`
         (d, k) at every time, sector by sector; shape (d, k, T)."""
         vecs = np.asarray(vecs)
         out = np.empty(vecs.shape + (len(times),), dtype=complex)
-        for rows, w, v in self._blocks():
+        for rows, w, v in self.spectral():
             coef = (np.conj(vecs[rows]).swapaxes(-1, -2) @ v).conj().swapaxes(-1, -2)
             phased = coef[..., None] * np.exp(-1j * np.multiply.outer(w, times))[
                 ..., None, :]
@@ -135,7 +121,7 @@ class EvolutionSpec:
         for x in mats:  # each operator is read as it is, never stacked
             nonzero |= np.asarray(x) != 0
         blocks = []
-        for rows, w, v in self._blocks():
+        for rows, w, v in self.spectral():
             i_x, k_x = np.divmod(rows, dims.d_b)
             # E[s, i, x, a] = [i(x) = i] V_s[x, a]: the eigenvectors split by A index
             e = (i_x[:, None] == np.arange(dims.d_a)[:, None])[..., None] * v[:, None]
@@ -177,9 +163,9 @@ class WitnessSeries:
         d = np.asarray(self.d_t, dtype=float)
         if len(d) != len(self.times):
             raise ValueError("series length mismatch")
-        if np.any(d < -1e-12) or np.any(d > 1.0 + 1e-9):
+        if not np.all((-1e-12 <= d) & (d <= 1.0 + 1e-9)):  # refuses NaN too
             raise ValueError("trace distances must lie in [0, 1]")
-        if self.bound_ref is not None and np.any(d > self.bound_ref + 1e-9):
+        if self.bound_ref is not None and not np.all(d <= self.bound_ref + 1e-9):
             raise WitnessBoundError(
                 f"local distance {d.max():.3e} exceeds bound "
                 f"{self.bound_ref:.3e}"

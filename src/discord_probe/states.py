@@ -27,9 +27,10 @@ FOCK_HEADROOM = 2  # levels above the tail cut, for sideband leakage into n+1
 
 @dataclass(frozen=True)
 class BipartiteState:
-    """Density operator with its A-first dimension split. With `sectors`, one
-    label per basis state, construction checks rho as the direct sum of its
-    sector blocks; it keeps the `spectrum` it checked, given or computed."""
+    """Density operator with its A-first dimension split. `sectors`, one label
+    per basis state, by default one sector, the whole space: construction
+    checks rho as the direct sum of its sector blocks. It keeps the
+    `spectrum` it checked, given or computed."""
 
     rho: np.ndarray
     dims: BipartitionDims
@@ -39,19 +40,20 @@ class BipartiteState:
     def __post_init__(self):
         rho = require_square(self.rho)
         self.dims.check(rho)
-        blocks = ([require_hermitian(rho)] if self.sectors is None
-                  else [b for _, b in require_sector_blocks(rho, self.sectors)])
+        sectors = np.zeros(len(rho), int) if self.sectors is None else self.sectors
+        blocks = require_sector_blocks(rho, sectors)
         tr = np.trace(rho).real
         if not abs(tr - 1.0) <= STATE_TOL:
             raise ValueError(f"state trace {tr} deviates from 1")
         w = np.ravel(self.spectrum if self.spectrum is not None else
-                     np.concatenate([np.linalg.eigvalsh(b).ravel() for b in blocks]))
+                     np.concatenate([np.linalg.eigvalsh(b).ravel() for _, b in blocks]))
         if len(w) != len(rho):
             raise ValueError("need one eigenvalue per basis state")
         if not np.min(w) >= -STATE_TOL:
             raise ValueError(f"state has negative eigenvalue {np.min(w):.3e}")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "spectrum", w)
+        object.__setattr__(self, "sectors", sectors)
 
     @property
     def marginal_a(self) -> np.ndarray:
@@ -99,7 +101,7 @@ def qubit_basis(theta: float, phi: float) -> ProjectiveBasis:
 def zero_discord_state(weights, basis_a: ProjectiveBasis, states_b) -> BipartiteState:
     """sum_m p_m |phi_m><phi_m| (x) rho_B^m."""
     weights = np.asarray(weights, dtype=float)
-    if abs(weights.sum() - 1.0) > 1e-10 or np.any(weights < -1e-14):
+    if not (abs(weights.sum() - 1.0) <= 1e-10 and np.all(weights >= -1e-14)):
         raise ValueError("weights must form a probability distribution")
     if len(weights) != basis_a.dim or len(states_b) != basis_a.dim:
         raise ValueError("weights / basis / ancilla-state counts must match")
@@ -121,11 +123,11 @@ def _pinching_blocks(rho: np.ndarray, dims: BipartitionDims,
     return np.einsum("ai,axby,bi->ixy", vectors.conj(), r, vectors)
 
 
-def _sector_weights(state: BipartiteState, basis: ProjectiveBasis):
-    """w_a = sum_i |<a|v_i>|^4 if the state has sectors and each basis vector
-    has one nonzero entry, else None. Every projector is then diagonal, so the
-    pinching keeps the sectors: it scales <a x| rho |b y> by [a = b] w_a."""
-    if state.sectors is None or np.any(np.count_nonzero(basis.vectors, axis=0) != 1):
+def _sector_weights(basis: ProjectiveBasis):
+    """w_a = sum_i |<a|v_i>|^4 if each basis vector has one nonzero entry,
+    else None. Every projector is then diagonal, so the pinching keeps the
+    sectors: it scales <a x| rho |b y> by [a = b] w_a."""
+    if np.any(np.count_nonzero(basis.vectors, axis=0) != 1):
         return None
     return np.sum(np.abs(basis.vectors) ** 4, axis=1)
 
@@ -137,7 +139,7 @@ def dephase(state: BipartiteState, basis: ProjectiveBasis) -> BipartiteState:
     checked on those, or on the sector blocks that `_sector_weights` keeps."""
     if basis.dim != state.dims.d_a:
         raise ValueError("basis dimension does not match subsystem A")
-    w = _sector_weights(state, basis)
+    w = _sector_weights(basis)
     if w is not None:
         r = state.rho.reshape(state.dims.d_a, state.dims.d_b, state.dims.d_a, -1)
         out = (r * np.diag(w)[:, None, :, None]).reshape(state.rho.shape)

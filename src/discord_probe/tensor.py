@@ -55,7 +55,7 @@ def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
 def _require_hermitian_stack(m: np.ndarray, tol: float) -> np.ndarray:
     """m, refused unless each matrix of the stack (..., k, k) is Hermitian."""
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN, refused
-        dev = np.max(np.abs(m - np.conj(m).swapaxes(-1, -2)))
+        dev = np.max(np.abs(m - m.conj().swapaxes(-1, -2)))
     if not dev <= tol:  # refuses NaN too
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return m
@@ -65,20 +65,36 @@ def sector_rows(labels: np.ndarray) -> list:
     """The basis indices of each sector, one (S, m) stack per sector size m,
     each row ascending."""
     labels = np.asarray(labels)
+    if labels.min() == labels.max():  # one sector, the default of a generator or state
+        return [np.arange(len(labels))[None]]
     order = np.argsort(labels, kind="stable")
     _, start, size = np.unique(labels[order], return_index=True, return_counts=True)
     return [order[start[size == m, None] + np.arange(m)] for m in np.unique(size)]
 
 
+def sector_blocks(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The blocks m[r][:, r] (S, k, k) of one stack rows (S, k) of sector_rows;
+    a view of m when a single sector spans the space."""
+    if rows.shape[1] == len(m):  # then rows is arange(d)[None]
+        return m[None]
+    return m[rows[:, :, None], rows[:, None, :]]
+
+
+def _nonzero_parts(m: np.ndarray) -> int:
+    """The nonzero real and imaginary parts of m, counted on its float view."""
+    m = np.ascontiguousarray(m)
+    return np.count_nonzero(m.view(m.real.dtype))
+
+
 def require_sector_blocks(m: np.ndarray, labels, tol: float = HERMITIAN_TOL) -> list:
-    """(rows, m[rows][:, rows]) per stack of sector_rows(labels), refused
+    """(rows, sector_blocks(m, rows)) per stack of sector_rows(labels), refused
     unless m is square with one label per basis state, has no nonzero entry
     between two sectors (NaN and inf included) and every block is Hermitian."""
-    if np.shape(labels) * 2 != m.shape:
+    if np.ndim(labels) != 1 or m.shape != np.shape(labels) * 2:
         raise ValueError("need a square matrix and one sector label per basis state")
-    blocks = [(rows, _require_hermitian_stack(m[rows[:, :, None], rows[:, None, :]], tol))
+    blocks = [(rows, _require_hermitian_stack(sector_blocks(m, rows), tol))
               for rows in sector_rows(labels)]
-    if np.count_nonzero(m) != sum(np.count_nonzero(b) for _, b in blocks):
+    if _nonzero_parts(m) != sum(_nonzero_parts(b) for _, b in blocks):
         raise ValueError("the matrix couples two declared sectors")
     return blocks
 

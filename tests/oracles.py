@@ -96,6 +96,20 @@ def dephase_kron(state: BipartiteState, basis) -> np.ndarray:
     return out
 
 
+def dephasing_disturbance_dense(state: BipartiteState, basis) -> list:
+    """D = (1/2)||rho - Phi(rho)||_1 from the `dephase_kron` pinching and an
+    `eigvalsh` trace norm and, for a qubit probe, also as the singular-value
+    sum of the d_B x d_B block <v_0| rho |v_1> of the basis kets v_0, v_1."""
+    delta = state.rho - dephase_kron(state, basis)
+    out = [0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(delta))))]
+    if state.dims.d_a == 2:
+        v0, v1 = basis.vectors.T
+        r = state.rho.reshape(2, state.dims.d_b, 2, state.dims.d_b)
+        block = np.einsum("a,axby,b->xy", v0.conj(), r, v1)
+        out.append(float(np.sum(np.linalg.svd(block, compute_uv=False))))
+    return out
+
+
 def local_unitary_kron(state: BipartiteState, u_a: np.ndarray) -> np.ndarray:
     """(u_a (x) I) rho (u_a (x) I)^dag from d x d products."""
     u = kron(u_a, np.eye(state.dims.d_b))
@@ -244,7 +258,8 @@ def spectral_dense(p) -> SimpleNamespace:
     v = 0.5 * (v + flipped * parities[None, :])
     v = v / np.linalg.norm(v, axis=0)
     return SimpleNamespace(energies=w, states=v, parities=parities,
-                           evolution=EvolutionSpec(h, spectrum=(w, v)))
+                           evolution=EvolutionSpec(h, spectrum=[
+                               (np.arange(len(w))[None], w[None], v[None])]))
 
 
 def dephased_components(p, spec) -> np.ndarray:

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import random_density, random_hermitian, random_pure_state, random_state
 from oracles import (bloch_search_exhaustive, dephase_kron, dephase_qubit_bloch,
-                     disturbance_batch, haar_unitary, hs_distance_sq,
-                     pruning_table_unmirrored, sigma_conjugations, trace_norm)
+                     dephasing_disturbance_dense, disturbance_batch, haar_unitary,
+                     hs_distance_sq, pruning_table_unmirrored, sigma_conjugations,
+                     trace_norm)
 from discord_probe import measures
 from discord_probe.measures import (
     FACTOR_TAIL,
@@ -256,12 +257,14 @@ class TestMinimalDisturbance:
         rng = np.random.default_rng(seed)
         s = (random_pure_state if pure else random_state)(2, d_b, rng)
         basis = ProjectiveBasis(haar_unitary(2, seed))
-        dense = 0.5 * trace_norm(s.rho - dephase_kron(s, basis))
-        assert abs(dephasing_disturbance(s, basis) - dense) <= 1e-12
+        for dense in [0.5 * trace_norm(s.rho - dephase_kron(s, basis)),
+                      *dephasing_disturbance_dense(s, basis)]:
+            assert abs(dephasing_disturbance(s, basis) - dense) <= 1e-12
         eigen, degenerate = local_eigenbasis(s)
         if not degenerate:
-            dense = 0.5 * trace_norm(s.rho - dephase_kron(s, eigen))
-            assert abs(dephasing_disturbance(s) - dense) <= 1e-12
+            for dense in [0.5 * trace_norm(s.rho - dephase_kron(s, eigen)),
+                          *dephasing_disturbance_dense(s, eigen)]:
+                assert abs(dephasing_disturbance(s) - dense) <= 1e-12
 
 
 class TestDisturbanceSearch:

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import emission_row_signal, full_space_hamiltonian
-from discord_probe import model_emission
+from discord_probe import model_emission, tensor
 from discord_probe.cli import execute
 from discord_probe.states import BipartiteState, computational_basis, dephase
 from discord_probe.tensor import (
@@ -22,10 +22,14 @@ FAST = model_emission.EmissionParams(n_modes=101, half_bandwidth=20.0)
 
 @pytest.mark.parametrize("structured", [False, True])
 def test_point_makes_one_real_coupled_eigh(structured, monkeypatch, tmp_path):
-    # the only diagonalization of a point is the real coupled sub-sector:
-    # |e,0> plus the 11 of 21 modes a structured band keeps coupled
+    # the only diagonalization and the only Hermitian check of a point are of
+    # the real coupled sub-sector, |e,0> plus the 11 of 21 modes a structured
+    # band keeps coupled, which no check copies to complex
     model_emission._sector_evolution.cache_clear()
-    calls = []
+    calls, checked = [], []
+    real_check = tensor._require_hermitian_stack
+    monkeypatch.setattr(tensor, "_require_hermitian_stack",
+                        lambda m, *r: checked.append(m.dtype) or real_check(m, *r))
     eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigh",
                         lambda a, *r, **k: calls.append(a) or eigh(a, *r, **k))
@@ -35,7 +39,8 @@ def test_point_makes_one_real_coupled_eigh(structured, monkeypatch, tmp_path):
              "time_grid": {"t_max": 3.0, "points": 7}}, str(tmp_path))
     assert len(calls) == 1
     assert calls[0].dtype == np.float64
-    assert calls[0].shape == ((12, 12) if structured else (22, 22))
+    assert calls[0].shape == ((1, 12, 12) if structured else (1, 22, 22))
+    assert checked == [np.float64]
 
 
 class TestParams:
@@ -264,7 +269,8 @@ class TestSurvivalAmplitude:
         # a non-unitary eigenvector matrix breaks sum_k q_k = 1
         w, v = np.linalg.eigh(model_emission.sector_hamiltonian(FAST))
         evo = model_emission.EvolutionSpec(model_emission.sector_hamiltonian(FAST),
-                                           spectrum=(w, v * (1 + 1e-9)))
+                                           spectrum=[(np.arange(len(w))[None], w[None],
+                                                      v[None] * (1 + 1e-9))])
         monkeypatch.setattr(model_emission, "_sector_evolution", lambda p: evo)
         with pytest.raises(ValueError, match="spectral weights"):
             model_emission.survival_amplitude(FAST, 1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import ion_local_distance_dense, prepare_ion_state_dense
-from discord_probe import measures, model_ion, protocol, states, tensor
+from discord_probe import model_ion, tensor
 from discord_probe.cli import execute
 from discord_probe.measures import dephasing_disturbance
 from discord_probe.protocol import TimeGrid
@@ -235,10 +235,9 @@ class TestProtocolEquivalence:
             monkeypatch.setattr(np.linalg, name, lambda a, *r, seen=seen,
                                 real=getattr(np.linalg, name), **k:
                                 seen.append(np.shape(a)) or real(a, *r, **k))
-        for module in (tensor, states, protocol, measures):
-            monkeypatch.setattr(module, "require_hermitian", lambda m, *r,
-                                real=module.require_hermitian:
-                                checked.append(np.shape(m)) or real(m, *r))
+        monkeypatch.setattr(tensor, "_require_hermitian_stack", lambda m, *r,
+                            real=tensor._require_hermitian_stack:
+                            checked.append(np.shape(m)) or real(m, *r))
         for nbar in (2.5, 10.0):
             execute({"model": "ion", "params": {"nbar": nbar}}, str(tmp_path))
             assert (model_ion.IonParams(nbar=nbar).n_max, 2, 2) in shapes["eigh"]

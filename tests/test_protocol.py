@@ -18,6 +18,7 @@ from conftest import (
 )
 from oracles import (
     dephase_kron,
+    dephasing_disturbance_dense,
     haar_average_loop,
     haar_unitary,
     hs_distance_sq,
@@ -229,14 +230,15 @@ class TestEvolutionSpec:
     def test_given_spectrum_is_used(self, rng):
         h = random_hermitian(4, rng)
         w, v = np.linalg.eigh(h)
-        evo = EvolutionSpec(hamiltonian=h, spectrum=(w, v))
-        assert evo.spectral()[1] is v
+        spectrum = [(np.arange(4)[None], w[None], v[None])]
+        evo = EvolutionSpec(hamiltonian=h, spectrum=spectrum)
+        assert evo.spectral() is spectrum
 
     def test_real_generator_stays_real(self, rng):
         h = random_hermitian(5, rng).real
         evo = EvolutionSpec(h)
         assert evo.hamiltonian.dtype == np.float64
-        assert evo.spectral()[1].dtype == np.float64
+        assert evo.spectral()[0][2].dtype == np.float64
         times = np.array([0.0, 0.8, 2.1])
         out = evo.evolve_vectors(np.eye(5, 2), times)
         ref = EvolutionSpec(h.astype(complex)).evolve_vectors(np.eye(5, 2), times)
@@ -245,14 +247,13 @@ class TestEvolutionSpec:
     def test_spectral_checks_hermiticity_once(self, rng, monkeypatch):
         # the generator is checked on construction, not again by spectral()
         calls = []
-        for module in (protocol, tensor):
-            real = module.require_hermitian
-            monkeypatch.setattr(module, "require_hermitian",
-                                lambda m, *a, real=real: calls.append(1) or real(m, *a))
+        real = tensor._require_hermitian_stack
+        monkeypatch.setattr(tensor, "_require_hermitian_stack",
+                            lambda m, *a: calls.append(1) or real(m, *a))
         h = random_hermitian(5, rng)
-        w, v = EvolutionSpec(h).spectral()
+        (_, w, v), = EvolutionSpec(h).spectral()
         assert len(calls) == 1
-        assert np.array_equal(w, np.linalg.eigh(h)[0])
+        assert np.array_equal(w[0], np.linalg.eigh(h)[0])
 
 
 class TestLocalTraceDistances:
@@ -284,12 +285,14 @@ class TestLocalTraceDistances:
 
 class TestWitnessSeries:
     def test_bound_enforced(self):
-        with pytest.raises(WitnessBoundError):
-            WitnessSeries(np.array([0.0, 1.0]), np.array([0.0, 0.5]), bound_ref=0.1)
+        for bound in (0.1, np.nan):
+            with pytest.raises(WitnessBoundError):
+                WitnessSeries(np.array([0.0, 1.0]), np.array([0.0, 0.5]), bound_ref=bound)
 
     def test_range_enforced(self):
-        with pytest.raises(ValueError):
-            WitnessSeries(np.array([0.0, 1.0]), np.array([0.0, 1.5]))
+        for bad in (1.5, np.nan):
+            with pytest.raises(ValueError, match="must lie in"):
+                WitnessSeries(np.array([0.0, 1.0]), np.array([0.0, bad]))
 
     def test_maxima(self):
         s = WitnessSeries(np.array([0.0, 1.0, 2.0]), np.array([0.0, 0.3, 0.1]))
@@ -337,14 +340,16 @@ class TestRunLocalDetection:
 
     @pytest.mark.parametrize("d_a,d_b", [(2, 3), (3, 2), (3, 4)])
     def test_bound_matches_dense_trace_norm(self, d_a, d_b):
-        # the qubit block kernel for d_A = 2, the trace norm of Delta above
+        # D on the one sector of Delta against the full trace norm and, for
+        # d_A = 2, the singular values of <0|rho|1>
         rng = np.random.default_rng(10 * d_a + d_b)
         s = random_state(d_a, d_b, rng)
         basis = ProjectiveBasis(haar_unitary(d_a, d_b))
         evo = EvolutionSpec(hamiltonian=random_hermitian(d_a * d_b, rng))
         dense = 0.5 * trace_norm(s.rho - dephase_kron(s, basis))
-        assert abs(run_local_detection(s, evo, GRID, basis).bound_ref - dense) <= 1e-12
-        assert abs(dephasing_disturbance(s, basis) - dense) <= 1e-12
+        for dense in [dense, *dephasing_disturbance_dense(s, basis)]:
+            assert abs(run_local_detection(s, evo, GRID, basis).bound_ref - dense) <= 1e-12
+            assert abs(dephasing_disturbance(s, basis) - dense) <= 1e-12
 
     def test_b_marginals_coincide_at_t0(self, rng):
         s = random_state(2, 3, rng)

@@ -1,13 +1,14 @@
-"""Labelled states and generators: the checks, the pinching and D on their
-sector blocks, against the same calls without sectors (the dense path)."""
+"""Labelled states and generators: the checks on their sector blocks against
+the same calls without labels (one sector, the dense path), and the pinching
+and D against their dense oracles."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_hermitian
-from oracles import haar_unitary
+from conftest import random_density, random_hermitian
+from oracles import dephase_kron, dephasing_disturbance_dense, haar_unitary
 from discord_probe.measures import dephasing_disturbance
 from discord_probe.protocol import EvolutionSpec
 from discord_probe.states import (
@@ -113,20 +114,55 @@ def monomial_basis(d: int, rng) -> ProjectiveBasis:
 @given(st.integers(0, 2**31 - 1), st.integers(2, 3), st.integers(2, 6))
 def test_pinching_matches_dense_path(seed, d_a, d_b):
     # a basis whose vectors each have one nonzero entry keeps the sectors,
-    # any other drops them; rho, Delta and D agree with the dense path
+    # any other leaves one sector; with labels or without, rho, Delta and D
+    # agree with the kron-product pinching and the dense D
     rho, _, labels, _, rng = sectored(seed, d_a, d_b)
     dims = BipartitionDims(d_a, d_b)
-    dense, labelled = BipartiteState(rho, dims), BipartiteState(rho, dims, sectors=labels)
+    one, labelled = BipartiteState(rho, dims), BipartiteState(rho, dims, sectors=labels)
     bases = [(computational_basis(d_a), True), (monomial_basis(d_a, rng), True),
              (ProjectiveBasis(haar_unitary(d_a, seed)), False)]
     for basis, keeps in bases:
-        pinched = dephase(labelled, basis)
-        assert (pinched.sectors is not None) == keeps
-        assert np.max(np.abs(pinched.rho - dephase(dense, basis).rho)) <= 1e-12
-        assert np.max(np.abs(dephasing_delta(labelled, basis)
-                             - dephasing_delta(dense, basis))) <= 1e-12
-        assert abs(dephasing_disturbance(labelled, basis)
-                   - dephasing_disturbance(dense, basis)) <= 1e-12
+        want = dephase_kron(one, basis)
+        dense = dephasing_disturbance_dense(one, basis)
+        for state in (one, labelled):
+            pinched = dephase(state, basis)
+            kept = labels if keeps and state is labelled else np.zeros(len(rho))
+            assert np.array_equal(pinched.sectors, kept)
+            assert np.max(np.abs(pinched.rho - want)) <= 1e-12
+            assert np.max(np.abs(dephasing_delta(state, basis) - (rho - want))) <= 1e-12
+            for d in dense:
+                assert abs(dephasing_disturbance(state, basis) - d) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(2, 3), st.integers(1, 6), st.booleans())
+def test_no_labels_is_one_sector(seed, d_a, d_b, real):
+    # a generator or state without labels gives the same bits as one labelled
+    # all zeros, in every call that reads its sectors
+    rng = np.random.default_rng(seed)
+    dims = BipartitionDims(d_a, d_b)
+    d, zeros = dims.total, np.zeros(dims.total)
+    h = random_hermitian(d, rng)
+    h = h.real if real else h
+    pair = EvolutionSpec(h), EvolutionSpec(h, sectors=zeros)
+    (spectrum,), (labelled,) = (evo.spectral() for evo in pair)
+    for a, b in zip(spectrum, labelled):
+        assert a.tobytes() == b.tobytes()
+    times = np.concatenate([[0.0], rng.uniform(-3.0, 3.0, 3)])
+    vecs = rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
+    mats = [random_density(d, rng), rng.standard_normal((d, d)) + 0j]
+    a, b = (evo.evolve_vectors(vecs, times) for evo in pair)
+    assert a.tobytes() == b.tobytes()
+    a, b = (evo.marginal_series(mats, dims, times) for evo in pair)
+    assert a.tobytes() == b.tobytes()
+    rho = random_density(d, rng)
+    one, zero = BipartiteState(rho, dims), BipartiteState(rho, dims, sectors=zeros)
+    assert one.spectrum.tobytes() == zero.spectrum.tobytes()
+    for basis in (computational_basis(d_a), ProjectiveBasis(haar_unitary(d_a, seed))):
+        a, b = dephase(one, basis), dephase(zero, basis)
+        assert a.rho.tobytes() == b.rho.tobytes()
+        assert a.spectrum.tobytes() == b.spectrum.tobytes()
+        assert dephasing_disturbance(one, basis) == dephasing_disturbance(zero, basis)
 
 
 class TestRefusals:

@@ -112,8 +112,9 @@ class TestZeroDiscord:
 
     def test_rejects_bad_weights(self, rng):
         rb = random_density(2, rng)
-        with pytest.raises(ValueError):
-            zero_discord_state([0.6, 0.6], computational_basis(2), [rb, rb])
+        for weights in ([0.6, 0.6], [np.nan, 1.0]):
+            with pytest.raises(ValueError, match="probability distribution"):
+                zero_discord_state(weights, computational_basis(2), [rb, rb])
 
 
 class TestDephase:

@@ -210,6 +210,8 @@ class TestSectorRows:
         for given in (labels, np.array(labels)):
             rows = sector_rows(given)
             assert [r.tolist() for r in rows] == [[[1], [5]], [[0, 2]], [[3, 4, 6]]]
+        one = sector_rows([3.0] * 4)
+        assert [r.tolist() for r in one] == [[[0, 1, 2, 3]]] and one[0].dtype == np.intp
 
 
 class TestTraceNorm:
