@@ -191,13 +191,66 @@ def apply_local_unitary(state: BipartiteState, u_a: np.ndarray) -> BipartiteStat
     return BipartiteState(rho, state.dims)
 
 
+def _hashmix(h: int, mult: int):
+    """numpy SeedSequence's hashmix on uint32 arrays, with its running hash
+    constant h (multiplied by `mult` at each call) kept in the closure."""
+    def hashmix(v):
+        nonlocal h
+        v = v ^ np.uint32(h)
+        h = h * mult & 0xFFFFFFFF
+        v = v * np.uint32(h)
+        return v ^ v >> np.uint32(16)
+    return hashmix
+
+
+def _seed_words(seeds) -> np.ndarray:
+    """SeedSequence(s).generate_state(4, np.uint64) (N, 4) for all seeds s in
+    [0, 2**64) at once: numpy's mix of a pool of 4 uint32 words, the seed's
+    two 32-bit words and two zeros, then 8 hashed pool words read as 4 uint64."""
+    s = [int(x) for x in seeds]
+    if s and not 0 <= min(s) <= max(s) < 2**64:  # default_rng refuses s < 0 too
+        raise ValueError("seeds must be integers in [0, 2**64)")
+    s = np.array(s, dtype=np.uint64)
+    zero = np.zeros(len(s), np.uint32)
+    hash_a = _hashmix(0x43B0D7E5, 0x931E8875)
+    pool = [hash_a(v) for v in (s.astype(np.uint32), (s >> np.uint64(32)).astype(np.uint32),
+                                zero, zero)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:  # mix(x, y) of SeedSequence
+                r = np.uint32(0xCA01F9DD) * pool[dst] - np.uint32(0x4973F715) * hash_a(pool[src])
+                pool[dst] = r ^ r >> np.uint32(16)
+    hash_b = _hashmix(0x8B51F9DD, 0x58F38DED)
+    out = np.stack([hash_b(pool[k % 4]) for k in range(8)], axis=1)
+    return out.astype("<u4").view("<u8").astype(np.uint64)
+
+
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _pcg64_state(words) -> dict:
+    """The state of np.random.PCG64(s) from the 4 words of `_seed_words`:
+    state (w0, w1) and stream (w2, w3) as 128-bit numbers, stepped in as
+    pcg64_srandom_r does."""
+    w0, w1, w2, w3 = map(int, words)
+    inc = ((w2 << 64 | w3) << 1 | 1) & (1 << 128) - 1
+    state = ((inc + (w0 << 64 | w1)) * PCG64_MULT + inc) & (1 << 128) - 1
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
 def haar_unitaries(dim: int, seeds) -> np.ndarray:
     """Haar-distributed unitaries (N, dim, dim), one per seed: the QR of a
-    Ginibre matrix drawn from its own default_rng(seed), with the phases of
-    R's diagonal moved into Q (Mezzadri, Notices AMS 54, 592 (2007))."""
+    Ginibre matrix drawn as default_rng(seed) draws it, with the phases of
+    R's diagonal moved into Q (Mezzadri, Notices AMS 54, 592 (2007)). All
+    seeds are hashed at once, and one generator is set to each seed's state
+    in turn."""
     g = np.empty((len(seeds), 2, dim, dim))
-    for i, s in enumerate(seeds):
-        np.random.default_rng(int(s)).standard_normal(out=g[i])
+    bits = np.random.PCG64(0)  # numpy.random loads here, not at import
+    gen = np.random.Generator(bits)
+    for i, w in enumerate(_seed_words(seeds).tolist()):
+        bits.state = _pcg64_state(w)
+        gen.standard_normal(out=g[i])
     q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2.0))
     d = np.diagonal(r, axis1=1, axis2=2)
     return q * (d / np.abs(d))[:, None, :]

@@ -89,12 +89,15 @@ def _nonzero_parts(m: np.ndarray) -> int:
 def require_sector_blocks(m: np.ndarray, labels, tol: float = HERMITIAN_TOL) -> list:
     """(rows, sector_blocks(m, rows)) per stack of sector_rows(labels), refused
     unless m is square with one label per basis state, has no nonzero entry
-    between two sectors (NaN and inf included) and every block is Hermitian."""
+    between two sectors (NaN and inf included) and every block is Hermitian.
+    One sector spanning the space has no entry between sectors to count; a
+    NaN or inf in it fails the Hermitian check."""
     if np.ndim(labels) != 1 or m.shape != np.shape(labels) * 2:
         raise ValueError("need a square matrix and one sector label per basis state")
     blocks = [(rows, _require_hermitian_stack(sector_blocks(m, rows), tol))
               for rows in sector_rows(labels)]
-    if _nonzero_parts(m) != sum(_nonzero_parts(b) for _, b in blocks):
+    if blocks[0][0].shape[1] < len(m) and (  # more than one sector
+            _nonzero_parts(m) != sum(_nonzero_parts(b) for _, b in blocks)):
         raise ValueError("the matrix couples two declared sectors")
     return blocks
 

@@ -34,16 +34,19 @@ from conftest import SX, SY, SZ
 from discord_probe import model_spinchain
 from discord_probe.measures import BasisGrid, _basis_angles, _chord, bloch_vectors
 from discord_probe.protocol import EvolutionSpec, WitnessSeries
-from discord_probe.states import (BipartiteState, haar_unitaries, local_eigenbasis,
-                                  thermal_populations)
+from discord_probe.states import BipartiteState, local_eigenbasis, thermal_populations
 from discord_probe.tensor import (BipartitionDims, evolve, kron, partial_trace_b,
                                   require_square)
 
 
 def haar_unitary(dim: int, seed: int) -> np.ndarray:
-    """Haar-distributed unitary, deterministic in the seed: one draw of
-    `haar_unitaries`."""
-    return haar_unitaries(dim, [seed])[0]
+    """Haar-distributed unitary, deterministic in the seed: the QR of one
+    Ginibre matrix drawn from its own default_rng(seed), with the phases of
+    R's diagonal moved into Q."""
+    g = np.random.default_rng(seed).standard_normal((2, dim, dim))
+    q, r = np.linalg.qr((g[0] + 1j * g[1]) / np.sqrt(2.0))
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))[None, :]
 
 
 def thermal_fock_state(nbar: float, n_max: int) -> np.ndarray:

@@ -188,6 +188,22 @@ class TestRefusals:
         with pytest.raises(ValueError, match=match):
             EvolutionSpec(self._between(h, labels, value), sectors=labels)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, complex(0, np.inf)])
+    @pytest.mark.parametrize("at", [[(0, 0)], [(0, 3)], [(0, 3), (3, 0)]])
+    def test_unlabelled_nan_or_inf(self, value, at):
+        # one sector spans the space, so no entry lies between sectors to
+        # count: the Hermitian check of its one block refuses the entry
+        rng = np.random.default_rng(19)
+        rho, h = random_density(4, rng), random_hermitian(4, rng)
+        h_real = h.real.copy()  # a real generator is checked as float64
+        for m, v in ((rho, value), (h, value), (h_real, abs(value))):
+            m[tuple(zip(*at))] = v
+        with pytest.raises(ValueError, match="not Hermitian"):
+            BipartiteState(rho, BipartitionDims(2, 2))
+        for gen in (h, h_real):
+            with pytest.raises(ValueError, match="not Hermitian"):
+                EvolutionSpec(gen)
+
     @pytest.mark.parametrize("defect,match", [
         ("residue", "not Hermitian"), ("nan", "not Hermitian"), ("inf", "not Hermitian")])
     def test_inside_a_block(self, defect, match):

@@ -1,5 +1,10 @@
 """Bipartite state constructors and local channels."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,15 +20,19 @@ from oracles import (
     purity,
     thermal_fock_state,
 )
+import discord_probe
 from discord_probe.states import (
     BipartiteState,
     ProjectiveBasis,
+    _pcg64_state,
     _pinching_blocks,
+    _seed_words,
     apply_local_unitary,
     computational_basis,
     dephase,
     dephasing_delta,
     fock_cutoff,
+    haar_unitaries,
     local_eigenbasis,
     qubit_basis,
     qubit_kets,
@@ -283,6 +292,10 @@ class TestApplyLocalUnitary:
             apply_local_unitary(random_state(2, 2, rng), 2 * np.eye(2))
 
 
+SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63 - 2]
+SEEDS = st.one_of(st.sampled_from(SEED_EDGES), st.integers(0, 2**63 - 2))
+
+
 class TestHaarUnitary:
     def test_unitary_and_deterministic(self):
         u1 = haar_unitary(4, 42)
@@ -292,16 +305,58 @@ class TestHaarUnitary:
 
     def test_first_moment(self):
         n = 10_000
-        vals = np.array([abs(haar_unitary(3, s)[0, 0]) ** 2 for s in range(n)])
+        vals = np.abs(haar_unitaries(3, range(n))[:, 0, 0]) ** 2
         # E|U00|^2 = 1/dim; Var|U00|^2 known finite, use sample std error
         se = vals.std(ddof=1) / np.sqrt(n)
         assert abs(vals.mean() - 1 / 3) <= 3 * se
 
     def test_trace_statistics(self):
         n = 1000
-        traces = np.array([np.trace(haar_unitary(2, s)) / 2 for s in range(n)])
+        traces = np.trace(haar_unitaries(2, range(n)), axis1=1, axis2=2) / 2
         se = np.sqrt(np.var(traces.real) + np.var(traces.imag)) / np.sqrt(n)
         assert abs(traces.mean()) <= 5 * se
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(SEEDS, min_size=1, max_size=12))
+    def test_seed_words_match_seed_sequence(self, seeds):
+        for given_as in (seeds + SEED_EDGES, np.array(seeds + SEED_EDGES)):
+            expect = [np.random.SeedSequence(int(s)).generate_state(4, np.uint64)
+                      for s in given_as]
+            words = _seed_words(given_as)
+            assert words.dtype == np.uint64 and np.array_equal(words, expect)
+
+    @settings(max_examples=40, deadline=None)
+    @given(SEEDS)
+    def test_pcg64_state_matches_the_constructor(self, seed):
+        for s in (seed, *SEED_EDGES):
+            assert _pcg64_state(_seed_words([s])[0]) == np.random.PCG64(s).state
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 6), st.lists(SEEDS, min_size=1, max_size=8))
+    def test_draws_equal_the_oracle_loop(self, dim, seeds):
+        # single seeds, then one mixed batch with the edges
+        for batch in [[s] for s in seeds] + [seeds + SEED_EDGES]:
+            u = haar_unitaries(dim, np.array(batch))
+            expect = np.stack([haar_unitary(dim, s) for s in batch])
+            assert u.shape == (len(batch), dim, dim)
+            assert np.array_equal(u.view(float), expect.view(float))
+
+    @pytest.mark.parametrize("seeds", [[-1], [5, -2], np.array([3, -(2**62)])])
+    def test_refuses_a_negative_seed(self, seeds):
+        # as default_rng does, where a cast to uint64 would wrap it
+        with pytest.raises(ValueError):
+            np.random.default_rng(int(min(seeds)))
+        with pytest.raises(ValueError, match="seeds must be integers"):
+            haar_unitaries(2, seeds)
+
+    def test_package_import_leaves_numpy_random_unloaded(self):
+        # numpy.random loads at the first draw, not with the package, whose
+        # import every interpreter start pays
+        code = "import sys, discord_probe.states; print('numpy.random' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(discord_probe.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.split() == ["False"]
 
 
 class TestThermalFock:
