@@ -23,10 +23,12 @@ from .states import (
 from .tensor import (
     PAULI,
     BipartitionDims,
+    _couples_sectors,
     local_sandwich,
     pauli_vector,
     require_sector_blocks,
     require_unitary,
+    sector_blocks,
 )
 
 
@@ -48,13 +50,6 @@ class TimeGrid:
     @classmethod
     def linear(cls, t_max: float, n: int) -> "TimeGrid":
         return cls(np.linspace(0.0, t_max, n))
-
-
-def _shared_b_pairs(k_x: np.ndarray, k_y: np.ndarray, d_b: int) -> tuple:
-    """The sorted pairs (s, s') of sector rows of k_x and k_y sharing a B index."""
-    on_b = np.zeros((len(k_y), d_b), dtype=bool)  # the B indices each s' covers
-    on_b[np.arange(len(k_y))[:, None], k_y] = True
-    return np.nonzero(on_b[:, k_x].any(axis=-1).T)
 
 
 @dataclass
@@ -106,48 +101,41 @@ class EvolutionSpec:
 
     def marginal_series(self, mats, dims: BipartitionDims,
                         times: np.ndarray) -> np.ndarray:
-        """A-marginals of U(t) X U(t)^dag for a stack of operators X.
+        """A-marginals of U(t) X U(t)^dag for a stack of operators X, each
+        block diagonal on the sectors of H.
 
         Returns shape (n_states, n_times, d_A, d_A). Works in the energy
         eigenbasis of each sector and never forms the full evolved matrices.
-        Only the sector pairs (s, s') that share a B index contribute, and a
-        pair whose blocks X_{ss'} vanish for every X adds exactly zero, so it
-        is skipped.
+        An operator with a nonzero entry between two sectors is refused; an
+        unlabelled EvolutionSpec of the same H evolves it.
         """
         times = np.asarray(times, dtype=float)
         dims.check(self.hamiltonian)
-        out = np.zeros((len(mats), len(times), dims.d_a, dims.d_a), dtype=complex)
-        nonzero = np.zeros(self.hamiltonian.shape, dtype=bool)
+        stacks = self.spectral()
         for x in mats:  # each operator is read as it is, never stacked
-            nonzero |= np.asarray(x) != 0
-        blocks = []
-        for rows, w, v in self.spectral():
+            x = np.asarray(x)
+            dims.check(x)
+            if _couples_sectors(x, [(r, sector_blocks(x, r)) for r, _, _ in stacks]):
+                raise ValueError("the operator couples two sectors of the generator; "
+                                 "evolve it with an unlabelled EvolutionSpec")
+        out = np.zeros((len(mats), len(times), dims.d_a, dims.d_a), dtype=complex)
+        for rows, w, v in stacks:
             i_x, k_x = np.divmod(rows, dims.d_b)
             # E[s, i, x, a] = [i(x) = i] V_s[x, a]: the eigenvectors split by A index
             e = (i_x[:, None] == np.arange(dims.d_a)[:, None])[..., None] * v[:, None]
-            blocks.append((rows, k_x, v, e, np.exp(-1j * np.multiply.outer(w, times))))
-        for rows, k_x, v, e, ph in blocks:
-            for cols, k_y, v_c, e_c, ph_c in blocks:
-                s, s_c = _shared_b_pairs(k_x, k_y, dims.d_b)
-                keep = nonzero[rows[s, :, None], cols[s_c, None]].any(axis=(1, 2))
-                s, s_c = s[keep], s_c[keep]
-                if not len(s):
-                    continue
-                # g[p, i, j, a, b], the weight of the eigenbasis coherence |a><b|
-                # of pair p in the marginal entry <i|.|j>: E_s^T M conj(E_s')
-                # with M[x, y] = [k(x) = k(y)]
-                m = k_x[s, :, None] == k_y[s_c, None]
-                g = e[s].swapaxes(-1, -2)[:, :, None] @ (
-                    m[:, None] @ e_c[s_c].conj())[:, None]
-                block = rows[s, :, None], cols[s_c, None]  # where X_{ss'} lies in X
-                v_h, v_cs = np.conj(v[s]).swapaxes(-1, -2), v_c[s_c]
-                ph_a, ph_b = ph[s], ph_c[s_c].conj()
-                for xi, x in enumerate(mats):
-                    xt = v_h @ np.asarray(x, dtype=complex)[block] @ v_cs
-                    # sum_b g X~ exp(i w_b t), then sum_a exp(-i w_a t) over the pairs
-                    y = (g * xt[:, None, None]).reshape(len(s), -1, xt.shape[-1]) @ ph_b
-                    out[xi] += np.einsum("pijat,pat->tij", y.reshape(*g.shape[:-1], -1),
-                                         ph_a)
+            # g[s, i, j, a, b], the weight of the eigenbasis coherence |a><b| of
+            # sector s in the marginal entry <i|.|j>: E_s^T M conj(E_s) with
+            # M[x, y] = [k(x) = k(y)]
+            m = k_x[:, :, None] == k_x[:, None]
+            g = e.swapaxes(-1, -2)[:, :, None] @ (m[:, None] @ e.conj())[:, None]
+            ph = np.exp(-1j * np.multiply.outer(w, times))
+            v_h, ph_b = np.conj(v).swapaxes(-1, -2), ph.conj()
+            for xi, x in enumerate(mats):
+                xt = v_h @ sector_blocks(np.asarray(x), rows).astype(
+                    complex, copy=False) @ v
+                # sum_b g X~ exp(i w_b t), then sum_a exp(-i w_a t) over the sectors
+                y = (g * xt[:, None, None]).reshape(len(rows), -1, xt.shape[-1]) @ ph_b
+                out[xi] += np.einsum("pijat,pat->tij", y.reshape(*g.shape[:-1], -1), ph)
         return out
 
 

@@ -174,8 +174,6 @@ def dephasing_basis(state: BipartiteState,
         if degenerate:
             raise ValueError("degenerate A-marginal: its eigenbasis does not "
                              "define the dephased reference state")
-    elif basis.dim != state.dims.d_a:
-        raise ValueError("basis dimension does not match subsystem A")
     return basis
 
 

@@ -86,18 +86,25 @@ def _nonzero_parts(m: np.ndarray) -> int:
     return np.count_nonzero(m.view(m.real.dtype))
 
 
+def _couples_sectors(m: np.ndarray, blocks: list) -> bool:
+    """Whether m has a nonzero entry (NaN and inf included) outside `blocks`,
+    its (rows, sector_blocks(m, rows)) on every stack of its sectors. One
+    sector spanning the space has no entry between sectors to count."""
+    return blocks[0][0].shape[1] < len(m) and (
+        _nonzero_parts(m) != sum(_nonzero_parts(b) for _, b in blocks))
+
+
 def require_sector_blocks(m: np.ndarray, labels) -> list:
     """(rows, sector_blocks(m, rows)) per stack of sector_rows(labels), refused
     unless m is square with one label per basis state, has no nonzero entry
     between two sectors (NaN and inf included) and every block is Hermitian.
-    One sector spanning the space has no entry between sectors to count; a
-    NaN or inf in it fails the Hermitian check."""
+    A NaN or inf in a single sector spanning the space fails the Hermitian
+    check."""
     if np.ndim(labels) != 1 or m.shape != np.shape(labels) * 2:
         raise ValueError("need a square matrix and one sector label per basis state")
     blocks = [(rows, _require_hermitian_stack(sector_blocks(m, rows)))
               for rows in sector_rows(labels)]
-    if blocks[0][0].shape[1] < len(m) and (  # more than one sector
-            _nonzero_parts(m) != sum(_nonzero_parts(b) for _, b in blocks)):
+    if _couples_sectors(m, blocks):
         raise ValueError("the matrix couples two declared sectors")
     return blocks
 
@@ -164,9 +171,9 @@ def evolve(rho: np.ndarray, h: np.ndarray, t: float) -> np.ndarray:
     """Unitary conjugation exp(-iht) rho exp(+iht) via spectral decomposition
     (hbar = 1)."""
     rho = require_square(rho)
-    w, v = eig_hermitian(h)
-    if h.shape != rho.shape:
+    if np.shape(h) != rho.shape:
         raise ValueError("generator and state dimensions differ")
+    w, v = eig_hermitian(h)
     phase = np.exp(-1j * w * t)
     u = (v * phase) @ v.conj().T
     return u @ rho @ u.conj().T

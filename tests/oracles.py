@@ -13,8 +13,7 @@ Pauli strings and its parity as the dense operator (x) sigma_y, the
 chain's spectrum from one dense complex `eigh` with degenerate blocks rotated
 to definite parity, its ground-state detection from 2x2 marginals and a
 whole-space evolution, the spin-chain autocorrelation (through the
-original-frame evolution, and from its definition), the sector pairs of
-`marginal_series` from a dense incidence product, the dense photon state with
+original-frame evolution, and from its definition), the dense photon state with
 its coherence decay, the closed-form Michelson propagator, the ion state
 prepared as a full-matrix conjugation, the ion witness from Delta evolved
 as a full matrix by expm, the emission signal from the
@@ -325,17 +324,6 @@ def autocorrelation(p, grid=None, spec=None):
     overlaps = np.tensordot(comps.conj(), evolved, axes=(0, 0))  # <x|U(t)|y>
     purity = np.sum(np.abs(comps.conj().T @ comps) ** 2)
     return list(zip(grid.samples, np.sum(np.abs(overlaps) ** 2, axis=(0, 1)) / purity))
-
-
-def shared_b_pairs_dense(k_x: np.ndarray, k_y: np.ndarray, d_b: int) -> tuple:
-    """The sector pairs (s, s') whose B indices (rows of k_x and k_y) meet,
-    as np.nonzero of the product of the two dense sector-by-B incidence
-    matrices."""
-    on_b = np.zeros((len(k_x), d_b))
-    on_b[np.arange(len(k_x))[:, None], k_x] = 1.0
-    on_b_c = np.zeros((len(k_y), d_b))
-    on_b_c[np.arange(len(k_y))[:, None], k_y] = 1.0
-    return np.nonzero(on_b @ on_b_c.T)
 
 
 def coherence_decay(p, t: float) -> float:

@@ -25,7 +25,6 @@ from oracles import (
     local_unitary_kron,
     minimized_series,
     partial_trace_a,
-    shared_b_pairs_dense,
     trace_norm,
     two_state_distances,
 )
@@ -83,6 +82,17 @@ def test_degenerate_marginal_refused(call):
     # the A-marginal of a Bell state is I/2: no eigenbasis defines Phi
     with pytest.raises(ValueError, match="degenerate"):
         call(_bell_state())
+
+
+@pytest.mark.parametrize("call", [
+    lambda s, b: run_local_detection(s, EvolutionSpec(np.eye(4)), GRID, b),
+    dephasing_disturbance,
+], ids=["run_local_detection", "dephasing_disturbance"])
+def test_basis_dimension_refused(call, rng):
+    # a 3-dimensional basis cannot pinch the qubit A of a 2 x 2 state
+    state = BipartiteState(random_density(4, rng), BipartitionDims(2, 2))
+    with pytest.raises(ValueError, match="basis dimension does not match subsystem A"):
+        call(state, computational_basis(3))
 
 
 class TestTimeGrid:
@@ -153,42 +163,51 @@ class TestEvolutionSpec:
         times = np.concatenate([[0.0], rng.uniform(-3.0, 3.0, 3)])
         vecs = rng.standard_normal((dims.total, 2)) + 1j * rng.standard_normal(
             (dims.total, 2))
-        mats = [random_density(dims.total, rng),
-                rng.standard_normal((dims.total,) * 2) + 0j]
-        # operators with exactly zero sector blocks, one block diagonal and one
-        # with a few blocks between sectors, so that one call both skips the
-        # sector pairs that no operator reaches and keeps the others
+        # operators block diagonal on the labels, so exactly zero between
+        # sectors: a pinched state, a real and a complex non-Hermitian one, and
+        # one whose blocks on some sectors are exactly zero too
         _, sec = np.unique(labels, return_inverse=True)
-        between = rng.random((sec.max() + 1,) * 2) < 0.3
-        np.fill_diagonal(between, False)
+        on = sec[:, None] == sec
+        kept = rng.random(sec.max() + 1) < 0.5
         z = rng.standard_normal((dims.total,) * 2) + 1j * rng.standard_normal(
             (dims.total,) * 2)
-        pruned = [z * (sec[:, None] == sec), z * between[sec[:, None], sec]]
+        mats = [random_density(dims.total, rng) * on,
+                rng.standard_normal((dims.total,) * 2) * on + 0j, z * on,
+                z * (on & kept[sec])]
         out = sectored.evolve_vectors(vecs, times)
         margs = sectored.marginal_series(mats, dims, times)
-        margs_pruned = sectored.marginal_series(pruned, dims, times)
         assert np.max(np.abs(out - dense.evolve_vectors(vecs, times))) <= 1e-12
         assert np.max(np.abs(margs - dense.marginal_series(mats, dims, times))) <= 1e-12
         for ti, t in enumerate(times):
             u = expm(-1j * h * t)
             assert np.max(np.abs(out[:, :, ti] - u @ vecs)) <= 1e-12
-            for xs, ms in ((mats, margs), (pruned, margs_pruned)):
-                for xi, x in enumerate(xs):
-                    direct = partial_trace_b(u @ x @ u.conj().T, dims)
-                    assert np.max(np.abs(ms[xi, ti] - direct)) <= 1e-12
+            for xi, x in enumerate(mats):
+                direct = partial_trace_b(u @ x @ u.conj().T, dims)
+                assert np.max(np.abs(margs[xi, ti] - direct)) <= 1e-12
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 2**31 - 1), st.integers(1, 8), st.integers(1, 6),
-           st.integers(1, 6), st.integers(1, 4), st.integers(1, 4))
-    def test_shared_b_pairs_match_dense_product(self, seed, d_b, s, s_c, m, m_c):
-        # the pairs, their order and their dtype as np.nonzero of the dense
-        # sector-by-B incidence product, repeated B indices within a sector included
-        rng = np.random.default_rng(seed)
-        k_x, k_y = rng.integers(0, d_b, (s, m)), rng.integers(0, d_b, (s_c, m_c))
-        got = protocol._shared_b_pairs(k_x, k_y, d_b)
-        want = shared_b_pairs_dense(k_x, k_y, d_b)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and np.array_equal(g, w)
+    @pytest.mark.parametrize("value", [1e-300, np.nan, np.inf])
+    def test_marginal_series_refuses_operator_between_sectors(self, value):
+        # one entry between two sectors of H, however small, even after a
+        # valid operator; the unlabelled spec of the same H evolves a finite one
+        h, labels, _ = self._direct_sum(7, 8)
+        dims, times = BipartitionDims(2, 4), np.array([0.0, 0.4])
+        x = np.diag(np.arange(8.0)) + 0j
+        a, b = np.nonzero(labels[:, None] != labels)
+        x[a[0], b[0]] = value
+        with pytest.raises(ValueError, match="couples two sectors of the generator"):
+            EvolutionSpec(h, sectors=labels).marginal_series([np.eye(8), x], dims, times)
+        if np.isfinite(value):
+            EvolutionSpec(h).marginal_series([x], dims, times)
+
+    def test_marginal_series_refuses_operator_shape(self):
+        # a larger operator is refused even when it is zero outside the
+        # block that H's sectors would select
+        x = np.zeros((6, 6), dtype=complex)
+        x[:4, :4] = np.eye(4) / 4
+        for evo in (EvolutionSpec(np.diag([0.0, 1, 2, 3])),
+                    EvolutionSpec(np.diag([0.0, 1, 2, 3]), sectors=[0, 1, 1, 0])):
+            with pytest.raises(ValueError, match="does not match split"):
+                evo.marginal_series([x], BipartitionDims(2, 2), np.array([0.0, 1.0]))
 
     def test_sectors_refuse_coupling_between_them(self):
         h, labels, _ = self._direct_sum(7, 8)

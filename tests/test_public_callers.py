@@ -1,11 +1,13 @@
-"""Every public module-level function or class of the package has a caller.
+"""Every module-level function or class of the package has a caller.
 
-A name defined in `src/discord_probe/<module>.py` (not `__init__.py`) must
-be used by another statement of the package, imported by the acceptance
-gate (by name, or as `module.name` of a module it imports), named in a
-`per_layer` entry of BENCHMARK.json, or be `cli.main`, the console entry
-point. What only the tests call belongs in `tests/oracles.py`. This static
-check reads the source with `ast` and names each stray definition.
+A public name defined in `src/discord_probe/<module>.py` (not `__init__.py`)
+must be used by another statement of the package, imported by the
+acceptance gate (by name, or as `module.name` of a module it imports), named
+in a `per_layer` entry of BENCHMARK.json, or be `cli.main`, the console entry
+point. A private function (`_name`) must be used by another statement of the
+package; the tests do not count. What only the tests call belongs in
+`tests/oracles.py`. This static check reads the source with `ast` and names
+each stray definition.
 """
 
 import ast
@@ -19,11 +21,12 @@ MODULES = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py")
 ENTRY_POINTS = {("cli", "main")}
 
 
-def _definitions(tree: ast.Module) -> dict:
-    """The public top-level functions and classes, by name."""
-    return {node.name: node for node in tree.body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")}
+def _definitions(tree: ast.Module, private: bool = False) -> set:
+    """The names of the public top-level functions and classes, or of the
+    private top-level functions."""
+    kinds = ast.FunctionDef if private else (ast.FunctionDef, ast.ClassDef)
+    return {node.name for node in tree.body if isinstance(node, kinds)
+            and node.name.startswith("_") == private}
 
 
 def _imports(tree: ast.Module) -> tuple:
@@ -86,13 +89,21 @@ def _per_layer_names() -> set:
     return {tuple(e["name"].split(".")[:2]) for e in entries}
 
 
+def _stray(callers: set, private: bool) -> str:
+    defined = {(m, name) for m, t in MODULES.items() for name in _definitions(t, private)}
+    return ", ".join(sorted(f"{m}.{name}" for m, name in defined - callers))
+
+
 def test_every_public_definition_has_a_caller():
     callers = set().union(*(_uses(m, t) for m, t in MODULES.items()),
                           _acceptance_imports(), _per_layer_names(), ENTRY_POINTS)
-    defined = {(m, name) for m, t in MODULES.items() for name in _definitions(t)}
-    stray = sorted(f"{m}.{name}" for m, name in defined - callers)
-    assert not stray, ("public definitions that nothing outside the tests "
-                       f"calls: {', '.join(stray)}")
+    stray = _stray(callers, private=False)
+    assert not stray, f"public definitions that nothing outside the tests calls: {stray}"
+
+
+def test_every_private_function_has_a_caller():
+    stray = _stray(set().union(*(_uses(m, t) for m, t in MODULES.items())), private=True)
+    assert not stray, f"private functions that nothing in the package calls: {stray}"
 
 
 def test_a_definition_is_not_its_own_caller():

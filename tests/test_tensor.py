@@ -281,6 +281,15 @@ class TestEvolve:
         left = partial_trace_b(evolve(kron(ra, rb), h, 0.9), dims)
         assert np.max(np.abs(left - evolve(ra, ha, 0.9))) <= 1e-10
 
+    def test_generator_dimension_refused_first(self, rng):
+        # the shapes are compared before h is checked or diagonalized, so a
+        # mismatched generator that is not Hermitian either names the mismatch
+        rho = random_density(3, rng)
+        for h in (random_hermitian(4, rng), np.triu(np.ones((2, 2))),
+                  np.full((4, 4), np.nan)):
+            with pytest.raises(ValueError, match="generator and state dimensions differ"):
+                evolve(rho, h, 0.5)
+
 
 class TestValidators:
     def test_hermitian_rejected_not_symmetrized(self):
