@@ -152,16 +152,21 @@ def _write_csv(path: str, columns: dict):
     _atomic_write(path, ",".join(columns) + rows % tuple(table.ravel().tolist()) + "\n")
 
 
-def _series_csv(path: str, series, extra: dict | None = None):
-    cols = {"time": series.times, "d_t": series.d_t}
-    if extra:
-        cols.update(extra)
+def _series_columns(series, **extra) -> dict:
+    cols = {"time": series.times, "d_t": series.d_t, **extra}
     if series.bound_ref is not None:
         cols["bound"] = np.full(len(series.times), series.bound_ref)
-    _write_csv(path, cols)
+    return cols
 
 
-def _run_ion(cfg: dict, out_dir: str) -> dict:
+D_MAX_THRESHOLD = 1e-9  # a d_max (or max_tau_d) above this witnesses discord
+D_MIN_THRESHOLD = 1e-6  # d_min above this witnesses discord
+# Each runner returns (results, tables, verdict): `tables` maps a file name to
+# its CSV columns, `verdict` is (witness key, bound key, discord threshold),
+# or None for a model that computes no witness against a bound.
+
+
+def _run_ion(cfg: dict):
     kw = cfg["params"]
     t0 = kw.pop("t0", None)
     p = model_ion.IonParams(**kw)
@@ -169,18 +174,15 @@ def _run_ion(cfg: dict, out_dir: str) -> dict:
         t0 = float(np.pi / (2 * p.omega0))
     grid = _time_grid(cfg, 4 * np.pi / p.omega0)
     series = model_ion.simulated_local_distance(p, t0, grid)
-    _series_csv(os.path.join(out_dir, "series.csv"), series,
-                {"d_analytic": model_ion.analytic_local_distance(p, t0, grid.samples)})
-    return {
-        "d_max": series.d_max,
-        "argmax_time": series.argmax_time,
-        "D": model_ion.analytic_disturbance(p, t0),
-        "bound": series.bound_ref,
-        "t0": t0,
-    }
+    analytic = model_ion.analytic_local_distance(p, t0, grid.samples)
+    return ({"d_max": series.d_max, "argmax_time": series.argmax_time,
+             "D": model_ion.analytic_disturbance(p, t0), "bound": series.bound_ref,
+             "t0": t0},
+            {"series.csv": _series_columns(series, d_analytic=analytic)},
+            ("d_max", "D", D_MAX_THRESHOLD))
 
 
-def _run_photon_cv(cfg: dict, out_dir: str) -> dict:
+def _run_photon_cv(cfg: dict):
     kw = cfg["params"]
     if "t" in kw:
         kw["t_prep"] = kw.pop("t")
@@ -191,15 +193,13 @@ def _run_photon_cv(cfg: dict, out_dir: str) -> dict:
                            model_photon.simulated_local_distance_photon(p, grid.samples),
                            bound_ref=disturbance)
     closed = model_photon.analytic_local_distance_photon(p, grid.samples)
-    _series_csv(os.path.join(out_dir, "series.csv"), series, {"d_closed_form": closed})
-    return {
-        "max_tau_d": series.d_max,
-        "closed_form_max": model_photon.analytic_local_distance_photon(p, p.t_prep),
-        "D": disturbance,
-    }
+    return ({"max_tau_d": series.d_max, "D": disturbance,
+             "closed_form_max": model_photon.analytic_local_distance_photon(p, p.t_prep)},
+            {"series.csv": _series_columns(series, d_closed_form=closed)},
+            ("max_tau_d", "D", D_MAX_THRESHOLD))
 
 
-def _run_photon_dv(cfg: dict, out_dir: str) -> dict:
+def _run_photon_dv(cfg: dict):
     kw = cfg["params"]
     rate = {"rate": kw.pop("phase_rate")} if "phase_rate" in kw else {}
     state = model_photon.build_discrete_state(model_photon.DiscreteAncillaParams(**kw))
@@ -208,17 +208,15 @@ def _run_photon_dv(cfg: dict, out_dir: str) -> dict:
     series = run_minimized_detection(state, evo, grid, BasisGrid(**cfg["basis_grid"]))
     hadamard = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
     cc_series, cc_fired = classical_correlation_witness(state, hadamard, evo, grid)
-    _series_csv(os.path.join(out_dir, "series.csv"), series)
-    _series_csv(os.path.join(out_dir, "classical_series.csv"), cc_series)
-    return {
-        "d_min": series.d_max,
-        "D_min": series.bound_ref,
-        "discord_witnessed": bool(series.d_max > D_MIN_THRESHOLD),
-        "classical_correlation_detected": cc_fired,
-    }
+    return ({"d_min": series.d_max, "D_min": series.bound_ref,
+             "discord_witnessed": bool(series.d_max > D_MIN_THRESHOLD),
+             "classical_correlation_detected": cc_fired},
+            {"series.csv": _series_columns(series),
+             "classical_series.csv": _series_columns(cc_series)},
+            ("d_min", "D_min", D_MIN_THRESHOLD))
 
 
-def _run_spinchain(cfg: dict, out_dir: str) -> dict:
+def _run_spinchain(cfg: dict):
     p = model_spinchain.ChainParams(**cfg["params"])
     default = p.default_time_grid()
     grid = _time_grid(cfg, default.samples[-1], len(default.samples))
@@ -227,24 +225,21 @@ def _run_spinchain(cfg: dict, out_dir: str) -> dict:
         series, d_min_bound = model_spinchain.thermal_detection(
             p, grid, BasisGrid(**cfg["basis_grid"]), spec
         )
-        _series_csv(os.path.join(out_dir, "series.csv"), series)
-        return {"d_min": series.d_max, "D_min": d_min_bound,
-                "gap": float(spec.energies[1] - spec.energies[0])}
+        return ({"d_min": series.d_max, "D_min": d_min_bound,
+                 "gap": float(spec.energies[1] - spec.energies[0])},
+                {"series.csv": _series_columns(series)},
+                ("d_min", "D_min", D_MIN_THRESHOLD))
     res = model_spinchain.ground_state_detection(p, grid, spec)
     pops = sorted((c for _, c, _ in model_spinchain.excitation_overlaps(p, spec)),
                   reverse=True)
-    _series_csv(os.path.join(out_dir, "series.csv"), res.series,
-                {"d_magnetization": res.d_mag})
-    return {
-        "d_max": res.series.d_max,
-        "argmax_time": res.series.argmax_time,
-        "negativity": res.negativity,
-        "gap": res.gap,
-        "top3_excitation_support": sum(pops[:3]),
-    }
+    return ({"d_max": res.series.d_max, "argmax_time": res.series.argmax_time,
+             "negativity": res.negativity, "gap": res.gap,
+             "top3_excitation_support": sum(pops[:3])},
+            {"series.csv": _series_columns(res.series, d_magnetization=res.d_mag)},
+            ("d_max", "negativity", D_MAX_THRESHOLD))
 
 
-def _run_emission(cfg: dict, out_dir: str) -> dict:
+def _run_emission(cfg: dict):
     kw = cfg["params"]
     structured = kw.pop("structured", False)
     p = model_emission.EmissionParams(**kw)
@@ -256,13 +251,9 @@ def _run_emission(cfg: dict, out_dir: str) -> dict:
                          "nonzero samples are the preparation times")
     neg = model_emission.transient_negativity(p, t0s)
     sig = model_emission.emission_local_signal(p, t0s, 2 * t0s)
-    _write_csv(os.path.join(out_dir, "series.csv"),
-               {"time": t0s, "negativity": neg, "local_signal": sig})
-    return {
-        "max_negativity": float(np.max(neg)),
-        "max_local_signal": float(np.max(sig)),
-        "rate": p.rate,
-    }
+    return ({"max_negativity": float(np.max(neg)), "max_local_signal": float(np.max(sig)),
+             "rate": p.rate},
+            {"series.csv": {"time": t0s, "negativity": neg, "local_signal": sig}}, None)
 
 
 def _random_discordant_state(d_a: int, d_b: int, seed: int) -> BipartiteState:
@@ -274,16 +265,16 @@ def _random_discordant_state(d_a: int, d_b: int, seed: int) -> BipartiteState:
     return BipartiteState(rho, BipartitionDims(d_a, d_b))
 
 
-def _run_haar(cfg: dict, out_dir: str) -> dict:
+def _run_haar(cfg: dict):
     pr = cfg["params"]
     state = _random_discordant_state(pr.get("d_a", 2), pr.get("d_b", 2), cfg["seed"])
     mean, std_error, predicted = haar_average_estimate(
         state, pr.get("n_samples", 10000), cfg["seed"] + 1
     )
-    return {"mean": mean, "std_error": std_error, "predicted": predicted}
+    return {"mean": mean, "std_error": std_error, "predicted": predicted}, {}, None
 
 
-def _run_generic(cfg: dict, out_dir: str) -> dict:
+def _run_generic(cfg: dict):
     pr = cfg["params"]
     d_a, d_b = pr.get("d_a", 2), pr.get("d_b", 2)
     rng = np.random.default_rng(cfg["seed"])
@@ -307,9 +298,9 @@ def _run_generic(cfg: dict, out_dir: str) -> dict:
         )
     grid = _time_grid(cfg, 10.0, 200)
     series = run_local_detection(state, EvolutionSpec(hamiltonian=h), grid)
-    _series_csv(os.path.join(out_dir, "series.csv"), series)
-    return {"d_max": series.d_max, "D": series.bound_ref,
-            "argmax_time": series.argmax_time}
+    return ({"d_max": series.d_max, "D": series.bound_ref,
+             "argmax_time": series.argmax_time},
+            {"series.csv": _series_columns(series)}, ("d_max", "D", D_MAX_THRESHOLD))
 
 
 _RUNNERS = {
@@ -329,10 +320,13 @@ def _config_hash(cfg: dict) -> str:
 
 
 def execute(cfg: dict, out_dir: str) -> dict:
-    """Parses `cfg` before `out_dir` is made, runs it and writes summary.json."""
+    """Parses `cfg` before `out_dir` is made, runs it, writes its tables and
+    summary.json, and returns the summary with the run's verdict line."""
     parsed = parse(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    results = _RUNNERS[parsed["model"]](parsed, out_dir)
+    results, tables, verdict = _RUNNERS[parsed["model"]](parsed)
+    for name, columns in tables.items():
+        _write_csv(os.path.join(out_dir, name), columns)
     summary = {
         "config_hash": _config_hash(cfg),
         "model": parsed["model"],
@@ -344,31 +338,19 @@ def execute(cfg: dict, out_dir: str) -> dict:
         os.path.join(out_dir, "summary.json"),
         json.dumps(summary, sort_keys=True, indent=2) + "\n",
     )
-    return summary
+    return {**summary, "verdict": _verdict(results, verdict)}
 
 
-D_MIN_THRESHOLD = 1e-6  # d_min above this witnesses discord
-# (witness, bound, discord threshold) per result schema; the first pair
-# present in a run's results gives its verdict
-_WITNESS_BOUND = (
-    ("d_max", "D", 1e-9),
-    ("d_min", "D_min", D_MIN_THRESHOLD),
-    ("d_max", "negativity", 1e-9),
-    ("max_tau_d", "D", 1e-9),
-)
-
-
-def _verdict(results: dict) -> str:
-    for witness, bound, threshold in _WITNESS_BOUND:
-        if results.get(witness) is None or results.get(bound) is None:
-            continue
-        if results[witness] > threshold:
-            return (
-                f"discord witnessed: {witness} = {results[witness]:.6g} <= "
-                f"{bound} = {results[bound]:.6g}"
-            )
-        return "no discord witnessed"
-    return "run complete"
+def _verdict(results: dict, verdict) -> str:
+    if verdict is None:
+        return "run complete"
+    witness, bound, threshold = verdict
+    if results[witness] > threshold:
+        return (
+            f"discord witnessed: {witness} = {results[witness]:.6g} <= "
+            f"{bound} = {results[bound]:.6g}"
+        )
+    return "no discord witnessed"
 
 
 def _numbers(text: str) -> list[float]:
@@ -393,8 +375,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg["seed"] = args.seed
         if args.command == "run":
-            summary = execute(cfg, args.out_dir)
-            print(_verdict(summary["results"]))
+            print(execute(cfg, args.out_dir)["verdict"])
             return 0
         points = []
         for val in args.values:

@@ -44,6 +44,35 @@ OUT_OF_RANGE = [
      "points: its nonzero samples are the preparation times"),
 ]
 
+# small runs of each model: (config, the printed line or the (witness, bound)
+# of its "discord witnessed" line, the sorted files of the output directory)
+SERIES = ["series.csv", "summary.json"]
+VERDICT_CASES = {
+    "ion": ({"model": "ion", "params": {"nbar": 1.0}, "time_grid": {"points": 30}},
+            ("d_max", "D"), SERIES),
+    "photon-cv": ({"model": "photon-cv", "time_grid": {"points": 40}},
+                  ("max_tau_d", "D"), SERIES),
+    "photon-dv": ({"model": "photon-dv", "params": {"theta": float(np.pi / 4)},
+                   "time_grid": {"points": 20},
+                   "basis_grid": {"n_theta": 6, "n_phi": 12}},
+                  ("d_min", "D_min"), ["classical_series.csv", *SERIES]),
+    "spinchain-ground": ({"model": "spinchain", "params": {"n_spins": 4},
+                          "time_grid": {"t_max": 12.0, "points": 40}},
+                         ("d_max", "negativity"), SERIES),
+    "spinchain-thermal": ({"model": "spinchain", "params": {"n_spins": 4, "kT": 0.3},
+                           "time_grid": {"t_max": 12.0, "points": 20},
+                           "basis_grid": {"n_theta": 6, "n_phi": 12}},
+                          ("d_min", "D_min"), SERIES),
+    "emission": ({"model": "emission", "params": {"n_modes": 21},
+                  "time_grid": {"points": 4}}, "run complete", SERIES),
+    "haar": ({"model": "haar", "params": {"n_samples": 100}}, "run complete",
+             ["summary.json"]),
+    "generic": ({"model": "generic", "time_grid": {"points": 20}},
+                ("d_max", "D"), SERIES),
+    "generic-product": ({"model": "generic", "params": {"state": "product"},
+                         "time_grid": {"points": 20}}, "no discord witnessed", SERIES),
+}
+
 
 def write_config(path, cfg):
     path.write_text(yaml.safe_dump(cfg))
@@ -306,7 +335,9 @@ class TestRun:
     @pytest.mark.parametrize("theta", [float(np.pi / 4), float(np.pi / 2)])
     def test_photon_dv_flag_is_verdict(self, tmp_path, capsys, theta):
         # discord_witnessed and the d_min verdict read one threshold
-        assert ("d_min", "D_min", cli.D_MIN_THRESHOLD) in cli._WITNESS_BOUND
+        _, _, verdict = cli._run_photon_dv(parse({"model": "photon-dv",
+                                                  "time_grid": {"points": 2}}))
+        assert verdict == ("d_min", "D_min", cli.D_MIN_THRESHOLD)
         p = write_config(
             tmp_path / "c.yaml",
             {"model": "photon-dv", "params": {"lam": 0.5, "theta": theta},
@@ -379,6 +410,20 @@ class TestRun:
         b = json.loads((tmp_path / "b" / "summary.json").read_text())
         assert a["config_hash"] != b["config_hash"]
         assert b["seed"] == 9
+
+    @pytest.mark.parametrize("cfg,line,files", VERDICT_CASES.values(),
+                             ids=VERDICT_CASES.keys())
+    def test_verdict_line_and_files(self, tmp_path, capsys, cfg, line, files):
+        # the printed line, from summary.json, and every file the run leaves
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path / "c.yaml", cfg),
+                     "--out-dir", str(out)]) == 0
+        res = json.loads((out / "summary.json").read_text())["results"]
+        if isinstance(line, tuple):
+            w, b = line
+            line = f"discord witnessed: {w} = {res[w]:.6g} <= {b} = {res[b]:.6g}"
+        assert capsys.readouterr().out == line + "\n"
+        assert sorted(os.listdir(out)) == files
 
 
 # floats a CSV cell must carry: signed zeros, subnormals, the extremes,
