@@ -320,11 +320,12 @@ def _config_hash(cfg: dict) -> str:
 
 
 def execute(cfg: dict, out_dir: str) -> dict:
-    """Parses `cfg` before `out_dir` is made, runs it, writes its tables and
-    summary.json, and returns the summary with the run's verdict line."""
+    """Parses and runs `cfg`, then makes `out_dir`, so a run that raises
+    leaves nothing; writes its tables and summary.json, and returns the
+    summary with the run's verdict line."""
     parsed = parse(cfg)
-    os.makedirs(out_dir, exist_ok=True)
     results, tables, verdict = _RUNNERS[parsed["model"]](parsed)
+    os.makedirs(out_dir, exist_ok=True)
     for name, columns in tables.items():
         _write_csv(os.path.join(out_dir, name), columns)
     summary = {
@@ -396,6 +397,7 @@ def main(argv=None) -> int:
         cols = {args.axis: [v for v, _ in rows]}
         for k in keys:
             cols[k] = [float(r.get(k, float("nan"))) for _, r in rows]
+        os.makedirs(args.out_dir, exist_ok=True)  # no point may have made it
         _write_csv(os.path.join(args.out_dir, "sweep.csv"), cols)
         print(f"sweep complete: {len(rows)} points over {args.axis}"
               + (f", {failed} failed" if failed else ""))

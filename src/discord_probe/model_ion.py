@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 
 from .protocol import EvolutionSpec, TimeGrid, WitnessSeries, run_local_detection
 from .states import (
@@ -16,6 +15,20 @@ from .states import (
     thermal_populations,
 )
 from .tensor import BipartitionDims, sector_rows
+
+
+def _laguerre1(n_max: int, x: float) -> np.ndarray:
+    """L_n^1(x) for n = 0 .. n_max, to the bit as scipy's eval_genlaguerre
+    computes each one: L_1 = -x + 1 + 1, and its recurrence in p_n =
+    L_n^1 / (n + 1), run here once up to n_max instead of once per n."""
+    out = [1.0, -x + 1.0 + 1.0]
+    d = -x / 2
+    p = d + 1
+    for k in range(1, n_max):
+        d = -x / (k + 2) * p + k / (k + 2) * d
+        p += d
+        out.append((k + 2) * p)
+    return np.array(out[:n_max + 1])
 
 
 @dataclass(frozen=True)
@@ -45,7 +58,8 @@ class IonParams:
         n = np.asarray(n, dtype=float)
         if self.lamb_dicke_limit:
             return np.sqrt(n + 1) * self.eta * self.omega
-        lag = eval_genlaguerre(n.astype(int), 1, self.eta**2)
+        k = n.astype(int)
+        lag = _laguerre1(int(k.max(initial=0)), self.eta**2)[k]
         return self.eta * np.exp(-self.eta**2) * lag / np.sqrt(n + 1) * self.omega
 
     @property

@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .protocol import EvolutionSpec
 from .states import BipartiteState
@@ -93,7 +92,10 @@ def analytic_local_distance_photon(p: PhotonParams, tau):
 
 def analytic_disturbance_photon(p: PhotonParams) -> float:
     """beta * integral G(w) |sin((w - w0) t)| dw via adaptive quadrature with
-    an analytic tail (mean |sin| = 2/pi against the Lorentzian tail mass)."""
+    an analytic tail (mean |sin| = 2/pi against the Lorentzian tail mass).
+    scipy loads here, at the first call, not with the package."""
+    from scipy.integrate import quad
+
     a = p.delta_omega * p.t_prep
     if a == 0.0:
         return 0.0

@@ -1,12 +1,27 @@
-"""Shared helpers: random states, operators and Pauli constants."""
+"""Shared helpers: random states, operators, Pauli constants and a fresh
+interpreter."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import discord_probe
 from discord_probe import BipartitionDims, BipartiteState
 from discord_probe.tensor import PAULI
 
 SX, SY, SZ = PAULI
+
+
+def fresh_interpreter(code: str) -> list[str]:
+    """The words `code` prints in a new interpreter with the package on its path."""
+    env = {**os.environ, "PYTHONPATH": str(Path(discord_probe.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    return out.stdout.split()
 
 
 def random_density(dim: int, rng) -> np.ndarray:

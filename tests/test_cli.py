@@ -12,6 +12,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import fresh_interpreter
 from oracles import csv_text_loop
 from discord_probe import cli, model_emission, model_ion, model_photon, model_spinchain
 from discord_probe.cli import PARAMS, ConfigError, execute, load_config, main, parse
@@ -478,6 +479,24 @@ class TestModelErrors:
         p = write_config(tmp_path / "c.yaml", DEGENERATE_CHAIN)
         with pytest.raises(ValueError, match="degenerate"):
             execute(load_config(p), str(tmp_path / "out"))
+        assert not (tmp_path / "out").exists()  # made only after the run
+
+    def test_failed_sweep_point_leaves_no_directory(self, tmp_path, capsys):
+        p = write_config(tmp_path / "c.yaml", DEGENERATE_CHAIN)
+        out = tmp_path / "out"
+        assert main(["sweep", p, "--axis", "b_field", "--values", "0.001,1.0",
+                     "--out-dir", str(out)]) == 4
+        assert sorted(os.listdir(out)) == ["point-001", "sweep.csv"]
+
+    def test_sweep_of_failed_points_writes_its_csv(self, tmp_path, capsys):
+        p = write_config(tmp_path / "c.yaml", DEGENERATE_CHAIN)
+        out = tmp_path / "new" / "out"
+        assert main(["sweep", p, "--axis", "b_field", "--values", "0.001,0.0005",
+                     "--out-dir", str(out)]) == 4
+        assert "2 points over b_field, 2 failed" in capsys.readouterr().out
+        assert os.listdir(out) == ["sweep.csv"]
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[0] == "b_field" and len(lines) == 3
 
     def test_sweep_writes_nan_row_and_goes_on(self, tmp_path, capsys):
         p = write_config(tmp_path / "c.yaml", DEGENERATE_CHAIN)
@@ -550,3 +569,21 @@ class TestSweep:
         vals = [float(l.split(",")[col]) for l in lines[1:]]
         assert vals[0] == pytest.approx(0.5, abs=1e-6)
         assert vals[0] > vals[1] > 0.2
+
+
+class TestStartup:
+    def test_scipy_loads_only_at_photon_cv(self, tmp_path):
+        # an ion point off the Lamb-Dicke limit, a Gibbs chain and emission
+        # leave scipy unloaded; photon-cv's D loads scipy.integrate at its call
+        grid = {"t_max": 5.0, "points": 11}
+        cfgs = [{"model": "ion", "params": {"nbar": 2.0, "lamb_dicke_limit": False},
+                 "time_grid": grid},
+                {"model": "spinchain", "params": {"n_spins": 4, "kT": 0.5},
+                 "time_grid": grid, "basis_grid": {"n_theta": 4, "n_phi": 4}},
+                {"model": "emission", "params": {"n_modes": 21}, "time_grid": grid},
+                {"model": "photon-cv", "params": {"grid_points": 101}, "time_grid": grid}]
+        code = (f"import sys; from discord_probe import cli\n"
+                f"for i, cfg in enumerate({cfgs!r}):\n"
+                f"    cli.execute(cfg, {str(tmp_path)!r} + f'/{{i}}')\n"
+                f"    print('scipy' in sys.modules, 'scipy.integrate' in sys.modules)\n")
+        assert fresh_interpreter(code) == ["False"] * 6 + ["True"] * 2

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
+from scipy.special import eval_genlaguerre
 
 from oracles import ion_local_distance_dense, prepare_ion_state_dense
 from discord_probe import model_ion, tensor
@@ -45,6 +48,51 @@ class TestParams:
             model_ion.IonParams(eta=0.0)
         with pytest.raises(ValueError):
             model_ion.IonParams(nbar=-1.0)
+
+
+def rabi_scipy(p, n):
+    """IonParams.rabi off the Lamb-Dicke limit with scipy's L_n^1, one call
+    per entry of `n`."""
+    n = np.asarray(n, dtype=float)
+    lag = eval_genlaguerre(n.astype(int), 1, p.eta**2)
+    return p.eta * np.exp(-p.eta**2) * lag / np.sqrt(n + 1) * p.omega
+
+
+class TestLaguerre:
+    """`_laguerre1` equals scipy's eval_genlaguerre to the bit (==)."""
+
+    # 0.05: the benchmark lattice's eta; 0.3: L_1 = -x + 1 + 1, where
+    # -x + 2 is 1 ulp off
+    @pytest.mark.parametrize("eta", [0.005, 0.05, 0.1, 0.3, 0.5, 0.7])
+    def test_table_to_n_400(self, eta):
+        x = eta**2
+        table = model_ion._laguerre1(400, x)
+        assert table.shape == (401,)
+        assert np.array_equal(table, eval_genlaguerre(np.arange(401), 1, x))
+
+    def test_first_entries(self):
+        assert model_ion._laguerre1(0, 0.09).tolist() == [1.0]
+        assert model_ion._laguerre1(1, 0.09).tolist() == [1.0, -0.09 + 1.0 + 1.0]
+        assert -0.09 + 1.0 + 1.0 != -0.09 + 2.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.005, 0.7), st.integers(0, 300))
+    def test_any_eta(self, eta, n_max):
+        x = eta**2
+        assert np.array_equal(model_ion._laguerre1(n_max, x),
+                              eval_genlaguerre(np.arange(n_max + 1), 1, x))
+
+    @pytest.mark.parametrize("eta", [0.05, 0.3])
+    def test_rabi_matches_scipy(self, eta):
+        p = model_ion.IonParams(omega=1.7, eta=eta, lamb_dicke_limit=False)
+        n = np.array([7.0, 0.0, 3.0, 3.0, 150.0, 1.0])  # not an arange
+        assert np.array_equal(p.rabi(n), rabi_scipy(p, n))
+        assert np.array_equal(p.rabi(np.arange(p.n_max + 1)),
+                              rabi_scipy(p, np.arange(p.n_max + 1)))
+        # the omega0 path: a 0-d n
+        assert p.rabi(np.array(0.0)) == rabi_scipy(p, np.array(0.0))
+        assert p.omega0 == float(rabi_scipy(p, np.array(0.0)))
+        assert p.rabi(np.arange(0)).shape == (0,)
 
 
 class TestHamiltonian:

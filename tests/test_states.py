@@ -1,16 +1,11 @@
 """Bipartite state constructors and local channels."""
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SX, random_density, random_hermitian, random_state
+from conftest import SX, fresh_interpreter, random_density, random_hermitian, random_state
 from oracles import (
     apply_local_unitary,
     dephase_kron,
@@ -21,7 +16,6 @@ from oracles import (
     purity,
     thermal_fock_state,
 )
-import discord_probe
 from discord_probe.states import (
     BipartiteState,
     ProjectiveBasis,
@@ -358,13 +352,17 @@ class TestHaarUnitary:
             haar_unitaries(2, seeds)
 
     def test_package_import_leaves_numpy_random_unloaded(self):
-        # numpy.random loads at the first draw, not with the package, whose
-        # import every interpreter start pays
+        # numpy.random loads at the first draw, not with `states`; the guard
+        # below holds the whole CLI's import to the same
         code = "import sys, discord_probe.states; print('numpy.random' in sys.modules)"
-        env = {**os.environ, "PYTHONPATH": str(Path(discord_probe.__file__).parents[1])}
-        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                             capture_output=True, text=True)
-        assert out.stdout.split() == ["False"]
+        assert fresh_interpreter(code) == ["False"]
+
+    def test_cli_import_leaves_scipy_and_numpy_random_unloaded(self):
+        # every `discord-probe` start pays this import; scipy loads only at
+        # photon-cv's first D (tests/test_cli.py::TestStartup)
+        code = ("import sys, discord_probe.cli; "
+                "print('scipy' in sys.modules, 'numpy.random' in sys.modules)")
+        assert fresh_interpreter(code) == ["False", "False"]
 
 
 class TestThermalFock:
