@@ -101,7 +101,7 @@ def _fields(section, converters: dict, where: str) -> dict:
         raise ConfigError(f"{where} must be a mapping, got {section!r}")
     unknown = set(section) - converters.keys()
     if unknown:
-        raise ConfigError(f"unknown fields {sorted(unknown)} in {where}")
+        raise ConfigError(f"unknown fields {sorted(unknown, key=str)} in {where}")
     return {k: _convert(converters[k], v, where) for k, v in section.items()}
 
 
@@ -139,11 +139,16 @@ def _time_grid(cfg: dict, default_t_max: float, default_n: int = 200) -> TimeGri
 
 
 def _atomic_write(path: str, text: str):
-    d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-")
-    with os.fdopen(fd, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    """Writes `text` to a temporary file beside `path`, then renames it to
+    `path`; on any failure the temporary file is removed."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _write_csv(path: str, columns: dict):
@@ -411,6 +416,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"model error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:  # an output path that cannot be written
+        print(f"output error: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

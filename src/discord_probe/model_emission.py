@@ -10,7 +10,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .protocol import EvolutionSpec
 from .states import BipartiteState
 from .tensor import BipartitionDims
 
@@ -89,12 +88,12 @@ def _coupled_sector(p: EmissionParams) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _sector_evolution(p: EmissionParams) -> EvolutionSpec:
-    """Generator on the coupled sub-sector. A mode with g_k = 0 is an exact
-    eigenvector (w_k, |g,k>) orthogonal to |e,0>: it adds q_k = 0 to a(t) and
-    no amplitude to U(t)|e,0>, so dropping it is exact."""
+def _sector_spectrum(p: EmissionParams):
+    """(w, V), the eigh of H on the coupled sub-sector. A mode with g_k = 0
+    is an exact eigenvector (w_k, |g,k>) orthogonal to |e,0>: it adds q_k = 0
+    to a(t) and no amplitude to U(t)|e,0>, so dropping it is exact."""
     keep = _coupled_sector(p)
-    return EvolutionSpec(sector_hamiltonian(p)[np.ix_(keep, keep)])
+    return np.linalg.eigh(sector_hamiltonian(p)[np.ix_(keep, keep)])
 
 
 def survival_amplitude(p: EmissionParams, t):
@@ -107,8 +106,8 @@ def survival_amplitude(p: EmissionParams, t):
     if np.any(t < 0):
         raise ValueError("time must be nonnegative")
     p.check_regime()
-    (_, w, v), = _sector_evolution(p).spectral()  # one sector
-    w, q = w[0], np.abs(v[0, 0]) ** 2
+    w, v = _sector_spectrum(p)
+    q = np.abs(v[0]) ** 2
     if abs(q.sum() - 1.0) > 1e-10:
         raise ValueError(f"spectral weights of |e,0> sum to {q.sum()}, not 1")
     mean = q @ w
@@ -122,7 +121,8 @@ def embedded_pure_state(p: EmissionParams, t0: float) -> BipartiteState:
     """Dense atom (x) field density matrix of U(t0)|e,0> (field: vacuum plus
     n one-photon states), the reference for transient_negativity."""
     keep = _coupled_sector(p)
-    sector = _sector_evolution(p).evolve_vectors(np.eye(len(keep), 1), [t0])[:, 0, 0]
+    w, v = _sector_spectrum(p)
+    sector = v @ (np.exp(-1j * w * t0) * v[0])  # U(t0)|e,0> = V exp(-i w t0) V^T|e,0>
     nf = p.n_modes + 1
     psi = np.zeros(2 * nf, dtype=complex)  # decoupled modes stay exactly 0
     psi[nf] = sector[0]   # |e> (x) |vac>, atom index 1 is |e>

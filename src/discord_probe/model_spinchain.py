@@ -64,15 +64,6 @@ def build_chain_hamiltonian(p: ChainParams, rotated: bool = False) -> np.ndarray
     return h
 
 
-def _apply_parity(v: np.ndarray) -> np.ndarray:
-    """(x) sigma_y applied to the rows of v (a vector or a matrix of columns):
-    |x> -> i^n (-1)^popcount(x) |2^n - 1 - x>."""
-    d = v.shape[0]
-    n = d.bit_length() - 1
-    phase = np.where(np.bitwise_count(np.arange(d)[::-1]) & 1, -(1j**n), 1j**n)
-    return phase.reshape((d,) + (1,) * (v.ndim - 1)) * v[::-1]
-
-
 @dataclass(frozen=True)
 class SpectralData:
     energies: np.ndarray  # ascending
@@ -200,8 +191,10 @@ def thermal_detection(p: ChainParams, grid: TimeGrid | None = None,
     grid = grid or p.default_time_grid()
     state = gibbs_state(p, spec)
     evolution = original_frame_evolution(p, spec)
+    # P|x> = +-i^n |~x>, so P m P^dag = s s^T * m[::-1, ::-1], s_x = (-1)^popcount(x)
+    s = 1 - 2 * (np.bitwise_count(np.arange(len(state.rho))) & 1).astype(int)
     for m in (state.rho, evolution.hamiltonian):
-        if not np.array_equal(_apply_parity(_apply_parity(m).conj().T).conj().T, m):
+        if not np.array_equal(np.outer(s, s) * m[::-1, ::-1], m):
             raise ValueError("the Gibbs state or H is not parity symmetric")
     series = run_minimized_detection(state, evolution, grid, bases, True)
     return series, series.bound_ref

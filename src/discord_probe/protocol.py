@@ -54,7 +54,8 @@ class TimeGrid:
 
 @dataclass
 class EvolutionSpec:
-    """Time-independent Hermitian generator (hbar = 1) with a spectral cache.
+    """Time-independent Hermitian generator (hbar = 1), diagonalized at
+    construction unless its spectrum is given.
 
     `sectors` labels each basis state with the invariant subspace of H it
     belongs to, so that H is the direct sum of its sector blocks; without
@@ -75,16 +76,14 @@ class EvolutionSpec:
         self.hamiltonian = h = h if h.dtype == np.float64 else np.asarray(h, dtype=complex)
         self.sectors = np.asarray(np.zeros(h.shape[:1], int) if self.sectors is None
                                   else self.sectors)
-        # the checked blocks, kept until spectral() has diagonalized them
-        self._checked = require_sector_blocks(h, self.sectors)
+        blocks = require_sector_blocks(h, self.sectors)
+        if self.spectrum is None:
+            self.spectrum = [(rows, *np.linalg.eigh(b)) for rows, b in blocks]
 
     def spectral(self) -> list:
         """One stacked (rows, w, V) per sector size m, H = sum_s V_s diag(w_s)
         V_s^dag on its sector: rows (S, m) holds the basis indices of S
         sectors, w (S, m) and V (S, m, m) their spectra."""
-        if self.spectrum is None:
-            self.spectrum = [(rows, *np.linalg.eigh(b)) for rows, b in self._checked]
-        self._checked = None
         return self.spectrum
 
     def evolve_vectors(self, vecs, times) -> np.ndarray:

@@ -123,27 +123,19 @@ def _pinching_blocks(rho: np.ndarray, dims: BipartitionDims,
     return np.einsum("ai,axby,bi->ixy", vectors.conj(), r, vectors)
 
 
-def _sector_weights(basis: ProjectiveBasis):
-    """w_a = sum_i |<a|v_i>|^4 if each basis vector has one nonzero entry,
-    else None. Every projector is then diagonal, so the pinching keeps the
-    sectors: it scales <a x| rho |b y> by [a = b] w_a."""
-    if np.any(np.count_nonzero(basis.vectors, axis=0) != 1):
-        return None
-    return np.sum(np.abs(basis.vectors) ** 4, axis=1)
-
-
 def dephase(state: BipartiteState, basis: ProjectiveBasis) -> BipartiteState:
     """Local pinching Phi(rho) = sum_i (Pi_i (x) I) rho (Pi_i (x) I) on
     subsystem A, built as sum_i |v_i><v_i| (x) B_i from the d_A blocks
-    B_i = <v_i| rho |v_i>, whose spectra together are its spectrum. A state
-    with sector labels keeps them where `_sector_weights` applies, and is
-    then checked on its sector blocks."""
+    B_i = <v_i| rho |v_i>, whose spectra together are its spectrum. If each
+    basis vector has one nonzero entry, every projector is diagonal and the
+    pinching keeps the A-diagonal blocks <a x| rho |a y>: a state with sector
+    labels then keeps them, and is checked on its sector blocks."""
     if basis.dim != state.dims.d_a:
         raise ValueError("basis dimension does not match subsystem A")
-    w = _sector_weights(basis) if state.sectors.min() < state.sectors.max() else None
-    if w is not None:
+    if (state.sectors.min() < state.sectors.max()
+            and np.all(np.count_nonzero(basis.vectors, axis=0) == 1)):
         r = state.rho.reshape(state.dims.d_a, state.dims.d_b, state.dims.d_a, -1)
-        out = (r * np.diag(w)[:, None, :, None]).reshape(state.rho.shape)
+        out = (r * np.eye(basis.dim)[:, None, :, None]).reshape(state.rho.shape)
         return BipartiteState(out, state.dims, sectors=state.sectors)
     v = basis.vectors
     blocks = _pinching_blocks(state.rho, state.dims, v)

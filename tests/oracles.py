@@ -254,15 +254,16 @@ def spectral_dense(p) -> SimpleNamespace:
     sector. Fields as `model_spinchain.SpectralData`, with `evolution` the
     dense original-frame `EvolutionSpec`."""
     h = model_spinchain.build_chain_hamiltonian(p)
+    par = parity_operator(p.n_spins)
     w, v = np.linalg.eigh(h)
     scale = max(np.max(np.abs(w)), 1.0)
     splits = np.where(np.diff(w) > 1e-9 * scale)[0] + 1
     for idx in np.split(np.arange(len(w)), splits):
         if len(idx) > 1:
             sub = v[:, idx]
-            _, rot = np.linalg.eigh(sub.conj().T @ model_spinchain._apply_parity(sub))
+            _, rot = np.linalg.eigh(sub.conj().T @ (par @ sub))
             v[:, idx] = sub @ rot
-    flipped = model_spinchain._apply_parity(v)
+    flipped = par @ v
     parities = np.sign(np.real(np.sum(v.conj() * flipped, axis=0)))
     v = 0.5 * (v + flipped * parities[None, :])
     v = v / np.linalg.norm(v, axis=0)

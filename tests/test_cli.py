@@ -123,6 +123,17 @@ class TestConfigValidation:
         )
         assert main(["run", p, "--out-dir", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("text", ["model: ion\n1: a\nfoo: b\n",
+                                      "model: ion\nparams: {1: a, foo: b}\n"])
+    def test_unknown_keys_of_mixed_type_exit_2(self, tmp_path, capsys, text):
+        # an int and a str key cannot be sorted together: the message sorts by str
+        (tmp_path / "c.yaml").write_text(text)
+        assert main(["run", str(tmp_path / "c.yaml"),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert re.fullmatch(r"config error: unknown fields \[1, 'foo'\] in "
+                            r"(top level|ion params)\n", capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("model,field,value", [
         ("spinchain", "n_spins", 7.9), ("spinchain", "n_spins", "7"),
         ("spinchain", "n_spins", True), ("emission", "n_modes", None),
@@ -527,6 +538,29 @@ class TestModelErrors:
             main(["sweep", p, "--axis", "b_field", "--values", "1,x",
                   "--out-dir", str(tmp_path / "out")])
         assert exc.value.code == 2
+
+
+class TestOutputErrors:
+    # under a regular file makedirs fails; a directory in the place of
+    # summary.json fails the rename
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("broken", ["under-a-file", "summary-is-a-directory"])
+    def test_unwritable_output_exit_5(self, tmp_path, capsys, command, broken):
+        p = write_config(tmp_path / "c.yaml", {"model": "generic",
+                                               "time_grid": {"points": 5}})
+        out = tmp_path / "out"
+        if broken == "under-a-file":
+            out.write_text("")
+            out = out / "sub"
+        else:
+            point = out / "point-000" if command == "sweep" else out
+            (point / "summary.json").mkdir(parents=True)
+        sweep = ["--axis", "d_b", "--values", "2,3"] if command == "sweep" else []
+        assert main([command, p, *sweep, "--out-dir", str(out)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        assert not [f for _, _, files in os.walk(tmp_path) for f in files
+                    if f.startswith(".tmp-")]
 
 
 class TestSweep:

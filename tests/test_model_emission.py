@@ -22,10 +22,11 @@ FAST = model_emission.EmissionParams(n_modes=101, half_bandwidth=20.0)
 
 @pytest.mark.parametrize("structured", [False, True])
 def test_point_makes_one_real_coupled_eigh(structured, monkeypatch, tmp_path):
-    # the only diagonalization and the only Hermitian check of a point are of
-    # the real coupled sub-sector, |e,0> plus the 11 of 21 modes a structured
-    # band keeps coupled, which no check copies to complex
-    model_emission._sector_evolution.cache_clear()
+    # the only diagonalization of a point is one real eigh of the coupled
+    # sub-sector, |e,0> plus the 11 of 21 modes a structured band keeps
+    # coupled; no Hermitian check runs, as sector_hamiltonian fills H
+    # symmetric entry by entry
+    model_emission._sector_spectrum.cache_clear()
     calls, checked = [], []
     real_check = tensor._require_hermitian_stack
     monkeypatch.setattr(tensor, "_require_hermitian_stack",
@@ -39,8 +40,8 @@ def test_point_makes_one_real_coupled_eigh(structured, monkeypatch, tmp_path):
              "time_grid": {"t_max": 3.0, "points": 7}}, str(tmp_path))
     assert len(calls) == 1
     assert calls[0].dtype == np.float64
-    assert calls[0].shape == ((1, 12, 12) if structured else (1, 22, 22))
-    assert checked == [np.float64]
+    assert calls[0].shape == ((12, 12) if structured else (22, 22))
+    assert checked == []
 
 
 class TestParams:
@@ -268,10 +269,8 @@ class TestSurvivalAmplitude:
     def test_rejects_spectral_weights_off_one(self, monkeypatch):
         # a non-unitary eigenvector matrix breaks sum_k q_k = 1
         w, v = np.linalg.eigh(model_emission.sector_hamiltonian(FAST))
-        evo = model_emission.EvolutionSpec(model_emission.sector_hamiltonian(FAST),
-                                           spectrum=[(np.arange(len(w))[None], w[None],
-                                                      v[None] * (1 + 1e-9))])
-        monkeypatch.setattr(model_emission, "_sector_evolution", lambda p: evo)
+        monkeypatch.setattr(model_emission, "_sector_spectrum",
+                            lambda p: (w, v * (1 + 1e-9)))
         with pytest.raises(ValueError, match="spectral weights"):
             model_emission.survival_amplitude(FAST, 1.0)
 

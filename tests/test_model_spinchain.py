@@ -145,12 +145,13 @@ class TestHamiltonian:
 class TestParity:
     @pytest.mark.parametrize("n_spins", range(2, 11))
     def test_matches_dense_parity(self, n_spins):
+        # the sign identity thermal_detection checks its state and H with
         rng = np.random.default_rng(n_spins)
         d = 2**n_spins
         par = parity_operator(n_spins)
-        for shape in ((d,), (d, 3)):
-            v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            assert np.array_equal(model_spinchain._apply_parity(v), par @ v)
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        s = 1 - 2 * (np.bitwise_count(np.arange(d)) & 1).astype(int)
+        assert np.array_equal(np.outer(s, s) * m[::-1, ::-1], par @ m @ par.conj().T)
 
 
 class TestSpectral:
