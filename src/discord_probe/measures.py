@@ -12,7 +12,6 @@ from .states import (
     STATE_TOL,
     BipartiteState,
     ProjectiveBasis,
-    dephasing_basis,
     dephase,
     local_eigenbasis,
     qubit_basis,
@@ -75,7 +74,7 @@ def dephasing_disturbance(state: BipartiteState,
     """D = (1/2)||Delta||_1 for Delta = rho - Phi(rho), Phi the pinching in
     `basis`, by default the eigenbasis of the A-marginal, which is refused
     when degenerate."""
-    pinched = dephase(state, dephasing_basis(state, basis))
+    pinched = dephase(state, basis)
     return half_trace_norm(state.rho - pinched.rho, pinched.sectors)
 
 
@@ -195,10 +194,10 @@ def _chord(n: np.ndarray, m: np.ndarray) -> np.ndarray:
 @lru_cache(maxsize=8)
 def _pruning_table(grid: BasisGrid, mirror: bool):
     """The coarse subgrid (every 3rd theta row plus the last, times every 3rd
-    phi), the other points, the corners (4, N) of the distinct coarse cells as
-    positions in the subgrid, and each other point's cell and chords (4, F),
-    all as whole-grid indices. `mirror` keeps phi columns 0 .. n_phi // 2 and
-    their last as a coarse one, as phi in [0, pi] does not wrap."""
+    phi) and the other points F as whole-grid indices, and each other point's
+    cell corners (4, F), as positions in the subgrid, with their chords.
+    `mirror` keeps phi columns 0 .. n_phi // 2 and their last as a coarse
+    one, as phi in [0, pi] does not wrap."""
     n_col = grid.n_phi // 2 + 1 if mirror else grid.n_phi
     ti, pj = np.divmod(np.arange(grid.n_theta * n_col), n_col)
     coarse_row = np.arange(grid.n_theta) % 3 == 0
@@ -217,9 +216,7 @@ def _pruning_table(grid: BasisGrid, mirror: bool):
                         t_hi * grid.n_phi + p_lo, t_hi * grid.n_phi + p_hi])
     axes = bloch_vectors(grid.angles())
     fine, coarse = index[~coarse], index[coarse]
-    cells, cell_of = np.unique(np.searchsorted(coarse, corners), axis=1,
-                               return_inverse=True)
-    table = (coarse, fine, cells, cell_of.ravel(), _chord(axes[fine], axes[corners]))
+    table = (coarse, fine, np.searchsorted(coarse, corners), _chord(axes[fine], axes[corners]))
     for arr in table:  # shared by every caller through the cache
         arr.flags.writeable = False
     return table
@@ -246,18 +243,12 @@ def _bloch_search(f, state: BipartiteState, grid: BasisGrid, start: np.ndarray,
     `mirror` declares every f_k even in phi, and only the phi columns in
     [0, pi] are searched: their minimum is the grid's up to rounding."""
     angles, lip = np.vstack([grid.angles(), start]), _chord_lipschitz(state)
-    coarse, fine, cells, cell_of, chords = _pruning_table(grid, mirror)
+    coarse, fine, corners, chords = _pruning_table(grid, mirror)
     first = np.concatenate([coarse, np.arange(grid.n_theta * grid.n_phi, len(angles))])
     first_vals = f(angles[None, first])
     excess = first_vals - (first_vals.min(axis=1, keepdims=True) + 1e-12)
-    # kept when some k's highest cell corner lies within lip * its shortest chord
-    top = reduce(np.maximum, (excess[:, c] for c in cells)).min(axis=0)
-    keep = top[cell_of] <= lip * chords.min(axis=0)
-    out = np.flatnonzero(~keep)
-    bound = reduce(np.maximum, (excess[:, c] - h[out]
-                                for c, h in zip(cells[:, cell_of[out]], lip * chords)))
-    keep[out] = np.any(bound <= 0, axis=0)
-    rest = fine[keep]
+    bound = reduce(np.maximum, (excess[:, c] - h for c, h in zip(corners, lip * chords)))
+    rest = fine[np.any(bound <= 0, axis=0)]
     vals = np.full((len(first_vals), len(angles)), np.inf)
     vals[:, first] = first_vals
     vals[:, rest] = f(angles[None, rest])

@@ -14,7 +14,7 @@ from .states import (
     fock_cutoff,
     thermal_populations,
 )
-from .tensor import BipartitionDims, sector_rows
+from .tensor import BipartitionDims
 
 
 def _laguerre1(n_max: int, x: float) -> np.ndarray:
@@ -97,7 +97,7 @@ def prepare_state(p: IonParams, t0: float,
     col = np.sqrt(np.r_[p.populations(), np.zeros(p.n_max + 1)])[:, None]
     psi = evo.evolve_vectors(col, [t0])[:, 0, 0]
     rho = np.zeros((len(psi),) * 2, dtype=complex)
-    for rows in sector_rows(evo.sectors):
+    for rows, _, _ in evo.spectrum:
         u = psi[rows]
         rho[rows[:, :, None], rows[:, None, :]] = u[:, :, None] * u[:, None].conj()
     return BipartiteState(rho, p.dims, sectors=evo.sectors)

@@ -76,7 +76,7 @@ class SpectralData:
         """The eigenvectors as columns in the original frame. R^dag acts site
         by site, |0> -> (|0> + i|1>)/sqrt2 and |1> -> (|1> + i|0>)/sqrt2, by
         adding swapped components, which keeps each column's parity exact."""
-        (rows, _, v), = self.evolution.spectral()
+        (rows, _, v), = self.evolution.spectrum
         d, n = len(self.order), len(self.order).bit_length() - 1
         out = np.zeros((d, *v.shape[:2]), dtype=complex)
         out[rows, np.arange(2)[:, None]] = v
@@ -94,7 +94,7 @@ def spectral(p: ChainParams) -> SpectralData:
     numerically degenerate ones (1e-9 of the scale apart) parity -1 is first."""
     h = build_chain_hamiltonian(p, rotated=True)
     evolution = EvolutionSpec(h, sectors=np.bitwise_count(np.arange(len(h))) & 1)
-    (_, w, _), = evolution.spectral()
+    (_, w, _), = evolution.spectrum
     parity = np.repeat([1, -1], w.shape[1])  # the sectors in label order
     order = np.argsort(w, axis=None, kind="stable")
     energies = w.ravel()[order]
@@ -105,7 +105,7 @@ def spectral(p: ChainParams) -> SpectralData:
 
 def original_frame_evolution(p: ChainParams, spec: SpectralData) -> EvolutionSpec:
     """H in the original frame, with spec.states and their own energies."""
-    (_, w, _), = spec.evolution.spectral()
+    (_, w, _), = spec.evolution.spectrum
     rows = np.arange(len(spec.order))[None]  # one sector, the whole space
     return EvolutionSpec(build_chain_hamiltonian(p), spectrum=[
         (rows, w.ravel()[spec.order][None], spec.states[None])])
@@ -115,7 +115,7 @@ def _ground_sector(spec: SpectralData):
     """(s, w, V, psi0, chi), rotated frame: the sector s of the ground vector,
     all sectors' energies and eigenvectors, psi0 and chi = sigma_z^(0) psi0.
     Spin 0 is up in the first half of a sector's (ascending) rows."""
-    (_, w, v), = spec.evolution.spectral()
+    (_, w, v), = spec.evolution.spectrum
     s, k = divmod(int(spec.order[0]), w.shape[1])
     psi0 = v[s, :, k]
     return s, w, v, psi0, psi0 * np.repeat([1.0, -1.0], len(psi0) // 2)

@@ -15,7 +15,6 @@ from .states import (
     BipartiteState,
     ProjectiveBasis,
     dephase,
-    dephasing_basis,
     dephasing_delta,
     haar_unitaries,
     local_eigenbasis,
@@ -66,7 +65,9 @@ class EvolutionSpec:
     """
 
     hamiltonian: np.ndarray
-    # the blocks spectral() returns, if the caller has already diagonalized H
+    # one stacked (rows, w, V) per sector size m, H = sum_s V_s diag(w_s) V_s^dag
+    # on its sector: rows (S, m) holds the basis indices of S sectors, w (S, m)
+    # and V (S, m, m) their spectra; given if the caller has diagonalized H
     spectrum: list = field(default=None, repr=False, compare=False)
     sectors: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
@@ -80,18 +81,12 @@ class EvolutionSpec:
         if self.spectrum is None:
             self.spectrum = [(rows, *np.linalg.eigh(b)) for rows, b in blocks]
 
-    def spectral(self) -> list:
-        """One stacked (rows, w, V) per sector size m, H = sum_s V_s diag(w_s)
-        V_s^dag on its sector: rows (S, m) holds the basis indices of S
-        sectors, w (S, m) and V (S, m, m) their spectra."""
-        return self.spectrum
-
     def evolve_vectors(self, vecs, times) -> np.ndarray:
         """U(t) psi = V exp(-i w t) V^dag psi for the columns psi of `vecs`
         (d, k) at every time, sector by sector; shape (d, k, T)."""
         vecs = np.asarray(vecs)
         out = np.empty(vecs.shape + (len(times),), dtype=complex)
-        for rows, w, v in self.spectral():
+        for rows, w, v in self.spectrum:
             coef = (np.conj(vecs[rows]).swapaxes(-1, -2) @ v).conj().swapaxes(-1, -2)
             phased = coef[..., None] * np.exp(-1j * np.multiply.outer(w, times))[
                 ..., None, :]
@@ -110,15 +105,17 @@ class EvolutionSpec:
         """
         times = np.asarray(times, dtype=float)
         dims.check(self.hamiltonian)
-        stacks = self.spectral()
+        cuts = []  # each operator's sector blocks, one per stack
         for x in mats:  # each operator is read as it is, never stacked
             x = np.asarray(x)
             dims.check(x)
-            if _couples_sectors(x, [(r, sector_blocks(x, r)) for r, _, _ in stacks]):
+            blocks = [(r, sector_blocks(x, r)) for r, _, _ in self.spectrum]
+            if _couples_sectors(x, blocks):
                 raise ValueError("the operator couples two sectors of the generator; "
                                  "evolve it with an unlabelled EvolutionSpec")
+            cuts.append([b for _, b in blocks])
         out = np.zeros((len(mats), len(times), dims.d_a, dims.d_a), dtype=complex)
-        for rows, w, v in stacks:
+        for (rows, w, v), *xs in zip(self.spectrum, *cuts):
             i_x, k_x = np.divmod(rows, dims.d_b)
             # E[s, i, x, a] = [i(x) = i] V_s[x, a]: the eigenvectors split by A index
             e = (i_x[:, None] == np.arange(dims.d_a)[:, None])[..., None] * v[:, None]
@@ -129,9 +126,8 @@ class EvolutionSpec:
             g = e.swapaxes(-1, -2)[:, :, None] @ (m[:, None] @ e.conj())[:, None]
             ph = np.exp(-1j * np.multiply.outer(w, times))
             v_h, ph_b = np.conj(v).swapaxes(-1, -2), ph.conj()
-            for xi, x in enumerate(mats):
-                xt = v_h @ sector_blocks(np.asarray(x), rows).astype(
-                    complex, copy=False) @ v
+            for xi, x in enumerate(xs):
+                xt = v_h @ x.astype(complex, copy=False) @ v
                 # sum_b g X~ exp(i w_b t), then sum_a exp(-i w_a t) over the sectors
                 y = (g * xt[:, None, None]).reshape(len(rows), -1, xt.shape[-1]) @ ph_b
                 out[xi] += np.einsum("pijat,pat->tij", y.reshape(*g.shape[:-1], -1), ph)
@@ -191,7 +187,7 @@ def run_local_detection(
     eigenbasis (or an explicitly supplied basis), and record
     d(t) = (1/2)||Tr_B U(t) Delta U(t)^dag||_1 per time; contractivity bounds
     it by D = (1/2)||Delta||_1, read from the blocks of this same Delta."""
-    pinched = dephase(state, dephasing_basis(state, basis))
+    pinched = dephase(state, basis)
     delta = state.rho - pinched.rho
     margs = evo.marginal_series([delta], state.dims, grid.samples)
     return WitnessSeries(grid.samples, local_trace_distances(margs[0]),

@@ -123,13 +123,21 @@ def _pinching_blocks(rho: np.ndarray, dims: BipartitionDims,
     return np.einsum("ai,axby,bi->ixy", vectors.conj(), r, vectors)
 
 
-def dephase(state: BipartiteState, basis: ProjectiveBasis) -> BipartiteState:
+def dephase(state: BipartiteState,
+            basis: ProjectiveBasis | None = None) -> BipartiteState:
     """Local pinching Phi(rho) = sum_i (Pi_i (x) I) rho (Pi_i (x) I) on
-    subsystem A, built as sum_i |v_i><v_i| (x) B_i from the d_A blocks
+    subsystem A in `basis`, by default the eigenbasis of the A-marginal, which
+    is refused when degenerate because it then does not define the pinching.
+    Phi(rho) is built as sum_i |v_i><v_i| (x) B_i from the d_A blocks
     B_i = <v_i| rho |v_i>, whose spectra together are its spectrum. If each
     basis vector has one nonzero entry, every projector is diagonal and the
     pinching keeps the A-diagonal blocks <a x| rho |a y>: a state with sector
     labels then keeps them, and is checked on its sector blocks."""
+    if basis is None:
+        basis, degenerate = local_eigenbasis(state)
+        if degenerate:
+            raise ValueError("degenerate A-marginal: its eigenbasis does not "
+                             "define the dephased reference state")
     if basis.dim != state.dims.d_a:
         raise ValueError("basis dimension does not match subsystem A")
     if (state.sectors.min() < state.sectors.max()
@@ -157,22 +165,10 @@ def local_eigenbasis(state: BipartiteState):
     return ProjectiveBasis(v), degenerate
 
 
-def dephasing_basis(state: BipartiteState,
-                    basis: ProjectiveBasis | None = None) -> ProjectiveBasis:
-    """`basis`, by default the eigenbasis of the A-marginal, which is refused
-    when degenerate because it then does not define the pinching."""
-    if basis is None:
-        basis, degenerate = local_eigenbasis(state)
-        if degenerate:
-            raise ValueError("degenerate A-marginal: its eigenbasis does not "
-                             "define the dephased reference state")
-    return basis
-
-
 def dephasing_delta(state: BipartiteState,
                     basis: ProjectiveBasis | None = None) -> np.ndarray:
-    """Delta = rho - Phi(rho) for the pinching Phi in `dephasing_basis`."""
-    return state.rho - dephase(state, dephasing_basis(state, basis)).rho
+    """Delta = rho - Phi(rho) for the pinching Phi of `dephase`."""
+    return state.rho - dephase(state, basis).rho
 
 
 def _hashmix(h: int, mult: int):

@@ -449,9 +449,7 @@ def pruning_table_unmirrored(grid: BasisGrid):
                         t_hi * grid.n_phi + p_lo, t_hi * grid.n_phi + p_hi])
     axes = bloch_vectors(grid.angles())
     fine, coarse = np.flatnonzero(~coarse), np.flatnonzero(coarse)
-    cells, cell_of = np.unique(np.searchsorted(coarse, corners), axis=1,
-                               return_inverse=True)
-    return coarse, fine, cells, cell_of.ravel(), _chord(axes[fine], axes[corners])
+    return coarse, fine, np.searchsorted(coarse, corners), _chord(axes[fine], axes[corners])
 
 
 def csv_text_loop(columns: dict) -> str:

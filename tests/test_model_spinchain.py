@@ -88,6 +88,35 @@ def test_thermal_point_searches_half_the_grid(monkeypatch, tmp_path):
         assert len(np.unique(np.vstack([first, rest]), axis=0)) == len(first) + len(rest)
 
 
+@pytest.mark.parametrize("kT,mirror,kept", [
+    (0.05, False, [382, 686]), (0.05, True, [196, 354]),
+    (0.5, False, [50, 688]), (0.5, True, [28, 343]),
+])
+def test_pruned_search_evaluates_pinned_counts(kT, mirror, kept):
+    # the fine grid points the Lipschitz prune keeps for D_min and for the
+    # d_min(t) search (20 times, one chunk) of a cold and a warm Gibbs state;
+    # the 20 x 40 grid has 112 coarse points (64 mirrored) and 688 fine ones
+    # (356 mirrored), so a wider kept set shows here even when no value moves
+    p = params(kT=kT)
+    spec = model_spinchain.spectral(p)
+    state = model_spinchain.gibbs_state(p, spec)
+    evo = model_spinchain.original_frame_evolution(p, spec)
+    searches = []
+    real = measures._bloch_search
+
+    def spy(f, *args):
+        calls = []
+        searches.append(calls)
+        return real(lambda a: calls.append(a.shape[-2]) or f(a), *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(measures, "_bloch_search", spy)
+        run_minimized_detection(state, evo, TimeGrid.linear(20.0, 20), BasisGrid(20, 40),
+                                mirror)
+    assert [calls[0] for calls in searches] == [65 if mirror else 113] * 2  # coarse + start
+    assert [calls[1] for calls in searches] == kept
+
+
 class TestHamiltonian:
     @pytest.mark.parametrize("n_spins", range(2, 8))
     def test_rotated_frame(self, n_spins):

@@ -251,26 +251,26 @@ class TestEvolutionSpec:
         w, v = np.linalg.eigh(h)
         spectrum = [(np.arange(4)[None], w[None], v[None])]
         evo = EvolutionSpec(hamiltonian=h, spectrum=spectrum)
-        assert evo.spectral() is spectrum
+        assert evo.spectrum is spectrum
 
     def test_real_generator_stays_real(self, rng):
         h = random_hermitian(5, rng).real
         evo = EvolutionSpec(h)
         assert evo.hamiltonian.dtype == np.float64
-        assert evo.spectral()[0][2].dtype == np.float64
+        assert evo.spectrum[0][2].dtype == np.float64
         times = np.array([0.0, 0.8, 2.1])
         out = evo.evolve_vectors(np.eye(5, 2), times)
         ref = EvolutionSpec(h.astype(complex)).evolve_vectors(np.eye(5, 2), times)
         assert np.max(np.abs(out - ref)) <= 1e-12
 
     def test_spectral_checks_hermiticity_once(self, rng, monkeypatch):
-        # the generator is checked on construction, not again by spectral()
+        # the generator is checked once, on construction, which diagonalizes it
         calls = []
         real = tensor._require_hermitian_stack
         monkeypatch.setattr(tensor, "_require_hermitian_stack",
                             lambda m, *a: calls.append(1) or real(m, *a))
         h = random_hermitian(5, rng)
-        (_, w, v), = EvolutionSpec(h).spectral()
+        (_, w, v), = EvolutionSpec(h).spectrum
         assert len(calls) == 1
         assert np.array_equal(w[0], np.linalg.eigh(h)[0])
 
