@@ -4,12 +4,12 @@ sweep` with JSON summaries and CSV time series."""
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 import yaml
@@ -139,15 +139,21 @@ def _time_grid(cfg: dict, default_t_max: float, default_n: int = 200) -> TimeGri
 
 
 def _atomic_write(path: str, text: str):
-    """Writes `text` to a temporary file beside `path`, then renames it to
-    `path`; on any failure the temporary file is removed."""
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".tmp-")
+    """Writes `text` to a new temporary file beside `path`, with the mode a
+    plain open(path, "w") gives (0o666 less the umask), then renames it to
+    `path`. On any failure the temporary file is removed, and an OSError
+    names `path`, not the temporary file."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".tmp-{os.getpid()}-{tail}")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
+    except BaseException as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -240,7 +246,7 @@ def _run_spinchain(cfg: dict):
     return ({"d_max": res.series.d_max, "argmax_time": res.series.argmax_time,
              "negativity": res.negativity, "gap": res.gap,
              "top3_excitation_support": sum(pops[:3])},
-            {"series.csv": _series_columns(res.series, d_magnetization=res.d_mag)},
+            {"series.csv": _series_columns(res.series)},
             ("d_max", "negativity", D_MAX_THRESHOLD))
 
 
@@ -327,12 +333,10 @@ def _config_hash(cfg: dict) -> str:
 def execute(cfg: dict, out_dir: str) -> dict:
     """Parses and runs `cfg`, then makes `out_dir`, so a run that raises
     leaves nothing; writes its tables and summary.json, and returns the
-    summary with the run's verdict line."""
+    summary with the run's verdict line. A file that cannot be written
+    removes the tables written before it."""
     parsed = parse(cfg)
     results, tables, verdict = _RUNNERS[parsed["model"]](parsed)
-    os.makedirs(out_dir, exist_ok=True)
-    for name, columns in tables.items():
-        _write_csv(os.path.join(out_dir, name), columns)
     summary = {
         "config_hash": _config_hash(cfg),
         "model": parsed["model"],
@@ -340,10 +344,21 @@ def execute(cfg: dict, out_dir: str) -> dict:
         "version": __version__,
         "results": results,
     }
-    _atomic_write(
-        os.path.join(out_dir, "summary.json"),
-        json.dumps(summary, sort_keys=True, indent=2) + "\n",
-    )
+    os.makedirs(out_dir, exist_ok=True)
+    written = []
+    try:
+        for name, columns in tables.items():
+            _write_csv(os.path.join(out_dir, name), columns)
+            written.append(name)
+        _atomic_write(
+            os.path.join(out_dir, "summary.json"),
+            json.dumps(summary, sort_keys=True, indent=2) + "\n",
+        )
+    except BaseException:
+        for name in written:  # no table is left without its summary
+            with contextlib.suppress(OSError):
+                os.unlink(os.path.join(out_dir, name))
+        raise
     return {**summary, "verdict": _verdict(results, verdict)}
 
 

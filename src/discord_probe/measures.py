@@ -4,7 +4,7 @@ basis-minimized disturbance, negativity."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -247,8 +247,8 @@ def _bloch_search(f, state: BipartiteState, grid: BasisGrid, start: np.ndarray,
     first = np.concatenate([coarse, np.arange(grid.n_theta * grid.n_phi, len(angles))])
     first_vals = f(angles[None, first])
     excess = first_vals - (first_vals.min(axis=1, keepdims=True) + 1e-12)
-    bound = reduce(np.maximum, (excess[:, c] - h for c, h in zip(corners, lip * chords)))
-    rest = fine[np.any(bound <= 0, axis=0)]
+    # kept when some k has every corner bound f_k(c) - lip * chord <= its min + 1e-12
+    rest = fine[(excess[:, corners] <= lip * chords).all(axis=1).any(axis=0)]
     vals = np.full((len(first_vals), len(angles)), np.inf)
     vals[:, first] = first_vals
     vals[:, rest] = f(angles[None, rest])

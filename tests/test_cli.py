@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -376,6 +377,9 @@ class TestRun:
             f"discord witnessed: d_max = {res['d_max']:.6g} <= "
             f"negativity = {res['negativity']:.6g}"
         )
+        # d(t) is also the magnetization form, so it is written once
+        lines = (out / "series.csv").read_text().splitlines()
+        assert lines[0] == "time,d_t,bound" and len(lines) == 81
         pops = sorted((c for _, c, _ in model_spinchain.excitation_overlaps(
             model_spinchain.ChainParams(n_spins=4))), reverse=True)
         assert res["top3_excitation_support"] == sum(pops[:3])
@@ -436,6 +440,21 @@ class TestRun:
             line = f"discord witnessed: {w} = {res[w]:.6g} <= {b} = {res[b]:.6g}"
         assert capsys.readouterr().out == line + "\n"
         assert sorted(os.listdir(out)) == files
+
+    def test_files_honour_the_umask(self, tmp_path):
+        # each output file has the mode open(path, "w") would give it
+        p = write_config(tmp_path / "c.yaml", {"model": "generic",
+                                               "time_grid": {"points": 5}})
+        old = os.umask(0o022)
+        try:
+            assert main(["run", p, "--out-dir", str(tmp_path / "run")]) == 0
+            assert main(["sweep", p, "--axis", "d_b", "--values", "2",
+                         "--out-dir", str(tmp_path / "sweep")]) == 0
+        finally:
+            os.umask(old)
+        for path in (tmp_path / "run" / "series.csv", tmp_path / "run" / "summary.json",
+                     tmp_path / "sweep" / "sweep.csv"):
+            assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
 
 # floats a CSV cell must carry: signed zeros, subnormals, the extremes,
@@ -559,8 +578,13 @@ class TestOutputErrors:
         assert main([command, p, *sweep, "--out-dir", str(out)]) == 5
         err = capsys.readouterr().err
         assert err.startswith("output error: ") and err.count("\n") == 1
+        # the error names the path that failed, and the run leaves no table
+        # without its summary and no temporary file
+        assert ".tmp-" not in err
+        if broken == "summary-is-a-directory":
+            assert err.endswith(f"{point / 'summary.json'}'\n")
         assert not [f for _, _, files in os.walk(tmp_path) for f in files
-                    if f.startswith(".tmp-")]
+                    if f.startswith(".tmp-") or f == "series.csv"]
 
 
 class TestSweep:

@@ -92,7 +92,7 @@ def test_thermal_point_searches_half_the_grid(monkeypatch, tmp_path):
     (0.05, False, [382, 686]), (0.05, True, [196, 354]),
     (0.5, False, [50, 688]), (0.5, True, [28, 343]),
 ])
-def test_pruned_search_evaluates_pinned_counts(kT, mirror, kept):
+def test_pruned_search_evaluates_pinned_counts(kT, mirror, kept, monkeypatch):
     # the fine grid points the Lipschitz prune keeps for D_min and for the
     # d_min(t) search (20 times, one chunk) of a cold and a warm Gibbs state;
     # the 20 x 40 grid has 112 coarse points (64 mirrored) and 688 fine ones
@@ -109,10 +109,8 @@ def test_pruned_search_evaluates_pinned_counts(kT, mirror, kept):
         searches.append(calls)
         return real(lambda a: calls.append(a.shape[-2]) or f(a), *args)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(measures, "_bloch_search", spy)
-        run_minimized_detection(state, evo, TimeGrid.linear(20.0, 20), BasisGrid(20, 40),
-                                mirror)
+    monkeypatch.setattr(measures, "_bloch_search", spy)
+    run_minimized_detection(state, evo, TimeGrid.linear(20.0, 20), BasisGrid(20, 40), mirror)
     assert [calls[0] for calls in searches] == [65 if mirror else 113] * 2  # coarse + start
     assert [calls[1] for calls in searches] == kept
 

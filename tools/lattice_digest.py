@@ -7,9 +7,9 @@ with one BLAS thread, and prints one line per point:
     <workload> <index> <point key> <sha256 of the files the point wrote>
 
 or, for a point that raises, the error's type and text in place of the
-digest. The digest covers each written file's name and bytes, in name order.
-Two trees write the same bytes at every point exactly when their outputs are
-the same file:
+digest. The digest covers each written file's name and bytes, in name order,
+so two trees print the same lines when every point writes the same files to
+the byte and raises the same errors:
 
     python tools/lattice_digest.py > before.txt   # in one checkout
     python tools/lattice_digest.py > after.txt    # in the other
@@ -50,7 +50,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", choices=sorted(WORKLOADS), action="append",
                         help="run this workload only (repeatable); default all")
-    parser.add_argument("--keep", help="keep each point's files under this directory")
+    parser.add_argument("--keep", help="keep each point's files under this directory, "
+                        "which must not hold an earlier run's")
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory() as scratch:
         base = Path(args.keep or scratch)
