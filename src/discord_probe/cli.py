@@ -139,19 +139,20 @@ def _time_grid(cfg: dict, default_t_max: float, default_n: int = 200) -> TimeGri
 
 
 def _atomic_write(path: str, text: str):
-    """Writes `text` to a new temporary file beside `path`, with the mode a
-    plain open(path, "w") gives (0o666 less the umask), then renames it to
-    `path`. On any failure the temporary file is removed, and an OSError
-    names `path`, not the temporary file."""
+    """Writes `text` to `path` through a randomly named temporary file beside it,
+    with the mode open(path, "w") gives (0o666 less the umask). On a failure the
+    temporary file this call made is removed, and an OSError names `path`."""
     head, tail = os.path.split(path)
-    tmp = os.path.join(head, f".tmp-{os.getpid()}-{tail}")
+    name, tmp = os.path.join(head, f".tmp-{os.urandom(6).hex()}-{tail}"), None
     try:
-        with open(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w") as fh:
+        with open(os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666), "w") as fh:
+            tmp = name  # made by this call, so removed on a failure
             fh.write(text)
         os.replace(tmp, path)
     except BaseException as exc:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
+        if tmp:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
         if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror, path) from exc
         raise

@@ -456,6 +456,19 @@ class TestRun:
                      tmp_path / "sweep" / "sweep.csv"):
             assert stat.S_IMODE(path.stat().st_mode) == 0o644
 
+    def test_stale_temporary_file_is_no_obstacle(self, tmp_path):
+        # a killed run may leave a temporary file behind, and pids repeat
+        p = write_config(tmp_path / "c.yaml", {"model": "generic",
+                                               "time_grid": {"points": 5}})
+        out = tmp_path / "out"
+        out.mkdir()
+        stale = [out / f".tmp-{os.getpid()}-{name}" for name in ("series.csv", "summary.json")]
+        for path in stale:
+            path.write_text("stale")
+        assert main(["run", p, "--out-dir", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["model"] == "generic"
+        assert [path.read_text() for path in stale] == ["stale", "stale"]
+
 
 # floats a CSV cell must carry: signed zeros, subnormals, the extremes,
 # integer values, nan and the infinities, and anything else

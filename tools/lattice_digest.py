@@ -15,8 +15,8 @@ the byte and raises the same errors:
     python tools/lattice_digest.py > after.txt    # in the other
     diff before.txt after.txt
 
-`--keep DIR` leaves each point's files in DIR/<workload>/<index> for a closer
-look; `--workload NAME` runs one workload only.
+To look at one point's files, write its config (`WORKLOADS[name].lattice()[index]`)
+to a YAML file and run it with `discord-probe run`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"  # before numpy loads: the bits can depend on it
 
-import argparse
 import hashlib
 import sys
 import tempfile
@@ -46,18 +45,11 @@ def digest(out_dir: Path) -> str:
     return h.hexdigest()
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--workload", choices=sorted(WORKLOADS), action="append",
-                        help="run this workload only (repeatable); default all")
-    parser.add_argument("--keep", help="keep each point's files under this directory, "
-                        "which must not hold an earlier run's")
-    args = parser.parse_args(argv)
+def main() -> int:
     with tempfile.TemporaryDirectory() as scratch:
-        base = Path(args.keep or scratch)
-        for name in args.workload or WORKLOADS:
-            for i, cfg in enumerate(WORKLOADS[name].lattice()):
-                out_dir, key = base / name / f"{i:04d}", point_key(cfg)
+        for name, workload in WORKLOADS.items():
+            for i, cfg in enumerate(workload.lattice()):
+                out_dir, key = Path(scratch, name, f"{i:04d}"), point_key(cfg)
                 try:
                     cli.execute(cfg, str(out_dir))
                     line = digest(out_dir)
