@@ -89,27 +89,52 @@ def _coupled_sector(p: EmissionParams) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _sector_spectrum(p: EmissionParams):
-    """(w, V), the eigh of H on the coupled sub-sector. A mode with g_k = 0
-    is an exact eigenvector (w_k, |g,k>) orthogonal to |e,0>: it adds q_k = 0
-    to a(t) and no amplitude to U(t)|e,0>, so dropping it is exact."""
+    """(w, q): the eigenvalues of H on the coupled sub-sector, from one real
+    eigvalsh, and the weights q_k = |<e,0|w_k>|^2. A mode with g_j = 0 is an
+    exact eigenvector (d_j, |g,j>) orthogonal to |e,0>, so dropping it is exact.
+
+    H is an arrowhead matrix, so q_k = 1 / (1 + sum_j g_j^2 / (w_k - d_j)^2),
+    the residue of 1 / (z - omega - sum_j g_j^2 / (z - d_j)) at w_k. As
+    w_k - d_j has only absolute accuracy (the formula fails for a coupling
+    weak against eps ||H||), g_j is recomputed from the computed w (Gu and
+    Eisenstat, SIAM J. Matrix Anal. Appl. 15, 1266 (1994)):
+    g_j^2 = -prod_k (d_j - w_k) / prod_{i != j} (d_j - d_i), a product of
+    ratios (d_j - w_i) / (d_j - d_i) that interlacing bounds. A mode with some
+    w_k == d_j in floating point is deflated: that w_k gets q_k = 0, and both
+    leave the products. This costs O(n^2) on top of the O(n^3) eigvalsh."""
     keep = _coupled_sector(p)
-    return np.linalg.eigh(sector_hamiltonian(p)[np.ix_(keep, keep)])
+    h = sector_hamiltonian(p)[np.ix_(keep, keep)]
+    w, d = np.linalg.eigvalsh(h), np.diag(h)[1:]
+    k = np.searchsorted(w, d)
+    hit = w[np.minimum(k, w.size - 1)] == d
+    live = np.delete(np.arange(w.size), k[hit])
+    d, w_live = d[~hit], w[live]
+    gap = np.subtract.outer(d, w_live)  # d_j - w_k
+    spacing = np.subtract.outer(d, d)
+    np.fill_diagonal(spacing, 1.0)  # so the i = j ratio is d_j - w_j itself
+    g2 = np.abs((w_live[-1] - d) * np.prod(gap[:, :-1] / spacing, axis=1))
+    inv = 1.0 / gap
+    q = np.zeros_like(w)
+    q[live] = 1.0 / (1.0 + g2 @ (inv * inv))
+    return w, q
 
 
 def survival_amplitude(p: EmissionParams, t):
-    """a(t) = <e,0|U(t)|e,0> = sum_k q_k exp(-i w_k t), q_k = |V_0k|^2 over the
-    coupled sector's spectrum (w, V), and the one-photon weight 1 - |a|^2,
-    broadcast over t. The weight is 4 sum_k q_k sin^2(w~_k t/2) - |a~ - 1|^2
-    for the centred w~ = w - sum q w (|a~| = |a|), not a difference of numbers
-    near 1."""
+    """a(t) = <e,0|U(t)|e,0> = sum_k q_k exp(-i w_k t) over the coupled
+    sector's eigenvalues w and weights q, and the one-photon weight
+    1 - |a|^2, broadcast over t. The raw weights must sum to 1 within 1e-10;
+    the normalized ones are used. The weight is 4 sum_k q_k sin^2(w~_k t/2)
+    - |a~ - 1|^2 for the centred w~ = w - sum q w (|a~| = |a|), not a
+    difference of numbers near 1."""
     t = np.asarray(t, dtype=float)
     if np.any(t < 0):
         raise ValueError("time must be nonnegative")
     p.check_regime()
-    w, v = _sector_spectrum(p)
-    q = np.abs(v[0]) ** 2
-    if abs(q.sum() - 1.0) > 1e-10:
-        raise ValueError(f"spectral weights of |e,0> sum to {q.sum()}, not 1")
+    w, q = _sector_spectrum(p)
+    total = q.sum()
+    if abs(total - 1.0) > 1e-10:
+        raise ValueError(f"spectral weights of |e,0> sum to {total}, not 1")
+    q = q / total
     mean = q @ w
     arg = np.multiply.outer(t, w - mean)
     centred = np.exp(-1j * arg) @ q
@@ -119,9 +144,11 @@ def survival_amplitude(p: EmissionParams, t):
 
 def embedded_pure_state(p: EmissionParams, t0: float) -> BipartiteState:
     """Dense atom (x) field density matrix of U(t0)|e,0> (field: vacuum plus
-    n one-photon states), the reference for transient_negativity."""
+    n one-photon states), the reference for transient_negativity. It takes
+    its own eigh of the coupled block, apart from survival_amplitude's
+    eigenvalue-only spectrum."""
     keep = _coupled_sector(p)
-    w, v = _sector_spectrum(p)
+    w, v = np.linalg.eigh(sector_hamiltonian(p)[np.ix_(keep, keep)])
     sector = v @ (np.exp(-1j * w * t0) * v[0])  # U(t0)|e,0> = V exp(-i w t0) V^T|e,0>
     nf = p.n_modes + 1
     psi = np.zeros(2 * nf, dtype=complex)  # decoupled modes stay exactly 0

@@ -21,26 +21,28 @@ FAST = model_emission.EmissionParams(n_modes=101, half_bandwidth=20.0)
 
 
 @pytest.mark.parametrize("structured", [False, True])
-def test_point_makes_one_real_coupled_eigh(structured, monkeypatch, tmp_path):
-    # the only diagonalization of a point is one real eigh of the coupled
+def test_point_makes_one_real_coupled_eigvalsh(structured, monkeypatch, tmp_path):
+    # the only diagonalization of a point is one real eigvalsh of the coupled
     # sub-sector, |e,0> plus the 11 of 21 modes a structured band keeps
-    # coupled; no Hermitian check runs, as sector_hamiltonian fills H
-    # symmetric entry by entry
+    # coupled, and no eigh runs: the weights come from the eigenvalues. No
+    # Hermitian check runs, as sector_hamiltonian fills H symmetric entry by
+    # entry
     model_emission._sector_spectrum.cache_clear()
-    calls, checked = [], []
+    eighs, eigvalshs, checked = [], [], []
     real_check = tensor._require_hermitian_stack
     monkeypatch.setattr(tensor, "_require_hermitian_stack",
                         lambda m, *r: checked.append(m.dtype) or real_check(m, *r))
     eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigh",
-                        lambda a, *r, **k: calls.append(a) or eigh(a, *r, **k))
+                        lambda a, *r, **k: eighs.append(a) or eigh(a, *r, **k))
     monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda a, *r, **k: calls.append(a) or eigvalsh(a, *r, **k))
+                        lambda a, *r, **k: eigvalshs.append(a) or eigvalsh(a, *r, **k))
     execute({"model": "emission", "params": {"n_modes": 21, "structured": structured},
              "time_grid": {"t_max": 3.0, "points": 7}}, str(tmp_path))
-    assert len(calls) == 1
-    assert calls[0].dtype == np.float64
-    assert calls[0].shape == ((12, 12) if structured else (22, 22))
+    assert eighs == []
+    assert len(eigvalshs) == 1
+    assert eigvalshs[0].dtype == np.float64
+    assert eigvalshs[0].shape == ((12, 12) if structured else (22, 22))
     assert checked == []
 
 
@@ -267,23 +269,75 @@ class TestSurvivalAmplitude:
             model_emission.survival_amplitude(FAST, [0.5, -0.1])
 
     def test_rejects_spectral_weights_off_one(self, monkeypatch):
-        # a non-unitary eigenvector matrix breaks sum_k q_k = 1
+        # the raw weights are checked before they are normalized: 1e-9 off
+        # sum_k q_k = 1 is refused
         w, v = np.linalg.eigh(model_emission.sector_hamiltonian(FAST))
+        q = v[0] ** 2
         monkeypatch.setattr(model_emission, "_sector_spectrum",
-                            lambda p: (w, v * (1 + 1e-9)))
+                            lambda p: (w, q * (1 + 1e-9)))
         with pytest.raises(ValueError, match="spectral weights"):
             model_emission.survival_amplitude(FAST, 1.0)
 
+    def test_uses_normalized_weights(self, monkeypatch):
+        # weights 1e-11 off 1 pass the check and are used normalized
+        times = np.array([0.0, 0.3, 1.1, 2.9])
+        w, q = model_emission._sector_spectrum(FAST)
+        a, weight = model_emission.survival_amplitude(FAST, times)
+        monkeypatch.setattr(model_emission, "_sector_spectrum",
+                            lambda p: (w, q * (1 + 1e-11)))
+        a_off, weight_off = model_emission.survival_amplitude(FAST, times)
+        assert np.max(np.abs(a_off - a)) <= 1e-15
+        assert np.max(np.abs(weight_off - weight)) <= 1e-15
+
 
 @st.composite
-def masked_params(draw):
+def masked_params(draw, weak=False):
+    """Masked bands; `weak` adds the mask entries 1e-10 and 1e-8 and draws
+    the uniform coupling from 1e-10 to 1 (default: the rate-1 coupling)."""
     n = 2 * draw(st.integers(1, 20)) + 1
-    mask = draw(st.lists(st.sampled_from([0.0, 0.0, 1.0, 0.4, -1.7]),
-                         min_size=n, max_size=n))
+    entries = [0.0, 0.0, 1.0, 0.4, -1.7] + ([1e-10, 1e-8] if weak else [])
+    mask = draw(st.lists(st.sampled_from(entries), min_size=n, max_size=n))
+    coupling = None
+    if weak:
+        coupling = draw(st.none() | st.floats(-10.0, 0.0).map(lambda e: 10.0**e))
     return model_emission.EmissionParams(
-        n_modes=n, coupling_mask=tuple(mask),
+        n_modes=n, coupling_mask=tuple(mask), coupling=coupling,
         half_bandwidth=draw(st.floats(0.5, 30.0)),
         atomic_gap=draw(st.floats(-10.0, 10.0)))
+
+
+WEAK_MODE = model_emission.EmissionParams(
+    n_modes=101, coupling_mask=(1.0,) * 37 + (1e-10,) + (1.0,) * 63)
+
+
+class TestArrowheadWeights:
+    # _sector_spectrum's eigenvalues and weights against the dense eigh of
+    # the coupled block, at the conditioning of eigh itself: eps ||H|| in w,
+    # and eps ||H|| / gap_k in q_k, gap_k the distance from w_k to its
+    # nearest other eigenvalue. The plain residue formula with the given
+    # couplings fails here: a coupling weak against eps ||H|| leaves
+    # w_k - d_j only absolute accuracy (WEAK_MODE: 4.5e-8 of spurious weight)
+
+    @settings(max_examples=100, deadline=None)
+    @example(WEAK_MODE)
+    @example(model_emission.EmissionParams(coupling=1e-8, atomic_gap=0.1))
+    @example(model_emission.EmissionParams(n_modes=7, coupling_mask=(0.0,) * 7,
+                                           atomic_gap=2.5))
+    @given(masked_params(weak=True))
+    def test_weights_match_dense_eigh(self, p):
+        keep = model_emission._coupled_sector(p)
+        w_ref, v = np.linalg.eigh(model_emission.sector_hamiltonian(p)[np.ix_(keep, keep)])
+        w, q = model_emission._sector_spectrum(p)
+        eps_h = np.finfo(float).eps * np.max(np.abs(w_ref))
+        spacing = np.abs(np.subtract.outer(w_ref, w_ref))
+        np.fill_diagonal(spacing, np.inf)
+        gap = spacing.min(axis=1)
+        assert np.max(np.abs(w - w_ref)) <= 100 * eps_h
+        with np.errstate(divide="ignore"):  # a degenerate pair: any weights
+            assert np.all(np.abs(q - v[0] ** 2) <= 1e-12 + 100 * eps_h / gap)
+        assert abs(q.sum() - 1.0) <= 1e-12
+        if keep.size == 1:
+            assert q.tolist() == [1.0]
 
 
 class TestCoupledSector:
@@ -294,6 +348,7 @@ class TestCoupledSector:
     @settings(max_examples=40, deadline=None)
     @example(model_emission.EmissionParams(n_modes=7, coupling_mask=(0.0,) * 7,
                                            atomic_gap=2.5))
+    @example(WEAK_MODE)
     @given(masked_params())
     def test_survival_amplitude_matches_full_sector(self, p):
         times = np.array([0.0, 0.37, 1.0, 2.9])
