@@ -12,16 +12,15 @@ from .states import (
     STATE_TOL,
     BipartiteState,
     ProjectiveBasis,
-    dephase,
+    dephasing_delta,
     local_eigenbasis,
     qubit_basis,
     qubit_kets,
 )
 from .tensor import (
+    BlockDiagonal,
     partial_transpose_a,
     require_hermitian,
-    sector_blocks,
-    sector_rows,
     trace_norm_hermitian,
 )
 
@@ -74,16 +73,12 @@ def dephasing_disturbance(state: BipartiteState,
     """D = (1/2)||Delta||_1 for Delta = rho - Phi(rho), Phi the pinching in
     `basis`, by default the eigenbasis of the A-marginal, which is refused
     when degenerate."""
-    pinched = dephase(state, basis)
-    return half_trace_norm(state.rho - pinched.rho, pinched.sectors)
+    return half_trace_norm(dephasing_delta(state, basis))
 
 
-def half_trace_norm(delta: np.ndarray, sectors: np.ndarray) -> float:
-    """(1/2)||Delta||_1 for a Hermitian Delta that is the direct sum of its
-    blocks on `sectors` (those of Phi(rho)), as the sum of the blocks'
-    (1/2)||Delta_s||_1."""
-    return float(sum(np.abs(np.linalg.eigvalsh(sector_blocks(delta, r))).sum()
-                     for r in sector_rows(sectors)) / 2)
+def half_trace_norm(delta: BlockDiagonal) -> float:
+    """(1/2)||Delta||_1 as the sum over the sector blocks of a Hermitian Delta."""
+    return float(sum(np.abs(np.linalg.eigvalsh(b)).sum() for b in delta.blocks) / 2)
 
 
 def negativity(state: BipartiteState) -> float:

@@ -14,7 +14,7 @@ from .states import (
     fock_cutoff,
     thermal_populations,
 )
-from .tensor import BipartitionDims
+from .tensor import BipartitionDims, BlockDiagonal, Sectors
 
 
 def _laguerre1(n_max: int, x: float) -> np.ndarray:
@@ -74,42 +74,32 @@ class IonParams:
         return BipartitionDims(2, self.n_max + 1)
 
 
-def build_hamiltonian(p: IonParams) -> np.ndarray:
-    """Coupling |g,n> <-> |e,n+1> with matrix element Omega_n / 2 (hbar = 1).
-
-    Qubit ordering: index 0 = |g>, index 1 = |e>; A = qubit, B = phonons.
-    """
-    nb = p.n_max + 1
-    h = np.zeros((2 * nb, 2 * nb), dtype=complex)
-    n = np.arange(p.n_max)  # |g, n> at index n, |e, n+1> at nb + n + 1
-    h[nb + n + 1, n] = h[n, nb + n + 1] = 0.5 * p.rabi(n)
-    return h
+def evolution(p: IonParams) -> EvolutionSpec:
+    """The sideband coupling |g,n> <-> |e,n+1>, matrix element Omega_n / 2
+    (hbar = 1), built as its blocks on the eigenspaces of the conserved
+    N = a^dag a - |e><e|: {|g,n>, |e,n+1>} at N = n < n_max, and the
+    singletons |e,0> (N = -1) and |g,n_max> (its partner lies beyond the
+    cutoff). Index 0 is |g>, index 1 |e>; A = qubit, B = phonons."""
+    n = np.arange(p.n_max + 1)
+    sectors = Sectors(np.concatenate([n, n - 1]))  # |g,n> at index n, |e,n> at n_max + 1 + n
+    pairs = np.zeros((p.n_max, 2, 2), dtype=complex)
+    pairs[:, 0, 1] = pairs[:, 1, 0] = 0.5 * p.rabi(n[:-1])
+    return EvolutionSpec(BlockDiagonal([np.zeros((2, 1, 1), dtype=complex), pairs], sectors))
 
 
 def prepare_state(p: IonParams, t0: float,
                   evo: EvolutionSpec | None = None) -> BipartiteState:
     """Blue-sideband pulse of duration t0 on |g><g| (x) thermal motion: each
     sqrt(p_n)|g,n> evolves in its sector N = n, so psi = U(t0) sum_n sqrt(p_n)|g,n>
-    gives the sector blocks psi_s psi_s^dag of rho, whose labels it carries."""
+    gives the sector blocks psi_s psi_s^dag of rho, on the sectors of H."""
     if t0 < 0:
         raise ValueError("preparation time must be nonnegative")
     evo = evo or evolution(p)
     col = np.sqrt(np.r_[p.populations(), np.zeros(p.n_max + 1)])[:, None]
     psi = evo.evolve_vectors(col, [t0])[:, 0, 0]
-    rho = np.zeros((len(psi),) * 2, dtype=complex)
-    for rows, _, _ in evo.spectrum:
-        u = psi[rows]
-        rho[rows[:, :, None], rows[:, None, :]] = u[:, :, None] * u[:, None].conj()
-    return BipartiteState(rho, p.dims, sectors=evo.sectors)
-
-
-def evolution(p: IonParams) -> EvolutionSpec:
-    """The sideband H conserves N = a^dag a - |e><e|, so the eigenspaces of
-    N are exact sectors of H: {|g,n>, |e,n+1>} at N = n < n_max, and the
-    singletons |e,0> (N = -1) and |g,n_max> (its partner |e,n_max+1> lies
-    beyond the cutoff)."""
-    n = np.arange(p.n_max + 1)
-    return EvolutionSpec(build_hamiltonian(p), sectors=np.concatenate([n, n - 1]))
+    sectors = evo.blocks.sectors
+    blocks = [u[:, :, None] * u[:, None].conj() for u in (psi[r] for r in sectors.rows)]
+    return BipartiteState(BlockDiagonal(blocks, sectors), p.dims)
 
 
 def analytic_local_distance(p: IonParams, t0: float, t1):
@@ -129,12 +119,10 @@ def analytic_disturbance(p: IonParams, t0: float) -> float:
 
 
 def simulated_local_distance(p: IonParams, t0: float, t1_grid: TimeGrid) -> WitnessSeries:
-    """Full-matrix protocol: prepare at t0, dephase the qubit in {|g>,|e>},
-    evolve and compare marginals over the detection grid."""
+    """The protocol on the sector blocks: prepare at t0, dephase the qubit in
+    {|g>,|e>}, evolve and compare marginals over the detection grid."""
     evo = evolution(p)
-    return run_local_detection(
-        prepare_state(p, t0, evo), evo, t1_grid, basis=computational_basis(2)
-    )
+    return run_local_detection(prepare_state(p, t0, evo), evo, t1_grid, computational_basis(2))
 
 
 def signal_vs_temperature(p: IonParams, nbar_list) -> list:

@@ -4,8 +4,7 @@ signal estimate."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,7 +13,6 @@ from .measures import BasisGrid, bloch_vectors, rows_times
 from .states import (
     BipartiteState,
     ProjectiveBasis,
-    dephase,
     dephasing_delta,
     haar_unitaries,
     local_eigenbasis,
@@ -22,10 +20,10 @@ from .states import (
 from .tensor import (
     PAULI,
     BipartitionDims,
-    _couples_sectors,
+    BlockDiagonal,
+    hermitian_blocks,
     local_sandwich,
     pauli_vector,
-    require_sector_blocks,
     require_unitary,
     sector_blocks,
 )
@@ -51,35 +49,28 @@ class TimeGrid:
         return cls(np.linspace(0.0, t_max, n))
 
 
-@dataclass
 class EvolutionSpec:
-    """Time-independent Hermitian generator (hbar = 1), diagonalized at
-    construction unless its spectrum is given.
+    """Time-independent Hermitian generator H (hbar = 1), dense or as its
+    BlockDiagonal, diagonalized at construction unless its `spectrum` is
+    given: one stacked (rows, w, V) per sector size m, rows (S, m) the basis
+    indices of S sectors, w (S, m) and V (S, m, m) their spectra. `sectors`
+    labels a dense H, each basis state with the invariant subspace it belongs
+    to (default: one sector); an entry of H between two sectors is refused,
+    so the split is exact. Both evolutions work sector by sector. A dense H
+    is formed from the blocks when first read."""
 
-    `sectors` labels each basis state with the invariant subspace of H it
-    belongs to, so that H is the direct sum of its sector blocks; without
-    labels the whole space is one sector. Construction refuses a nonzero
-    entry of H between two sectors, so the split is exact. The spectrum is
-    one stacked `eigh` per sector size, and both evolutions work sector by
-    sector.
-    """
+    def __init__(self, hamiltonian, spectrum: list | None = None, sectors=None):
+        if not isinstance(h := hamiltonian, BlockDiagonal):  # a real H keeps a real eigh
+            h = np.asarray(h)
+            h = h if h.dtype == np.float64 else np.asarray(h, dtype=complex)
+        self.blocks = h = hermitian_blocks(h, sectors)
+        self.sectors = h.sectors.labels
+        self.spectrum = spectrum if spectrum is not None else [
+            (r, *np.linalg.eigh(b)) for r, b in zip(h.sectors.rows, h.blocks)]
 
-    hamiltonian: np.ndarray
-    # one stacked (rows, w, V) per sector size m, H = sum_s V_s diag(w_s) V_s^dag
-    # on its sector: rows (S, m) holds the basis indices of S sectors, w (S, m)
-    # and V (S, m, m) their spectra; given if the caller has diagonalized H
-    spectrum: list = field(default=None, repr=False, compare=False)
-    sectors: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-
-    def __post_init__(self):
-        h = np.asarray(self.hamiltonian)
-        # a real symmetric generator stays real, and so does its eigh
-        self.hamiltonian = h = h if h.dtype == np.float64 else np.asarray(h, dtype=complex)
-        self.sectors = np.asarray(np.zeros(h.shape[:1], int) if self.sectors is None
-                                  else self.sectors)
-        blocks = require_sector_blocks(h, self.sectors)
-        if self.spectrum is None:
-            self.spectrum = [(rows, *np.linalg.eigh(b)) for rows, b in blocks]
+    @property
+    def hamiltonian(self) -> np.ndarray:
+        return self.blocks.dense
 
     def evolve_vectors(self, vecs, times) -> np.ndarray:
         """U(t) psi = V exp(-i w t) V^dag psi for the columns psi of `vecs`
@@ -96,7 +87,8 @@ class EvolutionSpec:
     def marginal_series(self, mats, dims: BipartitionDims,
                         times: np.ndarray) -> np.ndarray:
         """A-marginals of U(t) X U(t)^dag for a stack of operators X, each
-        block diagonal on the sectors of H.
+        dense or a BlockDiagonal (read on its own blocks if it shares the
+        sector value of H) and block diagonal on the sectors of H.
 
         Returns shape (n_states, n_times, d_A, d_A). Works in the energy
         eigenbasis of each sector and never forms the full evolved matrices.
@@ -104,16 +96,15 @@ class EvolutionSpec:
         unlabelled EvolutionSpec of the same H evolves it.
         """
         times = np.asarray(times, dtype=float)
-        dims.check(self.hamiltonian)
+        dims.check(self.blocks)
         cuts = []  # each operator's sector blocks, one per stack
         for x in mats:  # each operator is read as it is, never stacked
-            x = np.asarray(x)
+            x = x if isinstance(x, BlockDiagonal) else np.asarray(x)
             dims.check(x)
-            blocks = [(r, sector_blocks(x, r)) for r, _, _ in self.spectrum]
-            if _couples_sectors(x, blocks):
+            if (blocks := sector_blocks(x, self.blocks.sectors)) is None:
                 raise ValueError("the operator couples two sectors of the generator; "
                                  "evolve it with an unlabelled EvolutionSpec")
-            cuts.append([b for _, b in blocks])
+            cuts.append(blocks)
         out = np.zeros((len(mats), len(times), dims.d_a, dims.d_a), dtype=complex)
         for (rows, w, v), *xs in zip(self.spectrum, *cuts):
             i_x, k_x = np.divmod(rows, dims.d_b)
@@ -124,8 +115,11 @@ class EvolutionSpec:
             # M[x, y] = [k(x) = k(y)]
             m = k_x[:, :, None] == k_x[:, None]
             g = e.swapaxes(-1, -2)[:, :, None] @ (m[:, None] @ e.conj())[:, None]
-            ph = np.exp(-1j * np.multiply.outer(w, times))
-            v_h, ph_b = np.conj(v).swapaxes(-1, -2), ph.conj()
+            wt = np.multiply.outer(w, times)  # exp(-i w t), exp(i w t) from one cos, sin
+            ph, ph_b = np.empty((2, *wt.shape), dtype=complex)
+            ph.real, ph_b.imag = np.cos(wt), np.sin(wt)
+            ph_b.real, ph.imag = ph.real, -ph_b.imag
+            v_h = np.conj(v).swapaxes(-1, -2)
             for xi, x in enumerate(xs):
                 xt = v_h @ x.astype(complex, copy=False) @ v
                 # sum_b g X~ exp(i w_b t), then sum_a exp(-i w_a t) over the sectors
@@ -140,7 +134,7 @@ class WitnessSeries:
 
     times: np.ndarray
     d_t: np.ndarray
-    bound_ref: Optional[float] = None
+    bound_ref: float | None = None
 
     def __post_init__(self):
         d = np.asarray(self.d_t, dtype=float)
@@ -181,17 +175,16 @@ def run_local_detection(
     state: BipartiteState,
     evo: EvolutionSpec,
     grid: TimeGrid,
-    basis: Optional[ProjectiveBasis] = None,
+    basis: ProjectiveBasis | None = None,
 ) -> WitnessSeries:
     """Evolve Delta = rho - Phi(rho), Phi the pinching in the A-marginal
     eigenbasis (or an explicitly supplied basis), and record
     d(t) = (1/2)||Tr_B U(t) Delta U(t)^dag||_1 per time; contractivity bounds
     it by D = (1/2)||Delta||_1, read from the blocks of this same Delta."""
-    pinched = dephase(state, basis)
-    delta = state.rho - pinched.rho
+    delta = dephasing_delta(state, basis)
     margs = evo.marginal_series([delta], state.dims, grid.samples)
     return WitnessSeries(grid.samples, local_trace_distances(margs[0]),
-                         bound_ref=measures.half_trace_norm(delta, pinched.sectors))
+                         bound_ref=measures.half_trace_norm(delta))
 
 
 # N rho N = sum_p w_p n_a n_b S_p over the pairs p = (a, b), a <= b, with
@@ -204,7 +197,7 @@ def run_minimized_detection(
     state: BipartiteState,
     evo: EvolutionSpec,
     grid: TimeGrid,
-    bases: Optional[BasisGrid] = None,
+    bases: BasisGrid | None = None,
     mirror: bool = False,
 ) -> WitnessSeries:
     """max over t of the basis-minimized local distance, qubit probe only.
@@ -249,7 +242,7 @@ def run_minimized_detection(
 
 def classical_correlation_witness(
     state: BipartiteState,
-    perturbation: Optional[np.ndarray],
+    perturbation: np.ndarray | None,
     evo: EvolutionSpec,
     grid: TimeGrid,
 ):
@@ -284,7 +277,7 @@ def haar_average_estimate(state: BipartiteState, n_samples: int, seed: int):
     c(d_A, d_B) ||Delta||_HS^2."""
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
-    delta = dephasing_delta(state)
+    delta = dephasing_delta(state).dense
     predicted = haar_coefficient(state.dims) * np.sum(np.abs(delta) ** 2)
     rng = np.random.default_rng(seed)
     seeds = rng.integers(0, 2**63 - 1, size=n_samples)

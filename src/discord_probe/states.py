@@ -4,18 +4,20 @@ Haar-random unitaries and thermal oscillator populations."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .tensor import (
     BipartitionDims,
+    BlockDiagonal,
+    hermitian_blocks,
     kron,
     partial_trace_b,
     require_hermitian,
-    require_sector_blocks,
     require_square,
     require_unitary,
+    sector_blocks,
 )
 
 DEGENERACY_GAP = 1e-8
@@ -25,35 +27,35 @@ FOCK_FLOOR = 20    # smallest phonon cutoff
 FOCK_HEADROOM = 2  # levels above the tail cut, for sideband leakage into n+1
 
 
-@dataclass(frozen=True)
 class BipartiteState:
-    """Density operator with its A-first dimension split. `sectors`, one label
-    per basis state, by default one sector, the whole space: construction
-    checks rho as the direct sum of its sector blocks. It keeps the
-    `spectrum` it checked, given or computed."""
+    """Density operator with its A-first dimension split, `rho` given dense or
+    as its BlockDiagonal; `sectors` labels a dense rho (default: one sector).
+    `__post_init__` checks rho as the direct sum of its sector `blocks` and
+    keeps them, their labels and the `spectrum` it checked, given or computed;
+    a dense rho is formed from the blocks when first read."""
 
-    rho: np.ndarray
-    dims: BipartitionDims
-    spectrum: np.ndarray | None = field(default=None, repr=False, compare=False)
-    sectors: np.ndarray | None = field(default=None, repr=False, compare=False)
+    def __init__(self, rho, dims: BipartitionDims, spectrum=None, sectors=None):
+        self.dims, self.spectrum, self.sectors = dims, spectrum, sectors
+        self.blocks = rho if isinstance(rho, BlockDiagonal) else require_square(rho)
+        self.__post_init__()
 
-    def __post_init__(self):
-        rho = require_square(self.rho)
-        self.dims.check(rho)
-        sectors = np.zeros(len(rho), int) if self.sectors is None else self.sectors
-        blocks = require_sector_blocks(rho, sectors)
-        tr = np.trace(rho).real
+    def __post_init__(self):  # the checks, traced under this name by bench/run.py
+        self.dims.check(self.blocks)
+        self.blocks = rho = hermitian_blocks(self.blocks, self.sectors)
+        tr = sum(np.trace(b, axis1=1, axis2=2).sum() for b in rho.blocks).real
         if not abs(tr - 1.0) <= STATE_TOL:
             raise ValueError(f"state trace {tr} deviates from 1")
         w = np.ravel(self.spectrum if self.spectrum is not None else
-                     np.concatenate([np.linalg.eigvalsh(b).ravel() for _, b in blocks]))
-        if len(w) != len(rho):
+                     np.concatenate([np.linalg.eigvalsh(b).ravel() for b in rho.blocks]))
+        if len(w) != rho.shape[0]:
             raise ValueError("need one eigenvalue per basis state")
         if not np.min(w) >= -STATE_TOL:
             raise ValueError(f"state has negative eigenvalue {np.min(w):.3e}")
-        object.__setattr__(self, "rho", rho)
-        object.__setattr__(self, "spectrum", w)
-        object.__setattr__(self, "sectors", sectors)
+        self.spectrum, self.sectors = w, rho.sectors.labels
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self.blocks.dense
 
     @property
     def marginal_a(self) -> np.ndarray:
@@ -131,8 +133,8 @@ def dephase(state: BipartiteState,
     Phi(rho) is built as sum_i |v_i><v_i| (x) B_i from the d_A blocks
     B_i = <v_i| rho |v_i>, whose spectra together are its spectrum. If each
     basis vector has one nonzero entry, every projector is diagonal and the
-    pinching keeps the A-diagonal blocks <a x| rho |a y>: a state with sector
-    labels then keeps them, and is checked on its sector blocks."""
+    pinching zeroes each entry <a x| rho |b y> with a != b: a state with
+    sector labels then keeps them, and is pinched block by block."""
     if basis is None:
         basis, degenerate = local_eigenbasis(state)
         if degenerate:
@@ -142,9 +144,9 @@ def dephase(state: BipartiteState,
         raise ValueError("basis dimension does not match subsystem A")
     if (state.sectors.min() < state.sectors.max()
             and np.all(np.count_nonzero(basis.vectors, axis=0) == 1)):
-        r = state.rho.reshape(state.dims.d_a, state.dims.d_b, state.dims.d_a, -1)
-        out = (r * np.eye(basis.dim)[:, None, :, None]).reshape(state.rho.shape)
-        return BipartiteState(out, state.dims, sectors=state.sectors)
+        a = [r // state.dims.d_b for r in state.blocks.sectors.rows]  # each row's A index
+        out = [b * (i[:, :, None] == i[:, None]) for b, i in zip(state.blocks.blocks, a)]
+        return BipartiteState(BlockDiagonal(out, state.blocks.sectors), state.dims)
     v = basis.vectors
     blocks = _pinching_blocks(state.rho, state.dims, v)
     out = np.einsum("ai,ixy,bi->axby", v, blocks, v.conj()).reshape(state.rho.shape)
@@ -166,9 +168,12 @@ def local_eigenbasis(state: BipartiteState):
 
 
 def dephasing_delta(state: BipartiteState,
-                    basis: ProjectiveBasis | None = None) -> np.ndarray:
-    """Delta = rho - Phi(rho) for the pinching Phi of `dephase`."""
-    return state.rho - dephase(state, basis).rho
+                    basis: ProjectiveBasis | None = None) -> BlockDiagonal:
+    """Delta = rho - Phi(rho) for the pinching Phi of `dephase`, as its blocks
+    on the sectors of Phi(rho): the state's if the pinching keeps them."""
+    pinched = dephase(state, basis).blocks
+    rho = sector_blocks(state.blocks, pinched.sectors)
+    return BlockDiagonal([a - b for a, b in zip(rho, pinched.blocks)], pinched.sectors)
 
 
 def _hashmix(h: int, mult: int):

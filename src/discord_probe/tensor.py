@@ -7,6 +7,7 @@ tensor factor, i.e. a composite index reads (i_A * d_B + i_B).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -61,52 +62,70 @@ def _require_hermitian_stack(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def sector_rows(labels: np.ndarray) -> list:
-    """The basis indices of each sector, one (S, m) stack per sector size m,
-    each row ascending."""
-    labels = np.asarray(labels)
-    if labels.min() == labels.max():  # one sector, the default of a generator or state
-        return [np.arange(len(labels))[None]]
-    order = np.argsort(labels, kind="stable")
-    _, start, size = np.unique(labels[order], return_index=True, return_counts=True)
-    return [order[start[size == m, None] + np.arange(m)] for m in np.unique(size)]
+class Sectors:
+    """Sector labels, one per basis state (None: one sector of d states), and
+    their `rows`: one (S, m) stack of basis indices per sector size m, each
+    row ascending; made once per labelling, shared by the operators on it."""
 
-
-def sector_blocks(m: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The blocks m[r][:, r] (S, k, k) of one stack rows (S, k) of sector_rows;
-    a view of m when a single sector spans the space."""
-    if rows.shape[1] == len(m):  # then rows is arange(d)[None]
-        return m[None]
-    return m[rows[:, :, None], rows[:, None, :]]
+    def __init__(self, labels, d: int = 0):
+        self.labels = labels = np.asarray(np.zeros(d, int) if labels is None else labels)
+        if labels.ndim != 1:
+            raise ValueError("need a square matrix and one sector label per basis state")
+        order = np.argsort(labels, kind="stable")
+        _, start, size = np.unique(labels[order], return_index=True, return_counts=True)
+        self.rows = [order[start[size == m, None] + np.arange(m)] for m in np.unique(size)]
 
 
 def _nonzero_parts(m: np.ndarray) -> int:
     """The nonzero real and imaginary parts of m, counted on its float view."""
-    m = np.ascontiguousarray(m)
-    return np.count_nonzero(m.view(m.real.dtype))
+    return np.count_nonzero(np.ascontiguousarray(m).view(m.real.dtype))
 
 
-def _couples_sectors(m: np.ndarray, blocks: list) -> bool:
-    """Whether m has a nonzero entry (NaN and inf included) outside `blocks`,
-    its (rows, sector_blocks(m, rows)) on every stack of its sectors. One
-    sector spanning the space has no entry between sectors to count."""
-    return blocks[0][0].shape[1] < len(m) and (
-        _nonzero_parts(m) != sum(_nonzero_parts(b) for _, b in blocks))
-
-
-def require_sector_blocks(m: np.ndarray, labels) -> list:
-    """(rows, sector_blocks(m, rows)) per stack of sector_rows(labels), refused
-    unless m is square with one label per basis state, has no nonzero entry
-    between two sectors (NaN and inf included) and every block is Hermitian.
-    A NaN or inf in a single sector spanning the space fails the Hermitian
-    check."""
-    if np.ndim(labels) != 1 or m.shape != np.shape(labels) * 2:
+def sector_blocks(m, sectors: Sectors) -> list | None:
+    """The blocks m[r][:, r] (S, k, k) on each row stack r of `sectors` (a
+    BlockDiagonal's own on its own sectors), or None if m has a nonzero entry
+    (NaN and inf included) between two sectors; a view of m for one sector."""
+    if isinstance(m, BlockDiagonal) and m.sectors is sectors:
+        return m.blocks
+    m = m.dense if isinstance(m, BlockDiagonal) else m
+    if m.shape != sectors.labels.shape * 2:
         raise ValueError("need a square matrix and one sector label per basis state")
-    blocks = [(rows, _require_hermitian_stack(sector_blocks(m, rows)))
-              for rows in sector_rows(labels)]
-    if _couples_sectors(m, blocks):
-        raise ValueError("the matrix couples two declared sectors")
-    return blocks
+    if sectors.rows[0].shape[1] == len(m):
+        return [m[None]]
+    blocks = [m[r[:, :, None], r[:, None, :]] for r in sectors.rows]
+    return None if _nonzero_parts(m) != sum(map(_nonzero_parts, blocks)) else blocks
+
+
+class BlockDiagonal:
+    """A d x d matrix as the direct sum of its `blocks`, one (S, m, m) stack
+    per row stack of `sectors`; its dense matrix, unless given, is formed
+    when first read."""
+
+    def __init__(self, blocks: list, sectors: Sectors, dense: np.ndarray | None = None):
+        self.blocks, self.sectors, self.shape = blocks, sectors, (len(sectors.labels),) * 2
+        if dense is not None:
+            self.dense = dense
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, np.result_type(*self.blocks))
+        for r, b in zip(self.sectors.rows, self.blocks):
+            out[r[:, :, None], r[:, None, :]] = b
+        return out
+
+
+def hermitian_blocks(m, labels) -> BlockDiagonal:
+    """m as a BlockDiagonal: as given, or a dense m cut on `labels` (None: one
+    sector) and refused if it couples two. Refused unless every block is
+    Hermitian, which for one sector also refuses a NaN or inf."""
+    if not isinstance(m, BlockDiagonal):
+        blocks = sector_blocks(m, sectors := Sectors(labels, len(m)))
+        if blocks is None:
+            raise ValueError("the matrix couples two declared sectors")
+        m = BlockDiagonal(blocks, sectors, m)
+    for b in m.blocks:
+        _require_hermitian_stack(b)
+    return m
 
 
 def require_unitary(m: np.ndarray) -> np.ndarray:

@@ -142,10 +142,10 @@ def two_state_distances(evo: EvolutionSpec, rho: np.ndarray, sigma: np.ndarray,
 def prepare_ion_state_dense(p, t0: float) -> np.ndarray:
     """Blue-sideband preparation of `IonParams` p as U(t0) rho0 U(t0)^dag on
     the full matrix rho0 = |g><g| (x) thermal motion."""
-    from discord_probe.model_ion import build_hamiltonian
+    from discord_probe.model_ion import evolution
 
     rho0 = kron(np.diag([1.0, 0.0]), thermal_fock_state(p.nbar, p.n_max))
-    return evolve(rho0, build_hamiltonian(p), t0)
+    return evolve(rho0, evolution(p).hamiltonian, t0)
 
 
 def ion_local_distance_dense(p, t0: float, grid) -> WitnessSeries:
@@ -153,14 +153,14 @@ def ion_local_distance_dense(p, t0: float, grid) -> WitnessSeries:
     `EvolutionSpec`: the state from `prepare_ion_state_dense`, pinched in
     {|g>, |e>} by d x d products, and Delta = rho - Phi(rho) carried along a
     uniform time grid by U(dt) = expm(-i H dt), one step per sample."""
-    from discord_probe.model_ion import build_hamiltonian
+    from discord_probe.model_ion import evolution
     from discord_probe.states import computational_basis
 
     state = BipartiteState(prepare_ion_state_dense(p, t0), p.dims)
     delta = state.rho - dephase_kron(state, computational_basis(2))
     steps = np.diff(grid.samples)
     assert np.allclose(steps, steps[0], rtol=1e-12, atol=0)
-    u = expm(-1j * build_hamiltonian(p) * steps[0])
+    u = expm(-1j * evolution(p).hamiltonian * steps[0])
     d_t, x = [], delta
     for _ in grid.samples:
         d_t.append(0.5 * trace_norm(partial_trace_b(x, p.dims)))
@@ -501,7 +501,7 @@ def haar_average_loop(state: BipartiteState, n_samples: int, seed: int):
     from discord_probe.protocol import haar_coefficient
     from discord_probe.states import dephasing_delta
 
-    delta = dephasing_delta(state)
+    delta = dephasing_delta(state).dense
     predicted = haar_coefficient(state.dims) * np.sum(np.abs(delta) ** 2)
     seeds = np.random.default_rng(seed).integers(0, 2**63 - 1, size=n_samples)
     vals = np.empty(n_samples)

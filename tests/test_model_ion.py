@@ -8,7 +8,7 @@ from scipy.linalg import expm
 from scipy.special import eval_genlaguerre
 
 from oracles import ion_local_distance_dense, prepare_ion_state_dense
-from discord_probe import model_ion, tensor
+from discord_probe import model_ion, states, tensor
 from discord_probe.cli import execute
 from discord_probe.measures import dephasing_disturbance
 from discord_probe.protocol import TimeGrid
@@ -104,18 +104,18 @@ class TestHamiltonian:
         h = np.zeros((2 * nb, 2 * nb), dtype=complex)
         for n in range(p.n_max):
             h[nb + n + 1, n] = h[n, nb + n + 1] = 0.5 * p.rabi(np.array(float(n)))
-        assert model_ion.build_hamiltonian(p).tobytes() == h.tobytes()
+        assert model_ion.evolution(p).hamiltonian.tobytes() == h.tobytes()
 
     def test_sideband_element(self):
         p = model_ion.IonParams(omega=1.0, eta=0.05)
-        h = model_ion.build_hamiltonian(p)
+        h = model_ion.evolution(p).hamiltonian
         nb = p.n_max + 1
         # <e,1|H|g,0> = Omega_0 / 2 = eta * Omega / 2
         assert h[nb + 1, 0] == pytest.approx(0.05 / 2)
 
     def test_selection_rule(self):
         p = model_ion.IonParams()
-        h = model_ion.build_hamiltonian(p)
+        h = model_ion.evolution(p).hamiltonian
         nb = p.n_max + 1
         for n in range(nb):
             for m in range(nb):
@@ -124,7 +124,7 @@ class TestHamiltonian:
 
     def test_hermitian_and_conserves_excitation(self):
         p = model_ion.IonParams()
-        h = model_ion.build_hamiltonian(p)
+        h = model_ion.evolution(p).hamiltonian
         assert np.max(np.abs(h - h.conj().T)) <= 1e-12
         nb = p.n_max + 1
         # the sideband coupling |g,n> <-> |e,n+1> conserves a^dag a - |e><e|
@@ -307,12 +307,31 @@ class TestProtocolEquivalence:
             for seen in (*shapes.values(), checked):
                 seen.clear()
 
+    def test_point_forms_no_dense_matrix(self, monkeypatch, tmp_path):
+        # the generator, the prepared state, its pinching and Delta are built
+        # and used as their sector blocks: none is formed as a d x d matrix,
+        # and no d x d matrix is counted to show that it keeps its sectors
+        counted, formed, seen = [], [], []
+        count, dense = tensor._nonzero_parts, tensor.BlockDiagonal.dense
+        monkeypatch.setattr(tensor, "_nonzero_parts",
+                            lambda m: counted.append(np.shape(m)) or count(m))
+        monkeypatch.setattr(tensor.BlockDiagonal, "dense", property(
+            lambda self: formed.append(self.shape) or dense.func(self)))
+        for module, name in ((model_ion, "prepare_state"), (states, "dephase")):
+            monkeypatch.setattr(module, name, lambda *a, real=getattr(module, name):
+                                seen.append(real(*a)) or seen[-1])
+        for nbar in (2.5, 10.0):
+            execute({"model": "ion", "params": {"nbar": nbar}}, str(tmp_path))
+        assert len(seen) == 4  # the prepared and the pinched state of each point
+        for s in seen:
+            assert [len(r[0]) for r in s.blocks.sectors.rows] == [1, 2]
+        assert formed == [] and max((c[-1] for c in counted), default=0) <= 2
+
     def test_simulation_builds_one_hamiltonian(self, monkeypatch):
         # preparation and detection share one EvolutionSpec and its eigh
         built = []
-        build = model_ion.build_hamiltonian
-        monkeypatch.setattr(model_ion, "build_hamiltonian",
-                            lambda p: built.append(p) or build(p))
+        build = model_ion.evolution
+        monkeypatch.setattr(model_ion, "evolution", lambda p: built.append(p) or build(p))
         p = model_ion.IonParams(nbar=0.2)
         model_ion.simulated_local_distance(p, 1.0, TimeGrid.linear(5.0, 5))
         assert built == [p]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_density, random_hermitian
 from oracles import dephase_kron, dephasing_disturbance_dense, haar_unitary
 from discord_probe.measures import dephasing_disturbance
-from discord_probe.protocol import EvolutionSpec
+from discord_probe.protocol import EvolutionSpec, TimeGrid, run_local_detection
 from discord_probe.states import (
     STATE_TOL,
     BipartiteState,
@@ -19,7 +19,7 @@ from discord_probe.states import (
     dephase,
     dephasing_delta,
 )
-from discord_probe.tensor import BipartitionDims
+from discord_probe.tensor import BipartitionDims, BlockDiagonal, sector_blocks
 
 
 def sectored(seed: int, d_a: int, d_b: int, floor: float = 0.0):
@@ -129,9 +129,45 @@ def test_pinching_matches_dense_path(seed, d_a, d_b):
             kept = labels if keeps and state is labelled else np.zeros(len(rho))
             assert np.array_equal(pinched.sectors, kept)
             assert np.max(np.abs(pinched.rho - want)) <= 1e-12
-            assert np.max(np.abs(dephasing_delta(state, basis) - (rho - want))) <= 1e-12
+            assert np.max(np.abs(dephasing_delta(state, basis).dense - (rho - want))) <= 1e-12
             for d in dense:
                 assert abs(dephasing_disturbance(state, basis) - d) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**31 - 1), st.integers(2, 3), st.integers(2, 6))
+def test_local_detection_matches_dense_path(seed, d_a, d_b):
+    # Delta evolved and bounded on its sector blocks: d(t) as the unlabelled
+    # call's and D as the dense oracle's, to the same bits whether the state
+    # is built on the generator's sector value or labels its dense rho
+    rho, h, labels, _, rng = sectored(seed, d_a, d_b)
+    dims = BipartitionDims(d_a, d_b)
+    evo, one = EvolutionSpec(h, sectors=labels), BipartiteState(rho, dims)
+    sectors = evo.blocks.sectors
+    shared = BipartiteState(BlockDiagonal(sector_blocks(rho, sectors), sectors), dims)
+    labelled = BipartiteState(rho, dims, sectors=labels)
+    grid = TimeGrid(np.concatenate([[0.0], np.sort(rng.uniform(0.1, 5.0, 6))]))
+    for basis in (computational_basis(d_a), monomial_basis(d_a, rng)):
+        dense = run_local_detection(one, EvolutionSpec(h), grid, basis)
+        a, b = (run_local_detection(s, evo, grid, basis) for s in (shared, labelled))
+        assert a.d_t.tobytes() == b.d_t.tobytes() and a.bound_ref == b.bound_ref
+        assert np.max(np.abs(a.d_t - dense.d_t)) <= 1e-12
+        for d in dephasing_disturbance_dense(one, basis):
+            assert abs(a.bound_ref - d) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", [list, tuple])
+def test_labels_as_a_sequence(kind):
+    # a list or tuple of labels acts as the same labels in an array: the
+    # state keeps them, and its pinching and D read them
+    rho, _, labels, _, _ = sectored(23, 2, 3)
+    dims, basis = BipartitionDims(2, 3), computational_basis(2)
+    given = BipartiteState(rho, dims, sectors=kind(labels.tolist()))
+    array = BipartiteState(rho, dims, sectors=labels)
+    assert np.array_equal(given.sectors, labels)
+    a, b = dephase(given, basis), dephase(array, basis)
+    assert np.array_equal(a.sectors, labels) and a.rho.tobytes() == b.rho.tobytes()
+    assert dephasing_disturbance(given, basis) == dephasing_disturbance(array, basis)
 
 
 @settings(max_examples=40, deadline=None)

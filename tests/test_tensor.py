@@ -19,7 +19,7 @@ from discord_probe.tensor import (
     pauli_vector,
     require_hermitian,
     require_unitary,
-    sector_rows,
+    Sectors,
     trace_norm_hermitian,
 )
 
@@ -207,11 +207,11 @@ class TestRequire:
 class TestSectorRows:
     def test_groups_by_label_and_size(self):
         labels = [4, -1, 4, 7, 7, 2, 7]
-        for given in (labels, np.array(labels)):
-            rows = sector_rows(given)
+        for given in (labels, tuple(labels), np.array(labels)):
+            rows = Sectors(given).rows
             assert [r.tolist() for r in rows] == [[[1], [5]], [[0, 2]], [[3, 4, 6]]]
-        one = sector_rows([3.0] * 4)
-        assert [r.tolist() for r in one] == [[[0, 1, 2, 3]]] and one[0].dtype == np.intp
+        for one in (Sectors([3.0] * 4).rows, Sectors(None, 4).rows):
+            assert [r.tolist() for r in one] == [[[0, 1, 2, 3]]] and one[0].dtype == np.intp
 
 
 class TestTraceNorm:
