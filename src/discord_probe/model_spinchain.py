@@ -12,7 +12,7 @@ import numpy as np
 from .protocol import (BasisGrid, EvolutionSpec, TimeGrid, WitnessSeries,
                        run_minimized_detection)
 from .states import BipartiteState
-from .tensor import BipartitionDims
+from .tensor import BipartitionDims, BlockDiagonal, Sectors
 
 
 @dataclass(frozen=True)
@@ -90,10 +90,13 @@ class SpectralData:
 def spectral(p: ChainParams) -> SpectralData:
     """Eigendecomposition in the rotated frame, where H is real and the parity
     (x) sigma_y is (x) sigma_z: one stacked real eigh of the even- and odd-
-    popcount sectors, parity +1 and -1. The energies ascend; in a block of
+    popcount sectors, parity +1 and -1, which H keeps apart as its couplings
+    flip spins in pairs. The energies ascend; in a block of
     numerically degenerate ones (1e-9 of the scale apart) parity -1 is first."""
     h = build_chain_hamiltonian(p, rotated=True)
-    evolution = EvolutionSpec(h, sectors=np.bitwise_count(np.arange(len(h))) & 1)
+    sectors = Sectors(np.bitwise_count(np.arange(len(h))) & 1)
+    (r,) = sectors.rows
+    evolution = EvolutionSpec(BlockDiagonal([h[r[:, :, None], r[:, None]]], sectors, h))
     (_, w, _), = evolution.spectrum
     parity = np.repeat([1, -1], w.shape[1])  # the sectors in label order
     order = np.argsort(w, axis=None, kind="stable")

@@ -50,21 +50,18 @@ class TimeGrid:
 
 
 class EvolutionSpec:
-    """Time-independent Hermitian generator H (hbar = 1), dense or as its
-    BlockDiagonal, diagonalized at construction unless its `spectrum` is
-    given: one stacked (rows, w, V) per sector size m, rows (S, m) the basis
-    indices of S sectors, w (S, m) and V (S, m, m) their spectra. `sectors`
-    labels a dense H, each basis state with the invariant subspace it belongs
-    to (default: one sector); an entry of H between two sectors is refused,
-    so the split is exact. Both evolutions work sector by sector. A dense H
-    is formed from the blocks when first read."""
+    """Time-independent Hermitian generator H (hbar = 1), as its BlockDiagonal
+    on the invariant subspaces the model built it on, or dense (one sector),
+    diagonalized at construction unless its `spectrum` is given: one stacked
+    (rows, w, V) per sector size m, rows (S, m) the basis indices of S
+    sectors, w (S, m) and V (S, m, m) their spectra. Both evolutions work
+    sector by sector. A dense H is formed from the blocks when first read."""
 
-    def __init__(self, hamiltonian, spectrum: list | None = None, sectors=None):
+    def __init__(self, hamiltonian, spectrum: list | None = None):
         if not isinstance(h := hamiltonian, BlockDiagonal):  # a real H keeps a real eigh
             h = np.asarray(h)
             h = h if h.dtype == np.float64 else np.asarray(h, dtype=complex)
-        self.blocks = h = hermitian_blocks(h, sectors)
-        self.sectors = h.sectors.labels
+        self.blocks = h = hermitian_blocks(h)
         self.spectrum = spectrum if spectrum is not None else [
             (r, *np.linalg.eigh(b)) for r, b in zip(h.sectors.rows, h.blocks)]
 
@@ -86,14 +83,14 @@ class EvolutionSpec:
 
     def marginal_series(self, mats, dims: BipartitionDims,
                         times: np.ndarray) -> np.ndarray:
-        """A-marginals of U(t) X U(t)^dag for a stack of operators X, each
-        dense or a BlockDiagonal (read on its own blocks if it shares the
-        sector value of H) and block diagonal on the sectors of H.
+        """A-marginals of U(t) X U(t)^dag for a stack of operators X, each a
+        BlockDiagonal on the sector value of H, read on its own blocks, or,
+        for an H of one sector, dense or a BlockDiagonal on any sectors.
 
         Returns shape (n_states, n_times, d_A, d_A). Works in the energy
         eigenbasis of each sector and never forms the full evolved matrices.
-        An operator with a nonzero entry between two sectors is refused; an
-        unlabelled EvolutionSpec of the same H evolves it.
+        Any other operator is refused; an EvolutionSpec of the dense H (one
+        sector) evolves it.
         """
         times = np.asarray(times, dtype=float)
         dims.check(self.blocks)
@@ -102,8 +99,9 @@ class EvolutionSpec:
             x = x if isinstance(x, BlockDiagonal) else np.asarray(x)
             dims.check(x)
             if (blocks := sector_blocks(x, self.blocks.sectors)) is None:
-                raise ValueError("the operator couples two sectors of the generator; "
-                                 "evolve it with an unlabelled EvolutionSpec")
+                raise ValueError("the generator has more than one sector: give the "
+                                 "operator as a BlockDiagonal on the generator's sectors, "
+                                 "or evolve it with an EvolutionSpec of the dense H")
             cuts.append(blocks)
         out = np.zeros((len(mats), len(times), dims.d_a, dims.d_a), dtype=complex)
         for (rows, w, v), *xs in zip(self.spectrum, *cuts):
@@ -277,6 +275,8 @@ def haar_average_estimate(state: BipartiteState, n_samples: int, seed: int):
     c(d_A, d_B) ||Delta||_HS^2."""
     if n_samples < 100:
         raise ValueError("need at least 100 samples")
+    if state.dims.total < 2:
+        raise ValueError("the Haar average needs a total dimension of at least 2")
     delta = dephasing_delta(state).dense
     predicted = haar_coefficient(state.dims) * np.sum(np.abs(delta) ** 2)
     rng = np.random.default_rng(seed)

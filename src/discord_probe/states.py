@@ -28,20 +28,20 @@ FOCK_HEADROOM = 2  # levels above the tail cut, for sideband leakage into n+1
 
 
 class BipartiteState:
-    """Density operator with its A-first dimension split, `rho` given dense or
-    as its BlockDiagonal; `sectors` labels a dense rho (default: one sector).
-    `__post_init__` checks rho as the direct sum of its sector `blocks` and
-    keeps them, their labels and the `spectrum` it checked, given or computed;
-    a dense rho is formed from the blocks when first read."""
+    """Density operator with its A-first dimension split, `rho` given as its
+    BlockDiagonal or dense (one sector). `__post_init__` checks rho as the
+    direct sum of its sector `blocks` and keeps them and the `spectrum` it
+    checked, given or computed; a dense rho is formed from the blocks when
+    first read."""
 
-    def __init__(self, rho, dims: BipartitionDims, spectrum=None, sectors=None):
-        self.dims, self.spectrum, self.sectors = dims, spectrum, sectors
+    def __init__(self, rho, dims: BipartitionDims, spectrum=None):
+        self.dims, self.spectrum = dims, spectrum
         self.blocks = rho if isinstance(rho, BlockDiagonal) else require_square(rho)
         self.__post_init__()
 
     def __post_init__(self):  # the checks, traced under this name by bench/run.py
         self.dims.check(self.blocks)
-        self.blocks = rho = hermitian_blocks(self.blocks, self.sectors)
+        self.blocks = rho = hermitian_blocks(self.blocks)
         tr = sum(np.trace(b, axis1=1, axis2=2).sum() for b in rho.blocks).real
         if not abs(tr - 1.0) <= STATE_TOL:
             raise ValueError(f"state trace {tr} deviates from 1")
@@ -51,7 +51,7 @@ class BipartiteState:
             raise ValueError("need one eigenvalue per basis state")
         if not np.min(w) >= -STATE_TOL:
             raise ValueError(f"state has negative eigenvalue {np.min(w):.3e}")
-        self.spectrum, self.sectors = w, rho.sectors.labels
+        self.spectrum = w
 
     @property
     def rho(self) -> np.ndarray:
@@ -133,8 +133,8 @@ def dephase(state: BipartiteState,
     Phi(rho) is built as sum_i |v_i><v_i| (x) B_i from the d_A blocks
     B_i = <v_i| rho |v_i>, whose spectra together are its spectrum. If each
     basis vector has one nonzero entry, every projector is diagonal and the
-    pinching zeroes each entry <a x| rho |b y> with a != b: a state with
-    sector labels then keeps them, and is pinched block by block."""
+    pinching zeroes each entry <a x| rho |b y> with a != b: a state of more
+    than one sector then keeps its sectors, and is pinched block by block."""
     if basis is None:
         basis, degenerate = local_eigenbasis(state)
         if degenerate:
@@ -142,7 +142,7 @@ def dephase(state: BipartiteState,
                              "define the dephased reference state")
     if basis.dim != state.dims.d_a:
         raise ValueError("basis dimension does not match subsystem A")
-    if (state.sectors.min() < state.sectors.max()
+    if (state.blocks.sectors.rows[0].shape[1] < state.dims.total  # more than one sector
             and np.all(np.count_nonzero(basis.vectors, axis=0) == 1)):
         a = [r // state.dims.d_b for r in state.blocks.sectors.rows]  # each row's A index
         out = [b * (i[:, :, None] == i[:, None]) for b, i in zip(state.blocks.blocks, a)]

@@ -43,7 +43,10 @@ class BipartitionDims:
 
 
 def require_square(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=complex)
+    return _square(np.asarray(m, dtype=complex))
+
+
+def _square(m: np.ndarray) -> np.ndarray:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -63,37 +66,27 @@ def _require_hermitian_stack(m: np.ndarray) -> np.ndarray:
 
 
 class Sectors:
-    """Sector labels, one per basis state (None: one sector of d states), and
-    their `rows`: one (S, m) stack of basis indices per sector size m, each
-    row ascending; made once per labelling, shared by the operators on it."""
+    """Sector labels, one per basis state, and their `rows`: one (S, m) stack
+    of basis indices per sector size m, each row ascending; made once per
+    labelling, shared by the operators on it."""
 
-    def __init__(self, labels, d: int = 0):
-        self.labels = labels = np.asarray(np.zeros(d, int) if labels is None else labels)
+    def __init__(self, labels):
+        self.labels = labels = np.asarray(labels)
         if labels.ndim != 1:
-            raise ValueError("need a square matrix and one sector label per basis state")
+            raise ValueError("need one sector label per basis state")
         order = np.argsort(labels, kind="stable")
         _, start, size = np.unique(labels[order], return_index=True, return_counts=True)
         self.rows = [order[start[size == m, None] + np.arange(m)] for m in np.unique(size)]
 
 
-def _nonzero_parts(m: np.ndarray) -> int:
-    """The nonzero real and imaginary parts of m, counted on its float view."""
-    return np.count_nonzero(np.ascontiguousarray(m).view(m.real.dtype))
-
-
 def sector_blocks(m, sectors: Sectors) -> list | None:
-    """The blocks m[r][:, r] (S, k, k) on each row stack r of `sectors` (a
-    BlockDiagonal's own on its own sectors), or None if m has a nonzero entry
-    (NaN and inf included) between two sectors; a view of m for one sector."""
+    """m's blocks on each row stack of `sectors`: a BlockDiagonal's own on its
+    own sector value, a view of m for one sector, None otherwise."""
     if isinstance(m, BlockDiagonal) and m.sectors is sectors:
         return m.blocks
-    m = m.dense if isinstance(m, BlockDiagonal) else m
-    if m.shape != sectors.labels.shape * 2:
-        raise ValueError("need a square matrix and one sector label per basis state")
-    if sectors.rows[0].shape[1] == len(m):
-        return [m[None]]
-    blocks = [m[r[:, :, None], r[:, None, :]] for r in sectors.rows]
-    return None if _nonzero_parts(m) != sum(map(_nonzero_parts, blocks)) else blocks
+    if sectors.rows[0].shape[1] == len(sectors.labels):
+        return [(m.dense if isinstance(m, BlockDiagonal) else m)[None]]
+    return None
 
 
 class BlockDiagonal:
@@ -114,15 +107,12 @@ class BlockDiagonal:
         return out
 
 
-def hermitian_blocks(m, labels) -> BlockDiagonal:
-    """m as a BlockDiagonal: as given, or a dense m cut on `labels` (None: one
-    sector) and refused if it couples two. Refused unless every block is
-    Hermitian, which for one sector also refuses a NaN or inf."""
+def hermitian_blocks(m) -> BlockDiagonal:
+    """m as a BlockDiagonal: as given, or a dense square m as one sector.
+    Refused unless every block is Hermitian, which for one sector also
+    refuses a NaN or inf."""
     if not isinstance(m, BlockDiagonal):
-        blocks = sector_blocks(m, sectors := Sectors(labels, len(m)))
-        if blocks is None:
-            raise ValueError("the matrix couples two declared sectors")
-        m = BlockDiagonal(blocks, sectors, m)
+        m = BlockDiagonal([_square(m)[None]], Sectors(np.zeros(len(m), int)), m)
     for b in m.blocks:
         _require_hermitian_stack(b)
     return m

@@ -19,7 +19,9 @@ prepared as a full-matrix conjugation, the ion witness from Delta evolved
 as a full matrix by expm, the emission signal from the
 eigenvector row formula, the Haar-average estimate one sampled unitary at a
 time and the photon frequency sum with one exponential per (delay,
-frequency) pair. Small helpers only the tests use (one seeded Haar
+frequency) pair, and the labelled reference: a dense matrix cut on sector
+labels into a BlockDiagonal, refused if any entry lies between two sectors.
+Small helpers only the tests use (one seeded Haar
 unitary, the truncated thermal oscillator state, the locally rotated state,
 partial trace over A, purity, squared HS distance) live here too.
 """
@@ -34,8 +36,8 @@ from discord_probe import model_spinchain
 from discord_probe.measures import BasisGrid, _basis_angles, _chord, bloch_vectors
 from discord_probe.protocol import EvolutionSpec, WitnessSeries
 from discord_probe.states import BipartiteState, local_eigenbasis, thermal_populations
-from discord_probe.tensor import (BipartitionDims, evolve, kron, local_sandwich,
-                                  partial_trace_b, require_square)
+from discord_probe.tensor import (BipartitionDims, BlockDiagonal, Sectors, evolve, kron,
+                                  local_sandwich, partial_trace_b, require_square)
 
 
 def haar_unitary(dim: int, seed: int) -> np.ndarray:
@@ -77,6 +79,18 @@ def trace_norm(x: np.ndarray) -> float:
     """Full trace norm Tr sqrt(X^dag X) (sum of singular values)."""
     x = require_square(x)
     return float(np.sum(np.linalg.svd(x, compute_uv=False)))
+
+
+def labelled_blocks(m: np.ndarray, labels) -> BlockDiagonal:
+    """m, dense, as its blocks on the sectors of `labels` (one label per basis
+    state, or a Sectors value), with m kept as the dense matrix; refused if
+    any entry between two sectors is nonzero (NaN and inf included)."""
+    sectors = labels if isinstance(labels, Sectors) else Sectors(labels)
+    if np.shape(m) != sectors.labels.shape * 2:
+        raise ValueError("need a square matrix and one sector label per basis state")
+    if np.count_nonzero(m[sectors.labels[:, None] != sectors.labels]):
+        raise ValueError("the matrix couples two declared sectors")
+    return BlockDiagonal([m[r[:, :, None], r[:, None]] for r in sectors.rows], sectors, m)
 
 
 def dephase_qubit_bloch(state: BipartiteState, n: np.ndarray) -> np.ndarray:

@@ -518,6 +518,16 @@ class TestModelErrors:
             "model error: basis grid needs n_theta >= 1, n_phi >= 1 and "
             "refine_rounds >= 0\n")
 
+    def test_haar_of_dimension_one_exit_4(self, tmp_path, capsys):
+        # the Haar coefficient is 0/0 on a 1x1 space: refused as a model
+        # error, not a traceback
+        p = write_config(tmp_path / "c.yaml", {
+            "model": "haar", "params": {"d_a": 1, "d_b": 1, "n_samples": 100}})
+        assert main(["run", p, "--out-dir", str(tmp_path / "out")]) == 4
+        assert capsys.readouterr().err == (
+            "model error: the Haar average needs a total dimension of at least 2\n")
+        assert not (tmp_path / "out").exists()
+
     def test_execute_still_raises(self, tmp_path):
         p = write_config(tmp_path / "c.yaml", DEGENERATE_CHAIN)
         with pytest.raises(ValueError, match="degenerate"):

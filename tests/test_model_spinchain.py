@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import SY
 from oracles import (autocorrelation, autocorrelation_direct, chain_hamiltonian_dense,
                      ground_detection_dense, ground_distances_complex_exp,
-                     parity_operator, spectral_dense)
+                     labelled_blocks, parity_operator, spectral_dense)
 from discord_probe import measures, model_spinchain
 from discord_probe.cli import execute
 from discord_probe.measures import (BasisGrid, dephasing_disturbance, negativity,
@@ -148,6 +148,20 @@ class TestHamiltonian:
             p = params(n_spins=n_spins, alpha=alpha, j0=j0, b_field=b_field)
             assert (model_spinchain.build_chain_hamiltonian(p).tobytes()
                     == chain_hamiltonian_dense(p).tobytes())
+
+    @pytest.mark.parametrize("n_spins", range(2, 11))
+    def test_rotated_keeps_parities_apart(self, n_spins):
+        # spectral() splits the rotated H on popcount parity without looking:
+        # it has no nonzero entry between the even- and odd-popcount states,
+        # and its blocks are those the labelled reference cuts, to the bit
+        odd = np.bitwise_count(np.arange(2**n_spins)) & 1
+        for alpha, j0, b_field in ((1.0, 1.0, 1.0), (0.7, 0.37, -0.4),
+                                   (2.3, 2.0, 1e-12), (2.0, 1.0, 7.3)):
+            p = params(n_spins=n_spins, alpha=alpha, j0=j0, b_field=b_field)
+            h = model_spinchain.build_chain_hamiltonian(p, rotated=True)
+            assert np.count_nonzero(h[odd[:, None] != odd]) == 0
+            (block,) = model_spinchain.spectral(p).evolution.blocks.blocks
+            assert block.tobytes() == labelled_blocks(h, odd).blocks[0].tobytes()
 
     def test_parity_commutes(self):
         p = params()

@@ -22,6 +22,7 @@ from oracles import (
     haar_average_loop,
     haar_unitary,
     hs_distance_sq,
+    labelled_blocks,
     local_unitary_kron,
     minimized_series,
     partial_trace_a,
@@ -159,13 +160,14 @@ class TestEvolutionSpec:
     def test_sectors_match_dense_and_expm(self, seed, d_a, d_b):
         dims = BipartitionDims(d_a, d_b)
         h, labels, rng = self._direct_sum(seed, dims.total)
-        sectored, dense = EvolutionSpec(h, sectors=labels), EvolutionSpec(h)
+        sectored, dense = EvolutionSpec(labelled_blocks(h, labels)), EvolutionSpec(h)
         times = np.concatenate([[0.0], rng.uniform(-3.0, 3.0, 3)])
         vecs = rng.standard_normal((dims.total, 2)) + 1j * rng.standard_normal(
             (dims.total, 2))
         # operators block diagonal on the labels, so exactly zero between
         # sectors: a pinched state, a real and a complex non-Hermitian one, and
-        # one whose blocks on some sectors are exactly zero too
+        # one whose blocks on some sectors are exactly zero too; given to the
+        # sectored spec as their blocks on its sector value
         _, sec = np.unique(labels, return_inverse=True)
         on = sec[:, None] == sec
         kept = rng.random(sec.max() + 1) < 0.5
@@ -175,7 +177,8 @@ class TestEvolutionSpec:
                 rng.standard_normal((dims.total,) * 2) * on + 0j, z * on,
                 z * (on & kept[sec])]
         out = sectored.evolve_vectors(vecs, times)
-        margs = sectored.marginal_series(mats, dims, times)
+        margs = sectored.marginal_series(
+            [labelled_blocks(x, sectored.blocks.sectors) for x in mats], dims, times)
         assert np.max(np.abs(out - dense.evolve_vectors(vecs, times))) <= 1e-12
         assert np.max(np.abs(margs - dense.marginal_series(mats, dims, times))) <= 1e-12
         for ti, t in enumerate(times):
@@ -187,15 +190,19 @@ class TestEvolutionSpec:
 
     @pytest.mark.parametrize("value", [1e-300, np.nan, np.inf])
     def test_marginal_series_refuses_operator_between_sectors(self, value):
-        # one entry between two sectors of H, however small, even after a
-        # valid operator; the unlabelled spec of the same H evolves a finite one
+        # a dense operator on a generator of more than one sector, with one
+        # entry between two of them however small or none, even after a valid
+        # operator; the spec of the dense H evolves a finite one
         h, labels, _ = self._direct_sum(7, 8)
         dims, times = BipartitionDims(2, 4), np.array([0.0, 0.4])
         x = np.diag(np.arange(8.0)) + 0j
+        evo = EvolutionSpec(labelled_blocks(h, labels))
+        valid = labelled_blocks(x, evo.blocks.sectors)
         a, b = np.nonzero(labels[:, None] != labels)
         x[a[0], b[0]] = value
-        with pytest.raises(ValueError, match="couples two sectors of the generator"):
-            EvolutionSpec(h, sectors=labels).marginal_series([np.eye(8), x], dims, times)
+        for ops in ([valid, x], [valid, valid.dense]):
+            with pytest.raises(ValueError, match="BlockDiagonal on the generator's sectors"):
+                evo.marginal_series(ops, dims, times)
         if np.isfinite(value):
             EvolutionSpec(h).marginal_series([x], dims, times)
 
@@ -205,19 +212,25 @@ class TestEvolutionSpec:
         x = np.zeros((6, 6), dtype=complex)
         x[:4, :4] = np.eye(4) / 4
         for evo in (EvolutionSpec(np.diag([0.0, 1, 2, 3])),
-                    EvolutionSpec(np.diag([0.0, 1, 2, 3]), sectors=[0, 1, 1, 0])):
+                    EvolutionSpec(labelled_blocks(np.diag([0.0, 1, 2, 3]), [0, 1, 1, 0]))):
             with pytest.raises(ValueError, match="does not match split"):
                 evo.marginal_series([x], BipartitionDims(2, 2), np.array([0.0, 1.0]))
 
     def test_sectors_refuse_coupling_between_them(self):
+        # the labelled reference cuts no H with an entry between two sectors,
+        # nor one with a label too few; the dense H is one sector, and its
+        # spec's spectrum is the dense eigh
         h, labels, _ = self._direct_sum(7, 8)
         a, b = np.nonzero(labels[:, None] != labels)
         h[a[0], b[0]] = 1e-3j  # one entry between two sectors, H kept Hermitian
         h[b[0], a[0]] = -1e-3j
         with pytest.raises(ValueError, match="couples two declared sectors"):
-            EvolutionSpec(h, sectors=labels)
+            labelled_blocks(h, labels)
         with pytest.raises(ValueError, match="one sector label per basis state"):
-            EvolutionSpec(np.eye(3), sectors=[0, 1])
+            labelled_blocks(np.eye(3), [0, 1])
+        (rows, w, v), = EvolutionSpec(h).spectrum
+        assert rows.tolist() == [list(range(8))]
+        assert np.array_equal(w[0], np.linalg.eigh(h)[0])
 
     def test_rejects_nan_generator(self):
         for h in (np.full((2, 2), np.nan), np.diag([0.0, np.nan])):
@@ -366,9 +379,9 @@ class TestRunLocalDetection:
         # is dephasing_disturbance's to the bit
         if d_a == "ion":
             p = model_ion.IonParams(nbar=d_b)
-            s = model_ion.prepare_state(p, np.pi / (2 * p.omega0))
             basis, evo = computational_basis(2), model_ion.evolution(p)
-            assert s.sectors.min() < s.sectors.max()
+            s = model_ion.prepare_state(p, np.pi / (2 * p.omega0), evo)  # on evo's sectors
+            assert len(np.unique(s.blocks.sectors.labels)) > 1
         else:
             rng = np.random.default_rng(10 * d_a + d_b)
             s = random_state(d_a, d_b, rng)

@@ -199,7 +199,7 @@ class TestRequire:
     @pytest.mark.parametrize("check", [require_hermitian, require_unitary, eig_hermitian])
     def test_rejects_a_stack(self, check):
         # the checks take one matrix; a stack of blocks is checked only
-        # through require_sector_blocks
+        # through hermitian_blocks
         with pytest.raises(ValueError, match="expected a square matrix"):
             check(np.zeros((2, 3, 3)))
 
@@ -210,7 +210,7 @@ class TestSectorRows:
         for given in (labels, tuple(labels), np.array(labels)):
             rows = Sectors(given).rows
             assert [r.tolist() for r in rows] == [[[1], [5]], [[0, 2]], [[3, 4, 6]]]
-        for one in (Sectors([3.0] * 4).rows, Sectors(None, 4).rows):
+        for one in (Sectors([3.0] * 4).rows, Sectors(np.zeros(4, int)).rows):
             assert [r.tolist() for r in one] == [[[0, 1, 2, 3]]] and one[0].dtype == np.intp
 
 
