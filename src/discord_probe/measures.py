@@ -42,14 +42,19 @@ class BasisGrid:
                              "refine_rounds >= 0")
 
     def angles(self) -> np.ndarray:
-        thetas = np.linspace(0.0, np.pi / 2, self.n_theta)
-        phis = np.linspace(0.0, 2 * np.pi, self.n_phi, endpoint=False)
-        tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-        return np.column_stack([tt.ravel(), pp.ravel()])
+        return _grid_angles(self.n_theta, self.n_phi)
 
     @property
     def spacing(self) -> tuple[float, float]:
         return (np.pi / 2 / max(self.n_theta - 1, 1), 2 * np.pi / self.n_phi)
+
+
+@lru_cache(maxsize=8)
+def _grid_angles(n_theta: int, n_phi: int) -> np.ndarray:
+    out = np.stack(np.meshgrid(np.linspace(0.0, np.pi / 2, n_theta), np.linspace(
+        0.0, 2 * np.pi, n_phi, endpoint=False), indexing="ij"), axis=-1).reshape(-1, 2)
+    out.flags.writeable = False  # (n_theta * n_phi, 2), theta-major, one per shape
+    return out
 
 
 def bloch_vectors(angles: np.ndarray) -> np.ndarray:
@@ -89,12 +94,13 @@ def negativity(state: BipartiteState) -> float:
 
 
 def rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """rows @ mat for rows (..., R, k), with each row's result independent of
-    the other rows: a one-row product would go through gemv, whose rounding
-    differs from gemm's, so a single row is doubled."""
-    if rows.shape[-2] == 1:
-        return (np.repeat(rows, 2, axis=-2) @ mat)[..., :1, :]
-    return rows @ mat
+    """rows @ mat, each row and column of the result independent of the other
+    rows and columns: a lone row or column would go through gemv, whose
+    rounding differs from gemm's, so it is doubled."""
+    r, c = rows.shape[-2], mat.shape[-1]
+    rows = np.repeat(rows, 2, axis=-2) if r == 1 else rows
+    mat = np.repeat(mat, 2, axis=-1) if c == 1 else mat
+    return (rows @ mat)[..., :r, :c]
 
 
 def _block_disturbance(rho: np.ndarray, d_b: int, angles: np.ndarray) -> np.ndarray:

@@ -218,8 +218,8 @@ def run_minimized_detection(
     margs = evo.marginal_series(
         [state.rho] + [(m + m.conj().T) / 2 for m in conj], state.dims, grid.samples
     )
-    paulis = pauli_vector(margs) / 2
-    r_t, s_t = paulis[0], paulis[1:].transpose(1, 0, 2)  # (T, 3), (T, 6, 3)
+    paulis = pauli_vector(margs) / 2  # (7, T, 3), contiguous
+    r_t, s_t = paulis[0, ..., None], np.ascontiguousarray(paulis[1:].transpose(1, 2, 0))
 
     n_star = measures._basis_angles(bound_basis)
     # time chunks of at most about 2**17 (axis, time) pairs bound the memory
@@ -231,7 +231,10 @@ def run_minimized_detection(
         def local_distance(ang):
             n = bloch_vectors(ang)
             q = n[..., _PAIRS[:, 0]] * n[..., _PAIRS[:, 1]] * _PAIR_WEIGHTS
-            return 0.5 * np.sqrt(np.square(r_c[:, None] - rows_times(q, s_c)).sum(-1))
+            d = rows_times(s_c, q.swapaxes(-1, -2))  # (T, 3, G), a plane per component
+            d -= r_c
+            d *= d  # the planes are summed in order, not reduced over an axis of 3
+            return 0.5 * np.sqrt(d[:, 0] + d[:, 1] + d[:, 2])
 
         vals, _ = measures._bloch_search(local_distance, state, bases, start, mirror)
         d_min_t[lo : lo + chunk] = np.minimum(vals, local_distance(n_star[None])[:, 0])

@@ -80,9 +80,10 @@ class Sectors:
 
 
 def sector_blocks(m, sectors: Sectors) -> list | None:
-    """m's blocks on each row stack of `sectors`: a BlockDiagonal's own on its
-    own sector value, a view of m for one sector, None otherwise."""
-    if isinstance(m, BlockDiagonal) and m.sectors is sectors:
+    """m's blocks on each row stack of `sectors`: a BlockDiagonal's own on equal
+    labels (so equal row stacks), a view of m for one sector, None otherwise."""
+    if isinstance(m, BlockDiagonal) and (m.sectors is sectors or np.array_equal(
+            m.sectors.labels, sectors.labels)):
         return m.blocks
     if sectors.rows[0].shape[1] == len(sectors.labels):
         return [(m.dense if isinstance(m, BlockDiagonal) else m)[None]]

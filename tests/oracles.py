@@ -4,7 +4,8 @@ These are the full-dimension forms of quantities the package computes in a
 reduced form: the qubit-probe dephasing disturbance D(n) from an `eigvalsh`
 of the 2d_B x 2d_B operator rho - N rho N, the Bloch search over the whole
 grid (or its phi columns in [0, pi]) with no pruning, the unmirrored pruning
-table on its own, the CSV text one row at a time, the basis-minimized local
+table on its own, the CSV text one row at a time, the d_n(t) objective
+with the Pauli component as its last axis, the basis-minimized local
 distance d_min(t) from a separate grid-and-refine search at every time sample, the full trace norm, the Bloch-axis pinching, the pinching and local
 unitaries as products with kron(op, I_B), the dephasing and comparison
 witnesses from two separately evolved states, the emission model on
@@ -33,8 +34,9 @@ from scipy.linalg import expm
 
 from conftest import SX, SY, SZ
 from discord_probe import model_spinchain
-from discord_probe.measures import BasisGrid, _basis_angles, _chord, bloch_vectors
-from discord_probe.protocol import EvolutionSpec, WitnessSeries
+from discord_probe.measures import (BasisGrid, _basis_angles, _chord, bloch_vectors,
+                                    rows_times)
+from discord_probe.protocol import _PAIR_WEIGHTS, _PAIRS, EvolutionSpec, WitnessSeries
 from discord_probe.states import BipartiteState, local_eigenbasis, thermal_populations
 from discord_probe.tensor import (BipartitionDims, BlockDiagonal, Sectors, evolve, kron,
                                   local_sandwich, partial_trace_b, require_square)
@@ -506,6 +508,20 @@ def minimized_series(state: BipartiteState, evo, times: np.ndarray,
                 best, best_ang = cvals[j], cand[j]
         out[ti] = best
     return out
+
+
+def minimized_objective_rows(paulis: np.ndarray):
+    """The d_n(t) objective of `protocol.run_minimized_detection` with the
+    Pauli component last, for the Pauli vectors (7, T, 3) of the marginal
+    series of rho and the six S_p: R(t) (T, 3) and S(t) (T, 6, 3), one row
+    product per time and a sum over the last axis, of length 3."""
+    r, s = paulis[0] / 2, paulis[1:].transpose(1, 0, 2) / 2
+
+    def f(ang):
+        n = bloch_vectors(ang)
+        q = n[..., _PAIRS[:, 0]] * n[..., _PAIRS[:, 1]] * _PAIR_WEIGHTS
+        return 0.5 * np.sqrt(np.square(r[:, None] - rows_times(q, s)).sum(-1))
+    return f
 
 
 def haar_average_loop(state: BipartiteState, n_samples: int, seed: int):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from conftest import random_density, random_hermitian, random_pure_state, random_state
 from oracles import (bloch_search_exhaustive, dephase_kron, dephase_qubit_bloch,
                      dephasing_disturbance_dense, disturbance_batch, haar_unitary,
-                     hs_distance_sq, pruning_table_unmirrored, sigma_conjugations,
-                     trace_norm)
-from discord_probe import measures
+                     hs_distance_sq, minimized_objective_rows, pruning_table_unmirrored,
+                     sigma_conjugations, trace_norm)
+from discord_probe import measures, protocol
 from discord_probe.measures import (
     FACTOR_TAIL,
     BasisGrid,
@@ -39,7 +39,7 @@ from discord_probe.states import (
     qubit_basis,
     zero_discord_state,
 )
-from discord_probe.tensor import BipartitionDims, kron, partial_trace_b
+from discord_probe.tensor import BipartitionDims, kron, partial_trace_b, pauli_vector
 
 D22 = BipartitionDims(2, 2)
 P0 = np.diag([1.0, 0.0]).astype(complex)
@@ -334,6 +334,30 @@ class TestDisturbanceSearch:
             assert np.all(full[:, skipped] > val[:, None])
 
     @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 12),
+           st.sampled_from([1, 2, 5, 40]), st.booleans())
+    def test_objective_matches_component_last_oracle(self, seed, d_b, rank, n_times,
+                                                      mirror):
+        # the (T, 3, G) objective against the (T, G, 3) one with its sum over
+        # the components, bit for bit: axes shared by all K times (one, two or
+        # the searched grid) and K of their own each (one, or a stencil of 8)
+        rng = np.random.default_rng(seed)
+        s = random_rank_state(d_b, rank, rng)
+        series = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocol, "pauli_vector",
+                       lambda m: series.append(pauli_vector(m)) or series[-1])
+            f = minimized_objective(s, rng, n_times)
+        oracle = minimized_objective_rows(series[0])
+        grid = searched_angles(BasisGrid(20, 40), mirror)
+        for ang in (grid[None, :1], grid[None, :2], grid[None],
+                    random_angles(n_times, rng)[:, None],
+                    random_angles(8 * n_times, rng).reshape(n_times, 8, 2)):
+            got = f(ang)
+            assert got.shape == (n_times, ang.shape[1])
+            assert got.tobytes() == oracle(ang).tobytes()
+
+    @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 8), st.integers(1, 16))
     def test_factored_kernel_matches_block_and_dense_oracle(self, seed, d_b, rank):
         rng = np.random.default_rng(seed)
@@ -469,6 +493,20 @@ class TestBasisGrid:
 
     def test_smallest_grid_accepted(self):
         assert len(BasisGrid(n_theta=1, n_phi=1, refine_rounds=0).angles()) == 1
+
+    def test_angles_are_shared_and_read_only(self):
+        # built once per (n_theta, n_phi), whatever the refinement, as the
+        # meshgrid of the theta and phi samples
+        g = BasisGrid(n_theta=7, n_phi=12, refine_rounds=2)
+        ang = g.angles()
+        assert ang is BasisGrid(7, 12, 2).angles() is BasisGrid(7, 12, 0).angles()
+        assert ang is not BasisGrid(7, 11, 2).angles()
+        assert not ang.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ang[0, 0] = 1.0
+        tt, pp = np.meshgrid(np.linspace(0.0, np.pi / 2, 7),
+                             np.linspace(0.0, 2 * np.pi, 12, endpoint=False), indexing="ij")
+        assert ang.tobytes() == np.column_stack([tt.ravel(), pp.ravel()]).tobytes()
 
     def test_coverage(self):
         g = BasisGrid(n_theta=5, n_phi=8)

@@ -11,7 +11,7 @@ from oracles import ion_local_distance_dense, labelled_blocks, prepare_ion_state
 from discord_probe import model_ion, states, tensor
 from discord_probe.cli import execute
 from discord_probe.measures import dephasing_disturbance
-from discord_probe.protocol import TimeGrid
+from discord_probe.protocol import TimeGrid, run_local_detection
 from discord_probe.states import BipartiteState, local_eigenbasis
 from discord_probe.tensor import kron
 
@@ -276,6 +276,19 @@ class TestProtocolEquivalence:
         dense = ion_local_distance_dense(p, t0, grid)
         assert np.max(np.abs(series.d_t - dense.d_t)) <= 1e-12
         assert abs(series.bound_ref - dense.bound_ref) <= 1e-12
+
+    @pytest.mark.parametrize("nbar", [0.0, 2.5])
+    def test_two_evolution_calls_give_shared_bits(self, nbar):
+        # a state prepared on its own evolution(p) carries labels equal to a
+        # second evolution(p)'s, which evolves its Delta on the blocks to the
+        # bit of the shared-generator call
+        p = model_ion.IonParams(nbar=nbar)
+        t0, basis = np.pi / (2 * p.omega0), states.computational_basis(2)
+        grid = TimeGrid.linear(4 * np.pi / p.omega0, 60)
+        got = run_local_detection(model_ion.prepare_state(p, t0), model_ion.evolution(p),
+                                  grid, basis)
+        want = model_ion.simulated_local_distance(p, t0, grid)
+        assert got.d_t.tobytes() == want.d_t.tobytes() and got.bound_ref == want.bound_ref
 
     def test_zero_rabi_block_is_a_sector(self, monkeypatch):
         # off the Lamb-Dicke limit a Rabi frequency can vanish: its block is

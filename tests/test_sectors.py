@@ -143,7 +143,8 @@ def test_local_detection_matches_dense_path(seed, d_a, d_b):
     # Delta evolved and bounded on its sector blocks: d(t) as the dense
     # call's and D as the dense oracle's when the state is built on the
     # generator's sector value; a state on equal labels but its own sector
-    # value keeps them through the pinching, and its Delta is refused
+    # value keeps them through the pinching and gives the same bits, and a
+    # dense state (one sector) on this generator is refused
     rho, h, labels, _, rng = sectored(seed, d_a, d_b)
     dims = BipartitionDims(d_a, d_b)
     evo, one = EvolutionSpec(labelled_blocks(h, labels)), BipartiteState(rho, dims)
@@ -156,8 +157,10 @@ def test_local_detection_matches_dense_path(seed, d_a, d_b):
         assert np.max(np.abs(a.d_t - dense.d_t)) <= 1e-12
         for d in dephasing_disturbance_dense(one, basis):
             assert abs(a.bound_ref - d) <= 1e-12
+        b = run_local_detection(own, evo, grid, basis)
+        assert a.d_t.tobytes() == b.d_t.tobytes() and a.bound_ref == b.bound_ref
         with pytest.raises(ValueError, match="BlockDiagonal on the generator's sectors"):
-            run_local_detection(own, evo, grid, basis)
+            run_local_detection(one, evo, grid, basis)
 
 
 @pytest.mark.parametrize("kind", [list, tuple])
