@@ -64,6 +64,9 @@ def _choice(*options):
 
 # model -> {params field: converter}. A runner passes on only the fields a
 # config sets, so each default lives in the parameter class that takes it.
+# The fields no parameter class takes are defaulted in their runner: the
+# ion's t0 (pi / (2 Omega_0)) in _run_ion, and d_a and d_b (2), n_samples
+# (10000) and state and generator ("random") in _run_haar and _run_generic.
 PARAMS = {
     "ion": {"omega": _float, "eta": _float, "nbar": _float, "t0": _float,
             "lamb_dicke_limit": _bool},

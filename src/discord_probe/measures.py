@@ -19,9 +19,9 @@ from .states import (
 )
 from .tensor import (
     BlockDiagonal,
+    hermitian_blocks,
     partial_transpose_a,
     require_hermitian,
-    trace_norm_hermitian,
 )
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     a, b = require_hermitian(a), require_hermitian(b)
     if a.shape != b.shape:
         raise ValueError("operator dimensions differ")
-    return 0.5 * trace_norm_hermitian(a - b)
+    return half_trace_norm(hermitian_blocks(a - b))
 
 
 def dephasing_disturbance(state: BipartiteState,
@@ -89,8 +89,7 @@ def half_trace_norm(delta: BlockDiagonal) -> float:
 def negativity(state: BipartiteState) -> float:
     """(|rho^Gamma|_1 - 1)/2 with the partial transpose on A."""
     pt = partial_transpose_a(state.rho, state.dims)
-    val = 0.5 * (trace_norm_hermitian(pt) - 1.0)
-    return max(val, 0.0)
+    return max(half_trace_norm(hermitian_blocks(pt)) - 0.5, 0.0)
 
 
 def rows_times(rows: np.ndarray, mat: np.ndarray) -> np.ndarray:

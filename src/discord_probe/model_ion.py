@@ -89,15 +89,17 @@ def evolution(p: IonParams) -> EvolutionSpec:
 
 def prepare_state(p: IonParams, t0: float,
                   evo: EvolutionSpec | None = None) -> BipartiteState:
-    """Blue-sideband pulse of duration t0 on |g><g| (x) thermal motion: each
-    sqrt(p_n)|g,n> evolves in its sector N = n, so psi = U(t0) sum_n sqrt(p_n)|g,n>
-    gives the sector blocks psi_s psi_s^dag of rho, on the sectors of H."""
+    """Blue-sideband pulse of duration t0 on |g><g| (x) thermal motion, in
+    closed form: U(t0)|g,n> = cos(Omega_n t0/2)|g,n> - i sin(Omega_n t0/2)|e,n+1>
+    for n < n_max, and |g,n_max> (its partner lies beyond the cutoff) and
+    |e,0> are left as they are. So psi = U(t0) sum_n sqrt(p_n)|g,n> gives the
+    sector blocks psi_s psi_s^dag of rho, on the sectors of H."""
     if t0 < 0:
         raise ValueError("preparation time must be nonnegative")
-    evo = evo or evolution(p)
-    col = np.sqrt(np.r_[p.populations(), np.zeros(p.n_max + 1)])[:, None]
-    psi = evo.evolve_vectors(col, [t0])[:, 0, 0]
-    sectors = evo.blocks.sectors
+    amp, half = np.sqrt(p.populations()), 0.5 * p.rabi(np.arange(p.n_max)) * t0
+    # |g,n> at index n, then |e,0> and |e,n+1> at n_max + 2 + n
+    psi = np.r_[amp[:-1] * np.cos(half), amp[-1], 0.0, -1j * amp[:-1] * np.sin(half)]
+    sectors = (evo or evolution(p)).blocks.sectors
     blocks = [u[:, :, None] * u[:, None].conj() for u in (psi[r] for r in sectors.rows)]
     return BipartiteState(BlockDiagonal(blocks, sectors), p.dims)
 

@@ -12,7 +12,7 @@ import numpy as np
 from .protocol import (BasisGrid, EvolutionSpec, TimeGrid, WitnessSeries,
                        run_minimized_detection)
 from .states import BipartiteState
-from .tensor import BipartitionDims, BlockDiagonal, Sectors
+from .tensor import BipartitionDims
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,10 @@ def build_chain_hamiltonian(p: ChainParams, rotated: bool = False) -> np.ndarray
 class SpectralData:
     energies: np.ndarray  # ascending
     parities: np.ndarray  # +-1 per eigenstate
-    evolution: EvolutionSpec  # the rotated frame's real H on its popcount sectors
+    # the rotated frame's real H on its even- and odd-popcount sectors, stacked:
+    rows: np.ndarray  # (2, m) basis indices of each sector
+    w: np.ndarray  # (2, m) their energies, ascending in each sector
+    v: np.ndarray  # (2, m, m) their real eigenvectors as columns
     order: np.ndarray  # eigenstate j is column order[j] of the sectors' eigenvectors
 
     @cached_property
@@ -76,10 +79,9 @@ class SpectralData:
         """The eigenvectors as columns in the original frame. R^dag acts site
         by site, |0> -> (|0> + i|1>)/sqrt2 and |1> -> (|1> + i|0>)/sqrt2, by
         adding swapped components, which keeps each column's parity exact."""
-        (rows, _, v), = self.evolution.spectrum
         d, n = len(self.order), len(self.order).bit_length() - 1
-        out = np.zeros((d, *v.shape[:2]), dtype=complex)
-        out[rows, np.arange(2)[:, None]] = v
+        out = np.zeros((d, *self.v.shape[:2]), dtype=complex)
+        out[self.rows, np.arange(2)[:, None]] = self.v
         out = out.reshape(d, d)[:, self.order]
         for i in range(n):
             a = out.reshape(2**i, 2, -1)
@@ -94,34 +96,30 @@ def spectral(p: ChainParams) -> SpectralData:
     flip spins in pairs. The energies ascend; in a block of
     numerically degenerate ones (1e-9 of the scale apart) parity -1 is first."""
     h = build_chain_hamiltonian(p, rotated=True)
-    sectors = Sectors(np.bitwise_count(np.arange(len(h))) & 1)
-    (r,) = sectors.rows
-    evolution = EvolutionSpec(BlockDiagonal([h[r[:, :, None], r[:, None]]], sectors, h))
-    (_, w, _), = evolution.spectrum
-    parity = np.repeat([1, -1], w.shape[1])  # the sectors in label order
+    r = np.argsort(np.bitwise_count(np.arange(len(h))) & 1, kind="stable").reshape(2, -1)
+    w, v = np.linalg.eigh(h[r[:, :, None], r[:, None]])
+    parity = np.repeat([1, -1], w.shape[1])  # even popcount (rows[0]) first
     order = np.argsort(w, axis=None, kind="stable")
     energies = w.ravel()[order]
     gaps = np.diff(energies, prepend=energies[0]) > 1e-9 * max(np.max(np.abs(w)), 1.0)
     order = order[np.lexsort((parity[order], np.cumsum(gaps)))]
-    return SpectralData(energies, parity[order], evolution, order)
+    return SpectralData(energies, parity[order], r, w, v, order)
 
 
 def original_frame_evolution(p: ChainParams, spec: SpectralData) -> EvolutionSpec:
     """H in the original frame, with spec.states and their own energies."""
-    (_, w, _), = spec.evolution.spectrum
     rows = np.arange(len(spec.order))[None]  # one sector, the whole space
     return EvolutionSpec(build_chain_hamiltonian(p), spectrum=[
-        (rows, w.ravel()[spec.order][None], spec.states[None])])
+        (rows, spec.energies[None], spec.states[None])])
 
 
 def _ground_sector(spec: SpectralData):
-    """(s, w, V, psi0, chi), rotated frame: the sector s of the ground vector,
-    all sectors' energies and eigenvectors, psi0 and chi = sigma_z^(0) psi0.
-    Spin 0 is up in the first half of a sector's (ascending) rows."""
-    (_, w, v), = spec.evolution.spectrum
-    s, k = divmod(int(spec.order[0]), w.shape[1])
-    psi0 = v[s, :, k]
-    return s, w, v, psi0, psi0 * np.repeat([1.0, -1.0], len(psi0) // 2)
+    """(s, psi0, chi), rotated frame: the sector s of the ground vector, psi0
+    and chi = sigma_z^(0) psi0 on the rows of that sector. Spin 0 is up in
+    the first half of a sector's (ascending) rows."""
+    s, k = divmod(int(spec.order[0]), spec.w.shape[1])
+    psi0 = spec.v[s, :, k]
+    return s, psi0, psi0 * np.repeat([1.0, -1.0], len(psi0) // 2)
 
 
 @dataclass(frozen=True)
@@ -143,7 +141,7 @@ def ground_state_detection(p: ChainParams, grid: TimeGrid | None = None,
     gap = float(spec.energies[1] - spec.energies[0])
     if gap <= 1e-10:
         raise ValueError("ground state is (numerically) degenerate")
-    s, w, v, psi0, chi = _ground_sector(spec)
+    s, psi0, chi = _ground_sector(spec)
     half = len(psi0) // 2
     p_up, p_down = psi0[:half] @ psi0[:half], psi0[half:] @ psi0[half:]
     if abs(p_up + p_down - 1.0) > 1e-10:
@@ -151,9 +149,9 @@ def ground_state_detection(p: ChainParams, grid: TimeGrid | None = None,
     # pure state: the negativity is the product of the Schmidt coefficients
     neg = float(np.sqrt(p_up * p_down))
     # Re and Im of (chi V)_a exp(-i w_a t) side by side: the complex exp's bits
-    wt = np.multiply.outer(w[s], -grid.samples)
-    phased = (chi @ v[s])[:, None, None] * np.stack([np.cos(wt), np.sin(wt)], axis=-1)
-    amp = v[s, :half] @ phased.reshape(len(wt), -1)  # the spin-up amplitudes of U(t) chi
+    wt = np.multiply.outer(spec.w[s], -grid.samples)
+    phased = (chi @ spec.v[s])[:, None, None] * np.stack([np.cos(wt), np.sin(wt)], axis=-1)
+    amp = spec.v[s, :half] @ phased.reshape(len(wt), -1)  # spin-up amplitudes of U(t) chi
     d_t = np.abs(p_up - np.square(amp).reshape(half, -1, 2).sum(axis=(0, 2))) / 2
     series = WitnessSeries(grid.samples, d_t, bound_ref=neg)
     return GroundStateResult(series, d_t, neg, gap)
@@ -163,9 +161,9 @@ def excitation_overlaps(p: ChainParams, spec: SpectralData | None = None):
     """Populations c_j of the y-dephased ground state in the energy
     eigenbasis, with parities; only the ground vector's sector is populated."""
     spec = spec or spectral(p)
-    s, w, v, psi0, chi = _ground_sector(spec)
-    c = np.zeros(w.shape)
-    c[s] = 0.5 * (np.square(psi0 @ v[s]) + np.square(chi @ v[s]))
+    s, psi0, chi = _ground_sector(spec)
+    c = np.zeros(spec.w.shape)
+    c[s] = 0.5 * (np.square(psi0 @ spec.v[s]) + np.square(chi @ spec.v[s]))
     return list(zip(spec.energies, c.ravel()[spec.order], spec.parities))
 
 

@@ -54,8 +54,9 @@ class EvolutionSpec:
     on the invariant subspaces the model built it on, or dense (one sector),
     diagonalized at construction unless its `spectrum` is given: one stacked
     (rows, w, V) per sector size m, rows (S, m) the basis indices of S
-    sectors, w (S, m) and V (S, m, m) their spectra. Both evolutions work
-    sector by sector. A dense H is formed from the blocks when first read."""
+    sectors, w (S, m) and V (S, m, m) their spectra. Its one evolution,
+    `marginal_series`, works sector by sector. A dense H is formed from the
+    blocks when first read."""
 
     def __init__(self, hamiltonian, spectrum: list | None = None):
         if not isinstance(h := hamiltonian, BlockDiagonal):  # a real H keeps a real eigh
@@ -68,18 +69,6 @@ class EvolutionSpec:
     @property
     def hamiltonian(self) -> np.ndarray:
         return self.blocks.dense
-
-    def evolve_vectors(self, vecs, times) -> np.ndarray:
-        """U(t) psi = V exp(-i w t) V^dag psi for the columns psi of `vecs`
-        (d, k) at every time, sector by sector; shape (d, k, T)."""
-        vecs = np.asarray(vecs)
-        out = np.empty(vecs.shape + (len(times),), dtype=complex)
-        for rows, w, v in self.spectrum:
-            coef = (np.conj(vecs[rows]).swapaxes(-1, -2) @ v).conj().swapaxes(-1, -2)
-            phased = coef[..., None] * np.exp(-1j * np.multiply.outer(w, times))[
-                ..., None, :]
-            out[rows] = (v @ phased.reshape(*phased.shape[:-2], -1)).reshape(phased.shape)
-        return out
 
     def marginal_series(self, mats, dims: BipartitionDims,
                         times: np.ndarray) -> np.ndarray:

@@ -172,11 +172,6 @@ def eig_hermitian(h: np.ndarray):
     return w, v
 
 
-def trace_norm_hermitian(x: np.ndarray) -> float:
-    """Trace norm of a Hermitian matrix via its eigenvalues."""
-    return float(np.sum(np.abs(np.linalg.eigvalsh(x))))
-
-
 def evolve(rho: np.ndarray, h: np.ndarray, t: float) -> np.ndarray:
     """Unitary conjugation exp(-iht) rho exp(+iht) via spectral decomposition
     (hbar = 1)."""

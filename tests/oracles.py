@@ -13,12 +13,12 @@ the full atom (x) modes space, the spin-chain Hamiltonian from dense
 Pauli strings and its parity as the dense operator (x) sigma_y, the
 chain's spectrum from one dense complex `eigh` with degenerate blocks rotated
 to definite parity, its ground-state detection from 2x2 marginals and a
-whole-space evolution, the spin-chain autocorrelation (through the
-original-frame evolution, and from its definition), the dense photon state with
-its coherence decay, the closed-form Michelson propagator, the ion state
-prepared as a full-matrix conjugation, the ion witness from Delta evolved
-as a full matrix by expm, the emission signal from the
-eigenvector row formula, the Haar-average estimate one sampled unitary at a
+whole-space evolution by its own eigenpairs, the spin-chain autocorrelation
+(through the original-frame eigenpairs, and from its definition), the
+dense photon state with its coherence decay, the closed-form Michelson
+propagator, the ion state prepared as a full-matrix conjugation, the ion
+witness from Delta evolved as a full matrix by expm, the emission signal
+from the eigenvector row formula, the Haar-average estimate one sampled unitary at a
 time and the photon frequency sum with one exponential per (delay,
 frequency) pair, and the labelled reference: a dense matrix cut on sector
 labels into a BlockDiagonal, refused if any entry lies between two sectors.
@@ -267,8 +267,8 @@ def spectral_dense(p) -> SimpleNamespace:
     original-frame H. Numerically degenerate energy blocks (each within 1e-9
     of the scale of the next) are rotated to diagonalize (x) sigma_y, parity
     -1 first, and each vector is then projected onto its dominant parity
-    sector. Fields as `model_spinchain.SpectralData`, with `evolution` the
-    dense original-frame `EvolutionSpec`."""
+    sector. Returns the energies, states and parities, the fields that
+    `model_spinchain.SpectralData` reads in the original frame."""
     h = model_spinchain.build_chain_hamiltonian(p)
     par = parity_operator(p.n_spins)
     w, v = np.linalg.eigh(h)
@@ -283,9 +283,16 @@ def spectral_dense(p) -> SimpleNamespace:
     parities = np.sign(np.real(np.sum(v.conj() * flipped, axis=0)))
     v = 0.5 * (v + flipped * parities[None, :])
     v = v / np.linalg.norm(v, axis=0)
-    return SimpleNamespace(energies=w, states=v, parities=parities,
-                           evolution=EvolutionSpec(h, spectrum=[
-                               (np.arange(len(w))[None], w[None], v[None])]))
+    return SimpleNamespace(energies=w, states=v, parities=parities)
+
+
+def evolve_columns(spec, vecs: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """U(t) vecs = X exp(-i E t) X^dag vecs for the columns of `vecs` (d, k),
+    from the eigenpairs (E, X) = (spec.energies, spec.states) of a dense H,
+    one time at a time; shape (d, k, T)."""
+    coef = spec.states.conj().T @ vecs
+    return np.stack([spec.states @ (np.exp(-1j * spec.energies * t)[:, None] * coef)
+                     for t in times], axis=-1)
 
 
 def dephased_components(p, spec) -> np.ndarray:
@@ -300,14 +307,14 @@ def ground_detection_dense(p, grid, spec) -> SimpleNamespace:
     frame: d(t) = ||m0 - mc(t)||_1 / 4 for the marginals of psi0 and U(t) chi,
     the magnetization form |tr((mc - m0) sigma_y)| / 4, the negativity
     sqrt(det m0) and the gap, from a `spectral_dense` result with the
-    whole-space evolution of chi."""
+    whole-space evolution of chi by its own eigenpairs."""
     gap = float(spec.energies[1] - spec.energies[0])
     if gap <= 1e-10:
         raise ValueError("ground state is (numerically) degenerate")
     psi0, chi = dephased_components(p, spec).T
     r0 = psi0.reshape(2, -1)
     m0 = r0 @ r0.conj().T
-    evolved = spec.evolution.evolve_vectors(chi[:, None], grid.samples)
+    evolved = evolve_columns(spec, chi[:, None], grid.samples)
     evolved = evolved.reshape(2, -1, len(grid.samples))
     diff = m0 - np.einsum("iat,jat->tij", evolved, evolved.conj())
     d_t = 0.25 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
@@ -320,11 +327,11 @@ def ground_distances_complex_exp(spec, times: np.ndarray) -> np.ndarray:
     """d(t) of `model_spinchain.ground_state_detection` in its complex form:
     the phases exp(-i w t) from the complex exp, and the real and imaginary
     parts of (chi V)_a exp(-i w_a t) read from the complex product."""
-    s, w, v, psi0, chi = model_spinchain._ground_sector(spec)
-    half = len(psi0) // 2
+    s, psi0, chi = model_spinchain._ground_sector(spec)
+    half, v = len(psi0) // 2, spec.v[s]
     p_up = psi0[:half] @ psi0[:half]
-    phased = (chi @ v[s])[:, None] * np.exp(-1j * np.multiply.outer(w[s], times))
-    amp = v[s, :half] @ phased.view(float)
+    phased = (chi @ v)[:, None] * np.exp(-1j * np.multiply.outer(spec.w[s], times))
+    amp = v[:half] @ phased.view(float)
     return np.abs(p_up - np.square(amp).reshape(half, -1, 2).sum(axis=(0, 2))) / 2
 
 
@@ -332,12 +339,11 @@ def autocorrelation(p, grid=None, spec=None):
     """Global autocorrelation Tr{rho U rho U^dag} / Tr{rho^2} of the dephased
     ground state rho = (|psi0><psi0| + |chi><chi|)/2 of a chain: the sum of
     |<x|U(t)|y>|^2 over x, y in {psi0, chi}, over the same sum at t = 0,
-    with U(t) the original-frame evolution over the time grid."""
+    with U(t) from the spectrum's original-frame eigenpairs over the time grid."""
     spec = spec or model_spinchain.spectral(p)
     grid = grid or p.default_time_grid()
     comps = dephased_components(p, spec)
-    evolved = model_spinchain.original_frame_evolution(p, spec).evolve_vectors(
-        comps, grid.samples)
+    evolved = evolve_columns(spec, comps, grid.samples)
     overlaps = np.tensordot(comps.conj(), evolved, axes=(0, 0))  # <x|U(t)|y>
     purity = np.sum(np.abs(comps.conj().T @ comps) ** 2)
     return list(zip(grid.samples, np.sum(np.abs(overlaps) ** 2, axis=(0, 1)) / purity))

@@ -164,12 +164,20 @@ class TestPrepareState:
             m = s.marginal_a
             assert abs(m[0, 1]) <= 1e-10
 
-    @pytest.mark.parametrize("nbar", [0.0, 5.9])
+    @pytest.mark.parametrize("nbar", [0.0, 0.5, 5.9, 10.0])
     def test_matches_dense_conjugation(self, nbar):
-        p = model_ion.IonParams(nbar=nbar)
-        for t0 in (0.0, 0.7 / p.omega0, 3.1 / p.omega0):
-            s = model_ion.prepare_state(p, t0)
-            assert np.max(np.abs(s.rho - prepare_ion_state_dense(p, t0))) <= 1e-12
+        # the closed-form pulse against U(t0) rho0 U(t0)^dag of the dense H, up
+        # to the cutoff's edges: |e,0> is never reached and |g,n_max>, whose
+        # partner lies beyond the cutoff, keeps its thermal weight
+        for limit in (True, False):
+            p = model_ion.IonParams(nbar=nbar, lamb_dicke_limit=limit)
+            for t0 in (0.0, 0.7 / p.omega0, np.pi / p.omega0, 3.1 / p.omega0):
+                s = model_ion.prepare_state(p, t0)
+                assert np.max(np.abs(s.rho - prepare_ion_state_dense(p, t0))) <= 1e-12
+                e0, g_top = p.n_max + 1, p.n_max
+                assert not np.any(s.rho[e0]) and not np.any(s.rho[:, e0])
+                assert s.rho[g_top, g_top] == pytest.approx(p.populations()[-1],
+                                                            rel=1e-15, abs=0)
 
     @pytest.mark.parametrize("nbar,limit", [(0.0, True), (1.3, True), (10.0, False)])
     def test_gram_spectrum_is_state_spectrum(self, nbar, limit):

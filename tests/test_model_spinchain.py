@@ -153,15 +153,18 @@ class TestHamiltonian:
     def test_rotated_keeps_parities_apart(self, n_spins):
         # spectral() splits the rotated H on popcount parity without looking:
         # it has no nonzero entry between the even- and odd-popcount states,
-        # and its blocks are those the labelled reference cuts, to the bit
+        # and its rows and eigenpairs are those of the blocks the labelled
+        # reference cuts, to the bit
         odd = np.bitwise_count(np.arange(2**n_spins)) & 1
         for alpha, j0, b_field in ((1.0, 1.0, 1.0), (0.7, 0.37, -0.4),
                                    (2.3, 2.0, 1e-12), (2.0, 1.0, 7.3)):
             p = params(n_spins=n_spins, alpha=alpha, j0=j0, b_field=b_field)
             h = model_spinchain.build_chain_hamiltonian(p, rotated=True)
             assert np.count_nonzero(h[odd[:, None] != odd]) == 0
-            (block,) = model_spinchain.spectral(p).evolution.blocks.blocks
-            assert block.tobytes() == labelled_blocks(h, odd).blocks[0].tobytes()
+            spec, cut = model_spinchain.spectral(p), labelled_blocks(h, odd)
+            w, v = np.linalg.eigh(cut.blocks[0])
+            assert spec.rows.tobytes() == cut.sectors.rows[0].tobytes()
+            assert spec.w.tobytes() == w.tobytes() and spec.v.tobytes() == v.tobytes()
 
     def test_parity_commutes(self):
         p = params()

@@ -124,18 +124,6 @@ class TestEvolutionSpec:
             direct = partial_trace_b(evolve(rho, h, t), dims)
             assert np.max(np.abs(out[0, ti] - direct)) <= 1e-10
 
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**31 - 1), st.integers(1, 12), st.integers(1, 3))
-    def test_evolve_vectors_matches_expm(self, seed, d, k):
-        rng = np.random.default_rng(seed)
-        h = random_hermitian(d, rng)
-        vecs = rng.standard_normal((d, k)) + 1j * rng.standard_normal((d, k))
-        times = np.concatenate([[0.0], rng.uniform(-3.0, 3.0, 3)])
-        out = EvolutionSpec(hamiltonian=h).evolve_vectors(vecs, times)
-        assert out.shape == (d, k, len(times))
-        for ti, t in enumerate(times):
-            assert np.max(np.abs(out[:, :, ti] - expm(-1j * h * t) @ vecs)) <= 1e-12
-
     @staticmethod
     def _direct_sum(seed, d):
         """A random Hermitian direct sum of blocks of size 1-4 (some zero),
@@ -162,8 +150,6 @@ class TestEvolutionSpec:
         h, labels, rng = self._direct_sum(seed, dims.total)
         sectored, dense = EvolutionSpec(labelled_blocks(h, labels)), EvolutionSpec(h)
         times = np.concatenate([[0.0], rng.uniform(-3.0, 3.0, 3)])
-        vecs = rng.standard_normal((dims.total, 2)) + 1j * rng.standard_normal(
-            (dims.total, 2))
         # operators block diagonal on the labels, so exactly zero between
         # sectors: a pinched state, a real and a complex non-Hermitian one, and
         # one whose blocks on some sectors are exactly zero too; given to the
@@ -176,14 +162,11 @@ class TestEvolutionSpec:
         mats = [random_density(dims.total, rng) * on,
                 rng.standard_normal((dims.total,) * 2) * on + 0j, z * on,
                 z * (on & kept[sec])]
-        out = sectored.evolve_vectors(vecs, times)
         margs = sectored.marginal_series(
             [labelled_blocks(x, sectored.blocks.sectors) for x in mats], dims, times)
-        assert np.max(np.abs(out - dense.evolve_vectors(vecs, times))) <= 1e-12
         assert np.max(np.abs(margs - dense.marginal_series(mats, dims, times))) <= 1e-12
         for ti, t in enumerate(times):
             u = expm(-1j * h * t)
-            assert np.max(np.abs(out[:, :, ti] - u @ vecs)) <= 1e-12
             for xi, x in enumerate(mats):
                 direct = partial_trace_b(u @ x @ u.conj().T, dims)
                 assert np.max(np.abs(margs[xi, ti] - direct)) <= 1e-12
@@ -271,10 +254,15 @@ class TestEvolutionSpec:
         evo = EvolutionSpec(h)
         assert evo.hamiltonian.dtype == np.float64
         assert evo.spectrum[0][2].dtype == np.float64
-        times = np.array([0.0, 0.8, 2.1])
-        out = evo.evolve_vectors(np.eye(5, 2), times)
-        ref = EvolutionSpec(h.astype(complex)).evolve_vectors(np.eye(5, 2), times)
+        # with d_B = 1 the marginal is the whole evolved operator
+        x = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+        dims, times = BipartitionDims(5, 1), [0.0, 0.8, 2.1]
+        out = evo.marginal_series([x], dims, times)
+        ref = EvolutionSpec(h.astype(complex)).marginal_series([x], dims, times)
         assert np.max(np.abs(out - ref)) <= 1e-12
+        for ti, t in enumerate(times):
+            u = expm(-1j * h * t)
+            assert np.max(np.abs(out[0, ti] - u @ x @ u.conj().T)) <= 1e-12
 
     def test_spectral_checks_hermiticity_once(self, rng, monkeypatch):
         # the generator is checked once, on construction, which diagonalizes it

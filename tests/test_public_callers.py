@@ -1,17 +1,21 @@
-"""Every module-level function or class of the package has a caller.
+"""Every module-level function or class of the package, and every public
+method or property of its classes, has a caller.
 
 A public name defined in `src/discord_probe/<module>.py` (not `__init__.py`)
 must be used by another statement of the package, imported by the
 acceptance gate (by name, or as `module.name` of a module it imports), named
 in a `per_layer` entry of BENCHMARK.json, or be `cli.main`, the console entry
 point. A private function (`_name`) must be used by another statement of the
-package; the tests do not count. What only the tests call belongs in
+package. A public method or property of a top-level class must be read as an
+attribute (`x.name`) somewhere in the package or the acceptance gate, outside
+its own body. The tests do not count: what only the tests call belongs in
 `tests/oracles.py`. This static check reads the source with `ast` and names
 each stray definition.
 """
 
 import ast
 import json
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -94,6 +98,26 @@ def _stray(callers: set, private: bool) -> str:
     return ", ".join(sorted(f"{m}.{name}" for m, name in defined - callers))
 
 
+def _methods(tree: ast.Module):
+    """(class, method node) for the public methods and properties of the
+    top-level classes."""
+    return [(cls.name, f) for cls in tree.body if isinstance(cls, ast.ClassDef)
+            for f in cls.body if isinstance(f, ast.FunctionDef)
+            and not f.name.startswith("_")]
+
+
+def _attributes(node: ast.AST) -> Counter:
+    """How often each name is read or written as an attribute under `node`."""
+    return Counter(n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute))
+
+
+def _stray_methods(modules: dict, gate: ast.Module) -> str:
+    seen = sum((_attributes(t) for t in (*modules.values(), gate)), Counter())
+    return ", ".join(sorted(f"{m}.{cls}.{f.name}" for m, t in modules.items()
+                            for cls, f in _methods(t)
+                            if seen[f.name] == _attributes(f)[f.name]))
+
+
 def test_every_public_definition_has_a_caller():
     callers = set().union(*(_uses(m, t) for m, t in MODULES.items()),
                           _acceptance_imports(), _per_layer_names(), ENTRY_POINTS)
@@ -111,3 +135,21 @@ def test_a_definition_is_not_its_own_caller():
                      "\n\nh = 1\n")
     assert _uses("m", tree) == set()
     assert _uses("m", ast.parse("def f():\n    pass\n\n\nx = f\n")) == {("m", "f")}
+
+
+def test_every_public_method_has_a_caller():
+    gate = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    stray = _stray_methods(MODULES, gate)
+    assert not stray, f"methods and properties that nothing outside the tests reads: {stray}"
+
+
+def test_a_method_is_not_its_own_caller():
+    # a method that only calls itself, or only a test calls, is stray; one
+    # read as an attribute by another statement or by the gate is not
+    tree = ast.parse("class A:\n    def f(self):\n        return self.f()\n\n"
+                     "    def g(self):\n        return 1\n\n"
+                     "    @property\n    def h(self):\n        return self.g()\n\n"
+                     "    def _p(self):\n        return 0\n")
+    empty = ast.parse("")
+    assert _stray_methods({"m": tree}, empty) == "m.A.f, m.A.h"
+    assert _stray_methods({"m": tree}, ast.parse("A().f()\nx = a.h\n")) == ""

@@ -194,10 +194,7 @@ def test_no_labels_is_one_sector(seed, d_a, d_b, real):
     for a, b in zip(spectrum, labelled):
         assert a.tobytes() == b.tobytes()
     times = np.concatenate([[0.0], rng.uniform(-3.0, 3.0, 3)])
-    vecs = rng.standard_normal((d, 2)) + 1j * rng.standard_normal((d, 2))
     mats = [random_density(d, rng), rng.standard_normal((d, d)) + 0j]
-    a, b = (evo.evolve_vectors(vecs, times) for evo in pair)
-    assert a.tobytes() == b.tobytes()
     a, b = (evo.marginal_series(mats, dims, times) for evo in pair)
     assert a.tobytes() == b.tobytes()
     rho = random_density(d, rng)

@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 
 from conftest import SX, SY, SZ, random_density, random_hermitian
 from oracles import partial_trace_a, trace_norm
+from discord_probe.measures import half_trace_norm
 from discord_probe.tensor import (
     PAULI,
     BipartitionDims,
     eig_hermitian,
     evolve,
+    hermitian_blocks,
     kron,
     local_sandwich,
     partial_trace_b,
@@ -20,7 +22,6 @@ from discord_probe.tensor import (
     require_hermitian,
     require_unitary,
     Sectors,
-    trace_norm_hermitian,
 )
 
 I2 = np.eye(2)
@@ -227,7 +228,7 @@ class TestTraceNorm:
 
     def test_hermitian_fast_path_matches(self, rng):
         h = random_hermitian(6, rng)
-        assert abs(trace_norm(h) - trace_norm_hermitian(h)) <= 1e-10
+        assert abs(trace_norm(h) - 2 * half_trace_norm(hermitian_blocks(h))) <= 1e-10
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 2**31 - 1))
