@@ -62,24 +62,6 @@ def _choice(*options):
     return convert
 
 
-# model -> {params field: converter}. A runner passes on only the fields a
-# config sets, so each default lives in the parameter class that takes it.
-# The fields no parameter class takes are defaulted in their runner: the
-# ion's t0 (pi / (2 Omega_0)) in _run_ion, and d_a and d_b (2), n_samples
-# (10000) and state and generator ("random") in _run_haar and _run_generic.
-PARAMS = {
-    "ion": {"omega": _float, "eta": _float, "nbar": _float, "t0": _float,
-            "lamb_dicke_limit": _bool},
-    "photon-cv": {"beta": _float, "delta_omega": _float, "omega0": _float, "t": _float,
-                  "grid_span": _float, "grid_points": _int},
-    "photon-dv": {"lam": _float, "theta": _float, "phase_rate": _float},
-    "spinchain": {"n_spins": _int, "alpha": _float, "j0": _float, "b_field": _float,
-                  "kT": _float},
-    "emission": {"n_modes": _int, "half_bandwidth": _float, "structured": _bool},
-    "haar": {"d_a": _int, "d_b": _int, "n_samples": _int},
-    "generic": {"d_a": _int, "d_b": _int, "state": _choice("product", "random"),
-                "generator": _choice("random", "noninteracting")},
-}
 # the sections every model takes; missing or null means all defaults
 SECTIONS = {
     "time_grid": {"t_max": _float, "points": _int},
@@ -114,9 +96,9 @@ def parse(cfg) -> dict:
     that cannot be. Ranges are left to the parameter classes."""
     top = _fields(cfg, dict.fromkeys(("model", "seed", "params", *SECTIONS),
                                      lambda v: v), "top level")
-    model = _convert(_choice(*PARAMS), top.get("model"), "model")
+    model = _convert(_choice(*MODELS), top.get("model"), "model")
     out = {"model": model, "seed": _convert(_int, top.get("seed", 0), "seed"),
-           "params": _fields(top.get("params", {}), PARAMS[model], f"{model} params")}
+           "params": _fields(top.get("params", {}), MODELS[model][1], f"{model} params")}
     for name, converters in SECTIONS.items():
         section = top.get(name)
         out[name] = _fields({} if section is None else section, converters, name)
@@ -318,14 +300,24 @@ def _run_generic(cfg: dict):
             {"series.csv": _series_columns(series)}, ("d_max", "D", D_MAX_THRESHOLD))
 
 
-_RUNNERS = {
-    "ion": _run_ion,
-    "photon-cv": _run_photon_cv,
-    "photon-dv": _run_photon_dv,
-    "spinchain": _run_spinchain,
-    "emission": _run_emission,
-    "haar": _run_haar,
-    "generic": _run_generic,
+# model -> (runner, {params field: converter}). A runner passes on only the
+# fields a config sets, so each default lives in the parameter class that takes
+# it. The fields no parameter class takes are defaulted in their runner: the
+# ion's t0 (pi / (2 Omega_0)) in _run_ion, and d_a and d_b (2), n_samples
+# (10000) and state and generator ("random") in _run_haar and _run_generic.
+MODELS = {
+    "ion": (_run_ion, {"omega": _float, "eta": _float, "nbar": _float, "t0": _float,
+                       "lamb_dicke_limit": _bool}),
+    "photon-cv": (_run_photon_cv, {"beta": _float, "delta_omega": _float, "omega0": _float,
+                                   "t": _float, "grid_span": _float, "grid_points": _int}),
+    "photon-dv": (_run_photon_dv, {"lam": _float, "theta": _float, "phase_rate": _float}),
+    "spinchain": (_run_spinchain, {"n_spins": _int, "alpha": _float, "j0": _float,
+                                   "b_field": _float, "kT": _float}),
+    "emission": (_run_emission, {"n_modes": _int, "half_bandwidth": _float,
+                                 "structured": _bool}),
+    "haar": (_run_haar, {"d_a": _int, "d_b": _int, "n_samples": _int}),
+    "generic": (_run_generic, {"d_a": _int, "d_b": _int, "state": _choice("product", "random"),
+                               "generator": _choice("random", "noninteracting")}),
 }
 
 
@@ -340,7 +332,7 @@ def execute(cfg: dict, out_dir: str) -> dict:
     summary with the run's verdict line. A file that cannot be written
     removes the tables written before it."""
     parsed = parse(cfg)
-    results, tables, verdict = _RUNNERS[parsed["model"]](parsed)
+    results, tables, verdict = MODELS[parsed["model"]][0](parsed)
     summary = {
         "config_hash": _config_hash(cfg),
         "model": parsed["model"],

@@ -74,32 +74,35 @@ class IonParams:
         return BipartitionDims(2, self.n_max + 1)
 
 
+def _sectors(p: IonParams) -> Sectors:
+    """The eigenspaces of the conserved N = a^dag a - |e><e|."""
+    n = np.arange(p.n_max + 1)
+    return Sectors(np.concatenate([n, n - 1]))  # |g,n> at index n, |e,n> at n_max + 1 + n
+
+
 def evolution(p: IonParams) -> EvolutionSpec:
     """The sideband coupling |g,n> <-> |e,n+1>, matrix element Omega_n / 2
-    (hbar = 1), built as its blocks on the eigenspaces of the conserved
-    N = a^dag a - |e><e|: {|g,n>, |e,n+1>} at N = n < n_max, and the
-    singletons |e,0> (N = -1) and |g,n_max> (its partner lies beyond the
-    cutoff). Index 0 is |g>, index 1 |e>; A = qubit, B = phonons."""
-    n = np.arange(p.n_max + 1)
-    sectors = Sectors(np.concatenate([n, n - 1]))  # |g,n> at index n, |e,n> at n_max + 1 + n
+    (hbar = 1), built as its blocks on the sectors of N: {|g,n>, |e,n+1>} at
+    N = n < n_max, and the singletons |e,0> (N = -1) and |g,n_max> (its
+    partner lies beyond the cutoff). Index 0 is |g>, index 1 |e>; A = qubit,
+    B = phonons."""
     pairs = np.zeros((p.n_max, 2, 2), dtype=complex)
-    pairs[:, 0, 1] = pairs[:, 1, 0] = 0.5 * p.rabi(n[:-1])
-    return EvolutionSpec(BlockDiagonal([np.zeros((2, 1, 1), dtype=complex), pairs], sectors))
+    pairs[:, 0, 1] = pairs[:, 1, 0] = 0.5 * p.rabi(np.arange(p.n_max))
+    return EvolutionSpec(BlockDiagonal([np.zeros((2, 1, 1), dtype=complex), pairs], _sectors(p)))
 
 
-def prepare_state(p: IonParams, t0: float,
-                  evo: EvolutionSpec | None = None) -> BipartiteState:
+def prepare_state(p: IonParams, t0: float) -> BipartiteState:
     """Blue-sideband pulse of duration t0 on |g><g| (x) thermal motion, in
     closed form: U(t0)|g,n> = cos(Omega_n t0/2)|g,n> - i sin(Omega_n t0/2)|e,n+1>
     for n < n_max, and |g,n_max> (its partner lies beyond the cutoff) and
     |e,0> are left as they are. So psi = U(t0) sum_n sqrt(p_n)|g,n> gives the
-    sector blocks psi_s psi_s^dag of rho, on the sectors of H."""
+    sector blocks psi_s psi_s^dag of rho, on labels equal to the generator's."""
     if t0 < 0:
         raise ValueError("preparation time must be nonnegative")
     amp, half = np.sqrt(p.populations()), 0.5 * p.rabi(np.arange(p.n_max)) * t0
     # |g,n> at index n, then |e,0> and |e,n+1> at n_max + 2 + n
     psi = np.r_[amp[:-1] * np.cos(half), amp[-1], 0.0, -1j * amp[:-1] * np.sin(half)]
-    sectors = (evo or evolution(p)).blocks.sectors
+    sectors = _sectors(p)
     blocks = [u[:, :, None] * u[:, None].conj() for u in (psi[r] for r in sectors.rows)]
     return BipartiteState(BlockDiagonal(blocks, sectors), p.dims)
 
@@ -123,8 +126,8 @@ def analytic_disturbance(p: IonParams, t0: float) -> float:
 def simulated_local_distance(p: IonParams, t0: float, t1_grid: TimeGrid) -> WitnessSeries:
     """The protocol on the sector blocks: prepare at t0, dephase the qubit in
     {|g>,|e>}, evolve and compare marginals over the detection grid."""
-    evo = evolution(p)
-    return run_local_detection(prepare_state(p, t0, evo), evo, t1_grid, computational_basis(2))
+    return run_local_detection(prepare_state(p, t0), evolution(p), t1_grid,
+                               computational_basis(2))
 
 
 def signal_vs_temperature(p: IonParams, nbar_list) -> list:

@@ -66,7 +66,7 @@ def build_chain_hamiltonian(p: ChainParams, rotated: bool = False) -> np.ndarray
 
 @dataclass(frozen=True)
 class SpectralData:
-    energies: np.ndarray  # ascending
+    energies: np.ndarray  # ascending; states[:, j] has energy state_energies[j]
     parities: np.ndarray  # +-1 per eigenstate
     # the rotated frame's real H on its even- and odd-popcount sectors, stacked:
     rows: np.ndarray  # (2, m) basis indices of each sector
@@ -87,6 +87,11 @@ class SpectralData:
             a = out.reshape(2**i, 2, -1)
             out = a + 1j * a[:, ::-1]
         return out.reshape(d, d) * 0.5 ** (n / 2)
+
+    @cached_property
+    def state_energies(self) -> np.ndarray:
+        """The energy of each column of `states`, which `energies` reorders."""
+        return self.w.ravel()[self.order]
 
 
 def spectral(p: ChainParams) -> SpectralData:
@@ -110,7 +115,7 @@ def original_frame_evolution(p: ChainParams, spec: SpectralData) -> EvolutionSpe
     """H in the original frame, with spec.states and their own energies."""
     rows = np.arange(len(spec.order))[None]  # one sector, the whole space
     return EvolutionSpec(build_chain_hamiltonian(p), spectrum=[
-        (rows, spec.energies[None], spec.states[None])])
+        (rows, spec.state_energies[None], spec.states[None])])
 
 
 def _ground_sector(spec: SpectralData):
@@ -164,7 +169,7 @@ def excitation_overlaps(p: ChainParams, spec: SpectralData | None = None):
     s, psi0, chi = _ground_sector(spec)
     c = np.zeros(spec.w.shape)
     c[s] = 0.5 * (np.square(psi0 @ spec.v[s]) + np.square(chi @ spec.v[s]))
-    return list(zip(spec.energies, c.ravel()[spec.order], spec.parities))
+    return list(zip(spec.state_energies, c.ravel()[spec.order], spec.parities))
 
 
 def gibbs_state(p: ChainParams, spec: SpectralData | None = None) -> BipartiteState:
@@ -174,7 +179,7 @@ def gibbs_state(p: ChainParams, spec: SpectralData | None = None) -> BipartiteSt
     if p.kT <= 0:
         raise ValueError("Gibbs state needs kT > 0")
     spec = spec or spectral(p)
-    w = np.exp(-(spec.energies - spec.energies[0]) / p.kT)
+    w = np.exp(-(spec.state_energies - spec.energies[0]) / p.kT)
     w = w / w.sum()
     rho = (spec.states * w) @ spec.states.conj().T
     return BipartiteState(rho, p.dims, spectrum=w)

@@ -52,19 +52,18 @@ class TimeGrid:
 class EvolutionSpec:
     """Time-independent Hermitian generator H (hbar = 1), as its BlockDiagonal
     on the invariant subspaces the model built it on, or dense (one sector),
-    diagonalized at construction unless its `spectrum` is given: one stacked
-    (rows, w, V) per sector size m, rows (S, m) the basis indices of S
-    sectors, w (S, m) and V (S, m, m) their spectra. Its one evolution,
-    `marginal_series`, works sector by sector. A dense H is formed from the
-    blocks when first read."""
+    each block diagonalized as complex at construction unless its `spectrum`
+    is given: one stacked (rows, w, V) per sector size m, rows (S, m) the
+    basis indices of S sectors, w (S, m) and V (S, m, m) their spectra. Its
+    one evolution, `marginal_series`, works sector by sector. A dense H is
+    formed from the blocks when first read."""
 
     def __init__(self, hamiltonian, spectrum: list | None = None):
-        if not isinstance(h := hamiltonian, BlockDiagonal):  # a real H keeps a real eigh
-            h = np.asarray(h)
-            h = h if h.dtype == np.float64 else np.asarray(h, dtype=complex)
+        h = hamiltonian if isinstance(hamiltonian, BlockDiagonal) else np.asarray(hamiltonian)
         self.blocks = h = hermitian_blocks(h)
         self.spectrum = spectrum if spectrum is not None else [
-            (r, *np.linalg.eigh(b)) for r, b in zip(h.sectors.rows, h.blocks)]
+            (r, *np.linalg.eigh(b.astype(complex, copy=False)))
+            for r, b in zip(h.sectors.rows, h.blocks)]
 
     @property
     def hamiltonian(self) -> np.ndarray:

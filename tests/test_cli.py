@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import fresh_interpreter
 from oracles import csv_text_loop
 from discord_probe import cli, model_emission, model_ion, model_photon, model_spinchain
-from discord_probe.cli import PARAMS, ConfigError, execute, load_config, main, parse
+from discord_probe.cli import MODELS, ConfigError, execute, load_config, main, parse
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIGS = sorted((ROOT / "configs").glob("*.yaml"))
@@ -101,7 +101,7 @@ class TestCanonicalConfigs:
 
     @pytest.mark.parametrize("config,axis", README_SWEEPS)
     def test_readme_sweep_axis_is_a_param(self, config, axis):
-        assert axis in PARAMS[load_config(str(ROOT / config))["model"]]
+        assert axis in MODELS[load_config(str(ROOT / config))["model"]][1]
 
 
 class TestConfigValidation:

@@ -179,6 +179,18 @@ class TestPrepareState:
                 assert s.rho[g_top, g_top] == pytest.approx(p.populations()[-1],
                                                             rel=1e-15, abs=0)
 
+    def test_diagonalizes_nothing(self, monkeypatch):
+        # the pulse is in closed form and the sectors are N's labels, so the
+        # preparation makes no eigh, not even of the generator's sector blocks
+        calls, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh",
+                            lambda a, *r, **k: calls.append(np.shape(a)) or eigh(a, *r, **k))
+        p = model_ion.IonParams(nbar=10.0)
+        s = model_ion.prepare_state(p, np.pi / (2 * p.omega0))
+        assert calls == []
+        assert np.array_equal(s.blocks.sectors.labels,
+                              model_ion.evolution(p).blocks.sectors.labels)
+
     @pytest.mark.parametrize("nbar,limit", [(0.0, True), (1.3, True), (10.0, False)])
     def test_gram_spectrum_is_state_spectrum(self, nbar, limit):
         # positivity is checked on the eigenvalues of the 2x2 and 1x1 sector
@@ -287,9 +299,9 @@ class TestProtocolEquivalence:
 
     @pytest.mark.parametrize("nbar", [0.0, 2.5])
     def test_two_evolution_calls_give_shared_bits(self, nbar):
-        # a state prepared on its own evolution(p) carries labels equal to a
-        # second evolution(p)'s, which evolves its Delta on the blocks to the
-        # bit of the shared-generator call
+        # a prepared state carries labels equal to those of any evolution(p),
+        # which evolves its Delta on the blocks to the bit of the call that
+        # simulated_local_distance makes
         p = model_ion.IonParams(nbar=nbar)
         t0, basis = np.pi / (2 * p.omega0), states.computational_basis(2)
         grid = TimeGrid.linear(4 * np.pi / p.omega0, 60)
@@ -351,7 +363,8 @@ class TestProtocolEquivalence:
         assert formed == []
 
     def test_simulation_builds_one_hamiltonian(self, monkeypatch):
-        # preparation and detection share one EvolutionSpec and its eigh
+        # detection builds the one EvolutionSpec and its eigh; the preparation
+        # builds none
         built = []
         build = model_ion.evolution
         monkeypatch.setattr(model_ion, "evolution", lambda p: built.append(p) or build(p))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from conftest import SY
 from oracles import (autocorrelation, autocorrelation_direct, chain_hamiltonian_dense,
@@ -250,6 +251,28 @@ class TestSpectral:
         assert abs(res.series.d_max - np.max(want.d_t)) <= 1e-9
         assert abs(res.negativity - want.negativity) <= 1e-12
         assert abs(res.gap - want.gap) <= 1e-12
+
+    def test_grouped_block_pairs_each_state_with_its_energy(self):
+        # at (7, 0.12) the ground doublet is a grouped block, whose parity -1
+        # state comes first in `states` though the energies stay sorted: the
+        # Gibbs state, the original frame's evolution and the excitation
+        # triples each pair a state with its own energy, checked against expm
+        p = params(n_spins=7, b_field=0.12, kT=0.05)
+        spec = model_spinchain.spectral(p)
+        assert not np.array_equal(spec.w.ravel()[spec.order], spec.energies)
+        h = model_spinchain.build_chain_hamiltonian(p)
+        gibbs = expm(-(h - spec.energies[0] * np.eye(len(h))) / p.kT)
+        rho = model_spinchain.gibbs_state(p, spec).rho
+        assert np.max(np.abs(rho - gibbs / np.trace(gibbs).real)) <= 1e-13
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
+        x = (x + x.conj().T) / 2
+        u = expm(-1j * h * 20.0)
+        got = model_spinchain.original_frame_evolution(p, spec).marginal_series(
+            [x], p.dims, np.array([20.0]))[0, 0]
+        assert np.max(np.abs(got - partial_trace_b(u @ x @ u.conj().T, p.dims))) <= 1e-10
+        e = np.array([e for e, _, _ in model_spinchain.excitation_overlaps(p, spec)])
+        assert np.max(np.abs(h @ spec.states - spec.states * e)) <= 1e-12
 
     @pytest.mark.parametrize("n_spins", range(2, 9))
     def test_states_are_orthonormal_eigenvectors(self, n_spins):

@@ -249,21 +249,6 @@ class TestEvolutionSpec:
         evo = EvolutionSpec(hamiltonian=h, spectrum=spectrum)
         assert evo.spectrum is spectrum
 
-    def test_real_generator_stays_real(self, rng):
-        h = random_hermitian(5, rng).real
-        evo = EvolutionSpec(h)
-        assert evo.hamiltonian.dtype == np.float64
-        assert evo.spectrum[0][2].dtype == np.float64
-        # with d_B = 1 the marginal is the whole evolved operator
-        x = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        dims, times = BipartitionDims(5, 1), [0.0, 0.8, 2.1]
-        out = evo.marginal_series([x], dims, times)
-        ref = EvolutionSpec(h.astype(complex)).marginal_series([x], dims, times)
-        assert np.max(np.abs(out - ref)) <= 1e-12
-        for ti, t in enumerate(times):
-            u = expm(-1j * h * t)
-            assert np.max(np.abs(out[0, ti] - u @ x @ u.conj().T)) <= 1e-12
-
     def test_spectral_checks_hermiticity_once(self, rng, monkeypatch):
         # the generator is checked once, on construction, which diagonalizes it
         calls = []
@@ -368,7 +353,7 @@ class TestRunLocalDetection:
         if d_a == "ion":
             p = model_ion.IonParams(nbar=d_b)
             basis, evo = computational_basis(2), model_ion.evolution(p)
-            s = model_ion.prepare_state(p, np.pi / (2 * p.omega0), evo)  # on evo's sectors
+            s = model_ion.prepare_state(p, np.pi / (2 * p.omega0))  # on labels equal to evo's
             assert len(np.unique(s.blocks.sectors.labels)) > 1
         else:
             rng = np.random.default_rng(10 * d_a + d_b)
