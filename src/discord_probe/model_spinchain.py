@@ -71,7 +71,8 @@ class SpectralData:
     # the rotated frame's real H on its even- and odd-popcount sectors, stacked:
     rows: np.ndarray  # (2, m) basis indices of each sector
     w: np.ndarray  # (2, m) their energies, ascending in each sector
-    v: np.ndarray  # (2, m, m) their real eigenvectors as columns
+    v: np.ndarray  # (2, m, m) their real eigenvectors as columns, each one even
+    # or odd under site reversal (the + or - block of spectral)
     order: np.ndarray  # eigenstate j is column order[j] of the sectors' eigenvectors
 
     @cached_property
@@ -96,14 +97,44 @@ class SpectralData:
 
 def spectral(p: ChainParams) -> SpectralData:
     """Eigendecomposition in the rotated frame, where H is real and the parity
-    (x) sigma_y is (x) sigma_z: one stacked real eigh of the even- and odd-
-    popcount sectors, parity +1 and -1, which H keeps apart as its couplings
-    flip spins in pairs. The energies ascend; in a block of
+    (x) sigma_y is (x) sigma_z. H keeps the even- and odd-popcount sectors,
+    parity +1 and -1, apart, as its couplings flip spins in pairs. The open
+    chain is also symmetric under site reversal, the bit reversal `rev` of the
+    basis, which keeps popcount. So in each parity sector the palindromes |x>
+    and the pairs (|x> +- |rev x>)/sqrt2, x < rev x, split H into a real +
+    and - block: four real eighs in all. Each sector's energies w ascend, the
+    + half first on an exact tie. `energies` ascend too, and in a block of
     numerically degenerate ones (1e-9 of the scale apart) parity -1 is first."""
     h = build_chain_hamiltonian(p, rotated=True)
-    r = np.argsort(np.bitwise_count(np.arange(len(h))) & 1, kind="stable").reshape(2, -1)
-    w, v = np.linalg.eigh(h[r[:, :, None], r[:, None]])
-    parity = np.repeat([1, -1], w.shape[1])  # even popcount (rows[0]) first
+    n, x = p.n_spins, np.arange(len(h))
+    rev = ((x[:, None] >> np.arange(n)) & 1) @ (1 << np.arange(n)[::-1])  # site reversal
+    r = np.argsort(np.bitwise_count(x) & 1, kind="stable").reshape(2, -1)
+    m = r.shape[1]
+    pos = np.empty_like(x)
+    pos[r] = np.arange(m)  # each basis state's place in its sector
+    w, v = np.empty((2, m)), np.zeros((2, m, m))
+    for s, rows in enumerate(r):
+        pal, a = rows[rev[rows] == rows], rows[rows < rev[rows]]
+        b, k, kp = np.concatenate([pal, a]), len(pal), m - len(a)
+        h_bb, h_br = h[b[:, None], b], h[b[:, None], rev[b]]
+        # + on |pal> and (|a> + |rev a>)/sqrt2, where h_bb + h_br counts a palindrome twice
+        hp = h_bb + h_br
+        hp[:k, :k] *= 0.5
+        hp[:k, k:] *= np.sqrt(0.5)
+        hp[k:, :k] *= np.sqrt(0.5)
+        wp, up = np.linalg.eigh(hp)
+        wm, um = np.linalg.eigh(h_bb[k:, k:] - h_br[k:, k:])  # - on (|a> - |rev a>)/sqrt2
+        # back on the sector's rows: one scaled copy or negation per row
+        up[k:] *= np.sqrt(0.5)
+        um *= np.sqrt(0.5)
+        vs = np.zeros((m, m))
+        vs[pos[b], :kp] = vs[pos[rev[b]], :kp] = up
+        vs[pos[a], kp:], vs[pos[rev[a]], kp:] = um, -um
+        ws = np.concatenate([wp, wm])
+        o = np.argsort(ws, kind="stable")
+        w[s] = ws[o]
+        np.take(vs, o, axis=1, out=v[s])
+    parity = np.repeat([1, -1], m)  # even popcount (rows[0]) first
     order = np.argsort(w, axis=None, kind="stable")
     energies = w.ravel()[order]
     gaps = np.diff(energies, prepend=energies[0]) > 1e-9 * max(np.max(np.abs(w)), 1.0)
@@ -155,9 +186,13 @@ def ground_state_detection(p: ChainParams, grid: TimeGrid | None = None,
     neg = float(np.sqrt(p_up * p_down))
     # Re and Im of (chi V)_a exp(-i w_a t) side by side: the complex exp's bits
     wt = np.multiply.outer(spec.w[s], -grid.samples)
-    phased = (chi @ spec.v[s])[:, None, None] * np.stack([np.cos(wt), np.sin(wt)], axis=-1)
+    phased = np.empty((*wt.shape, 2))
+    np.cos(wt, out=phased[..., 0])
+    np.sin(wt, out=phased[..., 1])
+    phased *= (chi @ spec.v[s])[:, None, None]
     amp = spec.v[s, :half] @ phased.reshape(len(wt), -1)  # spin-up amplitudes of U(t) chi
-    d_t = np.abs(p_up - np.square(amp).reshape(half, -1, 2).sum(axis=(0, 2))) / 2
+    np.square(amp, out=amp)
+    d_t = np.abs(p_up - amp.reshape(half, -1, 2).sum(axis=(0, 2))) / 2
     series = WitnessSeries(grid.samples, d_t, bound_ref=neg)
     return GroundStateResult(series, d_t, neg, gap)
 

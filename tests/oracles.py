@@ -257,7 +257,7 @@ def autocorrelation_direct(p, t: float, spec) -> float:
     psi0 = spec.states[:, 0]
     chi = kron(SY, np.eye(2 ** (p.n_spins - 1))) @ psi0
     rho = 0.5 * (np.outer(psi0, psi0.conj()) + np.outer(chi, chi.conj()))
-    u = (spec.states * np.exp(-1j * spec.energies * t)) @ spec.states.conj().T
+    u = (spec.states * np.exp(-1j * spec.state_energies * t)) @ spec.states.conj().T
     purity = float(np.trace(rho @ rho).real)
     return float(np.trace(rho @ u @ rho @ u.conj().T).real / purity)
 
@@ -268,7 +268,8 @@ def spectral_dense(p) -> SimpleNamespace:
     of the scale of the next) are rotated to diagonalize (x) sigma_y, parity
     -1 first, and each vector is then projected onto its dominant parity
     sector. Returns the energies, states and parities, the fields that
-    `model_spinchain.SpectralData` reads in the original frame."""
+    `model_spinchain.SpectralData` reads in the original frame, and the
+    energies again as `state_energies`, as each state keeps its place."""
     h = model_spinchain.build_chain_hamiltonian(p)
     par = parity_operator(p.n_spins)
     w, v = np.linalg.eigh(h)
@@ -283,15 +284,15 @@ def spectral_dense(p) -> SimpleNamespace:
     parities = np.sign(np.real(np.sum(v.conj() * flipped, axis=0)))
     v = 0.5 * (v + flipped * parities[None, :])
     v = v / np.linalg.norm(v, axis=0)
-    return SimpleNamespace(energies=w, states=v, parities=parities)
+    return SimpleNamespace(energies=w, states=v, parities=parities, state_energies=w)
 
 
 def evolve_columns(spec, vecs: np.ndarray, times: np.ndarray) -> np.ndarray:
     """U(t) vecs = X exp(-i E t) X^dag vecs for the columns of `vecs` (d, k),
-    from the eigenpairs (E, X) = (spec.energies, spec.states) of a dense H,
-    one time at a time; shape (d, k, T)."""
+    from the eigenpairs (E, X) = (spec.state_energies, spec.states) of a dense
+    H, each state with its own energy, one time at a time; shape (d, k, T)."""
     coef = spec.states.conj().T @ vecs
-    return np.stack([spec.states @ (np.exp(-1j * spec.energies * t)[:, None] * coef)
+    return np.stack([spec.states @ (np.exp(-1j * spec.state_energies * t)[:, None] * coef)
                      for t in times], axis=-1)
 
 

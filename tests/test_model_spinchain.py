@@ -10,8 +10,9 @@ from scipy.linalg import expm
 
 from conftest import SY
 from oracles import (autocorrelation, autocorrelation_direct, chain_hamiltonian_dense,
-                     ground_detection_dense, ground_distances_complex_exp,
-                     labelled_blocks, parity_operator, spectral_dense)
+                     dephased_components, evolve_columns, ground_detection_dense,
+                     ground_distances_complex_exp, labelled_blocks, parity_operator,
+                     spectral_dense)
 from discord_probe import measures, model_spinchain
 from discord_probe.cli import execute
 from discord_probe.measures import (BasisGrid, dephasing_disturbance, negativity,
@@ -46,8 +47,9 @@ def test_point_builds_one_hamiltonian(cfg, monkeypatch, tmp_path):
 
 
 def test_ground_point_kernels(monkeypatch, tmp_path):
-    # one n = 8 ground point diagonalizes once: one real eigh of the two
-    # 128-state popcount sectors, no complex or larger matrix, no eigvalsh
+    # one n = 8 ground point diagonalizes once: four real eighs, the site
+    # reversal's + and - blocks of the two 128-state popcount sectors, no
+    # complex or larger matrix, no eigvalsh
     calls = []
     for name in ("eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
@@ -56,9 +58,9 @@ def test_ground_point_kernels(monkeypatch, tmp_path):
                             calls.append((name, np.asarray(a))) or real(a, *r, **k))
     execute({"model": "spinchain", "params": {"n_spins": 8, "b_field": 0.7}},
             str(tmp_path))
-    assert [name for name, _ in calls] == ["eigh"]
-    a = calls[0][1]
-    assert a.dtype == np.float64 and a.shape == (2, 128, 128)
+    assert [name for name, _ in calls] == ["eigh"] * 4
+    assert all(a.dtype == np.float64 for _, a in calls)
+    assert [a.shape for _, a in calls] == [(k, k) for k in (72, 56, 64, 64)]
 
 
 def test_thermal_point_searches_half_the_grid(monkeypatch, tmp_path):
@@ -154,8 +156,8 @@ class TestHamiltonian:
     def test_rotated_keeps_parities_apart(self, n_spins):
         # spectral() splits the rotated H on popcount parity without looking:
         # it has no nonzero entry between the even- and odd-popcount states,
-        # and its rows and eigenpairs are those of the blocks the labelled
-        # reference cuts, to the bit
+        # its rows are those the labelled reference cuts, to the bit, and its
+        # eigenpairs diagonalize the cut's blocks
         odd = np.bitwise_count(np.arange(2**n_spins)) & 1
         for alpha, j0, b_field in ((1.0, 1.0, 1.0), (0.7, 0.37, -0.4),
                                    (2.3, 2.0, 1e-12), (2.0, 1.0, 7.3)):
@@ -163,9 +165,32 @@ class TestHamiltonian:
             h = model_spinchain.build_chain_hamiltonian(p, rotated=True)
             assert np.count_nonzero(h[odd[:, None] != odd]) == 0
             spec, cut = model_spinchain.spectral(p), labelled_blocks(h, odd)
-            w, v = np.linalg.eigh(cut.blocks[0])
             assert spec.rows.tobytes() == cut.sectors.rows[0].tobytes()
-            assert spec.w.tobytes() == w.tobytes() and spec.v.tobytes() == v.tobytes()
+            blocks = cut.blocks[0]
+            assert np.max(np.abs(spec.w - np.linalg.eigvalsh(blocks))) <= 1e-12
+            assert np.max(np.abs(blocks @ spec.v - spec.v * spec.w[:, None])) <= 1e-12
+            eye = np.eye(spec.w.shape[1])
+            assert np.max(np.abs(spec.v.transpose(0, 2, 1) @ spec.v - eye)) <= 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 10), st.floats(1e-2, 10.0), st.floats(1e-3, 1e3),
+           st.floats(-1e3, 1e3))
+    def test_site_reversal_is_exact(self, n_spins, alpha, j0, b_field):
+        # spectral() splits each parity sector by site reversal without
+        # looking: the rotated H equals its bit-reversed copy to the bit, and
+        # every eigenvector it returns is even or odd under it, to the bit
+        p = params(n_spins=n_spins, alpha=alpha, j0=j0, b_field=b_field)
+        x = np.arange(2**n_spins)
+        rev = sum(((x >> i) & 1) << (n_spins - 1 - i) for i in range(n_spins))
+        h = model_spinchain.build_chain_hamiltonian(p, rotated=True)
+        assert np.array_equal(h[np.ix_(rev, rev)], h)
+        spec = model_spinchain.spectral(p)
+        pos = np.empty_like(x)
+        pos[spec.rows] = np.arange(spec.rows.shape[1])
+        for rows, v in zip(spec.rows, spec.v):
+            flipped = v[pos[rev[rows]]]
+            even = np.all(flipped == v, axis=0)
+            assert np.all(even | np.all(flipped == -v, axis=0))
 
     def test_parity_commutes(self):
         p = params()
@@ -404,6 +429,17 @@ class TestAutocorrelation:
         for t, c in out[::2]:
             direct = autocorrelation_direct(p, t, spec)
             assert abs(c - direct) <= 1e-10
+
+    def test_oracle_pairs_each_state_with_its_energy(self):
+        # at B = 1e-3 the ground doublet is a grouped block: the oracle's
+        # U(t) evolves each state with its own energy, as expm does
+        p = params(b_field=1e-3)
+        spec = model_spinchain.spectral(p)
+        assert not np.array_equal(spec.state_energies, spec.energies)
+        comps = dephased_components(p, spec)
+        got = evolve_columns(spec, comps, np.array([20.0]))[..., 0]
+        u = expm(-1j * model_spinchain.build_chain_hamiltonian(p) * 20.0)
+        assert np.max(np.abs(got - u @ comps)) <= 1e-12
 
     def test_flat_in_extreme_fields(self):
         for b in (1e-3, 50.0):
