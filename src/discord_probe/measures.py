@@ -192,18 +192,19 @@ def _chord(n: np.ndarray, m: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _pruning_table(grid: BasisGrid, mirror: bool):
+def _pruning_table(grid: BasisGrid, fold: int):
     """The coarse subgrid (every 3rd theta row plus the last, times every 3rd
     phi) and the other points F as whole-grid indices, and each other point's
     cell corners (4, F), as positions in the subgrid, with their chords.
-    `mirror` keeps phi columns 0 .. n_phi // 2 and their last as a coarse
-    one, as phi in [0, pi] does not wrap."""
-    n_col = grid.n_phi // 2 + 1 if mirror else grid.n_phi
+    `fold` 1 keeps every phi column; 2 keeps columns 0 .. n_phi // 2 and 4
+    columns 0 .. n_phi // 4, with their last as a coarse one, as phi in
+    [0, pi] or [0, pi/2] does not wrap."""
+    n_col = grid.n_phi // fold + 1 if fold > 1 else grid.n_phi
     ti, pj = np.divmod(np.arange(grid.n_theta * n_col), n_col)
     coarse_row = np.arange(grid.n_theta) % 3 == 0
     coarse_row[-1] = True
     coarse_col = np.arange(n_col) % 3 == 0
-    coarse_col[-1] |= mirror
+    coarse_col[-1] |= fold > 1
     rows, cols = np.flatnonzero(coarse_row), np.flatnonzero(coarse_col)
     coarse = coarse_row[ti] & coarse_col[pj]
     index = ti * grid.n_phi + pj
@@ -211,7 +212,7 @@ def _pruning_table(grid: BasisGrid, mirror: bool):
     t_lo = rows[np.searchsorted(rows, ti, "right") - 1]
     t_hi = rows[np.searchsorted(rows, ti, "left")]
     p_lo = cols[np.searchsorted(cols, pj, "right") - 1]
-    p_hi = cols[np.searchsorted(cols, pj, "left") % len(cols)]  # phi wraps, unmirrored
+    p_hi = cols[np.searchsorted(cols, pj, "left") % len(cols)]  # phi wraps, unfolded
     corners = np.stack([t_lo * grid.n_phi + p_lo, t_lo * grid.n_phi + p_hi,
                         t_hi * grid.n_phi + p_lo, t_hi * grid.n_phi + p_hi])
     axes = bloch_vectors(grid.angles())
@@ -227,7 +228,7 @@ _STENCIL = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j])
 
 
 def _bloch_search(f, state: BipartiteState, grid: BasisGrid, start: np.ndarray,
-                  mirror: bool = False):
+                  fold: int = 1):
     """Minimize K objectives over Bloch angles at once. `f` maps angles
     (1, G, 2), shared by all K, or (K, G, 2) to values (K, G), each point's
     value independent of the others in the call to the bit (see rows_times).
@@ -240,10 +241,15 @@ def _bloch_search(f, state: BipartiteState, grid: BasisGrid, start: np.ndarray,
     of a 3x3 stencil whose spacing halves each round. Returns the minima (K,)
     and angles (K, 2).
 
-    `mirror` declares every f_k even in phi, and only the phi columns in
-    [0, pi] are searched: their minimum is the grid's up to rounding."""
+    `fold` declares the phi symmetry of every f_k and the phi columns searched:
+    1 none, all; 2 even in phi, [0, pi]; 4 also period pi, [0, pi/2], or
+    [0, pi] for an odd n_phi, whose grid the fold does not map onto itself.
+    Their minimum is the grid's up to rounding. Under fold 4 the stencil drops
+    the points that are images of others for every k: the +theta row on
+    theta = pi/2 and the -phi or +phi column on phi = 0 or pi/2."""
     angles, lip = np.vstack([grid.angles(), start]), _chord_lipschitz(state)
-    coarse, fine, corners, chords = _pruning_table(grid, mirror)
+    coarse, fine, corners, chords = _pruning_table(
+        grid, 2 if fold == 4 and grid.n_phi % 2 else fold)
     first = np.concatenate([coarse, np.arange(grid.n_theta * grid.n_phi, len(angles))])
     first_vals = f(angles[None, first])
     excess = first_vals - (first_vals.min(axis=1, keepdims=True) + 1e-12)
@@ -257,6 +263,11 @@ def _bloch_search(f, state: BipartiteState, grid: BasisGrid, start: np.ndarray,
     for _ in range(grid.refine_rounds):
         step = step / 2
         cand = best_ang[:, None, :] + _STENCIL * step
+        if fold == 4:
+            t, p = best_ang[:, :1], best_ang[:, 1:]
+            image = (((t == np.pi / 2) & (_STENCIL[:, 0] > 0)) | ((p == 0) & (_STENCIL[:, 1] < 0))
+                     | ((p == np.pi / 2) & (_STENCIL[:, 1] > 0)))
+            cand = cand[:, ~image.all(axis=0)]
         cvals = f(cand)
         j = np.argmin(cvals, axis=1)
         better = cvals[rows, j] < best_val
@@ -266,20 +277,20 @@ def _bloch_search(f, state: BipartiteState, grid: BasisGrid, start: np.ndarray,
 
 
 def minimal_dephasing_disturbance(state: BipartiteState, grid: BasisGrid | None = None,
-                                  start: np.ndarray | None = None, mirror: bool = False):
+                                  start: np.ndarray | None = None, fold: int = 1):
     """Grid minimum of the basis-dependent dephasing disturbance D(n) for a
     qubit probe, with local refinement around the incumbent.
 
     The `start` angles (S, 2), by default those of the eigenbasis of the
     A-marginal, are candidates besides the grid; the eigenbasis makes the
     result exact for pure states and never above the plain dephasing
-    disturbance. `mirror` declares D(n) even in phi. Returns (value, argmin
-    basis).
+    disturbance. `fold` declares the phi symmetry of D(n), as in
+    `_bloch_search`. Returns (value, argmin basis).
     """
     if state.dims.d_a != 2:
         raise ValueError("basis-grid minimization is defined for d_A = 2 only")
     start = _basis_angles(local_eigenbasis(state)[0]) if start is None else start
     f = _disturbance_kernel(state.rho, state.dims.d_b)
     val, ang = _bloch_search(lambda a: f(a[0])[None], state, grid or BasisGrid(),
-                             start, mirror)
+                             start, fold)
     return float(val[0]), qubit_basis(ang[0, 0], ang[0, 1])

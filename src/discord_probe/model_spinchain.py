@@ -225,17 +225,22 @@ def thermal_detection(p: ChainParams, grid: TimeGrid | None = None,
                       spec: SpectralData | None = None):
     """Minimized witness series and minimal dephasing disturbance of the
     Gibbs state. Returns (series, d_min_bound). The parity P = (x) sigma_y
-    maps the probe's axis (x, y, z) to (-x, y, -z), the basis of (x, -y, z);
-    so once rho and H are checked to equal their P conjugates, D(n) and every
-    d_n(t) are even in phi, and both searches are declared mirrored."""
+    maps the probe's axis (x, y, z) to the basis of (x, -y, z), and the time
+    reversal T = (x) sigma_x K, K the complex conjugation, to that of
+    (-x, -y, z). Once rho and H are checked to equal their P and T
+    conjugates, D(n) depends on |n_x|, |n_y| and |n_z| only, fold 4; T maps
+    d_n(t) to d_n'(-t), so every d_n(t) is only even in phi, fold 2."""
     spec = spec or spectral(p)
     grid = grid or p.default_time_grid()
     state = gibbs_state(p, spec)
     evolution = original_frame_evolution(p, spec)
-    # P|x> = +-i^n |~x>, so P m P^dag = s s^T * m[::-1, ::-1], s_x = (-1)^popcount(x)
+    # P|x> = +-i^n |~x>, so P m P^dag = s s^T * m[::-1, ::-1], s_x = (-1)^popcount(x);
+    # (x) sigma_x |x> = |~x>, so T m T^-1 = conj(m[::-1, ::-1])
     s = 1 - 2 * (np.bitwise_count(np.arange(len(state.rho))) & 1).astype(int)
     for m in (state.rho, evolution.hamiltonian):
         if not np.array_equal(np.outer(s, s) * m[::-1, ::-1], m):
             raise ValueError("the Gibbs state or H is not parity symmetric")
-    series = run_minimized_detection(state, evolution, grid, bases, True)
+        if not np.array_equal(np.conj(m[::-1, ::-1]), m):
+            raise ValueError("the Gibbs state or H is not time-reversal symmetric")
+    series = run_minimized_detection(state, evolution, grid, bases, (4, 2))
     return series, series.bound_ref

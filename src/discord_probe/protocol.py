@@ -184,7 +184,7 @@ def run_minimized_detection(
     evo: EvolutionSpec,
     grid: TimeGrid,
     bases: BasisGrid | None = None,
-    mirror: bool = False,
+    folds: tuple[int, int] = (1, 1),
 ) -> WitnessSeries:
     """max over t of the basis-minimized local distance, qubit probe only.
 
@@ -195,12 +195,13 @@ def run_minimized_detection(
     time one objective of a Bloch search. The argmin axis n* of the bound caps
     the result at every time, so d_min(t) <= d_{n*}(t) <= D(n*) = D_min
     whatever the grid; it does not seed the refinement, which therefore never
-    ends above the search's own result. `mirror` declares D(n) and every d_n(t)
-    even in phi, so both searches cover phi in [0, pi] only.
+    ends above the search's own result. `folds` declares the phi symmetry of
+    D(n) and of every d_n(t), one `_bloch_search` fold each; n* may then be
+    an image of the bound's argmin, and d_{n*}(t) <= D(n*) holds for it too.
     """
     start = measures._basis_angles(local_eigenbasis(state)[0])  # refuses d_A != 2
     bases = bases or BasisGrid()
-    bound, bound_basis = measures.minimal_dephasing_disturbance(state, bases, start, mirror)
+    bound, bound_basis = measures.minimal_dephasing_disturbance(state, bases, start, folds[0])
     conj = [local_sandwich(PAULI[a], state.rho, PAULI[b], state.dims)
             for a, b in _PAIRS]
     margs = evo.marginal_series(
@@ -224,7 +225,7 @@ def run_minimized_detection(
             d *= d  # the planes are summed in order, not reduced over an axis of 3
             return 0.5 * np.sqrt(d[:, 0] + d[:, 1] + d[:, 2])
 
-        vals, _ = measures._bloch_search(local_distance, state, bases, start, mirror)
+        vals, _ = measures._bloch_search(local_distance, state, bases, start, folds[1])
         d_min_t[lo : lo + chunk] = np.minimum(vals, local_distance(n_star[None])[:, 0])
     return WitnessSeries(grid.samples, d_min_t, bound_ref=bound)
 

@@ -10,7 +10,7 @@ from oracles import (bloch_search_exhaustive, dephase_kron, dephase_qubit_bloch,
                      dephasing_disturbance_dense, disturbance_batch, haar_unitary,
                      hs_distance_sq, minimized_objective_rows, pruning_table_unmirrored,
                      sigma_conjugations, trace_norm)
-from discord_probe import measures, protocol
+from discord_probe import measures, model_spinchain, protocol
 from discord_probe.measures import (
     FACTOR_TAIL,
     BasisGrid,
@@ -71,19 +71,21 @@ def minimized_objective(state: BipartiteState, rng, n_times: int):
     return handed[-1]  # handed[0] is D(n)
 
 
-def searched_angles(grid: BasisGrid, mirror: bool) -> np.ndarray:
-    """The grid points a search covers: with the mirror, phi columns
-    0 .. n_phi // 2 only."""
-    top = grid.n_phi // 2 if mirror else grid.n_phi
-    return grid.angles()[np.arange(grid.n_theta * grid.n_phi) % grid.n_phi <= top]
+def searched_cols(grid: BasisGrid, fold: int) -> np.ndarray:
+    """The phi columns a search of `fold` covers: all for fold 1,
+    0 .. n_phi // 2 for fold 2, and 0 .. n_phi // 4 for fold 4, or
+    0 .. n_phi // 2 if n_phi is odd."""
+    fold = 2 if fold == 4 and grid.n_phi % 2 else fold
+    return np.arange(grid.n_phi // fold + 1 if fold > 1 else grid.n_phi)
 
 
-def mirror_cols(grid: BasisGrid, mirror: bool):
-    """The phi columns for `bloch_search_exhaustive`, None for all."""
-    return np.arange(grid.n_phi // 2 + 1) if mirror else None
+def searched_angles(grid: BasisGrid, fold: int) -> np.ndarray:
+    """The grid points a search of `fold` covers, in grid order."""
+    on = np.isin(np.arange(grid.n_theta * grid.n_phi) % grid.n_phi, searched_cols(grid, fold))
+    return grid.angles()[on]
 
 
-def check_single_survivor(shape, seed, d_b, rank, n_times, mirror):
+def check_single_survivor(shape, seed, d_b, rank, n_times, fold):
     rng = np.random.default_rng(seed)
     s = random_rank_state(d_b, rank, rng)
     grid = BasisGrid(*shape, refine_rounds=0)
@@ -92,13 +94,13 @@ def check_single_survivor(shape, seed, d_b, rank, n_times, mirror):
     f = (minimized_objective(s, rng, n_times) if n_times
          else lambda a: kernel(a[0])[None])
     calls = []
-    got = _bloch_search(lambda a: calls.append(a[0]) or f(a), s, grid, start, mirror)
+    got = _bloch_search(lambda a: calls.append(a[0]) or f(a), s, grid, start, fold)
     assert [len(a) for a in calls[1:]] == [1]
-    angles = np.vstack([searched_angles(grid, mirror), start])
+    angles = np.vstack([searched_angles(grid, fold), start])
     full = f(angles[None])
     lone = np.flatnonzero((angles == calls[1]).all(axis=1))
     assert np.array_equal(f(calls[1][None]), full[:, lone])  # bit for bit
-    ref = bloch_search_exhaustive(f, grid, start, mirror_cols(grid, mirror))
+    ref = bloch_search_exhaustive(f, grid, start, searched_cols(grid, fold))
     assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
 
@@ -289,23 +291,29 @@ class TestDisturbanceSearch:
     @given(st.integers(0, 2**31 - 1), st.integers(1, 8), st.integers(1, 16),
            st.sampled_from([(1, 1), (1, 2), (1, 7), (2, 5), (3, 3), (3, 4), (4, 9),
                             (7, 12), (20, 40)]),
-           st.integers(1, 6), st.booleans())
-    @example(seed=1, d_b=2, rank=3, shape=(7, 1), n_times=2, mirror=True)
-    @example(seed=2, d_b=3, rank=2, shape=(5, 2), n_times=1, mirror=True)
-    @example(seed=3, d_b=1, rank=2, shape=(6, 3), n_times=3, mirror=True)
-    @example(seed=4, d_b=4, rank=1, shape=(5, 4), n_times=2, mirror=True)
-    @example(seed=5, d_b=2, rank=4, shape=(4, 5), n_times=4, mirror=True)
-    @example(seed=6, d_b=3, rank=5, shape=(20, 40), n_times=6, mirror=True)
+           st.integers(1, 6), st.sampled_from([1, 2, 4]))
+    @example(seed=1, d_b=2, rank=3, shape=(7, 1), n_times=2, fold=2)
+    @example(seed=2, d_b=3, rank=2, shape=(5, 2), n_times=1, fold=2)
+    @example(seed=3, d_b=1, rank=2, shape=(6, 3), n_times=3, fold=2)
+    @example(seed=4, d_b=4, rank=1, shape=(5, 4), n_times=2, fold=2)
+    @example(seed=5, d_b=2, rank=4, shape=(4, 5), n_times=4, fold=2)
+    @example(seed=6, d_b=3, rank=5, shape=(20, 40), n_times=6, fold=2)
+    @example(seed=7, d_b=2, rank=3, shape=(7, 2), n_times=2, fold=4)
+    @example(seed=8, d_b=3, rank=2, shape=(5, 4), n_times=1, fold=4)
+    @example(seed=9, d_b=1, rank=2, shape=(4, 5), n_times=3, fold=4)
+    @example(seed=10, d_b=2, rank=4, shape=(7, 12), n_times=2, fold=4)
+    @example(seed=11, d_b=3, rank=5, shape=(20, 40), n_times=6, fold=4)
+    @example(seed=12, d_b=2, rank=2, shape=(20, 42), n_times=1, fold=4)
     def test_pruned_grid_is_exhaustive_grid(self, seed, d_b, rank, shape, n_times,
-                                            mirror):
+                                            fold):
         # K = 1 for D(n), K = n_times for d_n(t) and for cones lip * chord(n, a)
         # that attain the Lipschitz bound; refine_rounds = 0 leaves the grid,
-        # which with the mirror is phi columns 0 .. n_phi // 2
+        # which under a fold is its searched phi columns
         rng = np.random.default_rng(seed)
         s = random_rank_state(d_b, rank, rng)
         grid = BasisGrid(*shape, refine_rounds=0)
         start = np.vstack([_basis_angles(local_eigenbasis(s)[0]), random_angles(1, rng)])
-        angles = np.vstack([searched_angles(grid, mirror), start])
+        angles = np.vstack([searched_angles(grid, fold), start])
         kernel, lip = _disturbance_kernel(s.rho, d_b), _chord_lipschitz(s)
         apexes = bloch_vectors(np.vstack([random_angles(n_times, rng),
                                           angles[rng.integers(len(angles) - 2)]]))
@@ -317,7 +325,7 @@ class TestDisturbanceSearch:
                 calls.append((a[0], f(a)))
                 return calls[-1][1]
 
-            val, ang = _bloch_search(spy, s, grid, start, mirror)
+            val, ang = _bloch_search(spy, s, grid, start, fold)
             full = f(angles[None])
             k = np.argmin(full, axis=1)
             assert np.array_equal(val, full[np.arange(len(full)), k])  # bit for bit
@@ -335,9 +343,9 @@ class TestDisturbanceSearch:
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 12),
-           st.sampled_from([1, 2, 5, 40]), st.booleans())
+           st.sampled_from([1, 2, 5, 40]), st.sampled_from([1, 2, 4]))
     def test_objective_matches_component_last_oracle(self, seed, d_b, rank, n_times,
-                                                      mirror):
+                                                      fold):
         # the (T, 3, G) objective against the (T, G, 3) one with its sum over
         # the components, bit for bit: axes shared by all K times (one, two or
         # the searched grid) and K of their own each (one, or a stencil of 8)
@@ -349,7 +357,7 @@ class TestDisturbanceSearch:
                        lambda m: series.append(pauli_vector(m)) or series[-1])
             f = minimized_objective(s, rng, n_times)
         oracle = minimized_objective_rows(series[0])
-        grid = searched_angles(BasisGrid(20, 40), mirror)
+        grid = searched_angles(BasisGrid(20, 40), fold)
         for ang in (grid[None, :1], grid[None, :2], grid[None],
                     random_angles(n_times, rng)[:, None],
                     random_angles(8 * n_times, rng).reshape(n_times, 8, 2)):
@@ -443,31 +451,72 @@ class TestDisturbanceSearch:
         ((20, 40), 3, 1, 2, 1), ((5, 12), 2, 1, 1, 2), ((5, 12), 19, 1, 2, 3),
         ((5, 12), 6, 1, 1, 0), ((20, 40), 3, 1, 2, 0)])
     def test_single_survivor_is_exhaustive(self, shape, seed, d_b, rank, n_times):
-        check_single_survivor(shape, seed, d_b, rank, n_times, mirror=False)
+        check_single_survivor(shape, seed, d_b, rank, n_times, fold=1)
 
-    # the same with the mirror, one or two cases for each n_phi in 1-5 and 40
+    # the same under fold 2, one or two cases for each n_phi in 1-5 and 40
     @pytest.mark.parametrize("shape,seed,d_b,rank,n_times", [
         ((5, 1), 39, 1, 1, 1), ((5, 2), 39, 1, 1, 0), ((5, 3), 2, 1, 1, 2),
         ((3, 4), 3, 1, 1, 1), ((3, 5), 3, 1, 1, 0), ((20, 40), 21, 1, 2, 1),
         ((20, 40), 21, 1, 2, 0)])
     def test_single_survivor_is_exhaustive_mirrored(self, shape, seed, d_b, rank,
                                                     n_times):
-        check_single_survivor(shape, seed, d_b, rank, n_times, mirror=True)
+        check_single_survivor(shape, seed, d_b, rank, n_times, fold=2)
+
+    # and under fold 4: the quarter's columns for an even n_phi, n_phi % 4 == 2
+    # among them, and the half's for an odd one
+    @pytest.mark.parametrize("shape,seed,d_b,rank,n_times", [
+        ((5, 2), 0, 1, 2, 0), ((3, 4), 0, 1, 2, 1), ((5, 6), 1, 1, 2, 2),
+        ((5, 10), 1, 1, 2, 0), ((20, 40), 40, 2, 2, 0), ((20, 40), 7, 2, 2, 1),
+        ((20, 42), 37, 1, 2, 0), ((5, 3), 0, 1, 2, 1), ((20, 41), 1, 1, 2, 0)])
+    def test_single_survivor_is_exhaustive_quartered(self, shape, seed, d_b, rank,
+                                                     n_times):
+        check_single_survivor(shape, seed, d_b, rank, n_times, fold=4)
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 12),
                                        (7, 9), (20, 40), (60, 120)])
     def test_pruning_table(self, shape):
         grid = BasisGrid(*shape)
-        table = _pruning_table(grid, False)
+        table = _pruning_table(grid, 1)
         ref = pruning_table_unmirrored(grid)
         assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(table, ref))
-        # the mirrored table partitions phi columns 0 .. n_phi // 2, and the
-        # last of them is coarse
-        coarse, fine = _pruning_table(grid, True)[:2]
-        half = np.flatnonzero(np.arange(grid.n_theta * grid.n_phi) % grid.n_phi
-                              <= grid.n_phi // 2)
-        assert np.array_equal(np.sort(np.concatenate([coarse, fine])), half)
-        assert grid.n_phi // 2 in coarse % grid.n_phi
+        # the folded tables partition phi columns 0 .. n_phi // 2 and
+        # 0 .. n_phi // 4, and the last of them is coarse
+        for fold in (2, 4):
+            coarse, fine = _pruning_table(grid, fold)[:2]
+            cols = np.flatnonzero(np.arange(grid.n_theta * grid.n_phi) % grid.n_phi
+                                  <= grid.n_phi // fold)
+            assert np.array_equal(np.sort(np.concatenate([coarse, fine])), cols)
+            assert grid.n_phi // fold in coarse % grid.n_phi
+
+    @pytest.mark.parametrize("n_phi", [1, 3, 5, 41, 2, 6, 42, 4, 40])
+    def test_odd_grid_keeps_the_half(self, n_phi):
+        # the fold 4 images of an odd n_phi's grid points are not grid points,
+        # so its search runs on the half's table
+        s = random_rank_state(2, 2, np.random.default_rng(n_phi))
+        grid = BasisGrid(7, n_phi, refine_rounds=0)
+        start = _basis_angles(local_eigenbasis(s)[0])
+        kernel, calls = _disturbance_kernel(s.rho, 2), []
+        _bloch_search(lambda a: calls.append(a[0]) or kernel(a[0])[None], s, grid, start, 4)
+        coarse = _pruning_table(grid, 2 if n_phi % 2 else 4)[0]
+        assert np.array_equal(calls[0][:-1], grid.angles()[coarse])
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 6), st.floats(-3.0, 3.0), st.floats(0.02, 5.0),
+           st.sampled_from([40, 42, 41]))
+    def test_trimmed_stencil_matches_full_stencil(self, n_spins, b_field, kT, n_phi):
+        # under fold 4 the stencil drops the images of its other points on
+        # theta = pi/2, phi = 0 and phi = pi/2; on chain Gibbs states, which
+        # have the fold's symmetries, the refined D_min is the full stencil's
+        # over the same columns up to rounding
+        p = model_spinchain.ChainParams(n_spins=n_spins, b_field=b_field, kT=kT)
+        g = model_spinchain.gibbs_state(p)
+        grid = BasisGrid(20, n_phi)
+        start = _basis_angles(local_eigenbasis(g)[0])
+        kernel = _disturbance_kernel(g.rho, g.dims.d_b)
+        val, _ = minimal_dephasing_disturbance(g, grid, start, 4)
+        ref, _ = bloch_search_exhaustive(lambda a: kernel(a[0])[None], grid, start,
+                                         searched_cols(grid, 4))
+        assert abs(val - ref[0]) <= 1e-15
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 8))

@@ -10,13 +10,14 @@ from scipy.linalg import expm
 
 from conftest import SY
 from oracles import (autocorrelation, autocorrelation_direct, chain_hamiltonian_dense,
-                     dephased_components, evolve_columns, ground_detection_dense,
-                     ground_distances_complex_exp, labelled_blocks, parity_operator,
-                     spectral_dense)
+                     dephase_qubit_bloch, dephased_components, disturbance_batch,
+                     evolve_columns, ground_detection_dense, ground_distances_complex_exp,
+                     labelled_blocks, parity_operator, sigma_conjugations, spectral_dense,
+                     trace_norm)
 from discord_probe import measures, model_spinchain
 from discord_probe.cli import execute
-from discord_probe.measures import (BasisGrid, dephasing_disturbance, negativity,
-                                    trace_distance)
+from discord_probe.measures import (BasisGrid, bloch_vectors, dephasing_disturbance,
+                                    negativity, trace_distance)
 from discord_probe.protocol import TimeGrid, run_minimized_detection
 from discord_probe.states import BipartiteState
 from discord_probe.tensor import evolve, kron, partial_trace_b
@@ -63,10 +64,11 @@ def test_ground_point_kernels(monkeypatch, tmp_path):
     assert [a.shape for _, a in calls] == [(k, k) for k in (72, 56, 64, 64)]
 
 
-def test_thermal_point_searches_half_the_grid(monkeypatch, tmp_path):
-    # the parity mirror: before refinement, each Bloch search of a thermal
-    # point evaluates phi in [0, pi] only, at most n_theta (n_phi // 2 + 1)
-    # grid points plus the one start
+def test_thermal_point_searches_a_quarter_and_a_half(monkeypatch, tmp_path):
+    # parity and time reversal: before refinement, the D_min search of a
+    # thermal point evaluates phi in [0, pi/2] only, at most
+    # n_theta (n_phi // 4 + 1) grid points plus the one start, and the d_min(t)
+    # search, whose objectives are not period pi, phi in [0, pi]
     searches = []
     real = measures._bloch_search
 
@@ -81,25 +83,29 @@ def test_thermal_point_searches_half_the_grid(monkeypatch, tmp_path):
              "basis_grid": {"n_theta": 20, "n_phi": 40}}, str(tmp_path))
     grid = BasisGrid(20, 40)
     assert len(searches) == 2  # D_min, and d_min(t) in one chunk
-    for calls in searches:
+    # the coarse subgrid: theta rows 0, 3, .., 18, 19 x phi columns 0, 3, 6, 9, 10
+    # for D_min, and 0, 3, .., 18, 20 for d_min(t)
+    for calls, n_coarse, n_col, top in zip(searches, (5, 8), (11, 21), (np.pi / 2, np.pi)):
         assert len(calls) == 2 + grid.refine_rounds
         first, rest = calls[0][:-1], calls[1]
-        # the coarse subgrid: theta rows 0, 3, .., 18, 19 x phi columns 0, 3, .., 18, 20
-        assert len(first) == 8 * 8
-        assert len(first) + len(rest) + 1 <= 20 * (40 // 2 + 1) + 1
-        assert np.all(np.vstack([first, rest])[:, 1] <= np.pi)
+        assert len(first) == 8 * n_coarse
+        assert len(first) + len(rest) + 1 <= 20 * n_col + 1
+        assert np.all(np.vstack([first, rest])[:, 1] <= top)
         assert len(np.unique(np.vstack([first, rest]), axis=0)) == len(first) + len(rest)
 
 
-@pytest.mark.parametrize("kT,mirror,kept", [
-    (0.05, False, [382, 686]), (0.05, True, [196, 354]),
-    (0.5, False, [50, 688]), (0.5, True, [28, 343]),
+@pytest.mark.parametrize("kT,folded,kept", [
+    (0.05, False, [382, 686]), (0.05, True, [97, 354]),
+    (0.5, False, [50, 688]), (0.5, True, [16, 343]),
 ])
-def test_pruned_search_evaluates_pinned_counts(kT, mirror, kept, monkeypatch):
+def test_pruned_search_evaluates_pinned_counts(kT, folded, kept, monkeypatch):
     # the fine grid points the Lipschitz prune keeps for D_min and for the
-    # d_min(t) search (20 times, one chunk) of a cold and a warm Gibbs state;
-    # the 20 x 40 grid has 112 coarse points (64 mirrored) and 688 fine ones
-    # (356 mirrored), so a wider kept set shows here even when no value moves
+    # d_min(t) search (20 times, one chunk) of a cold and a warm Gibbs state,
+    # unfolded or with the chain's folds (4 for D_min, 2 for d_min(t)); the
+    # 20 x 40 grid has 112 coarse points (40 in the quarter, 64 in the half)
+    # and 688 fine ones (180 and 356), so a wider kept set shows here even
+    # when no value moves. Each folded D_min argmin lies on the equator, where
+    # the stencil keeps 5 of its 8 points
     p = params(kT=kT)
     spec = model_spinchain.spectral(p)
     state = model_spinchain.gibbs_state(p, spec)
@@ -113,9 +119,11 @@ def test_pruned_search_evaluates_pinned_counts(kT, mirror, kept, monkeypatch):
         return real(lambda a: calls.append(a.shape[-2]) or f(a), *args)
 
     monkeypatch.setattr(measures, "_bloch_search", spy)
-    run_minimized_detection(state, evo, TimeGrid.linear(20.0, 20), BasisGrid(20, 40), mirror)
-    assert [calls[0] for calls in searches] == [65 if mirror else 113] * 2  # coarse + start
+    run_minimized_detection(state, evo, TimeGrid.linear(20.0, 20), BasisGrid(20, 40),
+                            (4, 2) if folded else (1, 1))
+    assert [calls[0] for calls in searches] == ([41, 65] if folded else [113, 113])  # + start
     assert [calls[1] for calls in searches] == kept
+    assert [calls[2:] for calls in searches] == [[5 if folded else 8] * 6, [8] * 6]
 
 
 class TestHamiltonian:
@@ -498,18 +506,61 @@ class TestThermal:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 6), st.floats(-3.0, 3.0), st.floats(0.02, 5.0))
     def test_mirrored_search_matches_unmirrored(self, n_spins, b_field, kT):
+        # the folded searches (D_min on the quarter, or on the half for an odd
+        # n_phi, d_min(t) on the half) against the unfolded ones
         p = params(n_spins=n_spins, b_field=b_field, kT=kT)
         spec = model_spinchain.spectral(p)
-        grid, bases = TimeGrid.linear(10.0, 30), BasisGrid(20, 40)
-        series, bound = model_spinchain.thermal_detection(p, grid, bases, spec)
-        ref = run_minimized_detection(model_spinchain.gibbs_state(p, spec),
-                                      model_spinchain.original_frame_evolution(p, spec),
-                                      grid, bases)
-        assert abs(bound - ref.bound_ref) <= 1e-15
-        assert np.max(np.abs(series.d_t - ref.d_t)) <= 1e-15
+        grid = TimeGrid.linear(10.0, 30)
+        for n_phi in (40, 42, 41):
+            bases = BasisGrid(20, n_phi)
+            series, bound = model_spinchain.thermal_detection(p, grid, bases, spec)
+            ref = run_minimized_detection(model_spinchain.gibbs_state(p, spec),
+                                          model_spinchain.original_frame_evolution(p, spec),
+                                          grid, bases)
+            assert abs(bound - ref.bound_ref) <= 1e-15
+            assert np.max(np.abs(series.d_t - ref.d_t)) <= 1e-15
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 6), st.floats(-3.0, 3.0), st.floats(0.02, 5.0),
+           st.integers(0, 2**31 - 1))
+    def test_disturbance_has_the_declared_symmetries(self, n_spins, b_field, kT, seed):
+        # parity and time reversal: the dense D(n) depends on |n_x|, |n_y| and
+        # |n_z| only, D(t, f) = D(t, -f) = D(t, f + pi) = D(pi - t, f)
+        p = params(n_spins=n_spins, b_field=b_field, kT=kT)
+        g = model_spinchain.gibbs_state(p)
+        t, f = np.random.default_rng(seed).uniform(0, [np.pi, 2 * np.pi], (8, 2)).T
+        images = [(t, f), (t, -f), (t, f + np.pi), (np.pi - t, f)]
+        vals = [disturbance_batch(g.rho, sigma_conjugations(g),
+                                  bloch_vectors(np.column_stack(a))) for a in images]
+        assert np.max(np.ptp(vals, axis=0)) <= 1e-15
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(2, 6), st.floats(0.25, 3.0), st.sampled_from([-1, 1]),
+           st.floats(0.02, 5.0), st.integers(0, 2**31 - 1))
+    def test_local_distance_is_even_but_not_period_pi(self, n_spins, b_abs, sign, kT, seed):
+        # time reversal maps d_n(t) to d_n'(-t), so d_n(t) keeps the parity's
+        # phi -> -phi only, and the d_min(t) search keeps phi in [0, pi]. At
+        # B = 0, H commutes with (x) sigma_x, which maps phi to pi - phi, and
+        # d_n(t) is period pi too, so the field stays off zero here
+        p = params(n_spins=n_spins, b_field=sign * b_abs, kT=kT)
+        spec = model_spinchain.spectral(p)
+        g = model_spinchain.gibbs_state(p, spec)
+        evo = model_spinchain.original_frame_evolution(p, spec)
+        us = [expm(-1j * evo.hamiltonian * t) for t in np.linspace(0.0, 10.0, 11)]
+        t, f = np.random.default_rng(seed).uniform(0, [np.pi, 2 * np.pi], (4, 2)).T
+
+        def d_t(theta, phi):  # Delta = rho - Phi_n(rho) evolved as a full matrix
+            n = bloch_vectors(np.column_stack([theta, phi]))
+            deltas = [g.rho - dephase_qubit_bloch(g, m) for m in n]
+            return np.array([[0.5 * trace_norm(partial_trace_b(u @ x @ u.conj().T, g.dims))
+                              for u in us] for x in deltas])
+
+        d = d_t(t, f)
+        assert np.max(np.abs(d - d_t(t, -f))) <= 1e-14  # expm and eigvalsh rounding
+        assert np.max(np.abs(d - d_t(t, f + np.pi))) > 1e-3
 
     def test_refuses_broken_parity(self, monkeypatch):
-        # the mirror is declared only for a rho and an H that equal their
+        # the folds are declared only for a rho and an H that equal their
         # (x) sigma_y conjugates to the bit
         p = params(n_spins=4, kT=0.3)
         spec = model_spinchain.spectral(p)
@@ -529,6 +580,33 @@ class TestThermal:
             with pytest.raises(ValueError, match="not parity symmetric"):
                 model_spinchain.thermal_detection(p, grid, spec=spec)
         model_spinchain.thermal_detection(p, grid, spec=spec)  # the chain's own pass
+
+    def test_refuses_broken_time_reversal(self, monkeypatch):
+        # and their (x) sigma_x K conjugates: a Hermitian, parity-symmetric and
+        # imaginary tilt i(|0><3| - |3><0|) plus its parity image breaks only
+        # time reversal
+        p = params(n_spins=4, kT=0.3)
+        spec = model_spinchain.spectral(p)
+        grid = TimeGrid.linear(5.0, 10)
+        d = p.dims.total
+        s = 1 - 2 * (np.bitwise_count(np.arange(d)) & 1)
+        tilt = np.zeros((d, d), dtype=complex)
+        tilt[0, 3], tilt[3, 0] = 1j, -1j
+        tilt += np.outer(s, s) * tilt[::-1, ::-1]
+        assert np.array_equal(tilt, tilt.conj().T)
+        assert np.array_equal(np.outer(s, s) * tilt[::-1, ::-1], tilt)
+        g = model_spinchain.gibbs_state(p, spec)
+        # (1 + tilt) / d is a state, as the tilt has eigenvalues 0 and +-1
+        tilted = BipartiteState((1 - 1e-9) * g.rho + 1e-9 * (np.eye(d) + tilt) / d, p.dims)
+        with monkeypatch.context() as mp:
+            mp.setattr(model_spinchain, "gibbs_state", lambda p, spec=None: tilted)
+            with pytest.raises(ValueError, match="not time-reversal symmetric"):
+                model_spinchain.thermal_detection(p, grid, spec=spec)
+        h = model_spinchain.build_chain_hamiltonian(p) + 1e-9 * tilt
+        with monkeypatch.context() as mp:
+            mp.setattr(model_spinchain, "build_chain_hamiltonian", lambda p: h)
+            with pytest.raises(ValueError, match="not time-reversal symmetric"):
+                model_spinchain.thermal_detection(p, grid, spec=spec)
 
     def test_requires_positive_temperature(self):
         with pytest.raises(ValueError):
