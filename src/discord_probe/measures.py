@@ -191,73 +191,75 @@ def _chord(n: np.ndarray, m: np.ndarray) -> np.ndarray:
     return np.minimum(np.linalg.norm(n - m, axis=-1), np.linalg.norm(n + m, axis=-1))
 
 
+def _fold_points(grid: BasisGrid, fold: int) -> np.ndarray:
+    """The grid points (G, 2), in grid order, of the phi columns 0 .. n_phi // fold
+    that a search of `fold` covers: 1 all; 2 even in phi, [0, pi]; 4 also period
+    pi, [0, pi/2], but [0, pi] for an odd n_phi, where its images are off the grid."""
+    fold = 2 if fold == 4 and grid.n_phi % 2 else fold
+    return grid.angles().reshape(grid.n_theta, -1, 2)[:, : grid.n_phi // fold + 1].reshape(-1, 2)
+
+
 @lru_cache(maxsize=8)
 def _pruning_table(grid: BasisGrid, fold: int):
     """The coarse subgrid (every 3rd theta row plus the last, times every 3rd
-    phi) and the other points F as whole-grid indices, and each other point's
-    cell corners (4, F), as positions in the subgrid, with their chords.
-    `fold` 1 keeps every phi column; 2 keeps columns 0 .. n_phi // 2 and 4
-    columns 0 .. n_phi // 4, with their last as a coarse one, as phi in
-    [0, pi] or [0, pi/2] does not wrap."""
-    n_col = grid.n_phi // fold + 1 if fold > 1 else grid.n_phi
-    ti, pj = np.divmod(np.arange(grid.n_theta * n_col), n_col)
+    phi) and the other points F, as positions in `_fold_points`, and each other
+    point's cell corners (4, F), as positions in the subgrid, with their
+    chords; under a fold the last column is coarse, as phi does not wrap."""
+    axes = bloch_vectors(_fold_points(grid, fold))
+    n_col = len(axes) // grid.n_theta
+    ti, pj = np.divmod(np.arange(len(axes)), n_col)
     coarse_row = np.arange(grid.n_theta) % 3 == 0
     coarse_row[-1] = True
     coarse_col = np.arange(n_col) % 3 == 0
     coarse_col[-1] |= fold > 1
     rows, cols = np.flatnonzero(coarse_row), np.flatnonzero(coarse_col)
     coarse = coarse_row[ti] & coarse_col[pj]
-    index = ti * grid.n_phi + pj
     ti, pj = ti[~coarse], pj[~coarse]
     t_lo = rows[np.searchsorted(rows, ti, "right") - 1]
     t_hi = rows[np.searchsorted(rows, ti, "left")]
     p_lo = cols[np.searchsorted(cols, pj, "right") - 1]
     p_hi = cols[np.searchsorted(cols, pj, "left") % len(cols)]  # phi wraps, unfolded
-    corners = np.stack([t_lo * grid.n_phi + p_lo, t_lo * grid.n_phi + p_hi,
-                        t_hi * grid.n_phi + p_lo, t_hi * grid.n_phi + p_hi])
-    axes = bloch_vectors(grid.angles())
-    fine, coarse = index[~coarse], index[coarse]
+    corners = np.stack([t_lo * n_col + p_lo, t_lo * n_col + p_hi,
+                        t_hi * n_col + p_lo, t_hi * n_col + p_hi])
+    fine, coarse = np.flatnonzero(~coarse), np.flatnonzero(coarse)
     table = (coarse, fine, np.searchsorted(coarse, corners), _chord(axes[fine], axes[corners]))
     for arr in table:  # shared by every caller through the cache
         arr.flags.writeable = False
     return table
 
 
+def _pruned_argmin(f, lip: float, grid: BasisGrid, start: np.ndarray, fold: int):
+    """Argmin (1, 2) of one objective `f`, angles (G, 2) to values (G,), on the
+    `_fold_points` and the `start` angles (S, 2): f is evaluated on the coarse
+    subgrid and the start, then on each other point p whose bound from every
+    coarse corner c, f(c) - lip * chord(p, c), is within 1e-12 of the incumbent;
+    if |f(p) - f(c)| <= lip * chord(p, c), that is the first exhaustive argmin."""
+    angles = np.vstack([_fold_points(grid, fold), start])
+    coarse, fine, corners, chords = _pruning_table(grid, fold)
+    first = np.concatenate([coarse, np.arange(len(angles) - len(start), len(angles))])
+    vals = np.full(len(angles), np.inf)
+    vals[first] = f(angles[first])
+    excess = vals[coarse] - (vals.min() + 1e-12)
+    rest = fine[(excess[corners] <= lip * chords).all(axis=0)]
+    vals[rest] = f(angles[rest])
+    return angles[np.argmin(vals), None]
+
+
 # the 3x3 stencil without its centre, the incumbent itself
 _STENCIL = np.array([(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1) if i or j])
 
 
-def _bloch_search(f, state: BipartiteState, grid: BasisGrid, start: np.ndarray,
-                  fold: int = 1):
+def _bloch_search(f, angles: np.ndarray, grid: BasisGrid, fold: int = 1):
     """Minimize K objectives over Bloch angles at once. `f` maps angles
     (1, G, 2), shared by all K, or (K, G, 2) to values (K, G), each point's
     value independent of the others in the call to the bit (see rows_times).
-
-    f is first evaluated on the coarse subgrid and the `start` angles (S, 2).
-    With |f_k(p) - f_k(c)| <= lip * chord(p, c), lip = _chord_lipschitz(state),
-    another grid point is evaluated only if, for some k, its bound from its
-    coarse corners is within 1e-12 of k's incumbent, so each grid argmin is
-    the exhaustive grid's. Every incumbent is then refined on the 8 neighbours
-    of a 3x3 stencil whose spacing halves each round. Returns the minima (K,)
-    and angles (K, 2).
-
-    `fold` declares the phi symmetry of every f_k and the phi columns searched:
-    1 none, all; 2 even in phi, [0, pi]; 4 also period pi, [0, pi/2], or
-    [0, pi] for an odd n_phi, whose grid the fold does not map onto itself.
-    Their minimum is the grid's up to rounding. Under fold 4 the stencil drops
-    the points that are images of others for every k: the +theta row on
-    theta = pi/2 and the -phi or +phi column on phi = 0 or pi/2."""
-    angles, lip = np.vstack([grid.angles(), start]), _chord_lipschitz(state)
-    coarse, fine, corners, chords = _pruning_table(
-        grid, 2 if fold == 4 and grid.n_phi % 2 else fold)
-    first = np.concatenate([coarse, np.arange(grid.n_theta * grid.n_phi, len(angles))])
-    first_vals = f(angles[None, first])
-    excess = first_vals - (first_vals.min(axis=1, keepdims=True) + 1e-12)
-    # kept when some k has every corner bound f_k(c) - lip * chord <= its min + 1e-12
-    rest = fine[(excess[:, corners] <= lip * chords).all(axis=1).any(axis=0)]
-    vals = np.full((len(first_vals), len(angles)), np.inf)
-    vals[:, first] = first_vals
-    vals[:, rest] = f(angles[None, rest])
+    f is evaluated once on the candidate `angles` (G, 2), and each first argmin
+    is refined on the 8 neighbours of a 3x3 stencil whose spacing halves each
+    round. Returns the minima (K,) and angles (K, 2). Under `fold` 4, f_k even
+    and period pi in phi, the stencil drops the images of its other points for
+    every k: the +theta row on theta = pi/2 and the -phi or +phi column on
+    phi = 0 or pi/2."""
+    vals = f(angles[None])
     best_val, best_ang = vals.min(axis=1), angles[np.argmin(vals, axis=1)]
     rows, step = np.arange(len(vals)), np.array(grid.spacing)
     for _ in range(grid.refine_rounds):
@@ -284,13 +286,13 @@ def minimal_dephasing_disturbance(state: BipartiteState, grid: BasisGrid | None 
     The `start` angles (S, 2), by default those of the eigenbasis of the
     A-marginal, are candidates besides the grid; the eigenbasis makes the
     result exact for pure states and never above the plain dephasing
-    disturbance. `fold` declares the phi symmetry of D(n), as in
-    `_bloch_search`. Returns (value, argmin basis).
+    disturbance. `fold` declares the phi symmetry of D(n) (`_fold_points`); the
+    argmin of `_pruned_argmin` is refined. Returns (value, argmin basis).
     """
     if state.dims.d_a != 2:
         raise ValueError("basis-grid minimization is defined for d_A = 2 only")
     start = _basis_angles(local_eigenbasis(state)[0]) if start is None else start
-    f = _disturbance_kernel(state.rho, state.dims.d_b)
-    val, ang = _bloch_search(lambda a: f(a[0])[None], state, grid or BasisGrid(),
-                             start, fold)
+    grid, f = grid or BasisGrid(), _disturbance_kernel(state.rho, state.dims.d_b)
+    best = _pruned_argmin(f, _chord_lipschitz(state), grid, start, fold)
+    val, ang = _bloch_search(lambda a: f(a[0])[None], best, grid, fold)
     return float(val[0]), qubit_basis(ang[0, 0], ang[0, 1])

@@ -192,12 +192,12 @@ def run_minimized_detection(
     (R(t) + sum_p w_p n_a n_b S_p(t))/2, so once the marginal series of the
     six S_p are known, the local distance at every (n, t) is half the length
     of the Pauli vector of the traceless R(t) - sum_p w_p n_a n_b S_p(t), each
-    time one objective of a Bloch search. The argmin axis n* of the bound caps
-    the result at every time, so d_min(t) <= d_{n*}(t) <= D(n*) = D_min
-    whatever the grid; it does not seed the refinement, which therefore never
-    ends above the search's own result. `folds` declares the phi symmetry of
-    D(n) and of every d_n(t), one `_bloch_search` fold each; n* may then be
-    an image of the bound's argmin, and d_{n*}(t) <= D(n*) holds for it too.
+    time one objective of one unpruned `measures._bloch_search` over the fold's
+    grid points and the start. The bound's argmin axis n* caps the result at
+    every time, so d_min(t) <= d_{n*}(t) <= D(n*) = D_min whatever the grid; it
+    does not seed the refinement, which thus never ends above the search's own
+    result. `folds` declares the phi symmetry of D(n) and of every d_n(t), one
+    fold each; n* may be an image of the bound's argmin: d_{n*}(t) <= D(n*) too.
     """
     start = measures._basis_angles(local_eigenbasis(state)[0])  # refuses d_A != 2
     bases = bases or BasisGrid()
@@ -211,8 +211,9 @@ def run_minimized_detection(
     r_t, s_t = paulis[0, ..., None], np.ascontiguousarray(paulis[1:].transpose(1, 2, 0))
 
     n_star = measures._basis_angles(bound_basis)
+    angles = np.vstack([measures._fold_points(bases, folds[1]), start])
     # time chunks of at most about 2**17 (axis, time) pairs bound the memory
-    chunk = max(1, 2**17 // (len(bases.angles()) + len(start)))
+    chunk = max(1, 2**17 // len(angles))
     d_min_t = np.empty(len(grid.samples))
     for lo in range(0, len(d_min_t), chunk):
         r_c, s_c = r_t[lo : lo + chunk], s_t[lo : lo + chunk]
@@ -225,25 +226,25 @@ def run_minimized_detection(
             d *= d  # the planes are summed in order, not reduced over an axis of 3
             return 0.5 * np.sqrt(d[:, 0] + d[:, 1] + d[:, 2])
 
-        vals, _ = measures._bloch_search(local_distance, state, bases, start, folds[1])
+        vals, _ = measures._bloch_search(local_distance, angles, bases, folds[1])
         d_min_t[lo : lo + chunk] = np.minimum(vals, local_distance(n_star[None])[:, 0])
     return WitnessSeries(grid.samples, d_min_t, bound_ref=bound)
 
 
 def classical_correlation_witness(
     state: BipartiteState,
-    perturbation: np.ndarray | None,
+    perturbation: np.ndarray,
     evo: EvolutionSpec,
     grid: TimeGrid,
 ):
     """Compare the evolutions of the state and a locally rotated copy by
     evolving their difference Delta = rho - (V (x) I) rho (V (x) I)^dag for
-    the unitary V = `perturbation`, by default sigma_x.
+    the unitary V = `perturbation`.
 
     An increase of the local trace distance above its initial value witnesses
     initial correlations (classical or quantum). Returns (series, detected).
     """
-    v = require_unitary(PAULI[0] if perturbation is None else perturbation)
+    v = require_unitary(perturbation)
     if v.shape[0] != state.dims.d_a:
         raise ValueError("unitary dimension does not match subsystem A")
     delta = state.rho - local_sandwich(v, state.rho, v.conj().T, state.dims)

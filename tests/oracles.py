@@ -431,11 +431,14 @@ def disturbance_batch(rho: np.ndarray, conj: np.ndarray,
 
 
 def bloch_search_exhaustive(f, grid: BasisGrid, start: np.ndarray, cols=None):
-    """`measures._bloch_search` without pruning: the K objectives of `f`
+    """The grid search, stencil for stencil: the K objectives of `f`
     evaluated on the whole grid, or on its phi columns `cols` only, plus
     `start` in one call, and each incumbent refined on the 8 neighbours of a
-    3x3 stencil whose spacing halves each round. Returns the minima (K,) and
-    their angles (K, 2)."""
+    3x3 stencil whose spacing halves each round, never trimmed. The d_min(t)
+    search of `protocol.run_minimized_detection` is this on the searched
+    columns; `measures.minimal_dephasing_disturbance` reaches its grid argmin
+    through the Lipschitz prune. Returns the minima (K,) and their angles
+    (K, 2)."""
     on = np.isin(np.arange(grid.n_theta * grid.n_phi) % grid.n_phi,
                  np.arange(grid.n_phi) if cols is None else cols)
     angles = np.vstack([grid.angles()[on], start])
@@ -455,7 +458,7 @@ def bloch_search_exhaustive(f, grid: BasisGrid, start: np.ndarray, cols=None):
 
 
 def pruning_table_unmirrored(grid: BasisGrid):
-    """`measures._pruning_table(grid, False)` written for the whole grid
+    """`measures._pruning_table(grid, 1)` written for the whole grid
     alone: coarse every 3rd theta row plus the last, times every 3rd phi
     column, with phi wrapping from the last coarse column to the first."""
     ti, pj = np.divmod(np.arange(grid.n_theta * grid.n_phi), grid.n_phi)

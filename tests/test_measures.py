@@ -21,6 +21,8 @@ from discord_probe.measures import (
     _chord_lipschitz,
     _disturbance_kernel,
     _factored_disturbance,
+    _fold_points,
+    _pruned_argmin,
     _pruning_table,
     bloch_vectors,
     dephasing_disturbance,
@@ -85,23 +87,26 @@ def searched_angles(grid: BasisGrid, fold: int) -> np.ndarray:
     return grid.angles()[on]
 
 
-def check_single_survivor(shape, seed, d_b, rank, n_times, fold):
+def check_single_survivor(shape, seed, d_b, rank, fold):
     rng = np.random.default_rng(seed)
     s = random_rank_state(d_b, rank, rng)
     grid = BasisGrid(*shape, refine_rounds=0)
     start = _basis_angles(local_eigenbasis(s)[0])
-    kernel = _disturbance_kernel(s.rho, d_b)
-    f = (minimized_objective(s, rng, n_times) if n_times
-         else lambda a: kernel(a[0])[None])
+    f = _disturbance_kernel(s.rho, d_b)
     calls = []
-    got = _bloch_search(lambda a: calls.append(a[0]) or f(a), s, grid, start, fold)
+    got = _pruned_argmin(lambda a: calls.append(a) or f(a), _chord_lipschitz(s), grid,
+                         start, fold)
     assert [len(a) for a in calls[1:]] == [1]
     angles = np.vstack([searched_angles(grid, fold), start])
-    full = f(angles[None])
+    full = f(angles)
     lone = np.flatnonzero((angles == calls[1]).all(axis=1))
-    assert np.array_equal(f(calls[1][None]), full[:, lone])  # bit for bit
-    ref = bloch_search_exhaustive(f, grid, start, searched_cols(grid, fold))
-    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+    assert np.array_equal(f(calls[1]), full[lone])  # bit for bit
+    ref = bloch_search_exhaustive(lambda a: f(a[0])[None], grid, start,
+                                  searched_cols(grid, fold))
+    assert np.array_equal(got, ref[1])
+    val, basis = minimal_dephasing_disturbance(s, grid, start, fold)
+    assert val == ref[0][0]  # the refinement's lone row keeps the bits
+    assert np.array_equal(basis.vectors, qubit_basis(*ref[1][0]).vectors)
 
 
 def two_qubit_schmidt(gamma: float) -> BipartiteState:
@@ -306,9 +311,11 @@ class TestDisturbanceSearch:
     @example(seed=12, d_b=2, rank=2, shape=(20, 42), n_times=1, fold=4)
     def test_pruned_grid_is_exhaustive_grid(self, seed, d_b, rank, shape, n_times,
                                             fold):
-        # K = 1 for D(n), K = n_times for d_n(t) and for cones lip * chord(n, a)
-        # that attain the Lipschitz bound; refine_rounds = 0 leaves the grid,
-        # which under a fold is its searched phi columns
+        # the prune of one objective, D(n) or each of n_times + 1 cones
+        # lip * chord(n, a) that attain the Lipschitz bound, keeps the
+        # exhaustive argmin; the d_n(t) search (K = n_times, folds 1 and 2)
+        # evaluates its candidates in one call. refine_rounds = 0 leaves the
+        # grid, which under a fold is its searched phi columns
         rng = np.random.default_rng(seed)
         s = random_rank_state(d_b, rank, rng)
         grid = BasisGrid(*shape, refine_rounds=0)
@@ -317,29 +324,33 @@ class TestDisturbanceSearch:
         kernel, lip = _disturbance_kernel(s.rho, d_b), _chord_lipschitz(s)
         apexes = bloch_vectors(np.vstack([random_angles(n_times, rng),
                                           angles[rng.integers(len(angles) - 2)]]))
-        for f in (lambda a: kernel(a[0])[None], minimized_objective(s, rng, n_times),
-                  lambda a: lip * _chord(bloch_vectors(a), apexes[:, None])):
+        for f in [kernel] + [lambda a, c=c: lip * _chord(bloch_vectors(a), c) for c in apexes]:
             calls = []
 
             def spy(a):
-                calls.append((a[0], f(a)))
+                calls.append((a, f(a)))
                 return calls[-1][1]
 
-            val, ang = _bloch_search(spy, s, grid, start, fold)
-            full = f(angles[None])
-            k = np.argmin(full, axis=1)
-            assert np.array_equal(val, full[np.arange(len(full)), k])  # bit for bit
-            assert np.array_equal(ang, angles[k])
+            got = _pruned_argmin(spy, lip, grid, start, fold)
+            full = f(angles)
+            k = np.argmin(full)
+            assert np.array_equal(got, angles[k, None])  # first in grid order on a tie
             assert np.array_equal(calls[0][0][-len(start):], start)  # always evaluated
             seen = np.vstack([a for a, _ in calls])
             seen_vals = np.hstack([v for _, v in calls])
             # every evaluated point has its whole-grid value, bit for bit
             keys = angles @ [1, 1j]
             at = np.array([np.flatnonzero(keys == key)[0] for key in seen @ [1, 1j]])
-            assert np.array_equal(seen_vals, full[:, at])
+            assert np.array_equal(seen_vals, full[at])
             skipped = ~np.isin(keys, seen @ [1, 1j])
             assert len(seen) + skipped.sum() == len(angles)  # each point at most once
-            assert np.all(full[:, skipped] > val[:, None])
+            assert np.all(full[skipped] > full[k])
+        f, d_fold, calls = minimized_objective(s, rng, n_times), min(fold, 2), []
+        cand = np.vstack([searched_angles(grid, d_fold), start])
+        got = _bloch_search(lambda a: calls.append(a) or f(a), cand, grid, d_fold)
+        assert len(calls) == 1 and np.array_equal(calls[0][0], cand)
+        ref = bloch_search_exhaustive(f, grid, start, searched_cols(grid, d_fold))
+        assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 6), st.integers(1, 12),
@@ -364,6 +375,33 @@ class TestDisturbanceSearch:
             got = f(ang)
             assert got.shape == (n_times, ang.shape[1])
             assert got.tobytes() == oracle(ang).tobytes()
+
+    @pytest.mark.parametrize("folds,n_cand,n_chunks", [((1, 1), 60 * 120 + 1, 3),
+                                                       ((4, 2), 60 * 61 + 1, 2)])
+    def test_time_chunks_match_one_search(self, folds, n_cand, n_chunks):
+        # 40 times on the 60 x 120 grid, in chunks of 2**17 // n_cand times:
+        # d_t is the exhaustive search over all 40 time objectives in one
+        # call, clamped by d_{n*}(t), bit for bit
+        p = model_spinchain.ChainParams(n_spins=4, b_field=0.6, kT=0.4)
+        spec = model_spinchain.spectral(p)
+        g = model_spinchain.gibbs_state(p, spec)
+        evo = model_spinchain.original_frame_evolution(p, spec)
+        bases = BasisGrid(60, 120)
+        series, searched = [], []
+        real = measures._bloch_search
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(protocol, "pauli_vector",
+                       lambda m: series.append(pauli_vector(m)) or series[-1])
+            mp.setattr(measures, "_bloch_search",
+                       lambda f, a, *r: searched.append(len(a)) or real(f, a, *r))
+            got = run_minimized_detection(g, evo, TimeGrid.linear(6.0, 40), bases, folds)
+        assert searched == [1] + [n_cand] * n_chunks  # D_min's refinement, then the chunks
+        f = minimized_objective_rows(series[0])
+        start = _basis_angles(local_eigenbasis(g)[0])
+        vals, _ = bloch_search_exhaustive(f, bases, start, searched_cols(bases, folds[1]))
+        _, n_star = minimal_dephasing_disturbance(g, bases, start, folds[0])
+        ref = np.minimum(vals, f(_basis_angles(n_star)[None])[:, 0])
+        assert got.d_t.tobytes() == ref.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**31 - 1), st.integers(1, 8), st.integers(1, 16))
@@ -439,38 +477,36 @@ class TestDisturbanceSearch:
         assert np.array_equal(basis.vectors, qubit_basis(*ang[0]).vectors)
         # d_n(t): one objective per time sample, bit for bit
         f = minimized_objective(s, rng, n_times)
-        got = _bloch_search(f, s, grid, start)
+        got = _bloch_search(f, np.vstack([grid.angles(), start]), grid)
         ref = bloch_search_exhaustive(f, grid, start)
         assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
 
-    # (grid shape, seed, d_B, rank, times) where exactly one fine point is
-    # left to evaluate; with one time sample, or for D(n) (times 0), its lone
-    # row goes through gemv
-    @pytest.mark.parametrize("shape,seed,d_b,rank,n_times", [
-        ((5, 12), 6, 1, 1, 1), ((5, 12), 45, 1, 2, 1), ((20, 40), 7, 2, 2, 1),
-        ((20, 40), 3, 1, 2, 1), ((5, 12), 2, 1, 1, 2), ((5, 12), 19, 1, 2, 3),
-        ((5, 12), 6, 1, 1, 0), ((20, 40), 3, 1, 2, 0)])
-    def test_single_survivor_is_exhaustive(self, shape, seed, d_b, rank, n_times):
-        check_single_survivor(shape, seed, d_b, rank, n_times, fold=1)
+    # (grid shape, seed, d_B, rank) where exactly one fine point is left for
+    # the prune of D(n) to evaluate; its lone row goes through gemv
+    @pytest.mark.parametrize("shape,seed,d_b,rank", [
+        pytest.param((5, 12), 6, 1, 1, id="shape6-6-1-1-0"),
+        pytest.param((20, 40), 3, 1, 2, id="shape7-3-1-2-0")])
+    def test_single_survivor_is_exhaustive(self, shape, seed, d_b, rank):
+        check_single_survivor(shape, seed, d_b, rank, fold=1)
 
-    # the same under fold 2, one or two cases for each n_phi in 1-5 and 40
-    @pytest.mark.parametrize("shape,seed,d_b,rank,n_times", [
-        ((5, 1), 39, 1, 1, 1), ((5, 2), 39, 1, 1, 0), ((5, 3), 2, 1, 1, 2),
-        ((3, 4), 3, 1, 1, 1), ((3, 5), 3, 1, 1, 0), ((20, 40), 21, 1, 2, 1),
-        ((20, 40), 21, 1, 2, 0)])
-    def test_single_survivor_is_exhaustive_mirrored(self, shape, seed, d_b, rank,
-                                                    n_times):
-        check_single_survivor(shape, seed, d_b, rank, n_times, fold=2)
+    # the same under fold 2, for n_phi 2, 5 and 40
+    @pytest.mark.parametrize("shape,seed,d_b,rank", [
+        pytest.param((5, 2), 39, 1, 1, id="shape1-39-1-1-0"),
+        pytest.param((3, 5), 3, 1, 1, id="shape4-3-1-1-0"),
+        pytest.param((20, 40), 21, 1, 2, id="shape6-21-1-2-0")])
+    def test_single_survivor_is_exhaustive_mirrored(self, shape, seed, d_b, rank):
+        check_single_survivor(shape, seed, d_b, rank, fold=2)
 
     # and under fold 4: the quarter's columns for an even n_phi, n_phi % 4 == 2
     # among them, and the half's for an odd one
-    @pytest.mark.parametrize("shape,seed,d_b,rank,n_times", [
-        ((5, 2), 0, 1, 2, 0), ((3, 4), 0, 1, 2, 1), ((5, 6), 1, 1, 2, 2),
-        ((5, 10), 1, 1, 2, 0), ((20, 40), 40, 2, 2, 0), ((20, 40), 7, 2, 2, 1),
-        ((20, 42), 37, 1, 2, 0), ((5, 3), 0, 1, 2, 1), ((20, 41), 1, 1, 2, 0)])
-    def test_single_survivor_is_exhaustive_quartered(self, shape, seed, d_b, rank,
-                                                     n_times):
-        check_single_survivor(shape, seed, d_b, rank, n_times, fold=4)
+    @pytest.mark.parametrize("shape,seed,d_b,rank", [
+        pytest.param((5, 2), 0, 1, 2, id="shape0-0-1-2-0"),
+        pytest.param((5, 10), 1, 1, 2, id="shape3-1-1-2-0"),
+        pytest.param((20, 40), 40, 2, 2, id="shape4-40-2-2-0"),
+        pytest.param((20, 42), 37, 1, 2, id="shape6-37-1-2-0"),
+        pytest.param((20, 41), 1, 1, 2, id="shape8-1-1-2-0")])
+    def test_single_survivor_is_exhaustive_quartered(self, shape, seed, d_b, rank):
+        check_single_survivor(shape, seed, d_b, rank, fold=4)
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 12),
                                        (7, 9), (20, 40), (60, 120)])
@@ -479,26 +515,30 @@ class TestDisturbanceSearch:
         table = _pruning_table(grid, 1)
         ref = pruning_table_unmirrored(grid)
         assert all(np.array_equal(a, b) and a.dtype == b.dtype for a, b in zip(table, ref))
-        # the folded tables partition phi columns 0 .. n_phi // 2 and
-        # 0 .. n_phi // 4, and the last of them is coarse
+        # the folded tables partition the positions of the searched points,
+        # and the last searched column is coarse
         for fold in (2, 4):
             coarse, fine = _pruning_table(grid, fold)[:2]
-            cols = np.flatnonzero(np.arange(grid.n_theta * grid.n_phi) % grid.n_phi
-                                  <= grid.n_phi // fold)
-            assert np.array_equal(np.sort(np.concatenate([coarse, fine])), cols)
-            assert grid.n_phi // fold in coarse % grid.n_phi
+            n_col = len(searched_cols(grid, fold))
+            assert np.array_equal(np.sort(np.concatenate([coarse, fine])),
+                                  np.arange(grid.n_theta * n_col))
+            assert n_col - 1 in coarse % n_col
 
     @pytest.mark.parametrize("n_phi", [1, 3, 5, 41, 2, 6, 42, 4, 40])
     def test_odd_grid_keeps_the_half(self, n_phi):
         # the fold 4 images of an odd n_phi's grid points are not grid points,
-        # so its search runs on the half's table
-        s = random_rank_state(2, 2, np.random.default_rng(n_phi))
+        # so a search of fold 4 covers the half's columns
         grid = BasisGrid(7, n_phi, refine_rounds=0)
+        n_col = n_phi // 2 + 1 if n_phi % 2 else n_phi // 4 + 1
+        on = np.arange(7 * n_phi) % n_phi < n_col
+        assert np.array_equal(_fold_points(grid, 4), grid.angles()[on])
+        s = random_rank_state(2, 2, np.random.default_rng(n_phi))
         start = _basis_angles(local_eigenbasis(s)[0])
         kernel, calls = _disturbance_kernel(s.rho, 2), []
-        _bloch_search(lambda a: calls.append(a[0]) or kernel(a[0])[None], s, grid, start, 4)
+        _pruned_argmin(lambda a: calls.append(a) or kernel(a), _chord_lipschitz(s), grid,
+                       start, 4)
         coarse = _pruning_table(grid, 2 if n_phi % 2 else 4)[0]
-        assert np.array_equal(calls[0][:-1], grid.angles()[coarse])
+        assert np.array_equal(calls[0][:-1], grid.angles()[on][coarse])
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 6), st.floats(-3.0, 3.0), st.floats(0.02, 5.0),

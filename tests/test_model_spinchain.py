@@ -64,66 +64,63 @@ def test_ground_point_kernels(monkeypatch, tmp_path):
     assert [a.shape for _, a in calls] == [(k, k) for k in (72, 56, 64, 64)]
 
 
+def spy_searches(monkeypatch, record):
+    """Record, per call of the D_min prune or of the Bloch search, what
+    `record` makes of the angles of each evaluation of its objective."""
+    searches = []
+    for name in ("_pruned_argmin", "_bloch_search"):
+        def spy(f, *args, real=getattr(measures, name)):
+            calls = []
+            searches.append(calls)
+            return real(lambda a: calls.append(record(a)) or f(a), *args)
+
+        monkeypatch.setattr(measures, name, spy)
+    return searches
+
+
 def test_thermal_point_searches_a_quarter_and_a_half(monkeypatch, tmp_path):
-    # parity and time reversal: before refinement, the D_min search of a
+    # parity and time reversal: before refinement, the D_min prune of a
     # thermal point evaluates phi in [0, pi/2] only, at most
     # n_theta (n_phi // 4 + 1) grid points plus the one start, and the d_min(t)
     # search, whose objectives are not period pi, phi in [0, pi]
-    searches = []
-    real = measures._bloch_search
-
-    def spy(f, *args):
-        calls = []
-        searches.append(calls)
-        return real(lambda a: calls.append(a.reshape(-1, 2)) or f(a), *args)
-
-    monkeypatch.setattr(measures, "_bloch_search", spy)
+    searches = spy_searches(monkeypatch, lambda a: a.reshape(-1, 2))
     execute({"model": "spinchain", "params": {"n_spins": 5, "kT": 0.3},
              "time_grid": {"t_max": 5.0, "points": 20},
              "basis_grid": {"n_theta": 20, "n_phi": 40}}, str(tmp_path))
-    grid = BasisGrid(20, 40)
-    assert len(searches) == 2  # D_min, and d_min(t) in one chunk
+    # D_min's prune and refinement, and d_min(t) in one chunk
+    assert [len(calls) for calls in searches] == [2, 7, 7]
     # the coarse subgrid: theta rows 0, 3, .., 18, 19 x phi columns 0, 3, 6, 9, 10
-    # for D_min, and 0, 3, .., 18, 20 for d_min(t)
-    for calls, n_coarse, n_col, top in zip(searches, (5, 8), (11, 21), (np.pi / 2, np.pi)):
-        assert len(calls) == 2 + grid.refine_rounds
-        first, rest = calls[0][:-1], calls[1]
-        assert len(first) == 8 * n_coarse
-        assert len(first) + len(rest) + 1 <= 20 * n_col + 1
-        assert np.all(np.vstack([first, rest])[:, 1] <= top)
-        assert len(np.unique(np.vstack([first, rest]), axis=0)) == len(first) + len(rest)
+    first, rest = searches[0]
+    assert len(first) == 8 * 5 + 1 and len(first) + len(rest) <= 20 * 11 + 1
+    assert np.all(np.vstack([first, rest])[:, 1] <= np.pi / 2)
+    assert len(np.unique(np.vstack([first, rest]), axis=0)) == len(first) + len(rest)
+    cand = searches[2][0]
+    assert len(cand) == 20 * 21 + 1 and np.all(cand[:, 1] <= np.pi)
+    assert len(np.unique(cand, axis=0)) == len(cand)
 
 
 @pytest.mark.parametrize("kT,folded,kept", [
-    (0.05, False, [382, 686]), (0.05, True, [97, 354]),
-    (0.5, False, [50, 688]), (0.5, True, [16, 343]),
+    (0.05, False, [382, 801]), (0.05, True, [97, 421]),
+    (0.5, False, [50, 801]), (0.5, True, [16, 421]),
 ])
 def test_pruned_search_evaluates_pinned_counts(kT, folded, kept, monkeypatch):
-    # the fine grid points the Lipschitz prune keeps for D_min and for the
-    # d_min(t) search (20 times, one chunk) of a cold and a warm Gibbs state,
+    # the fine grid points the Lipschitz prune keeps for D_min, and the
+    # candidates of the d_min(t) search (20 times, one chunk: the searched grid
+    # points and the start, unpruned) of a cold and a warm Gibbs state,
     # unfolded or with the chain's folds (4 for D_min, 2 for d_min(t)); the
-    # 20 x 40 grid has 112 coarse points (40 in the quarter, 64 in the half)
-    # and 688 fine ones (180 and 356), so a wider kept set shows here even
-    # when no value moves. Each folded D_min argmin lies on the equator, where
-    # the stencil keeps 5 of its 8 points
+    # 20 x 40 grid has 112 coarse points (40 in the quarter) and 688 fine ones
+    # (180 in the quarter), so a wider kept set shows here even when no value
+    # moves. Each folded D_min argmin lies on the equator, where the stencil
+    # keeps 5 of its 8 points
     p = params(kT=kT)
     spec = model_spinchain.spectral(p)
     state = model_spinchain.gibbs_state(p, spec)
     evo = model_spinchain.original_frame_evolution(p, spec)
-    searches = []
-    real = measures._bloch_search
-
-    def spy(f, *args):
-        calls = []
-        searches.append(calls)
-        return real(lambda a: calls.append(a.shape[-2]) or f(a), *args)
-
-    monkeypatch.setattr(measures, "_bloch_search", spy)
+    searches = spy_searches(monkeypatch, lambda a: a.shape[-2])
     run_minimized_detection(state, evo, TimeGrid.linear(20.0, 20), BasisGrid(20, 40),
                             (4, 2) if folded else (1, 1))
-    assert [calls[0] for calls in searches] == ([41, 65] if folded else [113, 113])  # + start
-    assert [calls[1] for calls in searches] == kept
-    assert [calls[2:] for calls in searches] == [[5 if folded else 8] * 6, [8] * 6]
+    assert searches == [[41 if folded else 113, kept[0]],  # + start
+                        [1] + [5 if folded else 8] * 6, [kept[1]] + [8] * 6]
 
 
 class TestHamiltonian:

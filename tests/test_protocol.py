@@ -513,7 +513,7 @@ class TestClassicalCorrelationWitness:
         for seed in range(5):
             h = random_hermitian(4, np.random.default_rng(seed))
             _, detected = classical_correlation_witness(
-                s, None, EvolutionSpec(hamiltonian=h), GRID
+                s, SX, EvolutionSpec(hamiltonian=h), GRID
             )
             assert not detected
 
@@ -532,7 +532,7 @@ class TestClassicalCorrelationWitness:
         )
         h = kron(SX, np.diag([0.0, 1.0]).astype(complex))
         _, detected = classical_correlation_witness(
-            s, None, EvolutionSpec(hamiltonian=h), GRID
+            s, SX, EvolutionSpec(hamiltonian=h), GRID
         )
         assert detected
 
@@ -542,8 +542,7 @@ class TestClassicalCorrelationWitness:
         s = random_state(d_a, d_b, rng)
         evo = EvolutionSpec(hamiltonian=random_hermitian(d_a * d_b, rng))
         u = SX if d_a == 2 else haar_unitary(d_a, 9)
-        series, _ = classical_correlation_witness(
-            s, None if d_a == 2 else u, evo, GRID)
+        series, _ = classical_correlation_witness(s, u, evo, GRID)
         rotated = local_unitary_kron(s, u)
         d_t = two_state_distances(evo, s.rho, rotated, s.dims, GRID.samples)
         assert np.max(np.abs(series.d_t - d_t)) <= 1e-12
